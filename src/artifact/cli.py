@@ -223,7 +223,8 @@ def _cmd_compile(args):
     if args.certificate:
         cert = certificate_from_json(_read_json(args.certificate))
     compiled, emb = gol.compile_to_gol(gn, cert)
-    _emit_dot(args, csan_to_network(compiled))
+    if args.dot:
+        _emit_dot(args, csan_to_network(compiled))
     from .simulate import embedding_to_json
 
     return {"csan": csan_to_json(compiled), "embedding": embedding_to_json(emb)}, 0

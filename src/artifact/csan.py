@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .circuit import Circuit, InvalidCircuitError, make_circuit
@@ -127,7 +128,9 @@ class Csan:
     lam[v] maps (own state, neighbor-multiset count vector) to the next
     state; it must cover every multiset of total size up to deg(v).
     Edge labels are stored once per edge and seen identically from both
-    endpoints.
+    endpoints. The incidence lists and the edge lookup are built once per
+    instance on first use and are not fields, so they take no part in
+    equality or serialization; the graph must not be edited afterwards.
     """
 
     alphabet: int
@@ -139,8 +142,28 @@ class Csan:
     def n(self) -> int:
         return len(self.lam)
 
+    @cached_property
+    def incidence(self) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+        """incidence[v] lists (neighbor, edge label) in edge order."""
+        inc: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(self.n)]
+        for (u, v), rho in zip(self.edges, self.edge_rho):
+            inc[u].append((v, rho))
+            inc[v].append((u, rho))
+        return tuple(tuple(row) for row in inc)
+
+    @cached_property
+    def _labels(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        return dict(zip(self.edges, self.edge_rho))
+
     def degree(self, v: int) -> int:
-        return sum(1 for u, w in self.edges if v in (u, w))
+        return len(self.incidence[v])
+
+    def neighbors(self, v: int) -> set[int]:
+        return {u for u, _ in self.incidence[v]}
+
+    def edge_label(self, u: int, v: int) -> tuple[int, ...] | None:
+        """Label of the edge {u, v}, None when there is no such edge."""
+        return self._labels.get((u, v) if u < v else (v, u))
 
     def validate(self) -> None:
         q = self.alphabet
@@ -158,11 +181,12 @@ class Csan:
             seen.add((u, v))
             if len(rho) != q or any(not 0 <= a < q for a in rho):
                 raise InvalidCsanError(f"edge ({u},{v}) label is not a map on the alphabet")
+        wants: dict[int, set[tuple[int, tuple[int, ...]]]] = {}
         for v in range(n):
             deg = self.degree(v)
-            want = {(s, m) for s in range(q) for m in multisets_up_to(q, deg)}
-            have = set(self.lam[v].keys())
-            if have != want:
+            if deg not in wants:
+                wants[deg] = {(s, m) for s in range(q) for m in multisets_up_to(q, deg)}
+            if self.lam[v].keys() != wants[deg]:
                 raise InvalidCsanError(
                     f"node {v} table must cover exactly the multisets of size <= {deg}"
                 )
@@ -203,14 +227,6 @@ def make_csan(
     return c
 
 
-def _incidence(c: Csan) -> list[list[tuple[int, tuple[int, ...]]]]:
-    inc: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(c.n)]
-    for (u, v), rho in zip(c.edges, c.edge_rho):
-        inc[u].append((v, rho))
-        inc[v].append((u, rho))
-    return inc
-
-
 def _check_config(c: Csan, x: Sequence[int]) -> tuple[int, ...]:
     x = tuple(x)
     if len(x) != c.n:
@@ -223,7 +239,7 @@ def _check_config(c: Csan, x: Sequence[int]) -> tuple[int, ...]:
 def csan_step(c: Csan, x: Sequence[int]) -> tuple[int, ...]:
     """One synchronous update: label-mapped neighbor multiset into each table."""
     x = _check_config(c, x)
-    inc = _incidence(c)
+    inc = c.incidence
     out = []
     for v in range(c.n):
         counts = [0] * c.alphabet
@@ -488,7 +504,7 @@ def family_spec(name: str, alphabet: int = 2) -> FamilySpec:
 def csan_in_family(c: Csan, spec: FamilySpec) -> bool:
     if c.alphabet != spec.alphabet:
         return False
-    inc = _incidence(c)
+    inc = c.incidence
     return all(
         spec.member(c.lam[v], tuple(rho for _, rho in inc[v])) for v in range(c.n)
     )
@@ -531,7 +547,7 @@ def _binary_rows(
 
 def csan_to_network(c: Csan) -> Network:
     """Tabulate every node over its closed neighborhood; same global map."""
-    inc = _incidence(c)
+    inc = c.incidence
     q = c.alphabet
     rules = []
     for v in range(c.n):
@@ -576,7 +592,7 @@ def interaction_graph_csan(c: Csan) -> set[tuple[int, int]]:
     sweeping global configurations.
     """
     q = c.alphabet
-    inc = _incidence(c)
+    inc = c.incidence
     edges: set[tuple[int, int]] = set()
     for v in range(c.n):
         lam = c.lam[v]

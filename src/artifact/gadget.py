@@ -4,16 +4,25 @@ A gadget is a network carrying marked copies of a fixed interface, each
 copy flagged as an input or an output. Gluing an output copy of one
 gadget onto an input copy of another fuses the two copies node by node
 and yields a gadget again, so gate diagrams can be assembled by repeated
-glueing. A coherence certificate pins down, for one gate catalog, the
-exempted runs and boundary traces that make every such assembly simulate
-the corresponding gate network; `compile_gnetwork` performs the assembly
-and returns the simulating network with its block embedding.
+glueing (`gadget_glue`). A coherence certificate pins down, for one gate
+catalog, the exempted runs and boundary traces that make every such
+assembly simulate the corresponding gate network.
+
+`compile_gnetwork` performs the assembly without building the gadgets
+in between. Glueing along disjoint sets of wires is associative, so the
+host is fixed by the gadgets and their wiring, not by the order of the
+glue steps: the compiler walks the gates in order only to number the
+nodes of each step as the chained glue would, then builds the host
+from every gadget at once and validates it once. For labeled gadgets
+the certificate's `csan_closure_failures` already certifies the glue
+guards inside every interface copy; the compiler still runs them at
+each step, across the wires of that step.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
@@ -29,6 +38,9 @@ from .glue import (
     Dowel,
     GluedIndex,
     PseudoOrbit,
+    assemble_csan,
+    assemble_network,
+    check_dowel_structure,
     check_pseudo_orbit,
     csan_glue,
     glue_networks,
@@ -178,23 +190,47 @@ def exempt_nodes(g: Gadget) -> frozenset[int]:
 
 
 @dataclass
-class _GlueOutcome:
-    gadget: Gadget
+class _Frame:
+    """All that the numbering of a glue step reads: node count and copies."""
+
+    n: int
+    in_copies: tuple[dict[str, int], ...]
+    out_copies: tuple[dict[str, int], ...]
+
+
+def _frame(g: Gadget) -> _Frame:
+    return _Frame(g.net.n, g.in_copies, g.out_copies)
+
+
+@dataclass
+class _GlueStep:
+    """Numbering of one glue step, shared by gadget_glue and the compiler.
+
+    frame holds the surviving copies in glued numbering; kept_in and
+    kept_out name them as (side, copy index), side 1 for the first
+    gadget and 2 for the second. a_nodes and b_nodes are the fused
+    copies of in_pairs and out_pairs.
+    """
+
+    dowel: Dowel
     num: GluedIndex
+    frame: _Frame
+    kept_in: list[tuple[int, int]]
+    kept_out: list[tuple[int, int]]
     a_nodes: tuple[dict[str, int], ...]
     b_nodes: tuple[dict[str, int], ...]
 
 
 def _junction_dowel(
-    first: Gadget,
-    second: Gadget,
+    iface: Interface,
+    first: _Frame,
+    second: _Frame,
     in_pairs: Sequence[tuple[int, int]],
     out_pairs: Sequence[tuple[int, int]],
 ) -> Dowel:
     # Junction fusing an input copy of `first` with an output copy of
     # `second`: the receiving half keeps the consumer's rules, the
     # emitting half the producer's. Symmetrically for the other kind.
-    iface = first.interface
     c1: list[str] = []
     c2: list[str] = []
     phi1: dict[str, int] = {}
@@ -225,67 +261,37 @@ def _check_pairs(pairs: Sequence[tuple[int, int]], n_first: int, n_second: int, 
         raise InvalidGadgetError(f"{what} wiring index out of range")
 
 
-def _gadget_glue(
-    first: Gadget,
-    second: Gadget,
+def _glue_step(
+    iface: Interface,
+    first: _Frame,
+    second: _Frame,
     in_pairs: Sequence[tuple[int, int]],
     out_pairs: Sequence[tuple[int, int]],
-) -> _GlueOutcome:
-    first.validate()
-    second.validate()
-    if first.interface != second.interface:
-        raise InvalidGadgetError("glued gadgets must share an interface")
-    if first.net.alphabet != second.net.alphabet:
-        raise InvalidGadgetError("glued gadgets must share an alphabet")
-    iface = first.interface
+) -> _GlueStep:
     _check_pairs(in_pairs, len(first.in_copies), len(second.out_copies), "input/output")
     _check_pairs(out_pairs, len(first.out_copies), len(second.in_copies), "output/input")
-    dowel = _junction_dowel(first, second, in_pairs, out_pairs)
+    dowel = _junction_dowel(iface, first, second, in_pairs, out_pairs)
+    num = glued_numbering(first.n, second.n, dowel)
+    index = {1: num.v1_index, 2: num.v2_index}
+    ins = {1: first.in_copies, 2: second.in_copies}
+    outs = {1: first.out_copies, 2: second.out_copies}
 
-    if first.csan is not None and second.csan is not None:
-        merged = csan_glue(first.csan, second.csan, dowel)
-        net = csan_to_network(merged)
-    else:
-        merged = None
-        net = glue_networks(first.net, second.net, dowel)
-    num = glued_numbering(first.net.n, second.net.n, dowel)
+    def kept(copies: dict, used: dict[int, set[int]]) -> list[tuple[int, int]]:
+        return [(s, k) for s in (1, 2) for k in range(len(copies[s])) if k not in used[s]]
 
-    def remap(copy: Mapping[str, int], index: Mapping[int, int]) -> dict[str, int]:
-        return {c: index[v] for c, v in copy.items()}
+    def placed(copies: dict, side: int, k: int) -> dict[str, int]:
+        return {c: index[side][v] for c, v in copies[side][k].items()}
 
-    used_in_first = {ia for ia, _ in in_pairs}
-    used_out_second = {ob for _, ob in in_pairs}
-    used_out_first = {oa for oa, _ in out_pairs}
-    used_in_second = {ib for _, ib in out_pairs}
-    kept_in = [
-        remap(copy, num.v1_index)
-        for k, copy in enumerate(first.in_copies)
-        if k not in used_in_first
-    ] + [
-        remap(copy, num.v2_index)
-        for k, copy in enumerate(second.in_copies)
-        if k not in used_in_second
-    ]
-    kept_out = [
-        remap(copy, num.v1_index)
-        for k, copy in enumerate(first.out_copies)
-        if k not in used_out_first
-    ] + [
-        remap(copy, num.v2_index)
-        for k, copy in enumerate(second.out_copies)
-        if k not in used_out_second
-    ]
-    gadget = Gadget(iface, net, tuple(kept_in), tuple(kept_out), merged)
-    gadget.validate()
-    a_nodes = tuple(
-        {c: num.v1_index[first.in_copies[ia][c]] for c in iface.names}
-        for ia, _ in in_pairs
+    kept_in = kept(ins, {1: {ia for ia, _ in in_pairs}, 2: {ib for _, ib in out_pairs}})
+    kept_out = kept(outs, {1: {oa for oa, _ in out_pairs}, 2: {ob for _, ob in in_pairs}})
+    frame = _Frame(
+        num.n,
+        tuple(placed(ins, s, k) for s, k in kept_in),
+        tuple(placed(outs, s, k) for s, k in kept_out),
     )
-    b_nodes = tuple(
-        {c: num.v1_index[first.out_copies[oa][c]] for c in iface.names}
-        for oa, _ in out_pairs
-    )
-    return _GlueOutcome(gadget, num, a_nodes, b_nodes)
+    a_nodes = tuple(placed(ins, 1, ia) for ia, _ in in_pairs)
+    b_nodes = tuple(placed(outs, 1, oa) for oa, _ in out_pairs)
+    return _GlueStep(dowel, num, frame, kept_in, kept_out, a_nodes, b_nodes)
 
 
 def gadget_glue(
@@ -301,7 +307,22 @@ def gadget_glue(
     Surviving copies keep their relative order, first gadget first.
     Empty wiring degenerates to the disjoint union.
     """
-    return _gadget_glue(first, second, in_pairs, out_pairs).gadget
+    first.validate()
+    second.validate()
+    if first.interface != second.interface:
+        raise InvalidGadgetError("glued gadgets must share an interface")
+    if first.net.alphabet != second.net.alphabet:
+        raise InvalidGadgetError("glued gadgets must share an alphabet")
+    st = _glue_step(first.interface, _frame(first), _frame(second), in_pairs, out_pairs)
+    if first.csan is not None and second.csan is not None:
+        merged = csan_glue(first.csan, second.csan, st.dowel)
+        net = csan_to_network(merged)
+    else:
+        merged = None
+        net = glue_networks(first.net, second.net, st.dowel)
+    gadget = Gadget(first.interface, net, st.frame.in_copies, st.frame.out_copies, merged)
+    gadget.validate()
+    return gadget
 
 
 def disjoint_union(first: Gadget, second: Gadget) -> Gadget:
@@ -385,20 +406,6 @@ class CertificateReport:
         return f"certificate rejected: {head}{tail}"
 
 
-def _edges_by_pair(c: Csan) -> dict[tuple[int, int], tuple[int, ...]]:
-    return {e: rho for e, rho in zip(c.edges, c.edge_rho)}
-
-
-def _adjacent(c: Csan, v: int) -> set[int]:
-    out: set[int] = set()
-    for u, w in c.edges:
-        if u == v:
-            out.add(w)
-        elif w == v:
-            out.add(u)
-    return out
-
-
 def csan_closure_failures(
     interface: Interface, tagged: Sequence[tuple[str, Gadget]]
 ) -> tuple[str, ...]:
@@ -416,7 +423,6 @@ def csan_closure_failures(
         if g.csan is None:
             fails.append(f"{tag}: no labeled structure attached")
             continue
-        look = _edges_by_pair(g.csan)
         copies = [("input", k, c) for k, c in enumerate(g.in_copies)] + [
             ("output", k, c) for k, c in enumerate(g.out_copies)
         ]
@@ -426,14 +432,10 @@ def csan_closure_failures(
                 ref = (where, dict(copy), g.csan)
                 continue
             ref_where, ref_copy, ref_csan = ref
-            ref_look = _edges_by_pair(ref_csan)
             for i, a in enumerate(names):
                 for b in names[i + 1 :]:
-                    u, v = copy[a], copy[b]
-                    e = look.get((min(u, v), max(u, v)))
-                    ru, rv = ref_copy[a], ref_copy[b]
-                    r = ref_look.get((min(ru, rv), max(ru, rv)))
-                    if (e is None) != (r is None) or e != r:
+                    e = g.csan.edge_label(copy[a], copy[b])
+                    if e != ref_csan.edge_label(ref_copy[a], ref_copy[b]):
                         fails.append(
                             f"{where}: induced labeled subgraph differs from"
                             f" {ref_where} on pair ({a!r}, {b!r})"
@@ -449,7 +451,7 @@ def csan_closure_failures(
         for k, copy in enumerate(g.in_copies):
             image = set(copy.values())
             for c in interface.outputs:
-                if not _adjacent(g.csan, copy[c]) <= image:
+                if not g.csan.neighbors(copy[c]) <= image:
                     fails.append(
                         f"{tag}: input copy {k} receiving nodes have neighbors"
                         " outside the copy"
@@ -458,7 +460,7 @@ def csan_closure_failures(
         for k, copy in enumerate(g.out_copies):
             image = set(copy.values())
             for c in interface.inputs:
-                if not _adjacent(g.csan, copy[c]) <= image:
+                if not g.csan.neighbors(copy[c]) <= image:
                     fails.append(
                         f"{tag}: output copy {k} continuation nodes have neighbors"
                         " outside the copy"
@@ -648,28 +650,49 @@ def verify_certificate(cert: CoherentCertificate) -> CertificateReport:
 
 @dataclass
 class CompiledGadgets:
-    """Assembly artifacts: the host network and where everything landed.
+    """Assembly artifacts: the host and where everything landed.
 
+    csan is the host when the gadgets are labeled, None otherwise;
+    network is the host tabulated, derived from csan on first access.
     dowels[v] locates the fused interface copy carrying source node v;
     node_maps[j] sends gate j's gadget nodes to host nodes; contexts[j]
     is that gadget's frozen surrounding, already in host numbering.
     """
 
-    network: Network
     embedding: BlockEmbedding
-    gadget: Gadget
+    csan: Csan | None
     dowels: tuple[dict[str, int], ...]
     contexts: tuple[dict[int, int], ...]
     node_maps: tuple[dict[int, int], ...]
+    _network: Network | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def network(self) -> Network:
+        if self._network is None:
+            self._network = csan_to_network(self.csan)
+        return self._network
 
 
 def compile_gnetwork_detailed(gn: GNetwork, cert: CoherentCertificate) -> CompiledGadgets:
-    """Assemble one gadget per gate, glueing wires in gate order.
+    """Assemble one gadget per gate: number every glue step, build once.
 
-    Gate j is glued onto the accumulated result of gates 0..j-1 along
-    every wire between them; wireless steps degenerate to disjoint
-    unions. Each source node ends up owning its fused interface copy as
-    a block; all frozen context nodes ride along in node 0's block.
+    The gates are walked in order, and gate j is glued onto the result
+    of gates 0..j-1 along every wire between them; wireless steps are
+    disjoint unions. A step only numbers nodes, from the copy maps and
+    its junction dowel, so node_maps, dowels and contexts come out as
+    the chained `gadget_glue` would give them. Glueing along disjoint
+    wire sets is associative, so the host depends only on the gadgets
+    and their wiring: host node h runs the rule of the gadget owning it,
+    and the edges are the union of every gadget's edges mapped through
+    node_maps. That host is built and validated once, at the end.
+
+    Labeled steps still run the `csan_glue` guards, on the gadgets' own
+    structure: the dowel nodes on the accumulated side lie in copies
+    not glued before, so each belongs to one gadget. Within one copy
+    the certificate's `csan_closure_failures` has already passed these
+    guards, which leaves only pairs of nodes across wires to catch.
+    Each source node owns its fused interface copy as a block; all
+    frozen context nodes ride along in node 0's block.
     """
     gn.validate()
     report = verify_certificate(cert)
@@ -687,9 +710,7 @@ def compile_gnetwork_detailed(gn: GNetwork, cert: CoherentCertificate) -> Compil
         host = make_network(cert.host_alphabet, [])
         emb = BlockEmbedding(cert.time, (), ())
         emb.validate(make_network(gn.alphabet, []), host)
-        return CompiledGadgets(
-            host, emb, Gadget(cert.interface, host, (), ()), (), (), ()
-        )
+        return CompiledGadgets(emb, None, (), (), (), host)
 
     produced_by: dict[int, tuple[int, int]] = {}
     consumed_by: dict[int, tuple[int, int]] = {}
@@ -699,52 +720,44 @@ def compile_gnetwork_detailed(gn: GNetwork, cert: CoherentCertificate) -> Compil
         for k, v in enumerate(gn.inputs[j]):
             consumed_by[v] = (j, k)
 
-    acc = gadget_copy(cert.gadgets[gn.gates[0]])
-    node_maps: list[dict[int, int]] = [{v: v for v in range(acc.net.n)}]
-    in_tags = [(0, k) for k in range(gn.gates[0].n_in)]
-    out_tags = [(0, k) for k in range(gn.gates[0].n_out)]
+    # The accumulated side is only a frame; its copies are tagged with
+    # the source node each one carries, and owner[h] = (j, v) records
+    # which gadget node rules host node h.
+    parts = [cert.gadgets[gate] for gate in gn.gates]
+    csans = [gd.csan for gd in parts]
+    labeled = None not in csans
+    frame = _frame(parts[0])
+    node_maps: list[dict[int, int]] = [{v: v for v in range(frame.n)}]
+    owner = [(0, v) for v in range(frame.n)]
+    in_tags, out_tags = list(gn.inputs[0]), list(gn.outputs[0])
     dowels: dict[int, dict[str, int]] = {}
     for j in range(1, len(gn.gates)):
-        gate = gn.gates[j]
-        new = gadget_copy(cert.gadgets[gate])
-        in_pairs: list[tuple[int, int]] = []
-        a_wires: list[int] = []
-        for idx, (jj, kk) in enumerate(in_tags):
-            v = gn.inputs[jj][kk]
-            pj, pk = produced_by[v]
-            if pj == j:
-                in_pairs.append((idx, pk))
-                a_wires.append(v)
-        out_pairs: list[tuple[int, int]] = []
-        b_wires: list[int] = []
-        for idx, (jj, kk) in enumerate(out_tags):
-            v = gn.outputs[jj][kk]
-            cj, ck = consumed_by[v]
-            if cj == j:
-                out_pairs.append((idx, ck))
-                b_wires.append(v)
-        outcome = _gadget_glue(acc, new, in_pairs, out_pairs)
-        num = outcome.num
+        in_pairs = [(i, produced_by[v][1]) for i, v in enumerate(in_tags) if produced_by[v][0] == j]
+        out_pairs = [
+            (i, consumed_by[v][1]) for i, v in enumerate(out_tags) if consumed_by[v][0] == j
+        ]
+        st = _glue_step(cert.interface, frame, _frame(parts[j]), in_pairs, out_pairs)
+        if labeled:
+            check_dowel_structure(
+                csans,
+                st.dowel,
+                {c: owner[h] for c, h in st.dowel.phi1.items()},
+                {c: (j, v) for c, v in st.dowel.phi2.items()},
+            )
+        num = st.num
         node_maps = [{o: num.v1_index[h] for o, h in m.items()} for m in node_maps]
         node_maps.append(dict(num.v2_index))
-        dowels = {
-            v: {c: num.v1_index[h] for c, h in m.items()} for v, m in dowels.items()
-        }
-        for v, m in zip(a_wires, outcome.a_nodes):
-            dowels[v] = m
-        for v, m in zip(b_wires, outcome.b_nodes):
-            dowels[v] = m
-        used_in_first = {ia for ia, _ in in_pairs}
-        used_out_second = {ob for _, ob in in_pairs}
-        used_out_first = {oa for oa, _ in out_pairs}
-        used_in_second = {ib for _, ib in out_pairs}
-        in_tags = [t for k, t in enumerate(in_tags) if k not in used_in_first] + [
-            (j, k) for k in range(gate.n_in) if k not in used_in_second
-        ]
-        out_tags = [t for k, t in enumerate(out_tags) if k not in used_out_first] + [
-            (j, k) for k in range(gate.n_out) if k not in used_out_second
-        ]
-        acc = outcome.gadget
+        owner = [owner[v] if side == 1 else (j, v) for side, v in num.origin]
+        dowels = {v: {c: num.v1_index[h] for c, h in m.items()} for v, m in dowels.items()}
+        dowels.update(zip((in_tags[i] for i, _ in in_pairs), st.a_nodes))
+        dowels.update(zip((out_tags[i] for i, _ in out_pairs), st.b_nodes))
+        in_tags = [in_tags[k] if side == 1 else gn.inputs[j][k] for side, k in st.kept_in]
+        out_tags = [out_tags[k] if side == 1 else gn.outputs[j][k] for side, k in st.kept_out]
+        frame = st.frame
+    if labeled:
+        host: Csan | Network = assemble_csan(csans, node_maps, owner)
+    else:
+        host = assemble_network([gd.net for gd in parts], node_maps, owner)
 
     contexts: list[dict[int, int]] = []
     for j, gate in enumerate(gn.gates):
@@ -768,14 +781,14 @@ def compile_gnetwork_detailed(gn: GNetwork, cert: CoherentCertificate) -> Compil
         blocks.append(tuple(block))
         patterns.append(tuple(rows))
     emb = BlockEmbedding(cert.time, tuple(blocks), tuple(patterns))
-    emb.validate(gnetwork_to_network(gn), acc.net)
+    emb.validate(gnetwork_to_network(gn), host)
     return CompiledGadgets(
-        acc.net,
         emb,
-        acc,
+        host if labeled else None,
         tuple(dowels[v] for v in range(gn.n)),
         tuple(contexts),
         tuple(node_maps),
+        None if labeled else host,
     )
 
 

@@ -3,10 +3,11 @@
 A dowel is an abstract node set C split in two halves, injected into
 both networks. The glued network keeps C once: nodes of the first half
 run the first network's rule, nodes of the second half the second's,
-and every dependency is rerouted through the injections. Sequences
-that respect each network except on an exempt set can be stitched into
-one such sequence for the glued network whenever they agree on the
-dowel at every step.
+and every dependency is rerouted through the injections. Many parts
+can be glued in one build once every node's place and owner is known
+(`assemble_network`, `assemble_csan`). Sequences that respect each
+network except on an exempt set can be stitched into one such sequence
+for the glued network whenever they agree on the dowel at every step.
 """
 
 from __future__ import annotations
@@ -121,18 +122,41 @@ def glued_numbering(n1: int, n2: int, d: Dowel) -> GluedIndex:
     return GluedIndex(len(origin), c_index, v1_index, v2_index, tuple(origin))
 
 
+def _shared_alphabet(parts: Sequence[Network] | Sequence[Csan]) -> int:
+    alphabets = {p.alphabet for p in parts}
+    if len(alphabets) != 1:
+        raise InvalidGlueError("glued networks must share an alphabet")
+    return alphabets.pop()
+
+
+def _owners(num: GluedIndex) -> list[tuple[int, int]]:
+    return [(side - 1, orig) for side, orig in num.origin]
+
+
 def glue_networks(f1: Network, f2: Network, d: Dowel) -> Network:
     """Glued network: dowel once, every dependency rerouted through it."""
-    if f1.alphabet != f2.alphabet:
-        raise InvalidGlueError("glued networks must share an alphabet")
+    _shared_alphabet((f1, f2))
     num = glued_numbering(f1.n, f2.n, d)
-    route = {1: num.v1_index, 2: num.v2_index}
-    nets = {1: f1, 2: f2}
+    return assemble_network((f1, f2), (num.v1_index, num.v2_index), _owners(num))
+
+
+def assemble_network(
+    parts: Sequence[Network],
+    node_maps: Sequence[Mapping[int, int]],
+    owner: Sequence[tuple[int, int]],
+) -> Network:
+    """Glue any number of networks at once, given where every node lands.
+
+    node_maps[j] sends the nodes of parts[j] to glued nodes, and
+    owner[h] = (j, v) names the node v of parts[j] whose rule glued node
+    h runs, its dependencies rerouted through node_maps[j].
+    """
+    q = _shared_alphabet(parts)
     rules = []
-    for side, orig in num.origin:
-        rule = nets[side].rules[orig]
-        rules.append((tuple(route[side][u] for u in rule.deps), rule.table))
-    return make_network(f1.alphabet, rules)
+    for j, v in owner:
+        rule = parts[j].rules[v]
+        rules.append((tuple(node_maps[j][u] for u in rule.deps), rule.table))
+    return make_network(q, rules)
 
 
 # ---------------------------------------------------------------------------
@@ -238,18 +262,50 @@ def glue_pseudo_orbits(
 # Glueing that stays inside a labeled family
 
 
-def _edge_lookup(c: Csan) -> dict[tuple[int, int], tuple[int, ...]]:
-    return dict(zip(c.edges, c.edge_rho))
+def check_dowel_structure(
+    parts: Sequence[Csan],
+    d: Dowel,
+    at1: Mapping[Name, tuple[int, int]],
+    at2: Mapping[Name, tuple[int, int]],
+) -> None:
+    """The labeled-glue guards, with every dowel name placed on both sides.
 
+    at1[c] = (j, v) places name c of the first side at node v of
+    parts[j], at2 likewise on the second side. Nodes of different parts
+    share no edge. The dowel must induce the same labeled subgraph on
+    both sides, the vertex labels must agree where both tables are
+    defined, and on each side the image of the other side's half may
+    touch only the dowel. Each violation is reported by name.
+    """
+    names = d.names
 
-def _neighbors_of(c: Csan, v: int) -> set[int]:
-    out = set()
-    for u, w in c.edges:
-        if u == v:
-            out.add(w)
-        elif w == v:
-            out.add(u)
-    return out
+    def edge_of(at: Mapping[Name, tuple[int, int]], a: Name, b: Name):
+        (ja, u), (jb, v) = at[a], at[b]
+        return parts[ja].edge_label(u, v) if ja == jb else None
+
+    for i, a in enumerate(names):
+        for b in names[i + 1 :]:
+            if edge_of(at1, a, b) != edge_of(at2, a, b):
+                raise InvalidGlueError(
+                    f"induced dowel subgraphs differ on pair ({a!r}, {b!r})"
+                )
+    for a in names:
+        (j1, v1), (j2, v2) = at1[a], at2[a]
+        lam1 = parts[j1].lam[v1]
+        lam2 = parts[j2].lam[v2]
+        shared = lam1.keys() & lam2.keys()
+        if any(lam1[k] != lam2[k] for k in shared):
+            raise InvalidGlueError(f"dowel vertex labels differ at {a!r}")
+    sides = (
+        (d.c2, at1, "second-half image must touch only the dowel in the first network"),
+        (d.c1, at2, "first-half image must touch only the dowel in the second network"),
+    )
+    for half, at, message in sides:
+        image = set(at.values())
+        for c in half:
+            j, v = at[c]
+            if any((j, u) not in image for u in parts[j].neighbors(v)):
+                raise InvalidGlueError(message)
 
 
 def csan_glue(c1: Csan, c2: Csan, d: Dowel) -> Csan:
@@ -260,63 +316,45 @@ def csan_glue(c1: Csan, c2: Csan, d: Dowel) -> Csan:
     the dowel; symmetrically in the second input. Each violation is
     reported by name.
     """
-    if c1.alphabet != c2.alphabet:
-        raise InvalidGlueError("glued networks must share an alphabet")
+    _shared_alphabet((c1, c2))
     d.validate(c1.n, c2.n)
-    names = d.names
-    look1 = _edge_lookup(c1)
-    look2 = _edge_lookup(c2)
-
-    def edge_of(look, phi, a, b):
-        u, v = phi[a], phi[b]
-        return look.get((min(u, v), max(u, v)))
-
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            e1 = edge_of(look1, d.phi1, a, b)
-            e2 = edge_of(look2, d.phi2, a, b)
-            if (e1 is None) != (e2 is None) or (e1 is not None and e1 != e2):
-                raise InvalidGlueError(
-                    f"induced dowel subgraphs differ on pair ({a!r}, {b!r})"
-                )
-    for a in names:
-        lam1 = c1.lam[d.phi1[a]]
-        lam2 = c2.lam[d.phi2[a]]
-        shared = lam1.keys() & lam2.keys()
-        if any(lam1[k] != lam2[k] for k in shared):
-            raise InvalidGlueError(f"dowel vertex labels differ at {a!r}")
-    img1 = {d.phi1[c] for c in names}
-    img2 = {d.phi2[c] for c in names}
-    for c in d.c2:
-        if not _neighbors_of(c1, d.phi1[c]) <= img1:
-            raise InvalidGlueError(
-                "second-half image must touch only the dowel in the first network"
-            )
-    for c in d.c1:
-        if not _neighbors_of(c2, d.phi2[c]) <= img2:
-            raise InvalidGlueError(
-                "first-half image must touch only the dowel in the second network"
-            )
-
+    check_dowel_structure(
+        (c1, c2),
+        d,
+        {c: (0, d.phi1[c]) for c in d.names},
+        {c: (1, d.phi2[c]) for c in d.names},
+    )
     num = glued_numbering(c1.n, c2.n, d)
-    lam = []
-    for side, orig in num.origin:
-        lam.append((c1 if side == 1 else c2).lam[orig])
+    return assemble_csan((c1, c2), (num.v1_index, num.v2_index), _owners(num))
+
+
+def assemble_csan(
+    parts: Sequence[Csan],
+    node_maps: Sequence[Mapping[int, int]],
+    owner: Sequence[tuple[int, int]],
+) -> Csan:
+    """Glue any number of labeled networks at once, built and validated once.
+
+    node_maps and owner are as in `assemble_network`: glued node h keeps
+    the table of its owner, and the edges are the union of every part's
+    edges routed through node_maps. Edges fused from several parts must
+    carry one label.
+    """
+    q = _shared_alphabet(parts)
     edges: dict[tuple[int, int], tuple[int, ...]] = {}
-    for c, route in ((c1, num.v1_index), (c2, num.v2_index)):
+    for c, route in zip(parts, node_maps):
         for (u, v), rho in zip(c.edges, c.edge_rho):
             a, b = route[u], route[v]
-            key = (min(a, b), max(a, b))
-            if key in edges and edges[key] != rho:
+            key = (a, b) if a < b else (b, a)
+            if edges.setdefault(key, rho) != rho:
                 raise InvalidGlueError(
                     f"conflicting edge labels meet at glued edge {key}"
                 )
-            edges[key] = rho
     return make_csan(
-        c1.alphabet,
-        num.n,
+        q,
+        len(owner),
         [(u, v, rho) for (u, v), rho in edges.items()],
-        lam,
+        [parts[j].lam[v] for j, v in owner],
     )
 
 

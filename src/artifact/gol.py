@@ -542,6 +542,6 @@ def compile_to_gol(
         return make_csan(2, 0, [], []), emb
     cert = certificate if certificate is not None else build_certificate()
     compiled = compile_gnetwork_detailed(gn, cert)
-    if compiled.gadget.csan is None:
+    if compiled.csan is None:
         raise InvalidGadgetError("certificate gadgets carry no labeled structure")
-    return compiled.gadget.csan, compiled.embedding
+    return compiled.csan, compiled.embedding

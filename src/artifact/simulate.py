@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .core import (
     ArtifactError,
@@ -23,6 +23,9 @@ from .core import (
     iterate,
     step,
 )
+
+if TYPE_CHECKING:
+    from .csan import Csan
 
 
 class InvalidEmbeddingError(ArtifactError, ValueError):
@@ -42,7 +45,8 @@ class BlockEmbedding:
     blocks: tuple[tuple[int, ...], ...]
     patterns: tuple[tuple[tuple[int, ...], ...], ...]
 
-    def validate(self, source: Network, host: Network) -> None:
+    def validate(self, source: Network, host: Network | Csan) -> None:
+        """Check the blocks and patterns; reads only sizes and alphabets."""
         if self.time < 1:
             raise InvalidEmbeddingError("time constant must be >= 1")
         if len(self.blocks) != source.n or len(self.patterns) != source.n:

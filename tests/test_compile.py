@@ -1,0 +1,259 @@
+"""The one-pass gadget compiler against chained pairwise glueing.
+
+The oracle below is the compiler as it was before the host was built in
+one pass: gate j is glued onto the accumulated gadget of gates 0..j-1
+with the public `gadget_glue`, and the numbering of every step is
+recomputed here from the junction dowel. Both must produce the same
+host, embedding, dowels, contexts and node maps.
+"""
+
+import json
+import random
+
+import pytest
+
+from artifact import cli, gadget, glue, gol
+from artifact.cli import run
+from artifact.csan import csan_to_json
+from artifact.gadget import compile_gnetwork_detailed, gadget_copy, gadget_glue
+from artifact.glue import glued_numbering, make_dowel
+from artifact.gnet import ID_1_1, NOR_2_2, GNetworkBuilder, gnetwork_to_json
+from artifact.simulate import BlockEmbedding, embedding_to_json
+
+from test_gadget import identity_gadget, nor_gadget, toy_certificate
+
+
+def nor_ring(k):
+    """Gate i reads output 1 of gate i-1 and output 0 of gate i+1."""
+    b = GNetworkBuilder(2)
+    outs = [b.new_gate(NOR_2_2)[1] for _ in range(k)]
+    for i in range(k):
+        b.connect(i, [outs[(i - 1) % k][1], outs[(i + 1) % k][0]])
+    return b.build()
+
+
+def nor_random(k, rng):
+    """Inputs wired by a random permutation of the outputs, no gate fed by itself."""
+    n = 2 * k
+    while True:
+        perm = rng.sample(range(n), n)
+        if all({perm[2 * j], perm[2 * j + 1]}.isdisjoint({2 * j, 2 * j + 1}) for j in range(k)):
+            break
+    b = GNetworkBuilder(2)
+    for _ in range(k):
+        b.new_gate(NOR_2_2)
+    for j in range(k):
+        b.connect(j, perm[2 * j : 2 * j + 2])
+    return b.build()
+
+
+def identity_ring(k):
+    b = GNetworkBuilder(2)
+    outs = [b.new_gate(ID_1_1)[1][0] for _ in range(k)]
+    for i in range(k):
+        b.connect(i, [outs[(i - 1) % k]])
+    return b.build()
+
+
+# ---------------------------------------------------------------------------
+# The pairwise oracle
+
+
+def junction_dowel(first, second, in_pairs, out_pairs):
+    iface = first.interface
+    c1, c2, phi1, phi2 = [], [], {}, {}
+    for j, (ia, ob) in enumerate(in_pairs):
+        for c in iface.names:
+            name = f"a{j}:{c}"
+            (c1 if c in iface.inputs else c2).append(name)
+            phi1[name] = first.in_copies[ia][c]
+            phi2[name] = second.out_copies[ob][c]
+    for j, (oa, ib) in enumerate(out_pairs):
+        for c in iface.names:
+            name = f"b{j}:{c}"
+            (c1 if c in iface.outputs else c2).append(name)
+            phi1[name] = first.out_copies[oa][c]
+            phi2[name] = second.in_copies[ib][c]
+    return make_dowel(c1, c2, phi1, phi2)
+
+
+def pairwise_compile(gn, cert):
+    """(host gadget, embedding, dowels, contexts, node_maps) by chained glueing."""
+    produced_by, consumed_by = {}, {}
+    for j in range(len(gn.gates)):
+        for k, v in enumerate(gn.outputs[j]):
+            produced_by[v] = (j, k)
+        for k, v in enumerate(gn.inputs[j]):
+            consumed_by[v] = (j, k)
+    iface = cert.interface
+    acc = gadget_copy(cert.gadgets[gn.gates[0]])
+    node_maps = [{v: v for v in range(acc.net.n)}]
+    in_tags = [(0, k) for k in range(gn.gates[0].n_in)]
+    out_tags = [(0, k) for k in range(gn.gates[0].n_out)]
+    dowels = {}
+    for j in range(1, len(gn.gates)):
+        gate = gn.gates[j]
+        new = gadget_copy(cert.gadgets[gate])
+        in_pairs, a_wires = [], []
+        for idx, (jj, kk) in enumerate(in_tags):
+            v = gn.inputs[jj][kk]
+            pj, pk = produced_by[v]
+            if pj == j:
+                in_pairs.append((idx, pk))
+                a_wires.append(v)
+        out_pairs, b_wires = [], []
+        for idx, (jj, kk) in enumerate(out_tags):
+            v = gn.outputs[jj][kk]
+            cj, ck = consumed_by[v]
+            if cj == j:
+                out_pairs.append((idx, ck))
+                b_wires.append(v)
+        glued = gadget_glue(acc, new, in_pairs, out_pairs)
+        num = glued_numbering(acc.net.n, new.net.n, junction_dowel(acc, new, in_pairs, out_pairs))
+        node_maps = [{o: num.v1_index[h] for o, h in m.items()} for m in node_maps]
+        node_maps.append(dict(num.v2_index))
+        dowels = {v: {c: num.v1_index[h] for c, h in m.items()} for v, m in dowels.items()}
+        for v, (ia, _) in zip(a_wires, in_pairs):
+            dowels[v] = {c: num.v1_index[acc.in_copies[ia][c]] for c in iface.names}
+        for v, (oa, _) in zip(b_wires, out_pairs):
+            dowels[v] = {c: num.v1_index[acc.out_copies[oa][c]] for c in iface.names}
+        used_in_first = {ia for ia, _ in in_pairs}
+        used_out_second = {ob for _, ob in in_pairs}
+        used_out_first = {oa for oa, _ in out_pairs}
+        used_in_second = {ib for _, ib in out_pairs}
+        in_tags = [t for k, t in enumerate(in_tags) if k not in used_in_first] + [
+            (j, k) for k in range(gate.n_in) if k not in used_in_second
+        ]
+        out_tags = [t for k, t in enumerate(out_tags) if k not in used_out_first] + [
+            (j, k) for k in range(gate.n_out) if k not in used_out_second
+        ]
+        acc = glued
+
+    contexts = []
+    for j, gate in enumerate(gn.gates):
+        contexts.append({node_maps[j][v]: s for v, s in cert.context_configs[gate].items()})
+    extra = sorted((h, s) for m in contexts for h, s in m.items())
+    blocks, patterns = [], []
+    for v in range(gn.n):
+        by_node = {h: c for c, h in dowels[v].items()}
+        block = sorted(by_node)
+        rows = []
+        for q in range(gn.alphabet):
+            row = [cert.state_configs[q][by_node[h]] for h in block]
+            if v == 0:
+                row.extend(s for _, s in extra)
+            rows.append(tuple(row))
+        if v == 0:
+            block.extend(h for h, _ in extra)
+        blocks.append(tuple(block))
+        patterns.append(tuple(rows))
+    emb = BlockEmbedding(cert.time, tuple(blocks), tuple(patterns))
+    return acc, emb, tuple(dowels[v] for v in range(gn.n)), tuple(contexts), tuple(node_maps)
+
+
+def assert_same_as_pairwise(gn, cert):
+    host, emb, dowels, contexts, node_maps = pairwise_compile(gn, cert)
+    got = compile_gnetwork_detailed(gn, cert)
+    assert got.csan == host.csan
+    assert got.network == host.net
+    assert got.embedding == emb
+    assert got.dowels == dowels
+    assert got.contexts == contexts
+    assert got.node_maps == node_maps
+    return got
+
+
+@pytest.fixture(scope="module")
+def certificate():
+    return gol.build_certificate()
+
+
+# ---------------------------------------------------------------------------
+# Differential tests
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_nor_rings_match_pairwise(certificate, k):
+    got = assert_same_as_pairwise(nor_ring(k), certificate)
+    assert got.csan.n == 66 * k
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_random_nor_wirings_match_pairwise(certificate, seed):
+    rng = random.Random(seed)
+    assert_same_as_pairwise(nor_random(3, rng), certificate)
+
+
+def test_toy_nor_wirings_match_pairwise():
+    cert = toy_certificate({NOR_2_2: nor_gadget()})
+    rng = random.Random(7)
+    for k in range(2, 7):
+        got = assert_same_as_pairwise(nor_ring(k), cert)
+        assert got.csan is None
+        for _ in range(4):
+            assert_same_as_pairwise(nor_random(k, rng), cert)
+
+
+def test_toy_identity_rings_with_context_match_pairwise():
+    cert = toy_certificate({ID_1_1: identity_gadget(extra_nodes=1)}, contexts={ID_1_1: {4: 0}})
+    for k in range(2, 6):
+        got = assert_same_as_pairwise(identity_ring(k), cert)
+        assert got.network.n == 3 * k  # five nodes per gadget, two fused per wire
+
+
+def test_cli_compile_writes_the_pairwise_host(tmp_path, certificate):
+    gn = nor_ring(3)
+    host, emb, *_ = pairwise_compile(gn, certificate)
+    src = tmp_path / "ring.json"
+    src.write_text(json.dumps(gnetwork_to_json(gn)))
+    out = tmp_path / "compiled.json"
+    assert run(["compile", str(src), "-o", str(out)]) == 0
+    want = {"csan": csan_to_json(host.csan), "embedding": embedding_to_json(emb)}
+    assert out.read_text() == json.dumps(want) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Growth: a fixed number of tabulations and one host build
+
+
+def counting(monkeypatch, name, modules):
+    calls = []
+    for mod in modules:
+        if hasattr(mod, name):
+            original = getattr(mod, name)
+
+            def wrapper(*args, _original=original, **kwargs):
+                out = _original(*args, **kwargs)
+                calls.append(out.n)
+                return out
+
+            monkeypatch.setattr(mod, name, wrapper)
+    return calls
+
+
+def test_compile_tabulates_and_builds_a_fixed_number_of_times(monkeypatch, certificate):
+    modules = (gadget, glue, gol)
+    tabulated = counting(monkeypatch, "csan_to_network", modules)
+    built = counting(monkeypatch, "make_csan", modules)
+    counts = {}
+    for k in (2, 6):
+        tabulated.clear()
+        built.clear()
+        host, _ = gol.compile_to_gol(nor_ring(k), certificate)
+        counts[k] = len(tabulated)
+        assert built == [host.n] == [66 * k]
+    assert counts[2] == counts[6] <= 1
+
+
+def test_cli_compile_tabulates_the_host_only_for_dot(tmp_path, monkeypatch):
+    by_cli = counting(monkeypatch, "csan_to_network", (cli,))
+    elsewhere = counting(monkeypatch, "csan_to_network", (gadget, gol))
+    src = tmp_path / "ring.json"
+    src.write_text(json.dumps(gnetwork_to_json(nor_ring(2))))
+    out = tmp_path / "compiled.json"
+    assert run(["compile", str(src), "-o", str(out)]) == 0
+    assert by_cli == [] and set(elsewhere) == {84}
+    dot = tmp_path / "host.dot"
+    assert run(["compile", str(src), "-o", str(out), "--dot", str(dot)]) == 0
+    assert by_cli == [132] and set(elsewhere) == {84}
+    assert dot.read_text().startswith("digraph")

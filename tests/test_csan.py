@@ -553,3 +553,16 @@ def test_symmetry_of_stored_structure():
         assert all(u < v for u, v in c.edges)
         assert len(set(c.edges)) == len(c.edges)
         assert len(c.edge_rho) == len(c.edges)
+
+
+def test_cached_structure_agrees_and_takes_no_part_in_equality():
+    for c in INSTANCES:
+        fresh = csan_from_json(csan_to_json(c))
+        assert fresh == c  # c has its cache built, fresh not yet
+        for v in range(c.n):
+            touching = [e for e in c.edges if v in e]
+            assert c.degree(v) == len(touching)
+            assert c.neighbors(v) == {u if w == v else w for u, w in touching}
+        for (u, v), rho in zip(c.edges, c.edge_rho):
+            assert c.edge_label(u, v) == c.edge_label(v, u) == rho
+        assert csan_to_json(fresh) == csan_to_json(c)

@@ -8,6 +8,7 @@ from artifact.core import InvalidConfigError, index_config, make_network, step, 
 from artifact.csan import build_lifelike, build_threshold, csan_in_family, csan_step, csan_to_network, family_spec
 from artifact.glue import (
     InvalidGlueError,
+    check_dowel_structure,
     check_pseudo_orbit,
     csan_glue,
     dowel_from_json,
@@ -265,6 +266,21 @@ def test_csan_glue_condition_violations():
             build_lifelike(3, [(0, 1), (1, 2)], {3}, {2, 3}),
             make_dowel([3], [], {3: 0}, {3: 0}),
         )
+
+
+def test_dowel_guards_see_no_edge_between_parts():
+    # Nodes 0 and 1 are adjacent in a two-node path, but placed in two
+    # different paths they share no edge, like two isolated nodes.
+    pair, isolated = lifelike_path(2), build_lifelike(2, [], {3}, {2, 3})
+    parts = (pair, pair, isolated)
+    d = make_dowel(["a", "b"], [], {"a": 0, "b": 1}, {"a": 0, "b": 1})
+    apart = {"a": (0, 0), "b": (1, 1)}
+    alone = {"a": (2, 0), "b": (2, 1)}
+    together = {"a": (0, 0), "b": (0, 1)}
+    check_dowel_structure(parts, d, apart, alone)
+    check_dowel_structure(parts, d, together, together)
+    with pytest.raises(InvalidGlueError, match="induced dowel subgraphs differ"):
+        check_dowel_structure(parts, d, apart, together)
 
 
 # ---------------------------------------------------------------------------
