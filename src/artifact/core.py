@@ -86,12 +86,13 @@ def make_network(alphabet: int, rules: Iterable[tuple[Sequence[int], Sequence[in
 
 
 def check_config(net: Network, x: Sequence[int]) -> tuple[int, ...]:
+    """x as a tuple of int states, one per node; reads only net.n and net.alphabet."""
     x = tuple(x)
     if len(x) != net.n:
         raise InvalidConfigError(f"config has {len(x)} nodes, network has {net.n}")
     for s in x:
-        if not 0 <= s < net.alphabet:
-            raise InvalidConfigError(f"state {s} out of alphabet range")
+        if type(s) is not int or not 0 <= s < net.alphabet:
+            raise InvalidConfigError(f"state {s!r} out of alphabet range")
     return x
 
 
@@ -134,18 +135,19 @@ class OrbitAnalysis:
     cycle: tuple[tuple[int, ...], ...]
 
 
-def analyze_orbit(net: Network, x: Sequence[int], budget: int = DEFAULT_MAX_STATES) -> OrbitAnalysis:
-    """Walk the orbit of x until the first repeat.
+def walk_orbit(
+    net: Network, x: Sequence[int], budget: int = DEFAULT_MAX_STATES
+) -> tuple[list[tuple[int, ...]], int, int]:
+    """Orbit of x up to its first repeat: (configs, transient, period).
 
-    Raises BudgetExceededError once more than `budget` distinct
-    configurations have been visited without closing the cycle.
+    Raises BudgetExceededError once `budget` configurations have been
+    visited without closing the cycle.
     """
-    x = check_config(net, x)
     seen: dict[tuple[int, ...], int] = {}
-    path = []
-    cur = x
+    path: list[tuple[int, ...]] = []
+    cur = tuple(x)
     while cur not in seen:
-        if len(seen) >= budget:
+        if len(path) >= budget:
             raise BudgetExceededError(
                 f"orbit of length > {budget} (budget exceeded, no cycle found)"
             )
@@ -153,7 +155,13 @@ def analyze_orbit(net: Network, x: Sequence[int], budget: int = DEFAULT_MAX_STAT
         path.append(cur)
         cur = step(net, cur)
     tau = seen[cur]
-    return OrbitAnalysis(tau, len(path) - tau, tuple(path[tau:]))
+    return path, tau, len(path) - tau
+
+
+def analyze_orbit(net: Network, x: Sequence[int], budget: int = DEFAULT_MAX_STATES) -> OrbitAnalysis:
+    """Transient, period and cycle of the orbit of x (see walk_orbit)."""
+    path, tau, period = walk_orbit(net, check_config(net, x), budget)
+    return OrbitAnalysis(tau, period, tuple(path[tau:]))
 
 
 def config_index(x: Sequence[int], q: int) -> int:
@@ -303,13 +311,16 @@ def network_from_json(data: dict) -> Network:
     if not isinstance(data, dict) or data.get("format") != "network":
         raise InvalidNetworkError("not a network document")
     try:
-        net = make_network(
-            data["alphabet"],
-            [(node["deps"], node["table"]) for node in data["nodes"]],
-        )
+        q = data["alphabet"]
+        rules = [(node["deps"], node["table"]) for node in data["nodes"]]
+        if type(q) is not int:
+            raise InvalidNetworkError(f"alphabet must be an integer, got {q!r}")
+        for v, (deps, table) in enumerate(rules):
+            if not {*map(type, deps), *map(type, table)} <= {int}:
+                raise InvalidNetworkError(f"node {v}: deps and table entries must be integers")
+        return make_network(q, rules)
     except (KeyError, TypeError) as exc:
         raise InvalidNetworkError(f"malformed network document: {exc}") from exc
-    return net
 
 
 def save_network(net: Network, path: str, pretty: bool = False) -> None:

@@ -21,6 +21,7 @@ from .core import (
     ArtifactError,
     InvalidConfigError,
     Network,
+    check_config,
     index_config,
     make_network,
     step,
@@ -227,18 +228,9 @@ def make_csan(
     return c
 
 
-def _check_config(c: Csan, x: Sequence[int]) -> tuple[int, ...]:
-    x = tuple(x)
-    if len(x) != c.n:
-        raise InvalidConfigError(f"config length {len(x)} != {c.n} nodes")
-    if any(not 0 <= s < c.alphabet for s in x):
-        raise InvalidConfigError("config state outside alphabet")
-    return x
-
-
 def csan_step(c: Csan, x: Sequence[int]) -> tuple[int, ...]:
     """One synchronous update: label-mapped neighbor multiset into each table."""
-    x = _check_config(c, x)
+    x = check_config(c, x)
     inc = c.incidence
     out = []
     for v in range(c.n):

@@ -1,12 +1,15 @@
 """Networks with glueing interfaces, their wiring calculus, and the compiler.
 
 A gadget is a network carrying marked copies of a fixed interface, each
-copy flagged as an input or an output. Gluing an output copy of one
-gadget onto an input copy of another fuses the two copies node by node
-and yields a gadget again, so gate diagrams can be assembled by repeated
-glueing (`gadget_glue`). A coherence certificate pins down, for one gate
-catalog, the exempted runs and boundary traces that make every such
-assembly simulate the corresponding gate network.
+copy flagged as an input or an output. Its dynamics is held once: the
+labeled network (Csan) when there is one, the tabulated Network
+otherwise; a labeled gadget's table is derived on first use, and gadget
+documents carry whichever of the two the gadget holds. Gluing an output
+copy of one gadget onto an input copy of another fuses the two copies
+node by node and yields a gadget again, so gate diagrams can be
+assembled by repeated glueing (`gadget_glue`). A coherence certificate
+pins down, for one gate catalog, the exempted runs and boundary traces
+that make every such assembly simulate the corresponding gate network.
 
 `compile_gnetwork` performs the assembly without building the gadgets
 in between. Glueing along disjoint sets of wires is associative, so the
@@ -22,7 +25,8 @@ each step, across the wires of that step.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
@@ -88,21 +92,45 @@ def make_interface(inputs: Iterable[str], outputs: Iterable[str]) -> Interface:
     return iface
 
 
+def _labeled(dynamics: Csan | Network) -> Csan | None:
+    return dynamics if isinstance(dynamics, Csan) else None
+
+
+def _tabulated(dynamics: Csan | Network) -> Network:
+    return csan_to_network(dynamics) if isinstance(dynamics, Csan) else dynamics
+
+
 @dataclass
 class Gadget:
-    """Network plus injective interface copies with disjoint images.
+    """Dynamics plus injective interface copies with disjoint images.
 
-    in_copies[k] and out_copies[k] send every interface name to a node
-    of net. When a labeled twin is attached it must expand to exactly
-    the same network, so the structured and tabulated views never drift
-    apart.
+    dynamics is a Csan for a labeled gadget and a Network otherwise;
+    in_copies[k] and out_copies[k] send every interface name to one of
+    its nodes. `net` is the dynamics tabulated, derived once on first
+    use; it is not a field, so it takes no part in equality, and the
+    dynamics must not be edited afterwards.
     """
 
     interface: Interface
-    net: Network
+    dynamics: Csan | Network
     in_copies: tuple[dict[str, int], ...]
     out_copies: tuple[dict[str, int], ...]
-    csan: Csan | None = None
+
+    @property
+    def n(self) -> int:
+        return self.dynamics.n
+
+    @property
+    def alphabet(self) -> int:
+        return self.dynamics.alphabet
+
+    @property
+    def csan(self) -> Csan | None:
+        return _labeled(self.dynamics)
+
+    @cached_property
+    def net(self) -> Network:
+        return _tabulated(self.dynamics)
 
     def validate(self) -> None:
         self.interface.validate()
@@ -118,28 +146,24 @@ class Gadget:
                 if len(set(vals)) != len(vals):
                     raise InvalidGadgetError(f"{kind} copy {k} must be injective")
                 for v in vals:
-                    if not 0 <= v < self.net.n:
+                    if not 0 <= v < self.n:
                         raise InvalidGadgetError(f"{kind} copy {k} maps outside the network")
                     if v in seen:
                         raise InvalidGadgetError("interface copies must have disjoint images")
                     seen.add(v)
-        if self.csan is not None and csan_to_network(self.csan) != self.net:
-            raise InvalidGadgetError("labeled twin disagrees with the network")
 
 
 def make_gadget(
     interface: Interface,
-    net: Network,
+    dynamics: Csan | Network,
     in_copies: Iterable[Mapping[str, int]],
     out_copies: Iterable[Mapping[str, int]],
-    csan: Csan | None = None,
 ) -> Gadget:
     g = Gadget(
         interface,
-        net,
+        dynamics,
         tuple(dict(c) for c in in_copies),
         tuple(dict(c) for c in out_copies),
-        csan,
     )
     g.validate()
     return g
@@ -149,10 +173,9 @@ def gadget_copy(g: Gadget) -> Gadget:
     """Fresh gadget with identical content; safe to glue onto the original."""
     return Gadget(
         g.interface,
-        g.net,
+        g.dynamics,
         tuple(dict(c) for c in g.in_copies),
         tuple(dict(c) for c in g.out_copies),
-        g.csan,
     )
 
 
@@ -167,7 +190,7 @@ def interface_nodes(g: Gadget) -> frozenset[int]:
 def context_nodes(g: Gadget) -> tuple[int, ...]:
     """Nodes outside every interface copy, ascending."""
     owned = interface_nodes(g)
-    return tuple(v for v in range(g.net.n) if v not in owned)
+    return tuple(v for v in range(g.n) if v not in owned)
 
 
 def exempt_nodes(g: Gadget) -> frozenset[int]:
@@ -199,7 +222,7 @@ class _Frame:
 
 
 def _frame(g: Gadget) -> _Frame:
-    return _Frame(g.net.n, g.in_copies, g.out_copies)
+    return _Frame(g.n, g.in_copies, g.out_copies)
 
 
 @dataclass
@@ -311,16 +334,14 @@ def gadget_glue(
     second.validate()
     if first.interface != second.interface:
         raise InvalidGadgetError("glued gadgets must share an interface")
-    if first.net.alphabet != second.net.alphabet:
+    if first.alphabet != second.alphabet:
         raise InvalidGadgetError("glued gadgets must share an alphabet")
     st = _glue_step(first.interface, _frame(first), _frame(second), in_pairs, out_pairs)
     if first.csan is not None and second.csan is not None:
-        merged = csan_glue(first.csan, second.csan, st.dowel)
-        net = csan_to_network(merged)
+        glued: Csan | Network = csan_glue(first.csan, second.csan, st.dowel)
     else:
-        merged = None
-        net = glue_networks(first.net, second.net, st.dowel)
-    gadget = Gadget(first.interface, net, st.frame.in_copies, st.frame.out_copies, merged)
+        glued = glue_networks(first.net, second.net, st.dowel)
+    gadget = Gadget(first.interface, glued, st.frame.in_copies, st.frame.out_copies)
     gadget.validate()
     return gadget
 
@@ -362,7 +383,7 @@ class CoherentCertificate:
     @property
     def host_alphabet(self) -> int:
         for g in self.gadgets.values():
-            return g.net.alphabet
+            return g.alphabet
         raise InvalidGadgetError("certificate carries no gadgets")
 
 
@@ -497,9 +518,9 @@ def verify_certificate(cert: CoherentCertificate) -> CertificateReport:
         failures.append("certificate encodes no states")
     if cert.time < 1:
         failures.append("time constant must be >= 1")
-    if len({g.net.alphabet for g in cert.gadgets.values()}) > 1:
+    if len({g.alphabet for g in cert.gadgets.values()}) > 1:
         failures.append("gadgets disagree on the alphabet")
-    host_q = max((g.net.alphabet for g in cert.gadgets.values()), default=1)
+    host_q = max((g.alphabet for g in cert.gadgets.values()), default=1)
 
     def pattern_ok(pat: Mapping[str, int], what: str) -> bool:
         if set(pat.keys()) != set(names):
@@ -568,7 +589,7 @@ def verify_certificate(cert: CoherentCertificate) -> CertificateReport:
         if set(ctx.keys()) != set(hat):
             failures.append(f"{prefix}: context must assign exactly the non-interface nodes")
             continue
-        if any(not 0 <= s < gd.net.alphabet for s in ctx.values()):
+        if any(not 0 <= s < gd.alphabet for s in ctx.values()):
             failures.append(f"{prefix}: context uses states outside the alphabet")
             continue
         if not (states_ok and traces_ok):
@@ -652,25 +673,27 @@ def verify_certificate(cert: CoherentCertificate) -> CertificateReport:
 class CompiledGadgets:
     """Assembly artifacts: the host and where everything landed.
 
-    csan is the host when the gadgets are labeled, None otherwise;
-    network is the host tabulated, derived from csan on first access.
+    host is a Csan when the gadgets are labeled and a Network otherwise;
+    csan is the host when labeled, None otherwise, and network is the
+    host tabulated, derived once on first access.
     dowels[v] locates the fused interface copy carrying source node v;
     node_maps[j] sends gate j's gadget nodes to host nodes; contexts[j]
     is that gadget's frozen surrounding, already in host numbering.
     """
 
     embedding: BlockEmbedding
-    csan: Csan | None
+    host: Csan | Network
     dowels: tuple[dict[str, int], ...]
     contexts: tuple[dict[int, int], ...]
     node_maps: tuple[dict[int, int], ...]
-    _network: Network | None = field(default=None, repr=False, compare=False)
 
     @property
+    def csan(self) -> Csan | None:
+        return _labeled(self.host)
+
+    @cached_property
     def network(self) -> Network:
-        if self._network is None:
-            self._network = csan_to_network(self.csan)
-        return self._network
+        return _tabulated(self.host)
 
 
 def compile_gnetwork_detailed(gn: GNetwork, cert: CoherentCertificate) -> CompiledGadgets:
@@ -710,7 +733,7 @@ def compile_gnetwork_detailed(gn: GNetwork, cert: CoherentCertificate) -> Compil
         host = make_network(cert.host_alphabet, [])
         emb = BlockEmbedding(cert.time, (), ())
         emb.validate(make_network(gn.alphabet, []), host)
-        return CompiledGadgets(emb, None, (), (), (), host)
+        return CompiledGadgets(emb, host, (), (), ())
 
     produced_by: dict[int, tuple[int, int]] = {}
     consumed_by: dict[int, tuple[int, int]] = {}
@@ -784,11 +807,10 @@ def compile_gnetwork_detailed(gn: GNetwork, cert: CoherentCertificate) -> Compil
     emb.validate(gnetwork_to_network(gn), host)
     return CompiledGadgets(
         emb,
-        host if labeled else None,
+        host,
         tuple(dowels[v] for v in range(gn.n)),
         tuple(contexts),
         tuple(node_maps),
-        None if labeled else host,
     )
 
 
@@ -822,20 +844,22 @@ def _gate_from_doc(doc: dict) -> Gate:
 
 
 def gadget_to_json(g: Gadget) -> dict:
-    doc = {
+    """Carries the dynamics once: "csan" when labeled, "network" otherwise."""
+    if g.csan is None:
+        dynamics = {"network": network_to_json(g.dynamics)}
+    else:
+        dynamics = {"csan": csan_to_json(g.csan)}
+    return {
         "format": "gadget",
         "version": 1,
         "interface": {
             "inputs": list(g.interface.inputs),
             "outputs": list(g.interface.outputs),
         },
-        "network": network_to_json(g.net),
+        **dynamics,
         "in_copies": [dict(c) for c in g.in_copies],
         "out_copies": [dict(c) for c in g.out_copies],
     }
-    if g.csan is not None:
-        doc["csan"] = csan_to_json(g.csan)
-    return doc
 
 
 def gadget_from_json(data: dict) -> Gadget:
@@ -843,14 +867,15 @@ def gadget_from_json(data: dict) -> Gadget:
         raise InvalidGadgetError("not a gadget document")
     try:
         iface = make_interface(data["interface"]["inputs"], data["interface"]["outputs"])
-        csan = csan_from_json(data["csan"]) if "csan" in data else None
-        return make_gadget(
-            iface,
-            network_from_json(data["network"]),
-            data["in_copies"],
-            data["out_copies"],
-            csan,
-        )
+        if "csan" in data:
+            dynamics: Csan | Network = csan_from_json(data["csan"])
+            # Older documents also carry the table, which must match the labels.
+            table = data.get("network")
+            if table is not None and network_from_json(table) != csan_to_network(dynamics):
+                raise InvalidGadgetError("labeled twin disagrees with the network")
+        else:
+            dynamics = network_from_json(data["network"])
+        return make_gadget(iface, dynamics, data["in_copies"], data["out_copies"])
     except (KeyError, TypeError) as exc:
         raise InvalidGadgetError(f"bad gadget document: {exc}") from exc
 

@@ -11,10 +11,12 @@ incoming wire stubs, a pacing ring, and two outgoing wire stubs around
 a sixteen-neighbor collector node that fires exactly when both inputs
 stayed quiet, so the stubs re-emit the negated disjunction.
 
-The shipped adjacency is data, not code: builders read the versioned
-JSON fixtures under data/, while the private layout functions kept in
-this module are their provenance and `regenerate_gol_fixtures`
-rewrites the files after a layout change.
+The shipped adjacency is data, not code: builders read three versioned
+JSON fixtures under data/, the wire and the clock in their own `gol-*`
+formats and the NOR certificate, which embeds the NOR gadget, in the
+generic certificate format that `certificate_from_json` reads. The
+private layout functions kept in this module are their provenance, and
+`regenerate_gol_fixtures` rewrites the files after a layout change.
 """
 
 from __future__ import annotations
@@ -25,21 +27,15 @@ from itertools import product
 from pathlib import Path
 from typing import Iterable
 
-from .core import make_network, step
-from .csan import (
-    Csan,
-    FamilySpec,
-    build_lifelike,
-    csan_from_json,
-    csan_to_network,
-    family_spec,
-    make_csan,
-)
+from .core import ArtifactError, make_network, step
+from .csan import Csan, FamilySpec, build_lifelike, csan_from_json, family_spec, make_csan
 from .gadget import (
     CoherentCertificate,
     Gadget,
     Interface,
     InvalidGadgetError,
+    certificate_from_json,
+    certificate_to_json,
     compile_gnetwork_detailed,
     context_nodes,
     exempt_nodes,
@@ -48,7 +44,7 @@ from .gadget import (
     make_interface,
     verify_certificate,
 )
-from .glue import PseudoOrbit, make_pseudo_orbit, pseudo_orbit_from_json, pseudo_orbit_to_json
+from .glue import PseudoOrbit, make_pseudo_orbit
 from .gnet import NOR_2_2, GNetwork, gnetwork_to_network
 from .simulate import BlockEmbedding
 
@@ -69,7 +65,6 @@ DRIVE_NAMES = ("drive0", "drive1", "drive2", "spent_aux", "drive_aux")
 _DATA_DIR = Path(__file__).resolve().parent / "data"
 _WIRE_FILE = "gol_wire.json"
 _CLOCK_FILE = "gol_clock.json"
-_NOR_FILE = "gol_nor_gadget.json"
 _CERT_FILE = "gol_certificate.json"
 
 
@@ -200,7 +195,7 @@ def nor_interface() -> Interface:
 def _nor_gadget() -> Gadget:
     csan = build_lifelike(_NOR_SIZE, _nor_edges(), BIRTH, SURVIVE)
     ins, outs = _nor_copies()
-    return make_gadget(nor_interface(), csan_to_network(csan), ins, outs, csan=csan)
+    return make_gadget(nor_interface(), csan, ins, outs)
 
 
 def nor_center_nodes() -> tuple[int, ...]:
@@ -262,7 +257,7 @@ def _record_run(
     q_op: tuple[int, int],
 ) -> PseudoOrbit:
     states = _state_patterns()
-    x = [0] * gd.net.n
+    x = [0] * gd.n
     for v, s in context.items():
         x[v] = s
     for k, copy in enumerate(gd.in_copies):
@@ -358,63 +353,33 @@ def clock_initial() -> tuple[int, ...]:
     return tuple(int(s) for s in doc["initial"])
 
 
+def build_certificate() -> CoherentCertificate:
+    """Coherence data for the NOR gadget at time constant six."""
+    doc = _load_doc(_CERT_FILE, "certificate")
+    try:
+        return certificate_from_json(doc)
+    except ArtifactError as exc:
+        raise InvalidGolFixtureError(f"data file {_CERT_FILE}: {exc}") from exc
+
+
 def build_nor_gadget() -> Gadget:
     """Two input stubs, a pacing ring, and two output stubs around the
     collector; recorded runs re-emit the negated disjunction."""
-    doc = _load_doc(_NOR_FILE, "gol-nor-gadget")
-    try:
-        csan = csan_from_json(doc["csan"])
-        iface = make_interface(doc["interface"]["inputs"], doc["interface"]["outputs"])
-        ins = tuple({str(k): int(v) for k, v in m.items()} for m in doc["in_copies"])
-        outs = tuple({str(k): int(v) for k, v in m.items()} for m in doc["out_copies"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidGolFixtureError(f"bad gadget document: {exc}") from exc
-    return make_gadget(iface, csan_to_network(csan), ins, outs, csan=csan)
-
-
-def build_certificate() -> CoherentCertificate:
-    """Coherence data for the NOR gadget at time constant six."""
-    gd = build_nor_gadget()
-    doc = _load_doc(_CERT_FILE, "gol-certificate")
-    try:
-        states = tuple({str(k): int(v) for k, v in s.items()} for s in doc["state_configs"])
-        traces = {
-            (int(entry["from"]), int(entry["to"])): tuple(
-                {str(k): int(v) for k, v in row.items()} for row in entry["patterns"]
-            )
-            for entry in doc["standard_traces"]
-        }
-        context = {int(k): int(v) for k, v in doc["context"].items()}
-        orbits = {}
-        for cell in doc["pseudo_orbits"]:
-            key = (
-                tuple(int(s) for s in cell["inputs"]),
-                tuple(int(s) for s in cell["next_inputs"]),
-                tuple(int(s) for s in cell["outputs"]),
-            )
-            orbits[key] = pseudo_orbit_from_json(cell["orbit"])
-        time = int(doc["time"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidGolFixtureError(f"bad certificate document: {exc}") from exc
-    return make_certificate(
-        nor_interface(), {NOR_2_2: gd}, states, {NOR_2_2: context}, time, traces, {NOR_2_2: orbits}
-    )
+    return build_certificate().gadgets[NOR_2_2]
 
 
 def regenerate_gol_fixtures(dest: str | Path | None = None) -> tuple[Path, ...]:
-    """Rebuild the four data files from the layout generators.
+    """Rebuild the three data files from the layout generators.
 
     Refuses to write anything unless the freshly generated certificate
     verifies in full.
     """
     root = Path(dest) if dest is not None else _DATA_DIR
     root.mkdir(parents=True, exist_ok=True)
-    gd = _nor_gadget()
-    cert = _assemble_certificate(gd)
+    cert = _assemble_certificate(_nor_gadget())
     report = verify_certificate(cert)
     if not report.ok:
         raise InvalidGadgetError(f"generated data is unusable: {report.message()}")
-    ins, outs = _nor_copies()
     docs = {
         _WIRE_FILE: {
             "format": "gol-wire",
@@ -427,40 +392,7 @@ def regenerate_gol_fixtures(dest: str | Path | None = None) -> tuple[Path, ...]:
             "csan": _lifelike_doc(24, _ladder_edges(6, ring=True)),
             "initial": list(_clock_initial()),
         },
-        _NOR_FILE: {
-            "format": "gol-nor-gadget",
-            "version": 1,
-            "interface": {"inputs": list(RELAY_NAMES), "outputs": list(DRIVE_NAMES)},
-            "csan": _lifelike_doc(_NOR_SIZE, _nor_edges()),
-            "in_copies": [dict(sorted(c.items())) for c in ins],
-            "out_copies": [dict(sorted(c.items())) for c in outs],
-        },
-        _CERT_FILE: {
-            "format": "gol-certificate",
-            "version": 1,
-            "time": SIGNAL_PERIOD,
-            "state_configs": [dict(sorted(s.items())) for s in cert.state_configs],
-            "standard_traces": [
-                {
-                    "from": a,
-                    "to": b,
-                    "patterns": [dict(sorted(r.items())) for r in cert.standard_traces[(a, b)]],
-                }
-                for a, b in sorted(cert.standard_traces)
-            ],
-            "context": {
-                str(v): s for v, s in sorted(cert.context_configs[NOR_2_2].items())
-            },
-            "pseudo_orbits": [
-                {
-                    "inputs": list(q_i),
-                    "next_inputs": list(q_ip),
-                    "outputs": list(q_o),
-                    "orbit": pseudo_orbit_to_json(po),
-                }
-                for (q_i, q_ip, q_o), po in sorted(cert.pseudo_orbits[NOR_2_2].items())
-            ],
-        },
+        _CERT_FILE: certificate_to_json(cert),
     }
     written = []
     for name, doc in docs.items():
@@ -515,12 +447,9 @@ class GolGadgetKit:
 
 
 def build_kit() -> GolGadgetKit:
+    cert = build_certificate()
     return GolGadgetKit(
-        family_spec("lifelike"),
-        build_wire(),
-        build_clock(),
-        build_nor_gadget(),
-        build_certificate(),
+        family_spec("lifelike"), build_wire(), build_clock(), cert.gadgets[NOR_2_2], cert
     )
 
 

@@ -29,6 +29,7 @@ from .core import (
     network_from_json,
     network_to_json,
     step,
+    walk_orbit,
 )
 from .simulate import BlockEmbedding, embed
 
@@ -156,21 +157,6 @@ def instance_from_json(doc) -> PredInstance | PredChgInstance | ReachInstance:
 # Oracles
 
 
-def _orbit_prefix(net: Network, x, budget: int):
-    """Orbit up to its first repeat: (configs, transient, period)."""
-    seen: dict[tuple[int, ...], int] = {}
-    path: list[tuple[int, ...]] = []
-    cur = tuple(x)
-    while cur not in seen:
-        if len(path) >= budget:
-            raise BudgetExceededError(f"orbit longer than {budget} without closing a cycle")
-        seen[cur] = len(path)
-        path.append(cur)
-        cur = step(net, cur)
-    tau = seen[cur]
-    return path, tau, len(path) - tau
-
-
 def _config_at(path, tau: int, p: int, t: int):
     if t < len(path):
         return path[t]
@@ -190,7 +176,7 @@ def b_pred(inst: PredInstance, max_states: int = DEFAULT_MAX_STATES) -> bool:
     tau + (t - tau) % p, so t may exceed the orbit length by any
     amount at no extra cost.
     """
-    path, tau, p = _orbit_prefix(inst.net, inst.x, max_states)
+    path, tau, p = walk_orbit(inst.net, inst.x, max_states)
     return _config_at(path, tau, p, inst.t)[inst.v] == inst.q
 
 
@@ -203,7 +189,7 @@ def pred_chg(inst: PredChgInstance, max_states: int = DEFAULT_MAX_STATES) -> boo
     periodic in t with period at most p, so p further samples visit
     every grid position that can ever recur.
     """
-    path, tau, p = _orbit_prefix(inst.net, inst.x, max_states)
+    path, tau, p = walk_orbit(inst.net, inst.x, max_states)
     horizon = -(-tau // inst.k) + p
     ref = inst.x[inst.v]
     return any(
@@ -213,7 +199,7 @@ def pred_chg(inst: PredChgInstance, max_states: int = DEFAULT_MAX_STATES) -> boo
 
 def reach(inst: ReachInstance, max_states: int = DEFAULT_MAX_STATES) -> bool:
     """Walk the orbit of x once; y is reachable iff it shows up."""
-    path, _, _ = _orbit_prefix(inst.net, inst.x, max_states)
+    path, _, _ = walk_orbit(inst.net, inst.x, max_states)
     return inst.y in path
 
 

@@ -144,6 +144,17 @@ def test_input_errors_exit_two(rot3_file, capsys):
     capsys.readouterr()
 
 
+def test_non_integer_inputs_exit_two(tmp_path, rot3_file, capsys):
+    node = {"deps": [0.0], "table": [1, 0]}
+    doc = {"format": "network", "version": 1, "alphabet": 2, "nodes": [node]}
+    float_dep = write_json(tmp_path, "float_dep.json", doc)
+    assert run(["simulate", float_dep, "--config", "[0]", "-t", "2"]) == 2
+    assert "integers" in out_json(capsys)["error"]
+    for config in ("[1.0,0,0]", "[true,0,0]"):
+        assert run(["simulate", rot3_file, "--config", config, "-t", "2"]) == 2
+        assert "out of alphabet range" in out_json(capsys)["error"]
+
+
 def test_gol_demo_reports_both_passes(capsys):
     assert run(["gol", "demo"]) == 0
     doc = out_json(capsys)

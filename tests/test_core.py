@@ -87,6 +87,15 @@ def test_analyze_orbit_budget():
         analyze_orbit(net, (1, 0, 0, 0, 0), budget=3)
 
 
+def test_walk_orbit_path_and_budget_edge():
+    net = and_funnel()
+    assert core.walk_orbit(net, (1, 0)) == ([(1, 0), (0, 0)], 1, 1)
+    # exactly `budget` configurations may be visited before the repeat
+    assert core.walk_orbit(rotation(5), (1, 0, 0, 0, 0), budget=5)[1:] == (0, 5)
+    with pytest.raises(BudgetExceededError):
+        core.walk_orbit(rotation(5), (1, 0, 0, 0, 0), budget=4)
+
+
 def test_config_codec_roundtrip():
     for x in itertools.product(range(3), repeat=4):
         assert index_config(config_index(x, 3), 3, 4) == x
@@ -182,6 +191,31 @@ def test_json_roundtrip():
     assert back == net
     with pytest.raises(InvalidNetworkError):
         network_from_json({"format": "bogus"})
+
+
+@pytest.mark.parametrize(
+    "alphabet, deps, table",
+    [
+        (2.0, [0], [1, 0]),
+        (2, [0.0], [1, 0]),
+        (2, [True], [1, 0]),
+        (2, [0], [1.0, 0]),
+        (2, [0], [1, False]),
+    ],
+)
+def test_json_rejects_non_integers(alphabet, deps, table):
+    node = {"deps": deps, "table": table}
+    doc = {"format": "network", "version": 1, "alphabet": alphabet, "nodes": [node]}
+    with pytest.raises(InvalidNetworkError, match="integer"):
+        network_from_json(doc)
+
+
+def test_config_check_rejects_non_integers():
+    net = rotation(2)
+    assert core.check_config(net, [1, 0]) == (1, 0)
+    for bad in ((1.0, 0), (True, 0), ("1", 0)):
+        with pytest.raises(InvalidConfigError):
+            core.check_config(net, bad)
 
 
 def test_dot_export():

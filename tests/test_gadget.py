@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from artifact.core import make_network, step, trace
+from artifact.core import make_network, network_to_json, step, trace
 from artifact.csan import build_lifelike, csan_in_family, csan_to_network, family_spec
 from artifact.gadget import (
     CoherentCertificate,
@@ -159,9 +159,6 @@ def test_gadget_validation_errors():
         make_gadget(IFACE, net, [{"ci": 0, "co": 9}], [{"ci": 2, "co": 3}])
     with pytest.raises(InvalidGadgetError):
         make_gadget(IFACE, net, [{"ci": 0, "co": 1}], [{"ci": 1, "co": 3}])
-    mirror = build_lifelike(4, [(0, 1), (2, 3)], birth=(1,), survive=(0, 1))
-    with pytest.raises(InvalidGadgetError):
-        make_gadget(IFACE, net, [{"ci": 0, "co": 1}], [{"ci": 2, "co": 3}], csan=mirror)
 
 
 def test_gadget_copy_is_independent():
@@ -476,10 +473,7 @@ def test_compile_error_reporting():
 
 def lifelike_gadget(edges):
     mirror = build_lifelike(4, edges, birth=(1,), survive=(0, 1))
-    net = csan_to_network(mirror)
-    return make_gadget(
-        IFACE, net, [{"ci": 0, "co": 1}], [{"ci": 2, "co": 3}], csan=mirror
-    )
+    return make_gadget(IFACE, mirror, [{"ci": 0, "co": 1}], [{"ci": 2, "co": 3}])
 
 
 def test_labeled_glue_keeps_family():
@@ -535,6 +529,29 @@ def test_gadget_json_roundtrip(tmp_path):
         assert load_gadget(str(path)).net == g.net
     with pytest.raises(InvalidGadgetError):
         gadget_from_json({"format": "nope"})
+
+
+def test_gadget_documents_carry_the_dynamics_once():
+    labeled = lifelike_gadget([(0, 1), (2, 3)])
+    doc = gadget_to_json(labeled)
+    assert "csan" in doc and "network" not in doc
+    plain = gadget_to_json(identity_gadget())
+    assert "network" in plain and "csan" not in plain
+    # Older documents carry both views; the table must match the labels.
+    both = dict(doc, network=network_to_json(csan_to_network(labeled.csan)))
+    assert gadget_from_json(both) == labeled
+    zero = make_network(2, [((), (0,))] * 4)
+    with pytest.raises(InvalidGadgetError, match="labeled twin disagrees with the network"):
+        gadget_from_json(dict(doc, network=network_to_json(zero)))
+
+
+def test_tabulated_view_is_derived_once_and_not_compared():
+    g = lifelike_gadget([(0, 1), (2, 3)])
+    assert g.n == 4 and g.alphabet == 2 and g.csan is g.dynamics
+    assert g.net is g.net and g.net == csan_to_network(g.csan)
+    assert g == lifelike_gadget([(0, 1), (2, 3)])
+    h = identity_gadget()
+    assert h.csan is None and h.net is h.dynamics
 
 
 def test_certificate_json_roundtrip(tmp_path):

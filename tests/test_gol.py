@@ -272,13 +272,21 @@ def test_kit_bundle(wire, clock, nor, certificate):
 
 def test_fixtures_match_generators(tmp_path):
     fresh = gol.regenerate_gol_fixtures(tmp_path)
-    assert sorted(p.name for p in fresh) == sorted(
-        ["gol_wire.json", "gol_clock.json", "gol_nor_gadget.json", "gol_certificate.json"]
-    )
+    names = sorted(p.name for p in fresh)
+    assert names == sorted(["gol_wire.json", "gol_clock.json", "gol_certificate.json"])
+    # nothing stale may linger next to the files the generators write
+    assert sorted(p.name for p in gol._DATA_DIR.iterdir()) == names
     for path in fresh:
         shipped = json.loads((gol._DATA_DIR / path.name).read_text())
         assert json.loads(path.read_text()) == shipped
-        assert shipped["version"] == 1 and shipped["format"].startswith("gol-")
+        assert shipped["version"] == 1
+    for name in ("gol_wire.json", "gol_clock.json"):
+        assert json.loads((gol._DATA_DIR / name).read_text())["format"].startswith("gol-")
+    cert = json.loads((gol._DATA_DIR / "gol_certificate.json").read_text())
+    assert cert["format"] == "certificate"
+    assert [sorted(item["gadget"]) for item in cert["gates"]] == [
+        ["csan", "format", "in_copies", "interface", "out_copies", "version"]
+    ]
 
 
 def test_fixture_errors(tmp_path, monkeypatch):
@@ -291,3 +299,9 @@ def test_fixture_errors(tmp_path, monkeypatch):
     (tmp_path / "gol_clock.json").write_text("not json")
     with pytest.raises(gol.InvalidGolFixtureError, match="not JSON"):
         gol.build_clock()
+    (tmp_path / "gol_certificate.json").write_text('{"format": "gol-certificate"}')
+    with pytest.raises(gol.InvalidGolFixtureError, match="not a certificate document"):
+        gol.build_certificate()
+    (tmp_path / "gol_certificate.json").write_text('{"format": "certificate", "gates": []}')
+    with pytest.raises(gol.InvalidGolFixtureError, match="gol_certificate.json: bad certificate"):
+        gol.build_nor_gadget()
