@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import docs
 from .core import ArtifactError, Network, index_config, make_network
 from .gnet import (
     AND_2_2,
@@ -473,25 +474,20 @@ def random_closed_circuit(n_inputs: int, depth: int, seed: int) -> Circuit:
 
 
 def circuit_to_json(c: Circuit) -> dict:
-    return {
-        "format": "circuit",
-        "version": 1,
-        "n_inputs": c.n_inputs,
-        "gates": [{"op": op, "args": list(args)} for op, args in c.gates],
-        "outputs": list(c.outputs),
-    }
+    return docs.envelope(
+        "circuit",
+        n_inputs=c.n_inputs,
+        gates=[{"op": op, "args": list(args)} for op, args in c.gates],
+        outputs=list(c.outputs),
+    )
 
 
 def circuit_from_json(data: dict) -> Circuit:
-    if not isinstance(data, dict) or data.get("format") != "circuit":
-        raise InvalidCircuitError("not a circuit document")
-    try:
+    with docs.parsing(data, "circuit", InvalidCircuitError):
         c = Circuit(
             data["n_inputs"],
             tuple((g["op"], tuple(g["args"])) for g in data["gates"]),
             tuple(data["outputs"]),
         )
-    except (KeyError, TypeError) as exc:
-        raise InvalidCircuitError(f"malformed circuit document: {exc}") from exc
-    c.validate()
-    return c
+        c.validate()
+        return c

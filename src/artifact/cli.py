@@ -16,6 +16,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
+from . import docs, gol
 from .core import (
     DEFAULT_MAX_STATES,
     ArtifactError,
@@ -30,6 +31,7 @@ from .core import (
     trace,
 )
 from .csan import (
+    InvalidCsanError,
     csan_from_json,
     csan_to_json,
     csan_to_network,
@@ -62,8 +64,7 @@ from .problems import (
     sat_pred_network,
     u_pred,
 )
-from .simulate import embedding_from_json, verify_simulation
-from . import gol
+from .simulate import embedding_from_json, embedding_to_json, verify_simulation
 
 MAX_STATES_ENV = "ARTIFACT_MAX_STATES"
 
@@ -78,15 +79,13 @@ def _default_max_states() -> int:
         raise ArtifactError(f"{MAX_STATES_ENV} must be an integer, got {raw!r}") from None
 
 
-def _read_json(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+def _kind(doc):
+    return doc.get("format") if isinstance(doc, dict) else None
 
 
-def _load_network(path: str) -> Network:
-    """Read any document that describes a network and densify it."""
-    doc = _read_json(path)
-    kind = doc.get("format") if isinstance(doc, dict) else None
+def _as_network(doc, path: str) -> Network:
+    """Densify any document that describes a network; `path` names it in errors."""
+    kind = _kind(doc)
     if kind == "network":
         return network_from_json(doc)
     if kind == "csan":
@@ -96,8 +95,13 @@ def _load_network(path: str) -> Network:
     if kind == "circuit":
         return closed_network(circuit_from_json(doc))
     if kind == "matrix":
-        return matrix_to_network(doc.get("kind", ""), doc.get("rows", ()))
+        with docs.parsing(doc, "matrix", InvalidCsanError):
+            return matrix_to_network(doc.get("kind", ""), doc.get("rows", ()))
     raise ArtifactError(f"{path}: no network in a {kind!r} document")
+
+
+def _load_network(path: str) -> Network:
+    return _as_network(docs.read(path), path)
 
 
 def _parse_config(args, net: Network):
@@ -118,12 +122,10 @@ def _parse_config(args, net: Network):
 
 
 def _emit(args, doc) -> None:
-    text = json.dumps(doc, indent=2 if args.pretty else None)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        docs.write(doc, args.output, pretty=args.pretty)
     else:
-        print(text)
+        print(json.dumps(doc, indent=2 if args.pretty else None))
 
 
 def _emit_dot(args, net: Network) -> None:
@@ -155,34 +157,27 @@ def _cmd_analyze(args):
 
 
 def _cmd_convert(args):
-    doc = _read_json(args.input)
-    kind = doc.get("format") if isinstance(doc, dict) else None
+    doc = docs.read(args.input)
     if args.to == "network":
-        net = _load_network(args.input)
+        net = _as_network(doc, args.input)
         _emit_dot(args, net)
         return network_to_json(net), 0
     if args.to == "circuit":
-        if kind == "circuit":
+        if _kind(doc) == "circuit":
             return circuit_to_json(circuit_from_json(doc)), 0
-        net = _load_network(args.input)
-        return circuit_to_json(circuit_encode(net)), 0
+        return circuit_to_json(circuit_encode(_as_network(doc, args.input))), 0
     raise ArtifactError(f"unknown conversion target {args.to!r}")
 
 
 def _cmd_glue(args):
-    d1 = _read_json(args.first)
-    d2 = _read_json(args.second)
-    dowel = dowel_from_json(_read_json(args.dowel))
-    if (
-        isinstance(d1, dict)
-        and isinstance(d2, dict)
-        and d1.get("format") == "csan"
-        and d2.get("format") == "csan"
-    ):
+    d1 = docs.read(args.first)
+    d2 = docs.read(args.second)
+    dowel = dowel_from_json(docs.read(args.dowel))
+    if _kind(d1) == _kind(d2) == "csan":
         glued = csan_glue(csan_from_json(d1), csan_from_json(d2), dowel)
         _emit_dot(args, csan_to_network(glued))
         return csan_to_json(glued), 0
-    net = glue_networks(_load_network(args.first), _load_network(args.second), dowel)
+    net = glue_networks(_as_network(d1, args.first), _as_network(d2, args.second), dowel)
     _emit_dot(args, net)
     return network_to_json(net), 0
 
@@ -190,7 +185,7 @@ def _cmd_glue(args):
 def _cmd_verify_sim(args):
     source = _load_network(args.source)
     host = _load_network(args.host)
-    emb = embedding_from_json(_read_json(args.embedding))
+    emb = embedding_from_json(docs.read(args.embedding))
     rep = verify_simulation(
         source, host, emb, mode=args.mode, samples=args.samples, seed=args.seed
     )
@@ -209,7 +204,7 @@ def _cmd_verify_sim(args):
 
 def _cmd_verify_cert(args):
     if args.certificate:
-        cert = certificate_from_json(_read_json(args.certificate))
+        cert = certificate_from_json(docs.read(args.certificate))
     else:
         cert = gol.build_certificate()
     rep = verify_certificate(cert)
@@ -218,15 +213,13 @@ def _cmd_verify_cert(args):
 
 
 def _cmd_compile(args):
-    gn = gnetwork_from_json(_read_json(args.gnet))
+    gn = gnetwork_from_json(docs.read(args.gnet))
     cert = None
     if args.certificate:
-        cert = certificate_from_json(_read_json(args.certificate))
+        cert = certificate_from_json(docs.read(args.certificate))
     compiled, emb = gol.compile_to_gol(gn, cert)
     if args.dot:
         _emit_dot(args, csan_to_network(compiled))
-    from .simulate import embedding_to_json
-
     return {"csan": csan_to_json(compiled), "embedding": embedding_to_json(emb)}, 0
 
 
@@ -268,7 +261,7 @@ def _cmd_gol(args):
 
 
 def _solve_named(kind: str, path: str, max_states: int) -> bool:
-    inst = instance_from_json(_read_json(path))
+    inst = instance_from_json(docs.read(path))
     if kind in ("u-pred", "b-pred"):
         if not isinstance(inst, PredInstance):
             raise ArtifactError(f"{path}: not a prediction instance")
@@ -459,7 +452,7 @@ def run(argv=None) -> int:
     except BudgetExceededError as exc:
         _emit(args, {"error": str(exc)})
         return 3
-    except (ArtifactError, OSError, json.JSONDecodeError) as exc:
+    except (ArtifactError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         _emit(args, {"error": str(exc)})
         return 2
 

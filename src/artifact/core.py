@@ -11,16 +11,14 @@ sits at index a_0 + a_1*q + a_2*q^2 + ...
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from . import docs
+from .docs import ArtifactError  # the root error lives with the document layer
+
 DEFAULT_MAX_STATES = 2**22
-
-
-class ArtifactError(Exception):
-    """Base class for library errors."""
 
 
 class InvalidNetworkError(ArtifactError, ValueError):
@@ -299,39 +297,21 @@ def interaction_graph(net: Network) -> set[tuple[int, int]]:
 
 
 def network_to_json(net: Network) -> dict:
-    return {
-        "format": "network",
-        "version": 1,
-        "alphabet": net.alphabet,
-        "nodes": [{"deps": list(r.deps), "table": list(r.table)} for r in net.rules],
-    }
+    return docs.envelope(
+        "network",
+        alphabet=net.alphabet,
+        nodes=[{"deps": list(r.deps), "table": list(r.table)} for r in net.rules],
+    )
 
 
 def network_from_json(data: dict) -> Network:
-    if not isinstance(data, dict) or data.get("format") != "network":
-        raise InvalidNetworkError("not a network document")
-    try:
+    with docs.parsing(data, "network", InvalidNetworkError):
         q = data["alphabet"]
         rules = [(node["deps"], node["table"]) for node in data["nodes"]]
-        if type(q) is not int:
-            raise InvalidNetworkError(f"alphabet must be an integer, got {q!r}")
+        docs.integers(InvalidNetworkError, "alphabet", (q,))
         for v, (deps, table) in enumerate(rules):
-            if not {*map(type, deps), *map(type, table)} <= {int}:
-                raise InvalidNetworkError(f"node {v}: deps and table entries must be integers")
+            docs.integers(InvalidNetworkError, f"node {v} deps and table", deps, table)
         return make_network(q, rules)
-    except (KeyError, TypeError) as exc:
-        raise InvalidNetworkError(f"malformed network document: {exc}") from exc
-
-
-def save_network(net: Network, path: str, pretty: bool = False) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(network_to_json(net), fh, indent=2 if pretty else None)
-        fh.write("\n")
-
-
-def load_network(path: str) -> Network:
-    with open(path, encoding="utf-8") as fh:
-        return network_from_json(json.load(fh))
 
 
 def to_dot(net: Network, name: str = "F") -> str:

@@ -11,11 +11,11 @@ conversions to plain networks, matrices and Boolean circuits.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from . import docs
 from .circuit import Circuit, InvalidCircuitError, make_circuit
 from .core import (
     ArtifactError,
@@ -831,21 +831,12 @@ def csan_to_json(c: Csan) -> dict:
     for v in range(c.n):
         rows = [[s, list(m), out] for (s, m), out in sorted(c.lam[v].items())]
         vertices.append({"lambda": rows})
-    return {
-        "format": "csan",
-        "version": 1,
-        "alphabet": c.alphabet,
-        "n": c.n,
-        "edges": edges,
-        "vertices": vertices,
-    }
+    return docs.envelope("csan", alphabet=c.alphabet, n=c.n, edges=edges, vertices=vertices)
 
 
 def csan_from_json(data: dict) -> Csan:
     """Read a document whose vertex tables are explicit rows or shorthands."""
-    if not isinstance(data, dict) or data.get("format") != "csan":
-        raise InvalidCsanError("not a csan document")
-    try:
+    with docs.parsing(data, "csan", InvalidCsanError):
         q = data["alphabet"]
         n = data["n"]
         raw_edges = [(u, v, rho) for u, v, rho in data["edges"]]
@@ -871,18 +862,3 @@ def csan_from_json(data: dict) -> Csan:
             else:
                 lam.append({(s, tuple(m)): out for s, m, out in body})
         return make_csan(q, n, raw_edges, lam)
-    except InvalidCsanError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidCsanError(f"bad csan document: {exc}") from exc
-
-
-def save_csan(c: Csan, path: str, pretty: bool = False) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(csan_to_json(c), fh, indent=2 if pretty else None)
-        fh.write("\n")
-
-
-def load_csan(path: str) -> Csan:
-    with open(path, encoding="utf-8") as fh:
-        return csan_from_json(json.load(fh))

@@ -24,12 +24,12 @@ each step, across the wires of that step.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
+from . import docs
 from .core import (
     ArtifactError,
     Network,
@@ -344,10 +344,6 @@ def gadget_glue(
     gadget = Gadget(first.interface, glued, st.frame.in_copies, st.frame.out_copies)
     gadget.validate()
     return gadget
-
-
-def disjoint_union(first: Gadget, second: Gadget) -> Gadget:
-    return gadget_glue(first, second)
 
 
 # ---------------------------------------------------------------------------
@@ -843,29 +839,27 @@ def _gate_from_doc(doc: dict) -> Gate:
     )
 
 
+def _interface_doc(iface: Interface) -> dict:
+    return {"inputs": list(iface.inputs), "outputs": list(iface.outputs)}
+
+
 def gadget_to_json(g: Gadget) -> dict:
     """Carries the dynamics once: "csan" when labeled, "network" otherwise."""
     if g.csan is None:
         dynamics = {"network": network_to_json(g.dynamics)}
     else:
         dynamics = {"csan": csan_to_json(g.csan)}
-    return {
-        "format": "gadget",
-        "version": 1,
-        "interface": {
-            "inputs": list(g.interface.inputs),
-            "outputs": list(g.interface.outputs),
-        },
+    return docs.envelope(
+        "gadget",
+        interface=_interface_doc(g.interface),
         **dynamics,
-        "in_copies": [dict(c) for c in g.in_copies],
-        "out_copies": [dict(c) for c in g.out_copies],
-    }
+        in_copies=[dict(c) for c in g.in_copies],
+        out_copies=[dict(c) for c in g.out_copies],
+    )
 
 
 def gadget_from_json(data: dict) -> Gadget:
-    if not isinstance(data, dict) or data.get("format") != "gadget":
-        raise InvalidGadgetError("not a gadget document")
-    try:
+    with docs.parsing(data, "gadget", InvalidGadgetError):
         iface = make_interface(data["interface"]["inputs"], data["interface"]["outputs"])
         if "csan" in data:
             dynamics: Csan | Network = csan_from_json(data["csan"])
@@ -876,25 +870,19 @@ def gadget_from_json(data: dict) -> Gadget:
         else:
             dynamics = network_from_json(data["network"])
         return make_gadget(iface, dynamics, data["in_copies"], data["out_copies"])
-    except (KeyError, TypeError) as exc:
-        raise InvalidGadgetError(f"bad gadget document: {exc}") from exc
 
 
 def certificate_to_json(cert: CoherentCertificate) -> dict:
-    return {
-        "format": "certificate",
-        "version": 1,
-        "interface": {
-            "inputs": list(cert.interface.inputs),
-            "outputs": list(cert.interface.outputs),
-        },
-        "time": cert.time,
-        "state_configs": [dict(s) for s in cert.state_configs],
-        "standard_traces": [
+    return docs.envelope(
+        "certificate",
+        interface=_interface_doc(cert.interface),
+        time=cert.time,
+        state_configs=[dict(s) for s in cert.state_configs],
+        standard_traces=[
             {"from": q, "to": qp, "patterns": [dict(p) for p in pats]}
             for (q, qp), pats in sorted(cert.standard_traces.items())
         ],
-        "gates": [
+        gates=[
             {
                 "gate": _gate_doc(gate),
                 "gadget": gadget_to_json(cert.gadgets[gate]),
@@ -911,14 +899,13 @@ def certificate_to_json(cert: CoherentCertificate) -> dict:
             }
             for gate in cert.gadgets
         ],
-    }
+    )
 
 
 def certificate_from_json(data: dict) -> CoherentCertificate:
-    if not isinstance(data, dict) or data.get("format") != "certificate":
-        raise InvalidGadgetError("not a certificate document")
-    try:
+    with docs.parsing(data, "certificate", InvalidGadgetError):
         iface = make_interface(data["interface"]["inputs"], data["interface"]["outputs"])
+        docs.integers(InvalidGadgetError, "certificate time", (data["time"],))
         gadgets: dict[Gate, Gadget] = {}
         contexts: dict[Gate, Mapping[int, int]] = {}
         orbits: dict[Gate, dict[tuple, PseudoOrbit]] = {}
@@ -947,27 +934,3 @@ def certificate_from_json(data: dict) -> CoherentCertificate:
             traces,
             orbits,
         )
-    except (KeyError, TypeError) as exc:
-        raise InvalidGadgetError(f"bad certificate document: {exc}") from exc
-
-
-def save_gadget(g: Gadget, path: str, pretty: bool = False) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(gadget_to_json(g), fh, indent=2 if pretty else None)
-        fh.write("\n")
-
-
-def load_gadget(path: str) -> Gadget:
-    with open(path, encoding="utf-8") as fh:
-        return gadget_from_json(json.load(fh))
-
-
-def save_certificate(cert: CoherentCertificate, path: str, pretty: bool = False) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(certificate_to_json(cert), fh, indent=2 if pretty else None)
-        fh.write("\n")
-
-
-def load_certificate(path: str) -> CoherentCertificate:
-    with open(path, encoding="utf-8") as fh:
-        return certificate_from_json(json.load(fh))

@@ -12,10 +12,10 @@ for the glued network whenever they agree on the dowel at every step.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from . import docs
 from .core import (
     ArtifactError,
     InvalidConfigError,
@@ -363,60 +363,22 @@ def assemble_csan(
 
 
 def dowel_to_json(d: Dowel) -> dict:
-    return {
-        "format": "dowel",
-        "version": 1,
-        "C1": list(d.c1),
-        "C2": list(d.c2),
-        "phi1": dict(d.phi1),
-        "phi2": dict(d.phi2),
-    }
+    return docs.envelope(
+        "dowel", C1=list(d.c1), C2=list(d.c2), phi1=dict(d.phi1), phi2=dict(d.phi2)
+    )
 
 
 def dowel_from_json(data: dict) -> Dowel:
-    if not isinstance(data, dict) or data.get("format") != "dowel":
-        raise InvalidGlueError("not a dowel document")
-    try:
+    with docs.parsing(data, "dowel", InvalidGlueError):
         return make_dowel(data["C1"], data["C2"], data["phi1"], data["phi2"])
-    except (KeyError, TypeError) as exc:
-        raise InvalidGlueError(f"bad dowel document: {exc}") from exc
 
 
 def pseudo_orbit_to_json(p: PseudoOrbit) -> dict:
-    return {
-        "format": "pseudoorbit",
-        "version": 1,
-        "exempt": sorted(p.exempt),
-        "configs": [list(x) for x in p.configs],
-    }
+    return docs.envelope(
+        "pseudoorbit", exempt=sorted(p.exempt), configs=[list(x) for x in p.configs]
+    )
 
 
 def pseudo_orbit_from_json(data: dict) -> PseudoOrbit:
-    if not isinstance(data, dict) or data.get("format") != "pseudoorbit":
-        raise InvalidGlueError("not a pseudo-orbit document")
-    try:
+    with docs.parsing(data, "pseudoorbit", InvalidGlueError):
         return make_pseudo_orbit(data["configs"], data["exempt"])
-    except (KeyError, TypeError) as exc:
-        raise InvalidGlueError(f"bad pseudo-orbit document: {exc}") from exc
-
-
-def save_dowel(d: Dowel, path: str, pretty: bool = False) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dowel_to_json(d), fh, indent=2 if pretty else None)
-        fh.write("\n")
-
-
-def load_dowel(path: str) -> Dowel:
-    with open(path, encoding="utf-8") as fh:
-        return dowel_from_json(json.load(fh))
-
-
-def save_pseudo_orbit(p: PseudoOrbit, path: str, pretty: bool = False) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(pseudo_orbit_to_json(p), fh, indent=2 if pretty else None)
-        fh.write("\n")
-
-
-def load_pseudo_orbit(path: str) -> PseudoOrbit:
-    with open(path, encoding="utf-8") as fh:
-        return pseudo_orbit_from_json(json.load(fh))

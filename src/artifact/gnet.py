@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, Iterable, Sequence
 
+from . import docs
 from .core import (
     ArtifactError,
     Network,
@@ -111,11 +112,6 @@ GATE_SETS: dict[str, tuple[Gate, ...]] = {
     "Gwire": (ID_1_1,),
     "Gt": (FRZ_AND, FRZ_HOT_AND, FRZ_HOLD, FRZ_ID, FRZ_FORK),
 }
-
-
-def gate_sets() -> dict[str, tuple[Gate, ...]]:
-    """Named gate catalogs used by the compilers and the recovery pass."""
-    return dict(GATE_SETS)
 
 
 @dataclass(frozen=True)
@@ -331,11 +327,10 @@ def _tables_match(net, gate, deps, perm, assign):
 
 
 def gnetwork_to_json(gn: GNetwork) -> dict:
-    return {
-        "format": "gnetwork",
-        "version": 1,
-        "alphabet": gn.alphabet,
-        "gates": [
+    return docs.envelope(
+        "gnetwork",
+        alphabet=gn.alphabet,
+        gates=[
             {
                 "name": g.name,
                 "n_in": g.n_in,
@@ -346,16 +341,19 @@ def gnetwork_to_json(gn: GNetwork) -> dict:
             }
             for j, g in enumerate(gn.gates)
         ],
-    }
+    )
 
 
 def gnetwork_from_json(data: dict) -> GNetwork:
-    if not isinstance(data, dict) or data.get("format") != "gnetwork":
-        raise InvalidGNetworkError("not a gnetwork document")
-    try:
+    with docs.parsing(data, "gnetwork", InvalidGNetworkError):
         q = data["alphabet"]
+        docs.integers(InvalidGNetworkError, "alphabet", (q,))
         gates, inputs, outputs = [], [], []
-        for item in data["gates"]:
+        for j, item in enumerate(data["gates"]):
+            docs.integers(
+                InvalidGNetworkError, f"gate {j} arities, ports and table",
+                (item["n_in"], item["n_out"]), item["inputs"], item["outputs"], *item["table"],
+            )
             gates.append(
                 Gate(
                     item["name"], q, item["n_in"], item["n_out"],
@@ -364,11 +362,9 @@ def gnetwork_from_json(data: dict) -> GNetwork:
             )
             inputs.append(tuple(item["inputs"]))
             outputs.append(tuple(item["outputs"]))
-    except (KeyError, TypeError) as exc:
-        raise InvalidGNetworkError(f"malformed gnetwork document: {exc}") from exc
-    gn = GNetwork(q, tuple(gates), tuple(inputs), tuple(outputs))
-    gn.validate()
-    return gn
+        gn = GNetwork(q, tuple(gates), tuple(inputs), tuple(outputs))
+        gn.validate()
+        return gn
 
 
 def _primes_below(n: int) -> list[int]:

@@ -11,22 +11,26 @@ incoming wire stubs, a pacing ring, and two outgoing wire stubs around
 a sixteen-neighbor collector node that fires exactly when both inputs
 stayed quiet, so the stubs re-emit the negated disjunction.
 
-The shipped adjacency is data, not code: builders read three versioned
-JSON fixtures under data/, the wire and the clock in their own `gol-*`
+The shipped adjacency is data, not code: builders read three JSON
+fixtures under data/, the wire and the clock in their own `gol-*`
 formats and the NOR certificate, which embeds the NOR gadget, in the
-generic certificate format that `certificate_from_json` reads. The
-private layout functions kept in this module are their provenance, and
-`regenerate_gol_fixtures` rewrites the files after a layout change.
+generic certificate format that `certificate_from_json` reads. All
+three go through the document layer (`docs.read`, `docs.parsing`), and
+any failure, from a missing file to a malformed body, becomes an
+`InvalidGolFixtureError` that names the file. The private layout
+functions kept in this module are their provenance, and
+`regenerate_gol_fixtures` rewrites the files with `docs.write` after a
+layout change.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 from typing import Iterable
 
+from . import docs
 from .core import ArtifactError, make_network, step
 from .csan import Csan, FamilySpec, build_lifelike, csan_from_json, family_spec, make_csan
 from .gadget import (
@@ -314,52 +318,48 @@ def _assemble_certificate(gd: Gadget) -> CoherentCertificate:
 
 def _lifelike_doc(n: int, edges: Iterable[tuple[int, int]]) -> dict:
     shorthand = {"family": "lifelike", "birth": list(BIRTH), "survive": list(SURVIVE)}
-    return {
-        "format": "csan",
-        "version": 1,
-        "alphabet": 2,
-        "n": n,
-        "edges": [[u, v, "id"] for u, v in sorted((min(e), max(e)) for e in edges)],
-        "vertices": [{"lambda": dict(shorthand)} for _ in range(n)],
-    }
+    return docs.envelope(
+        "csan",
+        alphabet=2,
+        n=n,
+        edges=[[u, v, "id"] for u, v in sorted((min(e), max(e)) for e in edges)],
+        vertices=[{"lambda": dict(shorthand)} for _ in range(n)],
+    )
 
 
-def _load_doc(name: str, expected: str) -> dict:
-    path = _DATA_DIR / name
+def _fixture(name: str, kind: str, parse):
+    """Parse the data file `name`, a `kind` document; failures name the file."""
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = docs.read(_DATA_DIR / name)
     except FileNotFoundError as exc:
         raise InvalidGolFixtureError(f"missing data file {name}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise InvalidGolFixtureError(f"data file {name} is not JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != expected:
-        raise InvalidGolFixtureError(f"data file {name} is not a {expected} document")
-    return doc
+    try:
+        with docs.parsing(doc, kind, InvalidGolFixtureError):
+            return parse(doc)
+    except ArtifactError as exc:
+        raise InvalidGolFixtureError(f"data file {name}: {exc}") from exc
 
 
 def build_wire() -> Csan:
     """Open six-layer signal carrier, one helper node per layer."""
-    return csan_from_json(_load_doc(_WIRE_FILE, "gol-wire")["csan"])
+    return _fixture(_WIRE_FILE, "gol-wire", lambda doc: csan_from_json(doc["csan"]))
 
 
 def build_clock() -> Csan:
     """Same ladder closed into a ring; ticks with period six."""
-    return csan_from_json(_load_doc(_CLOCK_FILE, "gol-clock")["csan"])
+    return _fixture(_CLOCK_FILE, "gol-clock", lambda doc: csan_from_json(doc["csan"]))
 
 
 def clock_initial() -> tuple[int, ...]:
     """Canonical seed of the ring's period-six orbit."""
-    doc = _load_doc(_CLOCK_FILE, "gol-clock")
-    return tuple(int(s) for s in doc["initial"])
+    return _fixture(_CLOCK_FILE, "gol-clock", lambda doc: tuple(int(s) for s in doc["initial"]))
 
 
 def build_certificate() -> CoherentCertificate:
     """Coherence data for the NOR gadget at time constant six."""
-    doc = _load_doc(_CERT_FILE, "certificate")
-    try:
-        return certificate_from_json(doc)
-    except ArtifactError as exc:
-        raise InvalidGolFixtureError(f"data file {_CERT_FILE}: {exc}") from exc
+    return _fixture(_CERT_FILE, "certificate", certificate_from_json)
 
 
 def build_nor_gadget() -> Gadget:
@@ -380,28 +380,20 @@ def regenerate_gol_fixtures(dest: str | Path | None = None) -> tuple[Path, ...]:
     report = verify_certificate(cert)
     if not report.ok:
         raise InvalidGadgetError(f"generated data is unusable: {report.message()}")
-    docs = {
-        _WIRE_FILE: {
-            "format": "gol-wire",
-            "version": 1,
-            "csan": _lifelike_doc(24, _ladder_edges(6, ring=False)),
-        },
-        _CLOCK_FILE: {
-            "format": "gol-clock",
-            "version": 1,
-            "csan": _lifelike_doc(24, _ladder_edges(6, ring=True)),
-            "initial": list(_clock_initial()),
-        },
+    fixtures = {
+        _WIRE_FILE: docs.envelope(
+            "gol-wire", csan=_lifelike_doc(24, _ladder_edges(6, ring=False))
+        ),
+        _CLOCK_FILE: docs.envelope(
+            "gol-clock",
+            csan=_lifelike_doc(24, _ladder_edges(6, ring=True)),
+            initial=list(_clock_initial()),
+        ),
         _CERT_FILE: certificate_to_json(cert),
     }
-    written = []
-    for name, doc in docs.items():
-        path = root / name
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
-        written.append(path)
-    return tuple(written)
+    for name, doc in fixtures.items():
+        docs.write(doc, root / name, sort_keys=True)
+    return tuple(root / name for name in fixtures)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence
 
+from . import docs
 from .core import (
     DEFAULT_MAX_STATES,
     ArtifactError,
@@ -122,7 +123,7 @@ def make_reach_instance(net: Network, x: Sequence[int], y: Sequence[int]) -> Rea
 def instance_to_json(inst) -> dict:
     if not isinstance(inst, (PredInstance, PredChgInstance, ReachInstance)):
         raise TypeError(f"not an instance: {inst!r}")
-    doc: dict = {"format": "instance", "version": 1, "net": network_to_json(inst.net)}
+    doc = docs.envelope("instance", net=network_to_json(inst.net))
     if isinstance(inst, PredInstance):
         doc["problem"] = "u-pred" if inst.time_format == "unary" else "b-pred"
         doc.update(v=inst.v, x=list(inst.x), q=inst.q, t=inst.t)
@@ -136,21 +137,19 @@ def instance_to_json(inst) -> dict:
 
 
 def instance_from_json(doc) -> PredInstance | PredChgInstance | ReachInstance:
-    if not isinstance(doc, dict) or doc.get("format") != "instance":
-        raise InvalidInstanceError("not an instance document")
-    try:
+    with docs.parsing(doc, "instance", InvalidInstanceError):
         net = network_from_json(doc["net"])
         problem = doc["problem"]
         if problem in ("u-pred", "b-pred"):
             fmt = "unary" if problem == "u-pred" else "binary"
+            docs.integers(InvalidInstanceError, "v, q and t", (doc["v"], doc["q"], doc["t"]))
             return make_pred_instance(net, doc["v"], doc["x"], doc["q"], doc["t"], fmt)
         if problem == "pred-chg":
+            docs.integers(InvalidInstanceError, "v and k", (doc["v"], doc["k"]))
             return make_pred_chg_instance(net, doc["v"], doc["x"], doc["k"])
         if problem == "reach":
             return make_reach_instance(net, doc["x"], doc["y"])
-    except KeyError as exc:
-        raise InvalidInstanceError(f"instance document missing field {exc}") from exc
-    raise InvalidInstanceError(f"unknown problem kind {doc.get('problem')!r}")
+        raise InvalidInstanceError(f"unknown problem kind {problem!r}")
 
 
 # ---------------------------------------------------------------------------

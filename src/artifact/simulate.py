@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import TYPE_CHECKING, Sequence
 
+from . import docs
 from .core import (
     ArtifactError,
     Network,
@@ -190,23 +191,19 @@ def verify_orbit_embedding(
 
 
 def embedding_to_json(emb: BlockEmbedding) -> dict:
-    return {
-        "format": "embedding",
-        "version": 1,
-        "time": emb.time,
-        "blocks": [list(b) for b in emb.blocks],
-        "patterns": [[list(p) for p in pats] for pats in emb.patterns],
-    }
+    return docs.envelope(
+        "embedding",
+        time=emb.time,
+        blocks=[list(b) for b in emb.blocks],
+        patterns=[[list(p) for p in pats] for pats in emb.patterns],
+    )
 
 
 def embedding_from_json(data: dict) -> BlockEmbedding:
-    if not isinstance(data, dict) or data.get("format") != "embedding":
-        raise InvalidEmbeddingError("not an embedding document")
-    try:
-        return BlockEmbedding(
-            data["time"],
-            tuple(tuple(b) for b in data["blocks"]),
-            tuple(tuple(tuple(p) for p in pats) for pats in data["patterns"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise InvalidEmbeddingError(f"malformed embedding document: {exc}") from exc
+    with docs.parsing(data, "embedding", InvalidEmbeddingError):
+        blocks = tuple(tuple(b) for b in data["blocks"])
+        patterns = tuple(tuple(tuple(p) for p in pats) for pats in data["patterns"])
+        docs.integers(InvalidEmbeddingError, "embedding time", (data["time"],))
+        docs.integers(InvalidEmbeddingError, "blocks", *blocks)
+        docs.integers(InvalidEmbeddingError, "patterns", *(p for pats in patterns for p in pats))
+        return BlockEmbedding(data["time"], blocks, patterns)

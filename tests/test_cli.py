@@ -4,11 +4,11 @@ import json
 
 import pytest
 
-from artifact import gol
+from artifact import docs, gol
 from artifact.cli import run
-from artifact.core import make_network, save_network
-from artifact.csan import save_csan
-from artifact.glue import glue_networks, make_dowel, save_dowel
+from artifact.core import make_network, network_to_json
+from artifact.csan import csan_to_json
+from artifact.glue import dowel_to_json, glue_networks, make_dowel
 from artifact.gnet import NOR_2_2, GNetworkBuilder, gnetwork_to_json
 from artifact.problems import (
     instance_to_json,
@@ -27,7 +27,7 @@ def out_json(capsys):
 @pytest.fixture()
 def rot3_file(tmp_path):
     path = tmp_path / "rot3.json"
-    save_network(rotation(3), str(path))
+    docs.write(network_to_json(rotation(3)), path)
     return str(path)
 
 
@@ -39,7 +39,7 @@ def write_json(tmp_path, name, doc):
 
 def test_analyze_clock_fixture(tmp_path, capsys):
     clock = tmp_path / "clock.json"
-    save_csan(gol.build_clock(), str(clock))
+    docs.write(csan_to_json(gol.build_clock()), clock)
     x = json.dumps(list(gol.clock_initial()))
     assert run(["analyze", str(clock), "--config", x]) == 0
     assert out_json(capsys) == {"transient": 0, "period": 6}
@@ -144,6 +144,15 @@ def test_input_errors_exit_two(rot3_file, capsys):
     capsys.readouterr()
 
 
+def test_undecodable_files_exit_two(tmp_path, rot3_file, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'\xff\xfe{"format"')
+    assert run(["analyze", str(binary), "--config", "[0]"]) == 2
+    assert "decode" in out_json(capsys)["error"]
+    assert run(["analyze", rot3_file, "--config-file", str(binary)]) == 2
+    assert "decode" in out_json(capsys)["error"]
+
+
 def test_non_integer_inputs_exit_two(tmp_path, rot3_file, capsys):
     node = {"deps": [0.0], "table": [1, 0]}
     doc = {"format": "network", "version": 1, "alphabet": 2, "nodes": [node]}
@@ -153,6 +162,82 @@ def test_non_integer_inputs_exit_two(tmp_path, rot3_file, capsys):
     for config in ("[1.0,0,0]", "[true,0,0]"):
         assert run(["simulate", rot3_file, "--config", config, "-t", "2"]) == 2
         assert "out of alphabet range" in out_json(capsys)["error"]
+
+
+def bundled_certificate(**changes):
+    doc = docs.read(gol._DATA_DIR / "gol_certificate.json")
+    return {**doc, **changes}
+
+
+def certificate_with_context(context):
+    doc = bundled_certificate()
+    doc["gates"][0]["context"] = context
+    return doc
+
+
+def nor_pair_doc(**changes):
+    b = GNetworkBuilder(2)
+    g0, o0 = b.new_gate(NOR_2_2)
+    g1, o1 = b.new_gate(NOR_2_2)
+    b.connect(g0, o1)
+    b.connect(g1, o0)
+    return {**gnetwork_to_json(b.build()), **changes}
+
+
+def rot3_instance(**changes):
+    inst = make_pred_instance(rotation(3), 0, (1, 0, 0), 1, 3, "binary")
+    return {**instance_to_json(inst), **changes}
+
+
+def rot3_embedding(**changes):
+    return {**identity_embedding_doc(rotation(3)), **changes}
+
+
+# case -> (arguments with DOC where the document's path goes, document).
+# Each of these documents once escaped its parser as a built-in exception.
+DOC = object()
+MALFORMED = {
+    "certificate context key": (
+        ["verify-cert", DOC], lambda: certificate_with_context({"x": 0})
+    ),
+    "certificate context list": (["verify-cert", DOC], lambda: certificate_with_context([])),
+    "certificate time string": (["verify-cert", DOC], lambda: bundled_certificate(time="6")),
+    "instance config scalar": (["oracle", "b-pred", DOC], lambda: rot3_instance(x=5)),
+    "instance time string": (["oracle", "b-pred", DOC], lambda: rot3_instance(t="9")),
+    "instance time float": (
+        ["oracle", "u-pred", DOC], lambda: rot3_instance(t=3.0, problem="u-pred")
+    ),
+    "instance gap float": (
+        ["oracle", "pred-chg", DOC], lambda: rot3_instance(k=2.0, problem="pred-chg")
+    ),
+    "circuit inputs string": (
+        ["convert", DOC, "--to", "circuit"],
+        lambda: {"format": "circuit", "n_inputs": "2", "gates": [], "outputs": [0, 1]},
+    ),
+    "gnetwork alphabet string": (["convert", DOC], lambda: nor_pair_doc(alphabet="2")),
+    "matrix rows scalar": (
+        ["convert", DOC], lambda: {"format": "matrix", "kind": "gf2", "rows": 5}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_documents_exit_two(case, tmp_path, capsys):
+    args, build = MALFORMED[case]
+    path = write_json(tmp_path, "doc.json", build())
+    assert run([path if a is DOC else a for a in args]) == 2
+    assert out_json(capsys)["error"]
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"time": "x"}, {"blocks": [["a"], [1], [2]]}, {"patterns": [[[0], [1.0]]] * 3}],
+    ids=["time string", "block string", "pattern float"],
+)
+def test_malformed_embeddings_exit_two(changes, tmp_path, rot3_file, capsys):
+    emb = write_json(tmp_path, "emb.json", rot3_embedding(**changes))
+    assert run(["verify-sim", rot3_file, rot3_file, emb]) == 2
+    assert "expected integers" in out_json(capsys)["error"]
 
 
 def test_gol_demo_reports_both_passes(capsys):
@@ -205,7 +290,7 @@ def test_convert_csan_and_circuit(tmp_path, rot3_file, capsys):
     from artifact.csan import build_rule90_ring
 
     ring = tmp_path / "ring.json"
-    save_csan(build_rule90_ring(4), str(ring))
+    docs.write(csan_to_json(build_rule90_ring(4)), ring)
     assert run(["convert", str(ring), "--to", "network"]) == 0
     doc = out_json(capsys)
     assert doc["format"] == "network" and len(doc["nodes"]) == 4
@@ -231,9 +316,9 @@ def test_glue_matches_library(tmp_path, capsys):
     p1 = tmp_path / "f1.json"
     p2 = tmp_path / "f2.json"
     pd = tmp_path / "d.json"
-    save_network(f1, str(p1))
-    save_network(f2, str(p2))
-    save_dowel(d, str(pd))
+    docs.write(network_to_json(f1), p1)
+    docs.write(network_to_json(f2), p2)
+    docs.write(dowel_to_json(d), pd)
     assert run(["glue", str(p1), str(p2), str(pd)]) == 0
     doc = out_json(capsys)
     want = glue_networks(f1, f2, d)

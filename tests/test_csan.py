@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from artifact import docs
 from artifact.circuit import InvalidCircuitError, eval_circuit
 from artifact.core import InvalidConfigError, index_config, make_network, step
 from artifact.csan import (
@@ -30,7 +31,6 @@ from artifact.csan import (
     family_spec,
     interaction_graph_bruteforce,
     interaction_graph_csan,
-    load_csan,
     make_csan,
     make_multiset,
     matrix_to_network,
@@ -38,7 +38,6 @@ from artifact.csan import (
     multisets_with_total,
     rho_activity,
     rho_identity,
-    save_csan,
 )
 
 from conftest import xor_ring
@@ -514,8 +513,8 @@ def test_json_roundtrip(tmp_path):
     assert csan_to_json(odd)["edges"][0][2] == [0, 0]
     assert csan_from_json(csan_to_json(odd)) == odd
     path = tmp_path / "net.json"
-    save_csan(rd, str(path), pretty=True)
-    assert load_csan(str(path)) == rd
+    docs.write(csan_to_json(rd), path, pretty=True)
+    assert csan_from_json(docs.read(path)) == rd
 
 
 def test_json_family_shorthand():

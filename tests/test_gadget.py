@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from artifact import docs
 from artifact.core import make_network, network_to_json, step, trace
 from artifact.csan import build_lifelike, csan_in_family, csan_to_network, family_spec
 from artifact.gadget import (
@@ -15,20 +16,15 @@ from artifact.gadget import (
     compile_gnetwork_detailed,
     context_nodes,
     csan_closure_failures,
-    disjoint_union,
     exempt_nodes,
     gadget_copy,
     gadget_from_json,
     gadget_glue,
     gadget_to_json,
     interface_nodes,
-    load_certificate,
-    load_gadget,
     make_certificate,
     make_gadget,
     make_interface,
-    save_certificate,
-    save_gadget,
     verify_certificate,
 )
 from artifact.glue import make_pseudo_orbit
@@ -180,7 +176,7 @@ def test_boundary_node_helpers():
 
 
 def test_disjoint_union_adds():
-    u = disjoint_union(identity_gadget(), neg_gadget())
+    u = gadget_glue(identity_gadget(), neg_gadget())
     assert u.net.n == 8
     assert len(u.in_copies) == 2 and len(u.out_copies) == 2
     assert u.in_copies[0] == {"ci": 0, "co": 1}
@@ -525,8 +521,8 @@ def test_gadget_json_roundtrip(tmp_path):
         assert back.in_copies == g.in_copies and back.out_copies == g.out_copies
         assert (back.csan is None) == (g.csan is None)
         path = tmp_path / "gadget.json"
-        save_gadget(g, str(path), pretty=True)
-        assert load_gadget(str(path)).net == g.net
+        docs.write(gadget_to_json(g), path, pretty=True)
+        assert gadget_from_json(docs.read(path)).net == g.net
     with pytest.raises(InvalidGadgetError):
         gadget_from_json({"format": "nope"})
 
@@ -564,7 +560,7 @@ def test_certificate_json_roundtrip(tmp_path):
     assert back.pseudo_orbits[NOR_2_2] == cert.pseudo_orbits[NOR_2_2]
     assert verify_certificate(back).ok
     path = tmp_path / "cert.json"
-    save_certificate(cert, str(path), pretty=True)
-    assert verify_certificate(load_certificate(str(path))).ok
+    docs.write(certificate_to_json(cert), path, pretty=True)
+    assert verify_certificate(certificate_from_json(docs.read(path))).ok
     with pytest.raises(InvalidGadgetError):
         certificate_from_json({"format": "certificate"})

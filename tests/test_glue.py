@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from artifact import docs
 from artifact.core import InvalidConfigError, index_config, make_network, step, trace
 from artifact.csan import build_lifelike, build_threshold, csan_in_family, csan_step, csan_to_network, family_spec
 from artifact.glue import (
@@ -16,14 +17,10 @@ from artifact.glue import (
     glue_networks,
     glue_pseudo_orbits,
     glued_numbering,
-    load_dowel,
-    load_pseudo_orbit,
     make_dowel,
     make_pseudo_orbit,
     pseudo_orbit_from_json,
     pseudo_orbit_to_json,
-    save_dowel,
-    save_pseudo_orbit,
 )
 
 from conftest import random_glue_instance, random_network, rotation, xor_ring
@@ -293,8 +290,8 @@ def test_dowel_json_roundtrip(tmp_path):
     assert doc["C1"] == ["a"] and doc["C2"] == ["b"]
     assert dowel_from_json(doc) == d
     path = tmp_path / "dowel.json"
-    save_dowel(d, str(path), pretty=True)
-    assert load_dowel(str(path)) == d
+    docs.write(dowel_to_json(d), path, pretty=True)
+    assert dowel_from_json(docs.read(path)) == d
     with pytest.raises(InvalidGlueError):
         dowel_from_json({"format": "network"})
     with pytest.raises(InvalidGlueError):
@@ -307,7 +304,7 @@ def test_pseudo_orbit_json_roundtrip(tmp_path):
     assert doc["exempt"] == [1]
     assert pseudo_orbit_from_json(doc) == p
     path = tmp_path / "orbit.json"
-    save_pseudo_orbit(p, str(path))
-    assert load_pseudo_orbit(str(path)) == p
+    docs.write(pseudo_orbit_to_json(p), path)
+    assert pseudo_orbit_from_json(docs.read(path)) == p
     with pytest.raises(InvalidGlueError):
         pseudo_orbit_from_json({"format": "pseudoorbit", "configs": []})

@@ -25,7 +25,6 @@ from artifact.gnet import (
     conj_to_gconj,
     conjunctive_from_graph,
     fanin_gadget,
-    gate_sets,
     gnetwork_from_json,
     gnetwork_step,
     gnetwork_to_json,
@@ -69,7 +68,7 @@ def test_gate_tables():
 
 
 def test_gate_sets_catalog():
-    sets = gate_sets()
+    sets = GATE_SETS
     assert {k: len(v) for k, v in sets.items()} == {
         "Gmon": 8, "Gmon2": 2, "Gnor": 1, "Gnand": 1,
         "Gconj": 2, "Gwire": 1, "Gt": 5,
