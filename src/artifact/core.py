@@ -11,14 +11,26 @@ sits at index a_0 + a_1*q + a_2*q^2 + ...
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import sys
+from array import array
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import docs
 from .docs import ArtifactError  # the root error lives with the document layer
 
 DEFAULT_MAX_STATES = 2**22
+# States per orbit_graph batch: 64 KB of lanes per node.
+ORBIT_CHUNK = 2**14
+
+# Lane packing: a batch of b configurations is one int per node, whose
+# 32-bit lane i holds that node's state in configuration i.
+LANE_BITS = 32
+LANE_BYTES = LANE_BITS // 8
+LANE_LIMIT = 1 << LANE_BITS
+if array("I").itemsize != LANE_BYTES:
+    raise ImportError("lane packing needs a 4-byte array('I') item")
 
 
 class InvalidNetworkError(ArtifactError, ValueError):
@@ -71,9 +83,9 @@ class Network:
                     f"node {v}: table has {len(rule.table)} entries, "
                     f"expected {q ** len(rule.deps)}"
                 )
-            for s in rule.table:
-                if not 0 <= s < q:
-                    raise InvalidNetworkError(f"node {v}: state {s} out of range")
+            if not 0 <= min(rule.table) <= max(rule.table) < q:
+                bad = next(s for s in rule.table if not 0 <= s < q)
+                raise InvalidNetworkError(f"node {v}: state {bad} out of range")
 
 
 def make_network(alphabet: int, rules: Iterable[tuple[Sequence[int], Sequence[int]]]) -> Network:
@@ -106,6 +118,42 @@ def step(net: Network, x: Sequence[int]) -> tuple[int, ...]:
             m *= q
         out.append(rule.table[idx])
     return tuple(out)
+
+
+def pack_lanes(states: Iterable[int]) -> int:
+    """One packed int whose lane i holds the i-th state (each below 2^32)."""
+    return int.from_bytes(array("I", states).tobytes(), sys.byteorder)
+
+
+def unpack_lanes(x: int, b: int) -> array:
+    """The b lanes of a packed int, lane 0 first."""
+    return array("I", x.to_bytes(LANE_BYTES * b, sys.byteorder))
+
+
+def gather_lanes(table: Sequence[int], lanes: Sequence[int]) -> int:
+    """pack_lanes(table[i] for i in lanes), gathered at C speed."""
+    got = itemgetter(*lanes)(table)
+    return pack_lanes(got if len(lanes) > 1 else (got,))
+
+
+def step_batch(net: Network, xs: Sequence[int], b: int) -> list[int]:
+    """`step` on b configurations at once, in the lane packing.
+
+    xs[v] packs node v's state in each configuration. The table index
+    sum a_0 + a_1*q + ... is formed for all lanes with a few big-int
+    operations; no lane carries into the next, since an index stays
+    below q^deg = len(table) < 2^32.
+    """
+    q = net.alphabet
+    out = []
+    for rule in net.rules:
+        idx = 0
+        m = 1
+        for d in rule.deps:
+            idx += xs[d] * m
+            m *= q
+        out.append(gather_lanes(rule.table, unpack_lanes(idx, b)))
+    return out
 
 
 def iterate(net: Network, x: Sequence[int], t: int) -> tuple[int, ...]:
@@ -178,13 +226,6 @@ def index_config(idx: int, q: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _succ_range(args) -> list[int]:
-    net, lo, hi = args
-    q = net.alphabet
-    n = net.n
-    return [config_index(step(net, index_config(i, q, n)), q) for i in range(lo, hi)]
-
-
 @dataclass(frozen=True)
 class OrbitGraph:
     """Functional graph of the global map over all q^n configurations.
@@ -197,23 +238,40 @@ class OrbitGraph:
     succ: tuple[int, ...]
 
 
-def orbit_graph(net: Network, max_states: int = DEFAULT_MAX_STATES, jobs: int = 1) -> OrbitGraph:
-    """Exhaustive successor table; refuses to enumerate past max_states."""
-    n_conf = net.alphabet**net.n
+def orbit_graph(net: Network, max_states: int = DEFAULT_MAX_STATES) -> OrbitGraph:
+    """Exhaustive successor table; refuses to enumerate past max_states.
+
+    States are stepped in chunks of q^c <= ORBIT_CHUNK that share their
+    high digits, with step_batch. The c low digit planes are the same
+    in every chunk and are built once by repeating bytes; the high
+    digits are constant in a chunk. Successors are encoded in the lanes
+    as y_0 + y_1*q + ..., which needs q^n < 2^32.
+    """
+    q, n = net.alphabet, net.n
+    n_conf = q**n
     if n_conf > max_states:
         raise BudgetExceededError(
             f"{n_conf} configurations exceed the cap of {max_states}"
         )
-    if jobs > 1 and n_conf > 4096:
-        chunk = (n_conf + jobs - 1) // jobs
-        ranges = [(net, lo, min(lo + chunk, n_conf)) for lo in range(0, n_conf, chunk)]
-        succ: list[int] = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_succ_range, ranges):
-                succ.extend(part)
-    else:
-        succ = _succ_range((net, 0, n_conf))
-    return OrbitGraph(net.alphabet, net.n, tuple(succ))
+    if n_conf >= LANE_LIMIT:
+        raise BudgetExceededError(f"{n_conf} configurations do not fit a 32-bit lane")
+    c = 0
+    while c < n and q ** (c + 1) <= ORBIT_CHUNK:
+        c += 1
+    b = q**c
+    lane = [s.to_bytes(LANE_BYTES, sys.byteorder) for s in range(q)]
+    low = [
+        int.from_bytes(b"".join(a * q**v for a in lane) * q ** (c - v - 1), sys.byteorder)
+        for v in range(c)
+    ]
+    ones = pack_lanes([1] * b)
+    weights = [q**v for v in range(n)]
+    succ = array("I")
+    for hi in range(q ** (n - c)):
+        xs = low + [s * ones for s in index_config(hi, q, n - c)]
+        ys = step_batch(net, xs, b)
+        succ.extend(unpack_lanes(sum(y * w for y, w in zip(ys, weights)), b))
+    return OrbitGraph(q, n, tuple(succ))
 
 
 @dataclass(frozen=True)
@@ -224,13 +282,13 @@ class Attractor:
     basin_size: int
 
 
-def attractors(net: Network, max_states: int = DEFAULT_MAX_STATES, jobs: int = 1) -> list[Attractor]:
+def attractors(net: Network, max_states: int = DEFAULT_MAX_STATES) -> list[Attractor]:
     """All limit cycles of the global map with basin sizes.
 
     Basins partition the full configuration space; their sizes sum
     to q^n.
     """
-    og = orbit_graph(net, max_states=max_states, jobs=jobs)
+    og = orbit_graph(net, max_states=max_states)
     succ = og.succ
     n_conf = len(succ)
     comp = [-1] * n_conf

@@ -506,35 +506,32 @@ def csan_in_family(c: Csan, spec: FamilySpec) -> bool:
 # Conversion to plain networks and interaction graphs
 
 
+# bytes.translate tables that add -1, +1 or 64 to every byte of a row code.
+_SHIFT = {d: bytes((i + d) % 256 for i in range(256)) for d in (-1, 1, 64)}
+
+
 def _binary_rows(
     c: Csan,
     neighbors: Sequence[tuple[int, tuple[int, ...]]],
-    pos: dict[int, int],
+    deps: Sequence[int],
     v: int,
-    width: int,
-) -> list[int]:
-    # Row index bit i holds the state of deps[i], so masked popcounts give
-    # the live-neighbor count directly; keeps high-degree nodes affordable.
+) -> bytes:
+    # Row codes (own state * 64 + live-neighbour count) are built by
+    # doubling: the rows with deps[i] = 1 are the rows so far with that
+    # dep's effect added, so bit i of a row index holds deps[i]. Counts
+    # stay in [0, deg], so a code fits in a byte while deg < 64, which
+    # any table that fits in memory satisfies.
+    delta = {u: rho[1] - rho[0] for u, rho in neighbors}
+    rows = bytes([sum(rho[0] for _, rho in neighbors)])
+    for u in deps:
+        d = 64 if u == v else delta[u]
+        rows += rows.translate(_SHIFT[d]) if d else rows
     deg = len(neighbors)
-    base = 0
-    m_pos = 0
-    m_neg = 0
-    for u, rho in neighbors:
-        base += rho[0]
-        delta = rho[1] - rho[0]
-        if delta > 0:
-            m_pos |= 1 << pos[u]
-        elif delta < 0:
-            m_neg |= 1 << pos[u]
-    lut = tuple(
-        tuple(c.lam[v][(s, (deg - ones, ones))] for ones in range(deg + 1))
-        for s in range(2)
-    )
-    vbit = pos[v]
-    return [
-        lut[(idx >> vbit) & 1][base + (idx & m_pos).bit_count() - (idx & m_neg).bit_count()]
-        for idx in range(1 << width)
-    ]
+    lut = bytearray(256)
+    for s in range(2):
+        for ones in range(deg + 1):
+            lut[64 * s + ones] = c.lam[v][(s, (deg - ones, ones))]
+    return rows.translate(lut)
 
 
 def csan_to_network(c: Csan) -> Network:
@@ -544,10 +541,10 @@ def csan_to_network(c: Csan) -> Network:
     rules = []
     for v in range(c.n):
         deps = tuple(sorted([v] + [u for u, _ in inc[v]]))
-        pos = {u: i for i, u in enumerate(deps)}
         if q == 2:
-            table = _binary_rows(c, inc[v], pos, v, len(deps))
+            table = _binary_rows(c, inc[v], deps, v)
         else:
+            pos = {u: i for i, u in enumerate(deps)}
             table = []
             for idx in range(q ** len(deps)):
                 combo = index_config(idx, q, len(deps))

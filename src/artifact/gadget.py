@@ -522,6 +522,7 @@ def verify_certificate(cert: CoherentCertificate) -> CertificateReport:
         if set(pat.keys()) != set(names):
             failures.append(f"{what} must assign exactly the interface names")
             return False
+        docs.integers(InvalidGadgetError, what, pat.values())
         if any(not 0 <= s < host_q for s in pat.values()):
             failures.append(f"{what} uses states outside the alphabet")
             return False
@@ -585,6 +586,7 @@ def verify_certificate(cert: CoherentCertificate) -> CertificateReport:
         if set(ctx.keys()) != set(hat):
             failures.append(f"{prefix}: context must assign exactly the non-interface nodes")
             continue
+        docs.integers(InvalidGadgetError, f"{prefix} context", ctx.values())
         if any(not 0 <= s < gd.alphabet for s in ctx.values()):
             failures.append(f"{prefix}: context uses states outside the alphabet")
             continue
@@ -614,6 +616,7 @@ def verify_certificate(cert: CoherentCertificate) -> CertificateReport:
                     if len(po.configs) != cert.time + 1:
                         failures.append(f"{cell}: run length differs from the time constant")
                         continue
+                    docs.integers(InvalidGadgetError, f"{cell} run", *po.configs)
                     try:
                         sub = check_pseudo_orbit(gd.net, po)
                     except ArtifactError as exc:

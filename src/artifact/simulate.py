@@ -12,21 +12,28 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 from typing import TYPE_CHECKING, Sequence
 
 from . import docs
 from .core import (
+    LANE_BITS,
+    LANE_LIMIT,
     ArtifactError,
     Network,
     analyze_orbit,
     check_config,
-    iterate,
+    gather_lanes,
     step,
+    step_batch,
 )
 
 if TYPE_CHECKING:
     from .csan import Csan
+
+
+# Host configurations per verify_simulation batch: 4 KB of lanes per host node.
+VERIFY_CHUNK = 1024
 
 
 class InvalidEmbeddingError(ArtifactError, ValueError):
@@ -131,6 +138,9 @@ def verify_simulation(
 
     mode "exhaustive" sweeps all |Q|^n source configurations; mode
     "sample" draws `samples` configurations from a recorded RNG seed.
+    The host side runs VERIFY_CHUNK configurations at a time through
+    step_batch; a failure names the first failing configuration in
+    sweep order, and `checked` counts up to and including it.
     """
     emb.validate(source, host)
     if mode == "exhaustive":
@@ -145,21 +155,37 @@ def verify_simulation(
         )
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    # Host node u carries position k of source node v's block: cols[u] is
+    # (v, the state written on u for each source state).
+    cols: list = [None] * host.n
+    for v, block in enumerate(emb.blocks):
+        for k, u in enumerate(block):
+            cols[u] = (v, tuple(pat[k] for pat in emb.patterns[v]))
     checked = 0
-    for x in configs:
-        want = embed(emb, host.n, step(source, x))
-        got = iterate(host, embed(emb, host.n, x), emb.time)
-        checked += 1
-        if want != got:
-            bad = [u for u in range(host.n) if want[u] != got[u]]
+    while chunk := list(islice(configs, VERIFY_CHUNK)):
+        b = len(chunk)
+        xs = list(zip(*chunk))
+        ys = list(zip(*(step(source, x) for x in chunk)))
+        got = [gather_lanes(col, xs[v]) for v, col in cols]
+        for _ in range(emb.time):
+            got = step_batch(host, got, b)
+        want = [gather_lanes(col, ys[v]) for v, col in cols]
+        diff = 0
+        for w, g in zip(want, got):
+            diff |= w ^ g
+        if diff:
+            lane = ((diff & -diff).bit_length() - 1) // LANE_BITS
+            at = LANE_BITS * lane
+            bad = [u for u in range(host.n) if (want[u] ^ got[u]) >> at & (LANE_LIMIT - 1)]
             return VerificationReport(
                 False,
                 mode,
-                checked,
+                checked + lane + 1,
                 failures=(f"host nodes {bad} differ after {emb.time} steps",),
-                counterexample=tuple(x),
+                counterexample=chunk[lane],
                 seed=used_seed,
             )
+        checked += b
     return VerificationReport(True, mode, checked, seed=used_seed)
 
 

@@ -7,6 +7,8 @@ go through that code themselves.
 
 from __future__ import annotations
 
+from hypothesis import strategies as st
+
 from artifact.core import Network, Rule, make_network
 
 
@@ -41,6 +43,20 @@ def random_network(rng, n: int, q: int, max_deg: int = 3) -> Network:
         k = rng.randint(0, min(max_deg, n))
         deps = tuple(rng.sample(range(n), k))
         table = tuple(rng.randrange(q) for _ in range(q**k))
+        rules.append((deps, table))
+    return make_network(q, rules)
+
+
+@st.composite
+def small_networks(draw, min_q=2, max_n=4, max_deg=2):
+    """Hypothesis strategy: small networks of alphabet min_q..3."""
+    q = draw(st.integers(min_q, 3))
+    n = draw(st.integers(1, max_n))
+    rules = []
+    for _ in range(n):
+        k = draw(st.integers(0, min(max_deg, n)))
+        deps = tuple(draw(st.permutations(range(n)))[:k])
+        table = tuple(draw(st.integers(0, q - 1)) for _ in range(q**k))
         rules.append((deps, table))
     return make_network(q, rules)
 

@@ -1,9 +1,14 @@
 """Command-line surface: reports, exit codes, file plumbing."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import artifact
 from artifact import docs, gol
 from artifact.cli import run
 from artifact.core import make_network, network_to_json
@@ -175,6 +180,12 @@ def certificate_with_context(context):
     return doc
 
 
+def edited_certificate(edit):
+    doc = bundled_certificate()
+    edit(doc)
+    return doc
+
+
 def nor_pair_doc(**changes):
     b = GNetworkBuilder(2)
     g0, o0 = b.new_gate(NOR_2_2)
@@ -194,7 +205,8 @@ def rot3_embedding(**changes):
 
 
 # case -> (arguments with DOC where the document's path goes, document).
-# Each of these documents once escaped its parser as a built-in exception.
+# Each of these documents once escaped its parser or checker as a built-in
+# exception, or was judged with exit code 0 or 1 on a non-integer state.
 DOC = object()
 MALFORMED = {
     "certificate context key": (
@@ -202,6 +214,28 @@ MALFORMED = {
     ),
     "certificate context list": (["verify-cert", DOC], lambda: certificate_with_context([])),
     "certificate time string": (["verify-cert", DOC], lambda: bundled_certificate(time="6")),
+    "certificate context state string": (
+        ["verify-cert", DOC],
+        lambda: edited_certificate(lambda d: d["gates"][0]["context"].update({"10": "1"})),
+    ),
+    "certificate context state float": (
+        ["verify-cert", DOC],
+        lambda: edited_certificate(lambda d: d["gates"][0]["context"].update({"10": 1.0})),
+    ),
+    "certificate context state float zero": (
+        ["verify-cert", DOC],
+        lambda: edited_certificate(lambda d: d["gates"][0]["context"].update({"10": 0.0})),
+    ),
+    "certificate state pattern string": (
+        ["verify-cert", DOC],
+        lambda: edited_certificate(lambda d: d["state_configs"][1].update({"drive0": "1"})),
+    ),
+    "certificate run state string": (
+        ["verify-cert", DOC],
+        lambda: edited_certificate(
+            lambda d: d["gates"][0]["pseudo_orbits"][0]["orbit"]["configs"][0].__setitem__(0, "1")
+        ),
+    ),
     "instance config scalar": (["oracle", "b-pred", DOC], lambda: rot3_instance(x=5)),
     "instance time string": (["oracle", "b-pred", DOC], lambda: rot3_instance(t="9")),
     "instance time float": (
@@ -377,3 +411,32 @@ def test_construct_gt_transient(capsys):
     doc = out_json(capsys)
     assert doc["gnetwork"]["format"] == "gnetwork"
     assert len(doc["start"]) == len(doc["net"]["nodes"])
+
+
+NO_NUMPY = """
+import sys
+from artifact import cli, core
+assert cli.run(["verify-sim", *sys.argv[1:]]) == 0
+assert cli.run(["gol", "demo"]) == 0
+core.attractors(core.make_network(2, [((1,), (0, 1)), ((0, 1), (0, 1, 1, 0))]))
+print("numpy" in sys.modules)
+"""
+
+
+def test_batch_paths_never_import_numpy(tmp_path, rot3_file):
+    # The lane kernels use the standard library only: importing numpy in a
+    # benchmark job raised its peak RSS from 38.8 to 50.6 MB (+30 %), and
+    # the import alone costs about 0.12 s.
+    emb = write_json(tmp_path, "emb.json", identity_embedding_doc(rotation(3)))
+    src = str(Path(artifact.__file__).parents[1])
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY, rot3_file, rot3_file, emb],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"

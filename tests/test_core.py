@@ -1,6 +1,7 @@
 """Core dynamics: stepping, orbit analysis, attractors, serialization."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,14 @@ from artifact.core import (
     to_dot,
     trace,
 )
-from conftest import and_funnel, constant_net, rotation, xor_ring
+from conftest import (
+    and_funnel,
+    constant_net,
+    random_network,
+    rotation,
+    small_networks,
+    xor_ring,
+)
 
 
 def brute_step_xor_ring(x):
@@ -227,16 +235,8 @@ def test_dot_export():
 
 @st.composite
 def small_net_and_config(draw):
-    q = draw(st.integers(2, 3))
-    n = draw(st.integers(1, 4))
-    rules = []
-    for _ in range(n):
-        k = draw(st.integers(0, min(2, n)))
-        deps = tuple(draw(st.permutations(range(n)))[:k])
-        table = tuple(draw(st.integers(0, q - 1)) for _ in range(q**k))
-        rules.append((deps, table))
-    net = make_network(q, rules)
-    x = tuple(draw(st.integers(0, q - 1)) for _ in range(n))
+    net = draw(small_networks())
+    x = tuple(draw(st.integers(0, net.alphabet - 1)) for _ in range(net.n))
     return net, x
 
 
@@ -257,6 +257,43 @@ def test_analyze_orbit_properties(net_x):
     assert res.cycle[0] == at_tau
 
 
-def test_orbit_graph_jobs_consistent():
-    net = xor_ring(4)
-    assert orbit_graph(net, jobs=1).succ == orbit_graph(net).succ
+@st.composite
+def batch_case(draw):
+    """A network, empty dependency lists included, and b configurations."""
+    net = draw(small_networks(min_q=1, max_n=5, max_deg=3))
+    b = draw(st.integers(1, 20))
+    state = st.integers(0, net.alphabet - 1)
+    return net, [tuple(draw(state) for _ in range(net.n)) for _ in range(b)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(batch_case())
+def test_step_batch_matches_step_per_lane(case):
+    net, configs = case
+    b = len(configs)
+    xs = [core.pack_lanes(x[v] for x in configs) for v in range(net.n)]
+    ys = [core.unpack_lanes(y, b) for y in core.step_batch(net, xs, b)]
+    for i, x in enumerate(configs):
+        assert tuple(y[i] for y in ys) == step(net, x)
+
+
+def reference_succ(net):
+    q, n = net.alphabet, net.n
+    return [config_index(step(net, index_config(i, q, n)), q) for i in range(q**n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_networks(min_q=1))
+def test_orbit_graph_matches_step(net):
+    assert list(orbit_graph(net).succ) == reference_succ(net)
+
+
+def test_orbit_graph_crosses_chunks():
+    net = random_network(random.Random(3), 10, 3)  # 3^10 states, 3^8 per chunk
+    assert 3**10 > core.ORBIT_CHUNK
+    assert list(orbit_graph(net).succ) == reference_succ(net)
+
+
+def test_orbit_graph_refuses_states_past_a_lane():
+    with pytest.raises(BudgetExceededError, match="32-bit lane"):
+        orbit_graph(xor_ring(32), max_states=2**40)

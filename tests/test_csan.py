@@ -268,9 +268,11 @@ def test_interaction_self_dependency():
 
 
 @st.composite
-def random_csans(draw):
-    n = draw(st.integers(2, 4))
-    q = draw(st.sampled_from([2, 3]))
+def random_csans(draw, alphabets=(2, 3), max_n=4):
+    """Random CSANs; each edge label is any map on the alphabet, so binary
+    ones are labelled id, negation, const-0 or const-1."""
+    n = draw(st.integers(2, max_n))
+    q = draw(st.sampled_from(alphabets))
     pairs = list(combinations(range(n), 2))
     picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     edges = [p for p, keep in zip(pairs, picks) if keep]
@@ -299,6 +301,14 @@ def test_interaction_graph_matches_bruteforce(c):
     assert interaction_graph_csan(c) == interaction_graph_bruteforce(
         csan_to_network(c)
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_csans(alphabets=(2,), max_n=7))
+def test_binary_conversion_matches_csan_step(c):
+    net = csan_to_network(c)
+    for x in all_configs(2, c.n):
+        assert step(net, x) == csan_step(c, x)
 
 
 # ---------------------------------------------------------------------------

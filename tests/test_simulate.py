@@ -1,13 +1,17 @@
 """Block embeddings and simulation verification."""
 
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from artifact.core import make_network
+from artifact.core import iterate, make_network, step
 from artifact.simulate import (
     BlockEmbedding,
     InvalidEmbeddingError,
+    VerificationReport,
     embed,
     embedding_from_json,
     embedding_to_json,
@@ -15,7 +19,7 @@ from artifact.simulate import (
     verify_orbit_embedding,
     verify_simulation,
 )
-from conftest import rotation, xor_ring
+from conftest import rotation, small_networks, xor_ring
 
 
 def doubled_rotation_host(n):
@@ -66,6 +70,105 @@ def test_verify_simulation_sample_mode_records_seed():
     assert rep.seed == 1234
     rep2 = verify_simulation(src, host, emb, mode="sample", samples=10)
     assert rep2.seed is not None
+
+
+def reference_verify_simulation(source, host, emb, mode="exhaustive", samples=1000, seed=None):
+    """verify_simulation one configuration at a time, with the scalar stepper."""
+    emb.validate(source, host)
+    if mode == "exhaustive":
+        configs = itertools.product(range(source.alphabet), repeat=source.n)
+        used_seed = None
+    else:
+        used_seed = seed
+        rng = random.Random(used_seed)
+        configs = (
+            tuple(rng.randrange(source.alphabet) for _ in range(source.n))
+            for _ in range(samples)
+        )
+    checked = 0
+    for x in configs:
+        want = embed(emb, host.n, step(source, x))
+        got = iterate(host, embed(emb, host.n, x), emb.time)
+        checked += 1
+        if want != got:
+            bad = [u for u in range(host.n) if want[u] != got[u]]
+            return VerificationReport(
+                False,
+                mode,
+                checked,
+                failures=(f"host nodes {bad} differ after {emb.time} steps",),
+                counterexample=tuple(x),
+                seed=used_seed,
+            )
+    return VerificationReport(True, mode, checked, seed=used_seed)
+
+
+def copy_host(source, corrupt=None):
+    """Host holding each source node twice (nodes 2v, 2v+1), time 1.
+
+    corrupt=(u, row) flips host node u's table entry at row.
+    """
+    q = source.alphabet
+    rules = []
+    for rule in source.rules:
+        deps = tuple(2 * d for d in rule.deps)
+        rules += [(deps, list(rule.table)), (deps, list(rule.table))]
+    if corrupt is not None:
+        u, row = corrupt
+        table = rules[u][1]
+        table[row % len(table)] = (table[row % len(table)] + 1) % q
+    blocks = tuple((2 * v, 2 * v + 1) for v in range(source.n))
+    patterns = tuple(tuple((s, s) for s in range(q)) for _ in range(source.n))
+    return make_network(q, rules), BlockEmbedding(1, blocks, patterns)
+
+
+@st.composite
+def simulation_case(draw):
+    source = draw(small_networks())
+    n = source.n
+    corrupt = draw(st.sampled_from(["none", "host", "time", "patterns"]))
+    host, emb = copy_host(
+        source,
+        (draw(st.integers(0, 2 * n - 1)), draw(st.integers(0, 8))) if corrupt == "host" else None,
+    )
+    if corrupt == "time":
+        emb = BlockEmbedding(draw(st.integers(2, 3)), emb.blocks, emb.patterns)
+    elif corrupt == "patterns":
+        v = draw(st.integers(0, n - 1))
+        pats = list(emb.patterns[v])
+        pats[0], pats[-1] = pats[-1], pats[0]
+        emb = BlockEmbedding(1, emb.blocks, emb.patterns[:v] + (tuple(pats),) + emb.patterns[v + 1 :])
+    return source, host, emb
+
+
+@settings(max_examples=80, deadline=None)
+@given(simulation_case(), st.integers(0, 60), st.integers(0, 2**32))
+def test_verify_simulation_matches_reference(case, samples, seed):
+    source, host, emb = case
+    assert verify_simulation(source, host, emb) == reference_verify_simulation(source, host, emb)
+    assert verify_simulation(
+        source, host, emb, mode="sample", samples=samples, seed=seed
+    ) == reference_verify_simulation(source, host, emb, mode="sample", samples=samples, seed=seed)
+
+
+def test_verify_simulation_reports_first_failure_past_a_chunk():
+    # Host node 2 (a copy of node 1 = XOR of nodes 0 and 2) goes wrong only
+    # when x0 = x2 = 1, which product order first reaches at 1024 + 256.
+    source = xor_ring(11)
+    host, emb = copy_host(source, corrupt=(2, 3))
+    rep = verify_simulation(source, host, emb)
+    assert rep == reference_verify_simulation(source, host, emb)
+    assert not rep.ok and rep.checked == 1281
+    assert rep.failures == ("host nodes [2] differ after 1 steps",)
+    for seed in range(3):
+        sampled = verify_simulation(source, host, emb, mode="sample", samples=3000, seed=seed)
+        assert sampled == reference_verify_simulation(
+            source, host, emb, mode="sample", samples=3000, seed=seed
+        )
+    good_host, emb = copy_host(source)
+    assert verify_simulation(source, good_host, emb) == reference_verify_simulation(
+        source, good_host, emb
+    )
 
 
 def test_embedding_validation():
