@@ -11,6 +11,7 @@ is exceeded. DOT output of a produced network goes through --dot;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -440,9 +441,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves the parser unchanged, so one serves every call.
+_parser = functools.cache(build_parser)
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if hasattr(args, "max_states") and args.max_states is None:
             args.max_states = _default_max_states()

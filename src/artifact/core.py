@@ -7,6 +7,17 @@ update; the global map applies all local updates synchronously.
 Table layout is row-major with the FIRST dependency varying fastest:
 the entry for values (a_0, ..., a_{k-1}) on deps (d_0, ..., d_{k-1})
 sits at index a_0 + a_1*q + a_2*q^2 + ...
+
+Three steppers share that layout. `step` is the executable
+specification: a plain loop over the rules, which `iterate`, `trace`
+and every differential test use. `step_batch` steps many
+configurations at once in packed lanes, for exhaustive sweeps over
+wide hosts. `compile_step` generates, once per network, one expression
+per node, for the orbit walker's thousands of sequential steps on
+narrow networks. `iterate` stays on the specification because its
+callers step a few times, which would not repay a compilation, and
+because independent checks (the benchmark's reference answers among
+them) step with it.
 """
 
 from __future__ import annotations
@@ -14,8 +25,9 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Iterable, Sequence
+from itertools import chain
+from operator import index, itemgetter
+from typing import Callable, Iterable, Sequence
 
 from . import docs
 from .docs import ArtifactError  # the root error lives with the document layer
@@ -23,6 +35,9 @@ from .docs import ArtifactError  # the root error lives with the document layer
 DEFAULT_MAX_STATES = 2**22
 # States per orbit_graph batch: 64 KB of lanes per node.
 ORBIT_CHUNK = 2**14
+# Nodes per generated function of compile_step: one function for a
+# host of hundreds of nodes costs megabytes while it compiles.
+STEP_CHUNK = 64
 
 # Lane packing: a batch of b configurations is one int per node, whose
 # 32-bit lane i holds that node's state in configuration i.
@@ -120,6 +135,34 @@ def step(net: Network, x: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def compile_step(net: Network) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """`step` as generated code: node v is the expression t{v}[x[d_0] + x[d_1]*q + ...].
+
+    Only node numbers, `index(d)` and q**j reach the source, so no text
+    of a document is ever evaluated. Each chunk of STEP_CHUNK nodes is
+    its own lambda, whose globals hold that chunk's tables and no
+    builtins; an evaluated lambda is not stored in its namespace, so no
+    reference cycle keeps the tables alive after the stepper is dropped.
+    """
+    q = index(net.alphabet)
+    parts = []
+    for lo in range(0, max(net.n, 1), STEP_CHUNK):  # n = 0 still gets `lambda x: ()`
+        tables: dict = {"__builtins__": {}}
+        exprs = []
+        for v in range(lo, min(lo + STEP_CHUNK, net.n)):
+            rule = net.rules[v]
+            tables[f"t{v}"] = rule.table
+            terms = [
+                f"x[{index(d)}]" + (f" * {q**j}" if j else "") for j, d in enumerate(rule.deps)
+            ]
+            at = " + ".join(terms) if len(rule.table) > 1 else "0"
+            exprs.append(f"t{v}[{at}], ")
+        parts.append(eval(f"lambda x: ({''.join(exprs)})", tables))
+    if len(parts) == 1:
+        return parts[0]
+    return lambda x: tuple(chain.from_iterable([f(x) for f in parts]))
+
+
 def pack_lanes(states: Iterable[int]) -> int:
     """One packed int whose lane i holds the i-th state (each below 2^32)."""
     return int.from_bytes(array("I", states).tobytes(), sys.byteorder)
@@ -186,22 +229,25 @@ def walk_orbit(
 ) -> tuple[list[tuple[int, ...]], int, int]:
     """Orbit of x up to its first repeat: (configs, transient, period).
 
-    Raises BudgetExceededError once `budget` configurations have been
-    visited without closing the cycle.
+    Steps with `compile_step(net)`, whose compilation a walk of thousands
+    of steps repays many times; tests hold it to `step`, the
+    specification. `seen` maps each configuration to its time and keeps
+    insertion order, so it is also the path. Raises
+    BudgetExceededError once `budget` configurations have been visited
+    without closing the cycle.
     """
+    f = compile_step(net)
     seen: dict[tuple[int, ...], int] = {}
-    path: list[tuple[int, ...]] = []
     cur = tuple(x)
-    while cur not in seen:
-        if len(path) >= budget:
+    i = 0
+    while (tau := seen.setdefault(cur, i)) == i:
+        if i >= budget:
             raise BudgetExceededError(
                 f"orbit of length > {budget} (budget exceeded, no cycle found)"
             )
-        seen[cur] = len(path)
-        path.append(cur)
-        cur = step(net, cur)
-    tau = seen[cur]
-    return path, tau, len(path) - tau
+        i += 1
+        cur = f(cur)
+    return list(seen), tau, i - tau
 
 
 def analyze_orbit(net: Network, x: Sequence[int], budget: int = DEFAULT_MAX_STATES) -> OrbitAnalysis:

@@ -21,6 +21,7 @@ from .core import (
     ArtifactError,
     InvalidConfigError,
     Network,
+    Rule,
     check_config,
     index_config,
     make_network,
@@ -535,7 +536,12 @@ def _binary_rows(
 
 
 def csan_to_network(c: Csan) -> Network:
-    """Tabulate every node over its closed neighborhood; same global map."""
+    """Tabulate every node over its closed neighborhood; same global map.
+
+    The tables are valid by construction from a validated CSAN (distinct
+    sorted deps, q^|deps| rows, states from lam), so they are not
+    validated again.
+    """
     inc = c.incidence
     q = c.alphabet
     rules = []
@@ -552,8 +558,8 @@ def csan_to_network(c: Csan) -> Network:
                 for u, rho in inc[v]:
                     counts[rho[combo[pos[u]]]] += 1
                 table.append(c.lam[v][(combo[pos[v]], tuple(counts))])
-        rules.append((deps, table))
-    return make_network(q, rules)
+        rules.append(Rule(deps, tuple(table)))
+    return Network(q, tuple(rules))
 
 
 def _achievable_counts(

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import artifact
-from artifact import docs, gol
+from artifact import cli, core, docs, gol
 from artifact.cli import run
 from artifact.core import make_network, network_to_json
 from artifact.csan import csan_to_json
@@ -440,3 +440,64 @@ def test_batch_paths_never_import_numpy(tmp_path, rot3_file):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "False"
+
+
+def test_compile_step_serves_the_orbit_walker_only(tmp_path, rot3_file, monkeypatch, capsys):
+    # Compiling the 792-node host of a 12-gate ring costs about 45 ms, a
+    # loss on paths that step a host a few times or in lane batches.
+    compiled = []
+    original = core.compile_step
+
+    def counted(net):
+        compiled.append(net.n)
+        return original(net)
+
+    monkeypatch.setattr(core, "compile_step", counted)
+    pair = write_json(tmp_path, "pair.json", nor_pair_doc())
+    out = tmp_path / "compiled.json"
+    assert run(["compile", pair, "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    host = write_json(tmp_path, "host.json", doc["csan"])
+    emb = write_json(tmp_path, "emb.json", doc["embedding"])
+    assert run(["verify-sim", pair, host, emb]) == 0
+    assert run(["gol", "demo"]) == 0
+    assert compiled == []
+    assert run(["analyze", rot3_file, "--config", "[1,0,0]"]) == 0
+    assert compiled == [3]
+    capsys.readouterr()
+
+
+def test_run_reuses_one_parser(tmp_path, rot3_file, monkeypatch, capsys):
+    reach = write_json(
+        tmp_path,
+        "reach.json",
+        instance_to_json(make_reach_instance(rotation(3), (1, 0, 0), (0, 1, 0))),
+    )
+    calls = [
+        ["analyze", rot3_file, "--config", "[1,0,0]", "--max-states", "2"],
+        ["analyze", rot3_file, "--config", "[1,0,0]"],
+        ["oracle", "reach", reach, "--pretty"],
+        ["oracle", "no-such-problem", reach],  # argparse error
+        ["simulate", rot3_file, "--config", "[1,0,0]", "-t", "2", "--trace"],
+        ["oracle", "reach", reach],
+        ["simulate", rot3_file, "-t", "1"],  # no configuration
+        ["analyze", rot3_file, "--config", "[0,1,1]"],
+    ]
+
+    def outcomes():
+        got = []
+        for argv in calls:
+            try:
+                code = run(argv)
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+            captured = capsys.readouterr()
+            got.append((code, captured.out, captured.err))
+        return got
+
+    cli._parser.cache_clear()
+    shared = outcomes()
+    assert cli._parser.cache_info().misses == 1
+    assert [code for code, _, _ in shared] == [3, 0, 0, ("SystemExit", 2), 0, 0, 2, 0]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert outcomes() == shared

@@ -1,7 +1,9 @@
 """Core dynamics: stepping, orbit analysis, attractors, serialization."""
 
+import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -297,3 +299,110 @@ def test_orbit_graph_crosses_chunks():
 def test_orbit_graph_refuses_states_past_a_lane():
     with pytest.raises(BudgetExceededError, match="32-bit lane"):
         orbit_graph(xor_ring(32), max_states=2**40)
+
+
+# ---------------------------------------------------------------------------
+# The generated stepper and the walker that uses it
+
+
+@st.composite
+def compiled_case(draw):
+    """A network over q in {1, 2, 3}, empty, small or past one chunk of
+    compile_step, with empty dependency lists and one-entry tables, and
+    a few configurations."""
+    q = draw(st.integers(1, 3))
+    chunk = core.STEP_CHUNK
+    n = draw(st.one_of(st.integers(0, 6), st.integers(chunk - 1, chunk + 2)))
+    rules = []
+    for _ in range(n):
+        deps = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=min(3, n)))
+        size = q ** len(deps)
+        table = draw(st.lists(st.integers(0, q - 1), min_size=size, max_size=size))
+        rules.append((deps, table))
+    net = make_network(q, rules)
+    config = st.tuples(*[st.integers(0, q - 1)] * n)
+    return net, draw(st.lists(config, min_size=1, max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(compiled_case())
+def test_compile_step_matches_step(case):
+    net, configs = case
+    stepper = core.compile_step(net)
+    for x in configs:
+        assert stepper(x) == step(net, x)
+
+
+def test_compile_step_joins_chunks():
+    net = random_network(random.Random(5), 2 * core.STEP_CHUNK + 1, 2)
+    x = tuple(random.Random(6).randrange(2) for _ in range(net.n))
+    assert core.compile_step(net)(x) == step(net, x)
+
+
+def reference_walk_orbit(net, x, budget=core.DEFAULT_MAX_STATES):
+    """The dict-and-list walker over `step` that `walk_orbit` replaced."""
+    seen = {}
+    path = []
+    cur = tuple(x)
+    while cur not in seen:
+        if len(path) >= budget:
+            raise BudgetExceededError(
+                f"orbit of length > {budget} (budget exceeded, no cycle found)"
+            )
+        seen[cur] = len(path)
+        path.append(cur)
+        cur = step(net, cur)
+    tau = seen[cur]
+    return path, tau, len(path) - tau
+
+
+def walk_outcome(walker, net, x, budget):
+    try:
+        return walker(net, x, budget)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_networks(min_q=1, max_n=6, max_deg=3), st.data())
+def test_walk_orbit_matches_reference(net, data):
+    x = data.draw(st.tuples(*[st.integers(0, net.alphabet - 1)] * net.n))
+    want = reference_walk_orbit(net, x)
+    assert core.walk_orbit(net, x) == want
+    length = len(want[0])
+    extra = data.draw(st.integers(0, length + 1))
+    for budget in {0, 1, length - 1, length, length + 1, extra}:
+        got = walk_outcome(core.walk_orbit, net, x, budget)
+        assert got == walk_outcome(reference_walk_orbit, net, x, budget)
+        assert isinstance(got, str) == (budget < length)
+
+
+def test_dropped_stepper_leaves_no_cycle():
+    net = random_network(random.Random(7), 2 * core.STEP_CHUNK + 1, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        stepper = core.compile_step(net)
+        stepper((0,) * net.n)
+        del stepper
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_compile_step_on_a_wide_host_stays_small():
+    from artifact import csan, gol
+    from test_compile import nor_ring
+
+    host, _ = gol.compile_to_gol(nor_ring(12))
+    net = csan.csan_to_network(host)
+    assert net.n == 792
+    tracemalloc.start()
+    try:
+        stepper = core.compile_step(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+    x = tuple(random.Random(8).randrange(2) for _ in range(net.n))
+    assert stepper(x) == step(net, x)

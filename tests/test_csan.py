@@ -307,7 +307,17 @@ def test_interaction_graph_matches_bruteforce(c):
 @given(random_csans(alphabets=(2,), max_n=7))
 def test_binary_conversion_matches_csan_step(c):
     net = csan_to_network(c)
+    net.validate()
     for x in all_configs(2, c.n):
+        assert step(net, x) == csan_step(c, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_csans(alphabets=(1, 3), max_n=4))
+def test_general_conversion_matches_csan_step(c):
+    net = csan_to_network(c)
+    net.validate()
+    for x in all_configs(c.alphabet, c.n):
         assert step(net, x) == csan_step(c, x)
 
 
