@@ -361,10 +361,23 @@ def _add_config(p) -> None:
     p.add_argument("--config-file", help="file holding the configuration array")
 
 
+class UsageError(ArtifactError):
+    """The command line does not parse."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises UsageError instead of exiting.
+
+    Subparsers are made of the same class, so a usage error anywhere in
+    the command line reaches `run`, which returns exit code 2.
+    """
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="artifact", description="Automata-network toolbox"
-    )
+    parser = _Parser(prog="artifact", description="Automata-network toolbox")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="advance a configuration t steps")
@@ -446,7 +459,11 @@ _parser = functools.cache(build_parser)
 
 
 def run(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except UsageError as exc:
+        _emit(argparse.Namespace(output=None, pretty=False), {"error": str(exc)})
+        return 2
     try:
         if hasattr(args, "max_states") and args.max_states is None:
             args.max_states = _default_max_states()

@@ -18,6 +18,16 @@ narrow networks. `iterate` stays on the specification because its
 callers step a few times, which would not repay a compilation, and
 because independent checks (the benchmark's reference answers among
 them) step with it.
+
+`step_batch` reads a table for all lanes at once in one of two ways.
+A table of at most 256 entries on an alphabet of at most 256 is read
+with `bytes.translate`: every lane index fits the low byte of its
+32-bit lane, so translating the packed bytes through the table padded
+to 256 bytes, then masking each lane to its low byte, reads every lane
+in a few C-level passes and makes no per-lane Python objects. 256 is
+the limit because a byte holds the index and the state. A larger
+table, or a larger alphabet, is read with `operator.itemgetter` over
+the unpacked lanes.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from operator import index, itemgetter
 from typing import Callable, Iterable, Sequence
@@ -44,6 +55,8 @@ STEP_CHUNK = 64
 LANE_BITS = 32
 LANE_BYTES = LANE_BITS // 8
 LANE_LIMIT = 1 << LANE_BITS
+# Tables and alphabets up to this size are read with bytes.translate.
+BYTE_TABLE = 256
 if array("I").itemsize != LANE_BYTES:
     raise ImportError("lane packing needs a 4-byte array('I') item")
 
@@ -82,6 +95,14 @@ class Network:
     @property
     def n(self) -> int:
         return len(self.rules)
+
+    @cached_property
+    def byte_tables(self) -> tuple[bytes | None, ...]:
+        """Per rule, its translation table for `gather_lanes`, built on first use.
+
+        Not a field, so it takes no part in equality, hashing or documents.
+        """
+        return tuple(byte_table(r.table, self.alphabet) for r in self.rules)
 
     def validate(self) -> None:
         q = self.alphabet
@@ -173,29 +194,57 @@ def unpack_lanes(x: int, b: int) -> array:
     return array("I", x.to_bytes(LANE_BYTES * b, sys.byteorder))
 
 
-def gather_lanes(table: Sequence[int], lanes: Sequence[int]) -> int:
-    """pack_lanes(table[i] for i in lanes), gathered at C speed."""
+def byte_table(table: Sequence[int], alphabet: int) -> bytes | None:
+    """table padded to 256 bytes for `bytes.translate`, or None if it does not fit.
+
+    It fits when it has at most BYTE_TABLE entries and its states come
+    from an alphabet of at most BYTE_TABLE.
+    """
+    if len(table) > BYTE_TABLE or alphabet > BYTE_TABLE:
+        return None
+    return bytes(table).ljust(BYTE_TABLE, b"\0")
+
+
+def low_bytes(b: int) -> int:
+    """The mask that keeps the low byte of each of b lanes."""
+    return int.from_bytes(b"\xff\0\0\0" * b, "little")
+
+
+def gather_lanes(table: Sequence[int], idx: int, b: int, tr: bytes | None, low: int) -> int:
+    """pack_lanes(table[i] for i in unpack_lanes(idx, b)), at C speed.
+
+    tr is byte_table(table, ...) and low is low_bytes(b). With a
+    translation table each byte of the packed indices is translated
+    and the mask keeps each lane's low byte, which held its index;
+    the mask, not the byte order, picks that byte. Without one the
+    lanes are unpacked and read with itemgetter.
+    """
+    if tr is not None:
+        return int.from_bytes(idx.to_bytes(LANE_BYTES * b, "little").translate(tr), "little") & low
+    lanes = unpack_lanes(idx, b)
     got = itemgetter(*lanes)(table)
-    return pack_lanes(got if len(lanes) > 1 else (got,))
+    return pack_lanes(got if b > 1 else (got,))
 
 
 def step_batch(net: Network, xs: Sequence[int], b: int) -> list[int]:
-    """`step` on b configurations at once, in the lane packing.
+    """`step` on b >= 1 configurations at once, in the lane packing.
 
     xs[v] packs node v's state in each configuration. The table index
     sum a_0 + a_1*q + ... is formed for all lanes with a few big-int
     operations; no lane carries into the next, since an index stays
-    below q^deg = len(table) < 2^32.
+    below q^deg = len(table) < 2^32. The table is then read for every
+    lane by `gather_lanes`.
     """
     q = net.alphabet
+    low = low_bytes(b)
     out = []
-    for rule in net.rules:
+    for rule, tr in zip(net.rules, net.byte_tables):
         idx = 0
         m = 1
         for d in rule.deps:
             idx += xs[d] * m
             m *= q
-        out.append(gather_lanes(rule.table, unpack_lanes(idx, b)))
+        out.append(gather_lanes(rule.table, idx, b, tr, low))
     return out
 
 

@@ -42,10 +42,12 @@ from .glue import (
     Dowel,
     GluedIndex,
     PseudoOrbit,
+    PseudoOrbitReport,
     assemble_csan,
     assemble_network,
     check_dowel_structure,
-    check_pseudo_orbit,
+    check_pseudo_orbit_shape,
+    check_pseudo_orbits,
     csan_glue,
     glue_networks,
     glued_numbering,
@@ -499,8 +501,39 @@ def _copy_trace_matches(
     return None
 
 
+def _run_failures(
+    cell: str,
+    po: PseudoOrbit,
+    sub: PseudoOrbitReport,
+    copies: Sequence[tuple[str, Mapping[str, int], Sequence[Mapping[str, int]]]],
+    ctx: Mapping[int, int],
+    time: int,
+) -> list[str]:
+    """A well-shaped cell's failures: its run, then each copy's trace, then its context."""
+    failures = []
+    if not sub.ok:
+        t, v, want, got = sub.failures[0]
+        failures.append(
+            f"{cell}: not a valid exempted run (t={t}, node {v}, want {want}, got {got})"
+        )
+    for which, copy, trace in copies:
+        t = _copy_trace_matches(po, copy, trace)
+        if t is not None:
+            failures.append(f"{cell}: {which} strays from the standard trace at t={t}")
+    for t in (0, time):
+        if any(po.configs[t][v] != s for v, s in ctx.items()):
+            failures.append(f"{cell}: context nodes differ from the recorded context at t={t}")
+    return failures
+
+
 def verify_certificate(cert: CoherentCertificate) -> CertificateReport:
-    """Replay every recorded run against every coherence clause."""
+    """Replay every recorded run against every coherence clause.
+
+    A gate's cells are checked in order; the runs of the cells that pass
+    the exempt, length, integer and shape checks are stepped together in
+    one `check_pseudo_orbits` batch, and each cell's failures keep their
+    place in the report.
+    """
     failures: list[str] = []
     checked = 0
     iface = cert.interface
@@ -594,6 +627,9 @@ def verify_certificate(cert: CoherentCertificate) -> CertificateReport:
             continue
         protected = exempt_nodes(gd)
         table = cert.pseudo_orbits.get(gate, {})
+        traces = cert.standard_traces
+        # Per cell in order: its failures, or its run waiting for the batch.
+        cells: list = []
         for q_i in product(range(nq), repeat=gate.n_in):
             q_op = gate.apply(q_i)
             for q_ip in product(range(nq), repeat=gate.n_in):
@@ -602,54 +638,42 @@ def verify_certificate(cert: CoherentCertificate) -> CertificateReport:
                     cell = f"{prefix} cell {q_i}->{q_ip}|{q_o}"
                     po = table.get((q_i, q_ip, q_o))
                     if po is None:
-                        failures.append(
-                            f"{prefix}: missing pseudo-orbit for inputs"
-                            f" {q_i}->{q_ip} outputs {q_o}"
+                        cells.append(
+                            [
+                                f"{prefix}: missing pseudo-orbit for inputs"
+                                f" {q_i}->{q_ip} outputs {q_o}"
+                            ]
                         )
                         continue
                     if po.exempt != protected:
-                        failures.append(
-                            f"{cell}: exempt set differs from the protected"
-                            " interface nodes"
+                        cells.append(
+                            [f"{cell}: exempt set differs from the protected interface nodes"]
                         )
                         continue
                     if len(po.configs) != cert.time + 1:
-                        failures.append(f"{cell}: run length differs from the time constant")
+                        cells.append([f"{cell}: run length differs from the time constant"])
                         continue
                     docs.integers(InvalidGadgetError, f"{cell} run", *po.configs)
                     try:
-                        sub = check_pseudo_orbit(gd.net, po)
+                        check_pseudo_orbit_shape(gd.net, po)
                     except ArtifactError as exc:
-                        failures.append(f"{cell}: {exc}")
+                        cells.append([f"{cell}: {exc}"])
                         continue
-                    if not sub.ok:
-                        t, v, want, got = sub.failures[0]
-                        failures.append(
-                            f"{cell}: not a valid exempted run"
-                            f" (t={t}, node {v}, want {want}, got {got})"
-                        )
-                    for k, copy in enumerate(gd.in_copies):
-                        tr = cert.standard_traces[(q_i[k], q_ip[k])]
-                        t = _copy_trace_matches(po, copy, tr)
-                        if t is not None:
-                            failures.append(
-                                f"{cell}: input copy {k} strays from the standard"
-                                f" trace at t={t}"
-                            )
-                    for k, copy in enumerate(gd.out_copies):
-                        tr = cert.standard_traces[(q_o[k], q_op[k])]
-                        t = _copy_trace_matches(po, copy, tr)
-                        if t is not None:
-                            failures.append(
-                                f"{cell}: output copy {k} strays from the standard"
-                                f" trace at t={t}"
-                            )
-                    for t in (0, cert.time):
-                        if any(po.configs[t][v] != ctx[v] for v in hat):
-                            failures.append(
-                                f"{cell}: context nodes differ from the recorded"
-                                f" context at t={t}"
-                            )
+                    copies = [
+                        (f"input copy {k}", copy, traces[(q_i[k], q_ip[k])])
+                        for k, copy in enumerate(gd.in_copies)
+                    ] + [
+                        (f"output copy {k}", copy, traces[(q_o[k], q_op[k])])
+                        for k, copy in enumerate(gd.out_copies)
+                    ]
+                    cells.append((cell, po, copies))
+        runs = [c[1] for c in cells if isinstance(c, tuple)]
+        reports = iter(check_pseudo_orbits(gd.net, runs) if runs else ())
+        for c in cells:
+            if isinstance(c, tuple):
+                cell, po, copies = c
+                c = _run_failures(cell, po, next(reports), copies, ctx, cert.time)
+            failures.extend(c)
 
     mirrored = [g.csan is not None for g in cert.gadgets.values()]
     if any(mirrored):

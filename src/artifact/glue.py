@@ -17,11 +17,15 @@ from typing import Iterable, Mapping, Sequence
 
 from . import docs
 from .core import (
+    LANE_LIMIT,
     ArtifactError,
     InvalidConfigError,
     Network,
     make_network,
-    step,
+    pack_lanes,
+    step,  # unused here; perfbench/test_perfbench.py reads artifact.glue.step
+    step_batch,
+    unpack_lanes,
 )
 from .csan import Csan, make_csan
 
@@ -201,24 +205,54 @@ class PseudoOrbitReport:
         )
 
 
-def check_pseudo_orbit(net: Network, p: PseudoOrbit) -> PseudoOrbitReport:
-    """Verify the step relation at every non-exempt node and time."""
+def check_pseudo_orbit_shape(net: Network, p: PseudoOrbit) -> None:
+    """Raise InvalidConfigError unless p's configurations and exempt set fit net.
+
+    States are checked against the alphabet once per distinct value.
+    Runs are stepped in 32-bit lanes, so an alphabet past 2^32 is
+    refused too.
+    """
     if any(len(x) != net.n for x in p.configs):
         raise InvalidConfigError("pseudo-orbit does not match the network size")
-    if any(not 0 <= s < net.alphabet for x in p.configs for s in x):
+    if any(not 0 <= s < net.alphabet for s in set().union(*p.configs)):
         raise InvalidConfigError("pseudo-orbit state outside the alphabet")
     if any(v < 0 or v >= net.n for v in p.exempt):
         raise InvalidConfigError("exempt set outside the node range")
-    failures = []
-    for t in range(len(p.configs) - 1):
-        fx = step(net, p.configs[t])
-        nxt = p.configs[t + 1]
-        for v in range(net.n):
-            if v in p.exempt:
+    if net.alphabet > LANE_LIMIT:
+        raise InvalidConfigError("pseudo-orbit states do not fit a 32-bit lane")
+
+
+def check_pseudo_orbits(net: Network, runs: Sequence[PseudoOrbit]) -> list[PseudoOrbitReport]:
+    """`check_pseudo_orbit` on every run, all their time steps in one `step_batch`.
+
+    Lane i steps the i-th (run, t) pair in run order. A node whose
+    stepped lanes equal the recorded ones costs no more; a differing
+    node is unpacked to find its lanes. Raises InvalidConfigError for
+    the first run whose shape does not fit net.
+    """
+    for p in runs:
+        check_pseudo_orbit_shape(net, p)
+    sources = [x for p in runs for x in p.configs[:-1]]
+    found: list[list[tuple[int, int, int, int]]] = [[] for _ in runs]
+    if sources:
+        b = len(sources)
+        got = step_batch(net, [pack_lanes(col) for col in zip(*sources)], b)
+        want = [pack_lanes(col) for col in zip(*(x for p in runs for x in p.configs[1:]))]
+        owner = [(r, t) for r, p in enumerate(runs) for t in range(p.horizon)]
+        for v, (g, w) in enumerate(zip(got, want)):
+            if g == w:
                 continue
-            if nxt[v] != fx[v]:
-                failures.append((t, v, fx[v], nxt[v]))
-    return PseudoOrbitReport(not failures, tuple(failures))
+            g_lanes, w_lanes = unpack_lanes(g, b), unpack_lanes(w, b)
+            for lane in range(b):
+                r, t = owner[lane]
+                if g_lanes[lane] != w_lanes[lane] and v not in runs[r].exempt:
+                    found[r].append((t, v, g_lanes[lane], w_lanes[lane]))
+    return [PseudoOrbitReport(not f, tuple(sorted(f))) for f in found]
+
+
+def check_pseudo_orbit(net: Network, p: PseudoOrbit) -> PseudoOrbitReport:
+    """Verify the step relation at every non-exempt node and time."""
+    return check_pseudo_orbits(net, [p])[0]
 
 
 def glue_pseudo_orbits(

@@ -22,8 +22,11 @@ from .core import (
     ArtifactError,
     Network,
     analyze_orbit,
+    byte_table,
     check_config,
     gather_lanes,
+    low_bytes,
+    pack_lanes,
     step,
     step_batch,
 )
@@ -156,20 +159,26 @@ def verify_simulation(
     else:
         raise ValueError(f"unknown mode {mode!r}")
     # Host node u carries position k of source node v's block: cols[u] is
-    # (v, the state written on u for each source state).
+    # (v, the state written on u for each source state, its byte table).
+    # Equal entries are shared, so a wide host leaves few tracked objects.
     cols: list = [None] * host.n
+    shared: dict = {}
     for v, block in enumerate(emb.blocks):
         for k, u in enumerate(block):
-            cols[u] = (v, tuple(pat[k] for pat in emb.patterns[v]))
+            col = (v, tuple(pat[k] for pat in emb.patterns[v]))
+            if col not in shared:
+                shared[col] = (*col, byte_table(col[1], host.alphabet))
+            cols[u] = shared[col]
     checked = 0
     while chunk := list(islice(configs, VERIFY_CHUNK)):
         b = len(chunk)
-        xs = list(zip(*chunk))
-        ys = list(zip(*(step(source, x) for x in chunk)))
-        got = [gather_lanes(col, xs[v]) for v, col in cols]
+        low = low_bytes(b)
+        xs = [pack_lanes(s) for s in zip(*chunk)]
+        ys = [pack_lanes(s) for s in zip(*(step(source, x) for x in chunk))]
+        got = [gather_lanes(col, xs[v], b, tr, low) for v, col, tr in cols]
         for _ in range(emb.time):
             got = step_batch(host, got, b)
-        want = [gather_lanes(col, ys[v]) for v, col in cols]
+        want = [gather_lanes(col, ys[v], b, tr, low) for v, col, tr in cols]
         diff = 0
         for w, g in zip(want, got):
             diff |= w ^ g

@@ -467,6 +467,30 @@ def test_compile_step_serves_the_orbit_walker_only(tmp_path, rot3_file, monkeypa
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, says",
+    [
+        (["oracle", "no-such-problem", "x.json"], "invalid choice"),
+        (["analyze", "NET", "--config"], "expected one argument"),
+        (["simulate", "NET", "-t", "two"], "invalid int value"),
+        (["analyze", "NET", "--no-such-flag"], "unrecognized arguments"),
+        (["verify-cert", "a.json", "b.json"], "unrecognized arguments"),
+        ([], "required: command"),
+    ],
+)
+def test_usage_errors_exit_two(argv, says, rot3_file, capsys):
+    argv = [rot3_file if a == "NET" else a for a in argv]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert says in json.loads(captured.out)["error"]
+    assert captured.err == ""
+
+
+def test_negative_config_is_read_as_a_value(rot3_file, capsys):
+    assert run(["analyze", rot3_file, "--config", "-1"]) == 2
+    assert out_json(capsys) == {"error": "configuration must be a JSON array of states"}
+
+
 def test_run_reuses_one_parser(tmp_path, rot3_file, monkeypatch, capsys):
     reach = write_json(
         tmp_path,
@@ -498,6 +522,6 @@ def test_run_reuses_one_parser(tmp_path, rot3_file, monkeypatch, capsys):
     cli._parser.cache_clear()
     shared = outcomes()
     assert cli._parser.cache_info().misses == 1
-    assert [code for code, _, _ in shared] == [3, 0, 0, ("SystemExit", 2), 0, 0, 2, 0]
+    assert [code for code, _, _ in shared] == [3, 0, 0, 2, 0, 0, 2, 0]
     monkeypatch.setattr(cli, "_parser", cli.build_parser)
     assert outcomes() == shared

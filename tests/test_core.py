@@ -268,15 +268,75 @@ def batch_case(draw):
     return net, [tuple(draw(state) for _ in range(net.n)) for _ in range(b)]
 
 
+def batch_step(net, configs):
+    """step_batch on configs, unpacked back to one configuration per lane."""
+    b = len(configs)
+    xs = [core.pack_lanes(x[v] for x in configs) for v in range(net.n)]
+    ys = [core.unpack_lanes(y, b) for y in core.step_batch(net, xs, b)]
+    return [tuple(y[i] for y in ys) for i in range(b)]
+
+
 @settings(max_examples=80, deadline=None)
 @given(batch_case())
 def test_step_batch_matches_step_per_lane(case):
     net, configs = case
-    b = len(configs)
-    xs = [core.pack_lanes(x[v] for x in configs) for v in range(net.n)]
-    ys = [core.unpack_lanes(y, b) for y in core.step_batch(net, xs, b)]
-    for i, x in enumerate(configs):
-        assert tuple(y[i] for y in ys) == step(net, x)
+    assert batch_step(net, configs) == [step(net, x) for x in configs]
+
+
+# (alphabet, dependencies per node): tables of 256 and 512 entries on
+# q = 2, of 243 and 729 on q = 3, either side of the byte gather's limit.
+GATHER_BOUNDARY = ((2, 8), (2, 9), (3, 5), (3, 6))
+
+
+def boundary_network(q, k, n, seed):
+    """n nodes, each reading k of them through a seeded table of q^k entries."""
+    rng = random.Random(seed)
+    return make_network(
+        q, [(rng.sample(range(n), k), [rng.randrange(q) for _ in range(q**k)]) for _ in range(n)]
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(GATHER_BOUNDARY),
+    st.integers(0, 2),
+    st.sampled_from((1, 2, 37)),
+    st.integers(0, 2**32),
+)
+def test_step_batch_matches_step_at_the_gather_boundary(qk, extra, b, seed):
+    q, k = qk
+    net = boundary_network(q, k, k + extra, seed)
+    byte_read = q**k <= core.BYTE_TABLE
+    assert [tr is not None for tr in net.byte_tables] == [byte_read] * net.n
+    rng = random.Random(seed)
+    configs = [tuple(rng.randrange(q) for _ in range(net.n)) for _ in range(b)]
+    assert batch_step(net, configs) == [step(net, x) for x in configs]
+
+
+@pytest.mark.parametrize("b", [1, 2, 37])
+def test_large_alphabet_skips_the_byte_gather(b):
+    # one-entry tables on q = 300, one of them past a byte
+    net = make_network(300, [((), (299,)), ((), (7,)), ((0, 1), tuple(range(300)) * 300)])
+    assert net.byte_tables == (None, None, None)
+    rng = random.Random(b)
+    configs = [tuple(rng.randrange(300) for _ in range(3)) for _ in range(b)]
+    assert batch_step(net, configs) == [step(net, x) for x in configs]
+
+
+@pytest.mark.parametrize("q, k, n", [(2, 8, 15), (2, 9, 15), (3, 5, 9), (3, 6, 9)])
+def test_orbit_graph_crosses_chunks_at_the_gather_boundary(q, k, n):
+    net = boundary_network(q, k, n, seed=q * k)
+    assert q**n > core.ORBIT_CHUNK
+    assert list(orbit_graph(net).succ) == reference_succ(net)
+
+
+def test_byte_tables_are_no_field():
+    net = xor_ring(4)
+    twin = xor_ring(4)
+    assert net.byte_tables[0] == bytes((0, 1, 1, 0)).ljust(256, b"\0")
+    assert net.byte_tables is net.byte_tables
+    assert net == twin and hash(net) == hash(twin)
+    assert network_to_json(net) == network_to_json(twin)
 
 
 def reference_succ(net):

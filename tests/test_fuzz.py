@@ -1,12 +1,12 @@
-"""Fuzz `cli.run` on the orbit walker's commands over mutated documents.
+"""Fuzz `cli.run` over mutated documents.
 
 `analyze` and `oracle b-pred|pred-chg|reach` read a network or an
-instance document and walk an orbit. Whatever the documents hold, the
+instance document and walk an orbit; `verify-cert` reads a certificate
+and replays its recorded runs. Whatever the documents hold, the
 command must end in one of its exit codes (0 yes, 1 no, 2 bad input,
 3 budget exceeded) and never in an uncaught exception.
 """
 
-import copy
 import json
 import tempfile
 from pathlib import Path
@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from artifact import gol
 from artifact.cli import run
 from artifact.core import network_to_json
+from artifact.gadget import certificate_to_json
 from artifact.problems import (
     instance_to_json,
     make_pred_chg_instance,
@@ -61,11 +63,21 @@ def locations(doc, at=()):
 
 
 @st.composite
-def mutated(draw, doc):
-    """doc with one to three values replaced, lists truncated or keys dropped."""
-    doc = copy.deepcopy(doc)
+def mutated(draw, doc, sections=lambda draw: [()]):
+    """doc with one to three values replaced, lists truncated or keys dropped.
+
+    Each edit lands under one of the key paths that `sections` draws.
+    """
+    doc = json.loads(json.dumps(doc))
     for _ in range(draw(st.integers(1, 3))):
-        at = draw(st.sampled_from(list(locations(doc))))
+        root = draw(st.sampled_from(sections(draw)))
+        try:
+            sub = doc
+            for key in root:
+                sub = sub[key]
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier edit removed this section
+        at = draw(st.sampled_from(list(locations(sub, root))))
         if not at:
             doc = draw(ODD_VALUES)
             continue
@@ -111,3 +123,33 @@ def test_mutated_documents_exit_with_a_code(command, data):
     doc = data.draw(mutated(BASE[command]))
     assert run_on(command, doc) in (0, 1, 2, 3)
 
+
+CERT = certificate_to_json(gol.build_certificate())
+
+
+def certificate_sections(draw):
+    """A recorded run, the gate's context, the state patterns, a trace."""
+    runs = len(CERT["gates"][0]["pseudo_orbits"])
+    traces = len(CERT["standard_traces"])
+    return [
+        ("gates", 0, "pseudo_orbits", draw(st.integers(0, runs - 1))),
+        ("gates", 0, "context"),
+        ("state_configs",),
+        ("standard_traces", draw(st.integers(0, traces - 1))),
+    ]
+
+
+def test_unmutated_certificate_verifies(tmp_path):
+    doc_file = tmp_path / "cert.json"
+    doc_file.write_text(json.dumps(CERT))
+    assert run(["verify-cert", str(doc_file), "-o", str(tmp_path / "out.json")]) == 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_mutated_certificates_exit_with_a_code(data):
+    doc = data.draw(mutated(CERT, certificate_sections))
+    with tempfile.TemporaryDirectory() as tmp:
+        doc_file = Path(tmp) / "cert.json"
+        doc_file.write_text(json.dumps(doc))
+        assert run(["verify-cert", str(doc_file), "-o", str(Path(tmp) / "out.json")]) in (0, 1, 2, 3)

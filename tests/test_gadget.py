@@ -1,15 +1,22 @@
 """Interface copies, gadget glueing, certificates, and the gate compiler."""
 
+import dataclasses
+import functools
 from itertools import product
+from typing import Mapping
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from artifact import docs
-from artifact.core import make_network, network_to_json, step, trace
+from artifact import docs, gol
+from artifact.core import ArtifactError, make_network, network_to_json, step, trace
 from artifact.csan import build_lifelike, csan_in_family, csan_to_network, family_spec
 from artifact.gadget import (
+    CertificateReport,
     CoherentCertificate,
     InvalidGadgetError,
+    _copy_trace_matches,
     certificate_from_json,
     certificate_to_json,
     compile_gnetwork,
@@ -27,7 +34,7 @@ from artifact.gadget import (
     make_interface,
     verify_certificate,
 )
-from artifact.glue import make_pseudo_orbit
+from artifact.glue import PseudoOrbit, make_pseudo_orbit
 from artifact.gnet import (
     ID_1_1,
     NOR_2_2,
@@ -37,6 +44,9 @@ from artifact.gnet import (
     gnetwork_to_network,
 )
 from artifact.simulate import embed, verify_simulation
+
+# The oracle below steps each run with the per-configuration loop.
+from test_glue import reference_check_pseudo_orbit as check_pseudo_orbit
 
 IFACE = make_interface(["ci"], ["co"])
 STATES = ({"ci": 0, "co": 0}, {"ci": 0, "co": 1})
@@ -564,3 +574,240 @@ def test_certificate_json_roundtrip(tmp_path):
     assert verify_certificate(certificate_from_json(docs.read(path))).ok
     with pytest.raises(InvalidGadgetError):
         certificate_from_json({"format": "certificate"})
+
+
+# ---------------------------------------------------------------------------
+# The batched certificate check against the cell-by-cell one
+
+
+def reference_verify_certificate(cert: CoherentCertificate) -> CertificateReport:
+    """The cell-by-cell check that `verify_certificate` replaced, kept as its oracle."""
+    failures: list[str] = []
+    checked = 0
+    iface = cert.interface
+    try:
+        iface.validate()
+    except InvalidGadgetError as exc:
+        return CertificateReport(False, 0, (f"interface: {exc}",))
+    names = iface.names
+    nq = cert.source_alphabet
+    if nq < 1:
+        failures.append("certificate encodes no states")
+    if cert.time < 1:
+        failures.append("time constant must be >= 1")
+    if len({g.alphabet for g in cert.gadgets.values()}) > 1:
+        failures.append("gadgets disagree on the alphabet")
+    host_q = max((g.alphabet for g in cert.gadgets.values()), default=1)
+
+    def pattern_ok(pat: Mapping[str, int], what: str) -> bool:
+        if set(pat.keys()) != set(names):
+            failures.append(f"{what} must assign exactly the interface names")
+            return False
+        docs.integers(InvalidGadgetError, what, pat.values())
+        if any(not 0 <= s < host_q for s in pat.values()):
+            failures.append(f"{what} uses states outside the alphabet")
+            return False
+        return True
+
+    states_ok = all(
+        pattern_ok(s, f"state pattern {q}") for q, s in enumerate(cert.state_configs)
+    )
+    if states_ok:
+        rows = [tuple(s[c] for c in names) for s in cert.state_configs]
+        for q in range(nq):
+            for qp in range(q + 1, nq):
+                if rows[q] == rows[qp]:
+                    failures.append(
+                        f"state patterns are not injective (q={q} and q={qp} coincide)"
+                    )
+    traces_ok = True
+    for q in range(nq):
+        for qp in range(nq):
+            tr = cert.standard_traces.get((q, qp))
+            if tr is None:
+                failures.append(f"standard trace ({q},{qp}) missing")
+                traces_ok = False
+                continue
+            if len(tr) != cert.time + 1:
+                failures.append(f"standard trace ({q},{qp}) has the wrong length")
+                traces_ok = False
+                continue
+            if not all(pattern_ok(p, f"trace ({q},{qp}) step {t}") for t, p in enumerate(tr)):
+                traces_ok = False
+                continue
+            if states_ok and dict(tr[0]) != cert.state_configs[q]:
+                failures.append(f"standard trace ({q},{qp}) does not start at pattern {q}")
+            if states_ok and dict(tr[-1]) != cert.state_configs[qp]:
+                failures.append(f"standard trace ({q},{qp}) does not end at pattern {qp}")
+
+    for gate, gd in cert.gadgets.items():
+        prefix = f"gate {gate.name}"
+        try:
+            gd.validate()
+        except InvalidGadgetError as exc:
+            failures.append(f"{prefix}: {exc}")
+            continue
+        if gd.interface != iface:
+            failures.append(f"{prefix}: gadget interface differs from the certificate's")
+            continue
+        if gate.alphabet != nq:
+            failures.append(
+                f"{prefix}: gate alphabet {gate.alphabet} differs from the"
+                f" {nq} encoded states"
+            )
+            continue
+        if len(gd.in_copies) != gate.n_in or len(gd.out_copies) != gate.n_out:
+            failures.append(
+                f"{prefix}: gadget exposes {len(gd.in_copies)}/{len(gd.out_copies)}"
+                f" copies for a {gate.n_in}->{gate.n_out} gate"
+            )
+            continue
+        ctx = cert.context_configs.get(gate, {})
+        hat = context_nodes(gd)
+        if set(ctx.keys()) != set(hat):
+            failures.append(f"{prefix}: context must assign exactly the non-interface nodes")
+            continue
+        docs.integers(InvalidGadgetError, f"{prefix} context", ctx.values())
+        if any(not 0 <= s < gd.alphabet for s in ctx.values()):
+            failures.append(f"{prefix}: context uses states outside the alphabet")
+            continue
+        if not (states_ok and traces_ok):
+            continue
+        protected = exempt_nodes(gd)
+        table = cert.pseudo_orbits.get(gate, {})
+        for q_i in product(range(nq), repeat=gate.n_in):
+            q_op = gate.apply(q_i)
+            for q_ip in product(range(nq), repeat=gate.n_in):
+                for q_o in product(range(nq), repeat=gate.n_out):
+                    checked += 1
+                    cell = f"{prefix} cell {q_i}->{q_ip}|{q_o}"
+                    po = table.get((q_i, q_ip, q_o))
+                    if po is None:
+                        failures.append(
+                            f"{prefix}: missing pseudo-orbit for inputs"
+                            f" {q_i}->{q_ip} outputs {q_o}"
+                        )
+                        continue
+                    if po.exempt != protected:
+                        failures.append(
+                            f"{cell}: exempt set differs from the protected"
+                            " interface nodes"
+                        )
+                        continue
+                    if len(po.configs) != cert.time + 1:
+                        failures.append(f"{cell}: run length differs from the time constant")
+                        continue
+                    docs.integers(InvalidGadgetError, f"{cell} run", *po.configs)
+                    try:
+                        sub = check_pseudo_orbit(gd.net, po)
+                    except ArtifactError as exc:
+                        failures.append(f"{cell}: {exc}")
+                        continue
+                    if not sub.ok:
+                        t, v, want, got = sub.failures[0]
+                        failures.append(
+                            f"{cell}: not a valid exempted run"
+                            f" (t={t}, node {v}, want {want}, got {got})"
+                        )
+                    for k, copy in enumerate(gd.in_copies):
+                        tr = cert.standard_traces[(q_i[k], q_ip[k])]
+                        t = _copy_trace_matches(po, copy, tr)
+                        if t is not None:
+                            failures.append(
+                                f"{cell}: input copy {k} strays from the standard"
+                                f" trace at t={t}"
+                            )
+                    for k, copy in enumerate(gd.out_copies):
+                        tr = cert.standard_traces[(q_o[k], q_op[k])]
+                        t = _copy_trace_matches(po, copy, tr)
+                        if t is not None:
+                            failures.append(
+                                f"{cell}: output copy {k} strays from the standard"
+                                f" trace at t={t}"
+                            )
+                    for t in (0, cert.time):
+                        if any(po.configs[t][v] != ctx[v] for v in hat):
+                            failures.append(
+                                f"{cell}: context nodes differ from the recorded"
+                                f" context at t={t}"
+                            )
+
+    mirrored = [g.csan is not None for g in cert.gadgets.values()]
+    if any(mirrored):
+        if not all(mirrored):
+            failures.append("mixed labeled and unlabeled gadgets")
+        else:
+            failures.extend(
+                csan_closure_failures(
+                    iface, [(f"gate {g.name}", gd) for g, gd in cert.gadgets.items()]
+                )
+            )
+    return CertificateReport(not failures, checked, tuple(failures))
+
+
+CERTIFICATES = {
+    "toy": lambda: toy_certificate({ID_1_1: identity_gadget()}),
+    "toy-nor": lambda: toy_certificate({NOR_2_2: nor_gadget()}),
+    "nor": gol.build_certificate,
+}
+
+
+@functools.cache
+def certificate(name):
+    return CERTIFICATES[name]()
+
+
+def mutated_certificate(data, cert):
+    """cert with one to three recorded runs or contexts edited."""
+    runs = {gate: dict(table) for gate, table in cert.pseudo_orbits.items()}
+    contexts = {gate: dict(ctx) for gate, ctx in cert.context_configs.items()}
+    for _ in range(data.draw(st.integers(1, 3))):
+        gate = data.draw(st.sampled_from(list(runs)))
+        q = cert.gadgets[gate].alphabet
+        edit = data.draw(
+            st.sampled_from(("flip", "alphabet", "exempt", "drop", "shorten", "context"))
+        )
+        if edit == "context":
+            ctx = contexts[gate]
+            if ctx:
+                ctx[data.draw(st.sampled_from(sorted(ctx)))] = data.draw(st.integers(-1, q))
+            continue
+        table = runs[gate]
+        if not table:
+            continue
+        key = data.draw(st.sampled_from(list(table)))
+        po = table[key]
+        if not po.configs:  # shortened to nothing by an earlier edit
+            continue
+        if edit == "drop":
+            del table[key]
+        elif edit == "shorten":
+            table[key] = PseudoOrbit(po.configs[:-1], po.exempt)
+        elif edit == "exempt":
+            v = data.draw(st.integers(0, len(po.configs[0]) - 1))
+            table[key] = PseudoOrbit(po.configs, po.exempt ^ {v})
+        else:
+            configs = [list(x) for x in po.configs]
+            t = data.draw(st.integers(0, len(configs) - 1))
+            v = data.draw(st.integers(0, len(configs[t]) - 1))
+            if edit == "flip":
+                configs[t][v] = (configs[t][v] + 1) % q
+            else:
+                configs[t][v] = data.draw(st.sampled_from((-1, q, 255, 256, 2**40)))
+            table[key] = PseudoOrbit(tuple(map(tuple, configs)), po.exempt)
+    return dataclasses.replace(cert, pseudo_orbits=runs, context_configs=contexts)
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATES))
+def test_certificates_match_reference(name):
+    cert = certificate(name)
+    assert verify_certificate(cert) == reference_verify_certificate(cert)
+    assert verify_certificate(cert).ok
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mutated_certificates_match_reference(name, data):
+    cert = mutated_certificate(data, certificate(name))
+    assert verify_certificate(cert) == reference_verify_certificate(cert)

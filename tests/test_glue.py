@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artifact import docs
 from artifact.core import InvalidConfigError, index_config, make_network, step, trace
@@ -10,7 +12,10 @@ from artifact.csan import build_lifelike, build_threshold, csan_in_family, csan_
 from artifact.glue import (
     InvalidGlueError,
     check_dowel_structure,
+    PseudoOrbit,
+    PseudoOrbitReport,
     check_pseudo_orbit,
+    check_pseudo_orbits,
     csan_glue,
     dowel_from_json,
     dowel_to_json,
@@ -152,6 +157,73 @@ def test_pseudo_orbit_shape_errors():
         check_pseudo_orbit(net, make_pseudo_orbit([(0, 0, 5)]))
     with pytest.raises(InvalidConfigError):
         check_pseudo_orbit(net, make_pseudo_orbit([(0, 0, 0)], exempt={9}))
+
+
+def reference_check_pseudo_orbit(net, p):
+    """The per-configuration loop `check_pseudo_orbits` replaced, kept as its oracle."""
+    if any(len(x) != net.n for x in p.configs):
+        raise InvalidConfigError("pseudo-orbit does not match the network size")
+    if any(not 0 <= s < net.alphabet for x in p.configs for s in x):
+        raise InvalidConfigError("pseudo-orbit state outside the alphabet")
+    if any(v < 0 or v >= net.n for v in p.exempt):
+        raise InvalidConfigError("exempt set outside the node range")
+    failures = []
+    for t in range(len(p.configs) - 1):
+        fx = step(net, p.configs[t])
+        nxt = p.configs[t + 1]
+        for v in range(net.n):
+            if v in p.exempt:
+                continue
+            if nxt[v] != fx[v]:
+                failures.append((t, v, fx[v], nxt[v]))
+    return PseudoOrbitReport(not failures, tuple(failures))
+
+
+def corrupted_runs(rng, net, p):
+    """p, and runs of net made from it: states changed, exempt sets changed, cut short."""
+    q = net.alphabet
+    runs = [p, PseudoOrbit(p.configs[:1], p.exempt), PseudoOrbit(p.configs, frozenset())]
+    for _ in range(3):
+        configs = [list(x) for x in p.configs]
+        for _ in range(rng.randint(1, 4)):
+            if net.n:
+                configs[rng.randrange(len(configs))][rng.randrange(net.n)] = rng.randrange(q)
+        exempt = {v for v in range(net.n) if rng.random() < 0.3}
+        runs.append(make_pseudo_orbit(configs[: rng.randint(1, len(configs))], exempt))
+    rng.shuffle(runs)
+    return runs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32))
+def test_check_pseudo_orbits_matches_reference(seed):
+    rng = random.Random(seed)
+    f1, f2, d, p1, p2 = random_glue_instance(rng)
+    glued = glue_networks(f1, f2, d)
+    z = glue_pseudo_orbits(f1, f2, d, p1, p2)
+    for net, p in ((f1, p1), (f2, p2), (glued, z)):
+        runs = corrupted_runs(rng, net, p)
+        assert check_pseudo_orbits(net, runs) == [reference_check_pseudo_orbit(net, r) for r in runs]
+        assert [check_pseudo_orbit(net, r) for r in runs] == check_pseudo_orbits(net, runs)
+    assert check_pseudo_orbits(f1, []) == []
+
+
+def test_check_pseudo_orbits_refuses_the_first_malformed_run():
+    net = xor_ring(3)
+    good = make_pseudo_orbit(trace(net, (1, 0, 0), 3))
+    for bad, match in (
+        (make_pseudo_orbit([(0, 0)]), "network size"),
+        (make_pseudo_orbit([(0, 0, 0), (0, 2, 0)]), "outside the alphabet"),
+        (make_pseudo_orbit([(0, 0, 0), (0, -1, 0)]), "outside the alphabet"),
+        (make_pseudo_orbit([(0, 0, 0)], exempt={3}), "node range"),
+    ):
+        with pytest.raises(InvalidConfigError, match=match):
+            reference_check_pseudo_orbit(net, bad)
+        with pytest.raises(InvalidConfigError, match=match):
+            check_pseudo_orbits(net, [good, bad, make_pseudo_orbit([(0,)])])
+    huge = make_network(2**40, [((), (2**40 - 1,))])
+    with pytest.raises(InvalidConfigError, match="32-bit lane"):
+        check_pseudo_orbit(huge, make_pseudo_orbit([(0,), (2**40 - 1,)]))
 
 
 def test_stitch_disjoint_true_orbits():

@@ -171,6 +171,23 @@ def test_verify_simulation_reports_first_failure_past_a_chunk():
     )
 
 
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_verify_simulation_on_a_host_past_a_byte(corrupt):
+    # Host states 0 and 299 encode 0 and 1: neither the patterns nor the
+    # 300-entry tables fit a byte table, so every gather reads lanes.
+    source = rotation(3)
+    table = list(range(300))
+    rules = [(((v - 1) % 3,), list(table)) for v in range(3)]
+    if corrupt:
+        rules[1][1][299] = 298
+    host = make_network(300, rules)
+    emb = BlockEmbedding(1, ((0,), (1,), (2,)), (((0,), (299,)),) * 3)
+    assert host.byte_tables == (None, None, None)
+    rep = verify_simulation(source, host, emb)
+    assert rep == reference_verify_simulation(source, host, emb)
+    assert rep.ok is not corrupt
+
+
 def test_embedding_validation():
     src = rotation(2)
     host = rotation(4)
