@@ -100,9 +100,12 @@ class Network:
     def byte_tables(self) -> tuple[bytes | None, ...]:
         """Per rule, its translation table for `gather_lanes`, built on first use.
 
+        Rules that share one table object share one translation table.
         Not a field, so it takes no part in equality, hashing or documents.
         """
-        return tuple(byte_table(r.table, self.alphabet) for r in self.rules)
+        return tuple(
+            map_shared(lambda t: byte_table(t, self.alphabet), [r.table for r in self.rules])
+        )
 
     def validate(self) -> None:
         q = self.alphabet
@@ -129,6 +132,22 @@ def make_network(alphabet: int, rules: Iterable[tuple[Sequence[int], Sequence[in
     net = Network(alphabet, tuple(Rule(tuple(d), tuple(t)) for d, t in rules))
     net.validate()
     return net
+
+
+def map_shared(fn: Callable, items: Sequence) -> list:
+    """[fn(x) for x in items], calling fn once per distinct object in items.
+
+    Objects are told apart by identity, which items keeps alive for the
+    call, so equal but distinct objects each get their own call.
+    """
+    done: dict[int, object] = {}
+    out = []
+    for x in items:
+        key = id(x)
+        if key not in done:
+            done[key] = fn(x)
+        out.append(done[key])
+    return out
 
 
 def check_config(net: Network, x: Sequence[int]) -> tuple[int, ...]:

@@ -25,6 +25,7 @@ from .core import (
     check_config,
     index_config,
     make_network,
+    map_shared,
     step,
 )
 
@@ -174,18 +175,29 @@ class Csan:
             raise InvalidCsanError("alphabet size must be at least 1")
         if len(self.edge_rho) != len(self.edges):
             raise InvalidCsanError("one label per edge required")
+        # A label or table object shared by several edges or nodes is checked
+        # once (a table once per degree): what passed passes again, so the
+        # first failing edge or node stays the same.
         seen = set()
+        maps: set[int] = set()
         for (u, v), rho in zip(self.edges, self.edge_rho):
             if not (0 <= u < v < n):
                 raise InvalidCsanError(f"bad edge ({u},{v}): need 0 <= u < v < n")
             if (u, v) in seen:
                 raise InvalidCsanError(f"duplicate edge ({u},{v})")
             seen.add((u, v))
+            if id(rho) in maps:
+                continue
             if len(rho) != q or any(not 0 <= a < q for a in rho):
                 raise InvalidCsanError(f"edge ({u},{v}) label is not a map on the alphabet")
+            maps.add(id(rho))
         wants: dict[int, set[tuple[int, tuple[int, ...]]]] = {}
+        checked: set[tuple[int, int]] = set()
         for v in range(n):
             deg = self.degree(v)
+            if (id(self.lam[v]), deg) in checked:
+                continue
+            checked.add((id(self.lam[v]), deg))
             if deg not in wants:
                 wants[deg] = {(s, m) for s in range(q) for m in multisets_up_to(q, deg)}
             if self.lam[v].keys() != wants[deg]:
@@ -202,7 +214,13 @@ def make_csan(
     edges: Iterable[tuple[int, int, object]],
     lam: Sequence[LambdaTable],
 ) -> Csan:
-    """Build and validate. Edge labels may be catalog names or explicit maps."""
+    """Build and validate. Edge labels may be catalog names or explicit maps.
+
+    Each distinct table object in lam is copied once, so nodes given the
+    same dict share one copy (as glued hosts do, every copy of a gadget
+    node naming that node's table), and a later change to the caller's
+    dict does not reach the Csan.
+    """
     norm = []
     rhos = []
     for u, v, rho in edges:
@@ -223,7 +241,7 @@ def make_csan(
         alphabet,
         tuple(norm[i] for i in order),
         tuple(rhos[i] for i in order),
-        tuple(dict(t) for t in lam),
+        tuple(map_shared(dict, lam)),
     )
     c.validate()
     return c
@@ -511,32 +529,51 @@ def csan_in_family(c: Csan, spec: FamilySpec) -> bool:
 _SHIFT = {d: bytes((i + d) % 256 for i in range(256)) for d in (-1, 1, 64)}
 
 
-def _binary_rows(
-    c: Csan,
-    neighbors: Sequence[tuple[int, tuple[int, ...]]],
-    deps: Sequence[int],
-    v: int,
-) -> bytes:
+def _binary_rows(lam: LambdaTable, shifts: Sequence[int], base: int) -> bytes:
     # Row codes (own state * 64 + live-neighbour count) are built by
-    # doubling: the rows with deps[i] = 1 are the rows so far with that
-    # dep's effect added, so bit i of a row index holds deps[i]. Counts
+    # doubling from the base count: the rows with deps[i] = 1 are the rows
+    # so far with shifts[i] added (64 for the node itself, rho[1] - rho[0]
+    # for a neighbour), so bit i of a row index holds deps[i]. Counts
     # stay in [0, deg], so a code fits in a byte while deg < 64, which
     # any table that fits in memory satisfies.
-    delta = {u: rho[1] - rho[0] for u, rho in neighbors}
-    rows = bytes([sum(rho[0] for _, rho in neighbors)])
-    for u in deps:
-        d = 64 if u == v else delta[u]
+    rows = bytes([base])
+    for d in shifts:
         rows += rows.translate(_SHIFT[d]) if d else rows
-    deg = len(neighbors)
+    deg = len(shifts) - 1
     lut = bytearray(256)
     for s in range(2):
         for ones in range(deg + 1):
-            lut[64 * s + ones] = c.lam[v][(s, (deg - ones, ones))]
+            lut[64 * s + ones] = lam[(s, (deg - ones, ones))]
     return rows.translate(lut)
+
+
+def _general_rows(
+    lam: LambdaTable, q: int, own: int, rhos: Sequence[tuple[int, ...]]
+) -> tuple[int, ...]:
+    # deps[own] is the node itself; rhos label the other deps in order.
+    k = len(rhos) + 1
+    table = []
+    for idx in range(q**k):
+        combo = index_config(idx, q, k)
+        counts = [0] * q
+        for a, rho in zip(combo[:own] + combo[own + 1 :], rhos):
+            counts[rho[a]] += 1
+        table.append(lam[(combo[own], tuple(counts))])
+    return tuple(table)
 
 
 def csan_to_network(c: Csan) -> Network:
     """Tabulate every node over its closed neighborhood; same global map.
+
+    A node's table depends only on its lam table and on what its sorted
+    deps see, so nodes with equal inputs share one table object. The key
+    is the identity of the node's lam table plus, for q = 2, the row
+    shift of each dep (64 for the node itself, rho[1] - rho[0] for a
+    neighbour) and the base count sum rho[0], and for general q, the
+    node's position among its deps and each neighbour's label in dep
+    order. A glued host, whose nodes are copies of a few gadget nodes,
+    builds one table per distinct gadget node and neighbourhood, not one
+    per host node. Every rule keeps its own deps.
 
     The tables are valid by construction from a validated CSAN (distinct
     sorted deps, q^|deps| rows, states from lam), so they are not
@@ -544,21 +581,25 @@ def csan_to_network(c: Csan) -> Network:
     """
     inc = c.incidence
     q = c.alphabet
+    tables: dict[tuple, tuple[int, ...]] = {}
     rules = []
     for v in range(c.n):
         deps = tuple(sorted([v] + [u for u, _ in inc[v]]))
+        label = dict(inc[v])
+        lam = c.lam[v]
         if q == 2:
-            table = _binary_rows(c, inc[v], deps, v)
+            shifts = tuple(64 if u == v else label[u][1] - label[u][0] for u in deps)
+            key = (id(lam), shifts, sum(rho[0] for _, rho in inc[v]))
         else:
-            pos = {u: i for i, u in enumerate(deps)}
-            table = []
-            for idx in range(q ** len(deps)):
-                combo = index_config(idx, q, len(deps))
-                counts = [0] * q
-                for u, rho in inc[v]:
-                    counts[rho[combo[pos[u]]]] += 1
-                table.append(c.lam[v][(combo[pos[v]], tuple(counts))])
-        rules.append(Rule(deps, tuple(table)))
+            key = (id(lam), deps.index(v), tuple(label[u] for u in deps if u != v))
+        table = tables.get(key)
+        if table is None:
+            if q == 2:
+                table = tuple(_binary_rows(lam, key[1], key[2]))
+            else:
+                table = _general_rows(lam, q, key[1], key[2])
+            tables[key] = table
+        rules.append(Rule(deps, table))
     return Network(q, tuple(rules))
 
 

@@ -43,11 +43,11 @@ from .glue import (
     GluedIndex,
     PseudoOrbit,
     PseudoOrbitReport,
+    _check_shaped_runs,
     assemble_csan,
     assemble_network,
     check_dowel_structure,
     check_pseudo_orbit_shape,
-    check_pseudo_orbits,
     csan_glue,
     glue_networks,
     glued_numbering,
@@ -531,8 +531,8 @@ def verify_certificate(cert: CoherentCertificate) -> CertificateReport:
 
     A gate's cells are checked in order; the runs of the cells that pass
     the exempt, length, integer and shape checks are stepped together in
-    one `check_pseudo_orbits` batch, and each cell's failures keep their
-    place in the report.
+    one batch, which does not check their shapes again, and each cell's
+    failures keep their place in the report.
     """
     failures: list[str] = []
     checked = 0
@@ -668,7 +668,7 @@ def verify_certificate(cert: CoherentCertificate) -> CertificateReport:
                     ]
                     cells.append((cell, po, copies))
         runs = [c[1] for c in cells if isinstance(c, tuple)]
-        reports = iter(check_pseudo_orbits(gd.net, runs) if runs else ())
+        reports = iter(_check_shaped_runs(gd.net, runs))
         for c in cells:
             if isinstance(c, tuple):
                 cell, po, copies = c

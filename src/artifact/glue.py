@@ -232,6 +232,11 @@ def check_pseudo_orbits(net: Network, runs: Sequence[PseudoOrbit]) -> list[Pseud
     """
     for p in runs:
         check_pseudo_orbit_shape(net, p)
+    return _check_shaped_runs(net, runs)
+
+
+def _check_shaped_runs(net: Network, runs: Sequence[PseudoOrbit]) -> list[PseudoOrbitReport]:
+    """`check_pseudo_orbits` on runs that have passed `check_pseudo_orbit_shape`."""
     sources = [x for p in runs for x in p.configs[:-1]]
     found: list[list[tuple[int, int, int, int]]] = [[] for _ in runs]
     if sources:

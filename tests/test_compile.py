@@ -9,6 +9,7 @@ host, embedding, dowels, contexts and node maps.
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -243,6 +244,34 @@ def test_compile_tabulates_and_builds_a_fixed_number_of_times(monkeypatch):
         host, _ = gol.compile_to_gol(nor_ring(k), cert)
         assert built == [host.n] == [66 * k]
     assert tabulated == [84]  # the NOR gadget, once for all three checks
+
+
+def test_host_tabulation_builds_as_many_tables_for_every_ring(monkeypatch):
+    built = []
+    original = csan._binary_rows
+    monkeypatch.setattr(csan, "_binary_rows", lambda *args: built.append(1) or original(*args))
+    cert = gol.build_certificate()
+    counts = []
+    for k in (4, 6, 12):
+        host, _ = gol.compile_to_gol(nor_ring(k), cert)
+        built.clear()
+        net = csan.csan_to_network(host)
+        assert net.n == 66 * k
+        assert len({id(rule.table) for rule in net.rules}) == len(built)
+        counts.append(len(built))
+    assert counts[0] == counts[1] == counts[2] <= 84
+
+
+def test_host_tabulation_memory_does_not_grow_with_the_ring():
+    host, _ = gol.compile_to_gol(nor_ring(32))
+    tracemalloc.start()
+    try:
+        net = csan.csan_to_network(host)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert net.n == 66 * 32
+    assert peak < 4 * 2**20
 
 
 def test_cli_compile_tabulates_the_host_only_for_dot(tmp_path, monkeypatch):

@@ -339,6 +339,21 @@ def test_byte_tables_are_no_field():
     assert network_to_json(net) == network_to_json(twin)
 
 
+def test_byte_tables_are_built_once_per_shared_table(monkeypatch):
+    shared = (0, 1, 1, 0)
+    twin = tuple(list(shared))  # equal, but its own object
+    rules = [core.Rule(((i - 1) % 5, (i + 1) % 5), shared) for i in range(4)]
+    net = core.Network(2, tuple(rules) + (core.Rule((0, 1), twin),))
+    built = []
+    original = core.byte_table
+    monkeypatch.setattr(core, "byte_table", lambda t, q: built.append(t) or original(t, q))
+    trs = net.byte_tables
+    assert len(built) == 2 and built[0] is shared and built[1] is twin
+    assert all(tr is trs[0] for tr in trs[:4]) and trs[4] == trs[0] and trs[4] is not trs[0]
+    configs = [(1, 0, 1, 1, 0), (0, 1, 1, 0, 1)]
+    assert batch_step(net, configs) == [step(net, x) for x in configs]
+
+
 def reference_succ(net):
     q, n = net.alphabet, net.n
     return [config_index(step(net, index_config(i, q, n)), q) for i in range(q**n)]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from artifact import docs
 from artifact.circuit import InvalidCircuitError, eval_circuit
-from artifact.core import InvalidConfigError, index_config, make_network, step
+from artifact.core import InvalidConfigError, Network, Rule, index_config, make_network, step
 from artifact.csan import (
     Csan,
     InvalidCsanError,
@@ -319,6 +319,188 @@ def test_general_conversion_matches_csan_step(c):
     net.validate()
     for x in all_configs(c.alphabet, c.n):
         assert step(net, x) == csan_step(c, x)
+
+
+# ---------------------------------------------------------------------------
+# Shared tabulation
+
+# The tabulation before nodes shared tables: one table per node, built
+# from the node's own neighbourhood. Kept unchanged as the oracle.
+_REFERENCE_SHIFT = {d: bytes((i + d) % 256 for i in range(256)) for d in (-1, 1, 64)}
+
+
+def _reference_binary_rows(c, neighbors, deps, v):
+    delta = {u: rho[1] - rho[0] for u, rho in neighbors}
+    rows = bytes([sum(rho[0] for _, rho in neighbors)])
+    for u in deps:
+        d = 64 if u == v else delta[u]
+        rows += rows.translate(_REFERENCE_SHIFT[d]) if d else rows
+    deg = len(neighbors)
+    lut = bytearray(256)
+    for s in range(2):
+        for ones in range(deg + 1):
+            lut[64 * s + ones] = c.lam[v][(s, (deg - ones, ones))]
+    return rows.translate(lut)
+
+
+def reference_csan_to_network(c):
+    inc = c.incidence
+    q = c.alphabet
+    rules = []
+    for v in range(c.n):
+        deps = tuple(sorted([v] + [u for u, _ in inc[v]]))
+        if q == 2:
+            table = _reference_binary_rows(c, inc[v], deps, v)
+        else:
+            pos = {u: i for i, u in enumerate(deps)}
+            table = []
+            for idx in range(q ** len(deps)):
+                combo = index_config(idx, q, len(deps))
+                counts = [0] * q
+                for u, rho in inc[v]:
+                    counts[rho[combo[pos[u]]]] += 1
+                table.append(c.lam[v][(combo[pos[v]], tuple(counts))])
+        rules.append(Rule(deps, tuple(table)))
+    return Network(q, tuple(rules))
+
+
+# id, negation, const-0 and const-1
+BINARY_LABELS = ((0, 1), (1, 0), (0, 0), (1, 1))
+
+
+@st.composite
+def shared_csans(draw, alphabets):
+    """CSANs whose nodes draw their tables from a pool of one to three dicts.
+
+    Labels come from a small pool too, so that many nodes see the same
+    neighbourhood. With exact coverage the pool holds one dict per
+    (choice, degree) and make_csan builds the CSAN. Otherwise each dict
+    covers every multiset up to the largest degree, so one dict serves
+    nodes of several degrees; validate asks for exact coverage, so that
+    Csan is built directly.
+    """
+    q = draw(st.sampled_from(alphabets))
+    n = draw(st.integers(2, 6 if q == 2 else 5))
+    pairs = list(combinations(range(n), 2))
+    picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [p for p, keep in zip(pairs, picks) if keep]
+    if q == 2:
+        labels = BINARY_LABELS
+    else:
+        label = st.tuples(*[st.integers(0, q - 1)] * q)
+        labels = draw(st.lists(label, min_size=1, max_size=2))
+    rhos = [draw(st.sampled_from(labels)) for _ in edges]
+    degs = [sum(v in e for e in edges) for v in range(n)]
+    choice = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+
+    def table(bound):
+        return {
+            (s, m): draw(st.integers(0, q - 1))
+            for s in range(q)
+            for m in multisets_up_to(q, bound)
+        }
+
+    if draw(st.booleans()):
+        pool = {}
+        for k, d in zip(choice, degs):
+            if (k, d) not in pool:
+                pool[k, d] = table(d)
+        lam = [pool[k, d] for k, d in zip(choice, degs)]
+        return make_csan(q, n, [(u, v, r) for (u, v), r in zip(edges, rhos)], lam)
+    pool = [table(max(degs)) for _ in range(3)]
+    return Csan(q, tuple(edges), tuple(rhos), tuple(pool[k] for k in choice))
+
+
+def sharing_key(c, v):
+    """What node v's table depends on: its lam table's identity, and for
+    q = 2 each sorted dep's row shift plus the base count, for general q
+    the node's place among its deps plus its neighbours' labels."""
+    deps = sorted([v] + [u for u, _ in c.incidence[v]])
+    label = dict(c.incidence[v])
+    if c.alphabet == 2:
+        shifts = tuple(64 if u == v else label[u][1] - label[u][0] for u in deps)
+        return (id(c.lam[v]), shifts, sum(label[u][0] for u in label))
+    return (id(c.lam[v]), deps.index(v), tuple(label[u] for u in deps if u != v))
+
+
+def assert_shared_tabulation(c):
+    net = csan_to_network(c)
+    assert net == reference_csan_to_network(c)
+    keys = [sharing_key(c, v) for v in range(c.n)]
+    for v, w in combinations(range(c.n), 2):
+        assert (net.rules[v].table is net.rules[w].table) == (keys[v] == keys[w]), (v, w)
+
+
+@settings(max_examples=80, deadline=None)
+@given(shared_csans(alphabets=(2,)))
+def test_binary_shared_tabulation_matches_reference(c):
+    assert_shared_tabulation(c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_csans(alphabets=(1, 3)))
+def test_general_shared_tabulation_matches_reference(c):
+    assert_shared_tabulation(c)
+
+
+@pytest.mark.parametrize("c", INSTANCES, ids=range(len(INSTANCES)))
+def test_instances_tabulate_as_the_reference(c):
+    assert_shared_tabulation(c)
+
+
+def _path_tables(*bounds, out=lambda s, m: s):
+    return [
+        {(s, m): out(s, m) for s in range(2) for m in multisets_up_to(2, b)} for b in bounds
+    ]
+
+
+def test_table_shared_across_degrees_is_rejected_at_its_first_bad_node():
+    # On the path 0-1-2-3 nodes 0 and 3 have degree 1, nodes 1 and 2 degree 2.
+    path = [(0, 1, "id"), (1, 2, "id"), (2, 3, "id")]
+    deg1, deg2 = _path_tables(1, 2)
+    cases = [
+        ([deg1, deg1, deg1, deg1], "node 1 table must cover exactly the multisets of size <= 2"),
+        ([deg2, deg2, deg2, deg2], "node 0 table must cover exactly the multisets of size <= 1"),
+        ([deg1, deg2, deg2, deg2], "node 3 table must cover exactly the multisets of size <= 1"),
+        ([deg1, deg2, deg1, deg1], "node 2 table must cover exactly the multisets of size <= 2"),
+    ]
+    for lam, message in cases:
+        with pytest.raises(InvalidCsanError) as err:
+            make_csan(2, 4, path, lam)
+        assert str(err.value) == message
+    assert make_csan(2, 4, path, [deg1, deg2, deg2, deg1]).n == 4
+
+
+def test_shared_table_with_an_outside_output_is_rejected():
+    path = [(0, 1, "id"), (1, 2, "id"), (2, 3, "id")]
+    (deg1,) = _path_tables(1)
+    (bad1,) = _path_tables(1, out=lambda s, m: 2 * m[1])
+    (deg2,) = _path_tables(2)
+    for lam, node in (([bad1, deg2, deg2, bad1], 0), ([deg1, deg2, deg2, bad1], 3)):
+        with pytest.raises(InvalidCsanError) as err:
+            make_csan(2, 4, path, lam)
+        assert str(err.value) == f"node {node} table has out-of-alphabet outputs"
+    bad_label = (0, 2)
+    with pytest.raises(InvalidCsanError) as err:
+        make_csan(2, 4, [(0, 1, "id"), (1, 2, bad_label), (2, 3, bad_label)], [deg1, deg2, deg2, deg1])
+    assert str(err.value) == "edge (1,2) label is not a map on the alphabet"
+
+
+def test_make_csan_copies_each_shared_table_once():
+    path = [(0, 1, "id"), (1, 2, "neg"), (2, 3, "id")]
+    deg1, deg2 = _path_tables(1, 2)
+    c = make_csan(2, 4, path, [deg1, deg2, deg2, deg1])
+    assert c.lam[0] is c.lam[3] and c.lam[1] is c.lam[2]
+    assert c.lam[0] is not deg1 and c.lam[1] is not deg2
+    apart = make_csan(2, 4, path, [dict(t) for t in (deg1, deg2, deg2, deg1)])
+    assert len({id(t) for t in apart.lam}) == 4
+    doc = csan_to_json(apart)
+    assert c == apart and csan_to_json(c) == doc
+    assert csan_from_json(doc) == c
+    for t in (deg1, deg2):
+        for key in t:
+            t[key] = 1 - t[key]
+    assert c == apart and csan_to_json(c) == doc
 
 
 # ---------------------------------------------------------------------------

@@ -805,6 +805,20 @@ def test_certificates_match_reference(name):
     assert verify_certificate(cert).ok
 
 
+def test_verify_certificate_checks_each_run_shape_once(monkeypatch):
+    from artifact import gadget, glue
+
+    shaped = []
+    original = glue.check_pseudo_orbit_shape
+    for mod in (gadget, glue):
+        monkeypatch.setattr(
+            mod, "check_pseudo_orbit_shape", lambda net, p: shaped.append(p) or original(net, p)
+        )
+    report = verify_certificate(certificate("nor"))
+    assert report.ok and report.checked == 64
+    assert len(shaped) == 64 and len({id(p) for p in shaped}) == 64
+
+
 @pytest.mark.parametrize("name", sorted(CERTIFICATES))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
