@@ -184,6 +184,8 @@ def _cmd_glue(args):
 
 
 def _cmd_verify_sim(args):
+    if args.samples < 1:
+        raise ArtifactError(f"--samples must be at least 1, got {args.samples}")
     source = _load_network(args.source)
     host = _load_network(args.host)
     emb = embedding_from_json(docs.read(args.embedding))

@@ -4,13 +4,27 @@ A node reads its own state plus the multiset of its neighbors' states,
 each neighbor state first passed through the map labeling the
 connecting edge. Vertex tables are total over every multiset of size
 up to the node's degree, so the global map is defined everywhere.
-Includes the standard rule families (parity, threshold, min-max,
-outer-totalistic, excitation chains), interaction-graph extraction and
-conversions to plain networks, matrices and Boolean circuits.
+Also interaction-graph extraction and conversions to plain networks,
+matrices and Boolean circuits.
+
+The rule families are written once, in the registry `FAMILIES`: the
+`build_*` builders, `csan_in_family` and the JSON shorthand
+{"family": name, **params} for a vertex table all read it. Integer
+parameters must be ints (not bools or floats). Keys per family:
+
+- linear (binary): none; parity of the live neighbours;
+- threshold (binary): theta; 1 when at least theta neighbours are live;
+- minmax: polarity, "MIN" or "MAX"; least or greatest neighbour state,
+  own state when isolated;
+- lifelike (binary): birth, survive, lists of live-neighbour counts;
+- interval (binary): alpha <= beta; 1 when the live count is in between;
+- reaction (alphabet chain + 1 >= 3, "activity" edges): theta; rest
+  fires on at least theta neighbours in state 1, then walks the chain.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -26,7 +40,6 @@ from .core import (
     index_config,
     make_network,
     map_shared,
-    step,
 )
 
 LambdaTable = Mapping[tuple[int, tuple[int, ...]], int]
@@ -40,47 +53,25 @@ class InvalidCsanError(ArtifactError, ValueError):
 # Multisets as count vectors
 
 
-@dataclass(frozen=True)
-class BoundedMultiset:
-    """Multiset over {0..q-1} stored as a count vector, size at most bound."""
-
-    counts: tuple[int, ...]
-    bound: int
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def validate(self) -> None:
-        if not self.counts:
-            raise InvalidCsanError("multiset needs at least one state slot")
-        if any(c < 0 for c in self.counts):
-            raise InvalidCsanError("multiset counts must be nonnegative")
-        if self.total > self.bound:
-            raise InvalidCsanError(
-                f"multiset of size {self.total} exceeds bound {self.bound}"
-            )
-
-
-def make_multiset(states: Iterable[int], q: int, bound: int) -> BoundedMultiset:
-    counts = [0] * q
-    for s in states:
-        if not 0 <= s < q:
-            raise InvalidCsanError(f"state {s} outside alphabet of size {q}")
-        counts[s] += 1
-    m = BoundedMultiset(tuple(counts), bound)
-    m.validate()
-    return m
-
-
 def multisets_with_total(q: int, total: int) -> Iterator[tuple[int, ...]]:
-    """Count vectors of length q summing to total, lexicographic order."""
-    if q == 1:
-        yield (total,)
-        return
-    for c in range(total + 1):
-        for rest in multisets_with_total(q - 1, total - c):
-            yield (c,) + rest
+    """Count vectors of length q summing to total, lexicographic order.
+
+    Stars and bars without recursion: the successor of c moves one unit
+    from the rightmost positive entry c[k] (k >= 1) to c[k - 1] and
+    gathers the rest of c[k] in the last entry.
+    """
+    c = [0] * (q - 1) + [total]
+    while True:
+        yield tuple(c)
+        k = q - 1
+        while k > 0 and not c[k]:
+            k -= 1
+        if k == 0:
+            return
+        rest = c[k] - 1
+        c[k] = 0
+        c[k - 1] += 1
+        c[-1] = rest
 
 
 def multisets_up_to(q: int, bound: int) -> Iterator[tuple[int, ...]]:
@@ -265,51 +256,134 @@ def csan_step(c: Csan, x: Sequence[int]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Family builders
+# Rule families
+
+NodeRule = Callable[[int, tuple[int, ...]], int]
 
 
-def _normalize_edges(n: int, edges: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    out = []
-    for u, v in edges:
-        if u == v:
-            raise InvalidCsanError(f"self-loop at node {u} not allowed")
-        if not (0 <= u < n and 0 <= v < n):
-            raise InvalidCsanError(f"edge ({u},{v}) outside node range")
-        out.append((min(u, v), max(u, v)))
-    if len(set(out)) != len(out):
-        raise InvalidCsanError("duplicate edge")
-    return sorted(out)
+def _linear(q: int) -> NodeRule:
+    return lambda s, m: m[1] % 2
 
 
-def _build_family(
-    n: int,
-    edges: Iterable[tuple[int, int]],
-    q: int,
-    rho: tuple[int, ...],
-    rule: Callable[[int, int, tuple[int, ...]], int],
-) -> Csan:
-    norm = _normalize_edges(n, edges)
-    degs = [0] * n
-    for u, v in norm:
-        degs[u] += 1
-        degs[v] += 1
-    lam = []
-    for v in range(n):
-        lam.append(
-            {
-                (s, m): rule(v, s, m)
-                for s in range(q)
-                for m in multisets_up_to(q, degs[v])
-            }
+def _threshold(q: int, theta: int) -> NodeRule:
+    docs.integers(InvalidCsanError, "threshold theta", [theta])
+    return lambda s, m: int(m[1] >= theta)
+
+
+def _thetas(lam: LambdaTable, deg: int) -> list[dict]:
+    return [{"theta": t} for t in range(deg + 2)]
+
+
+def _minmax(q: int, polarity: str) -> NodeRule:
+    if polarity not in ("MIN", "MAX"):
+        raise InvalidCsanError("polarity must be MIN or MAX")
+    pick = min if polarity == "MIN" else max
+    return lambda s, m: pick([a for a, cnt in enumerate(m) if cnt], default=s)
+
+
+def _lifelike(q: int, birth: Iterable[int], survive: Iterable[int]) -> NodeRule:
+    docs.integers(InvalidCsanError, "lifelike birth and survive", birth, survive)
+    born, kept = frozenset(birth), frozenset(survive)
+    return lambda s, m: int(m[1] in (kept if s else born))
+
+
+def _read_lifelike(lam: LambdaTable, deg: int) -> list[dict]:
+    # The one candidate, read off the table (listing every pair of count
+    # sets would be exponential): a count gives birth (survival) when a
+    # row of a dead (live) node with that live count gives 1.
+    live = [sorted({m[1] for (s, m), out in lam.items() if s == a and out}) for a in (0, 1)]
+    return [{"birth": live[0], "survive": live[1]}]
+
+
+def _interval(q: int, alpha: int, beta: int) -> NodeRule:
+    docs.integers(InvalidCsanError, "interval alpha and beta", [alpha, beta])
+    if alpha > beta:
+        raise InvalidCsanError("need alpha <= beta")
+    return lambda s, m: int(alpha <= m[1] <= beta)
+
+
+def _intervals(lam: LambdaTable, deg: int) -> list[dict]:
+    return [{"alpha": a, "beta": b} for a in range(deg + 1) for b in range(a, deg + 1)]
+
+
+def _reaction(q: int, theta: int) -> NodeRule:
+    chain = q - 1
+    if chain < 2:
+        raise InvalidCsanError("state chain needs length at least 2")
+    docs.integers(InvalidCsanError, "reaction theta", [theta])
+    return lambda s, m: int(m[1] >= theta) if s == 0 else (0 if s == chain else s + 1)
+
+
+@dataclass(frozen=True)
+class Family:
+    """One family of `FAMILIES`: a node rule with named parameters.
+
+    `rho(q)` labels every edge, `keys` name the parameters (the shorthand
+    keys), and a `binary` family exists on alphabet 2 only.
+    `rule(q, **params)` checks the parameters and returns the node rule
+    (own state, count vector of the label-mapped neighbour states) ->
+    next state. A node of degree deg with table lam is in the family
+    exactly when some `candidates(lam, deg)` entry that `rule` accepts
+    reproduces lam.
+    """
+
+    rho: Callable[[int], tuple[int, ...]]
+    keys: tuple[str, ...]
+    binary: bool
+    rule: Callable[..., NodeRule]
+    candidates: Callable[[LambdaTable, int], list[dict]]
+
+
+# The registry: builders, membership and the JSON shorthand all read it.
+# Shorthand keys: linear none, threshold and reaction theta, minmax
+# polarity, lifelike birth and survive, interval alpha and beta.
+FAMILIES: dict[str, Family] = {
+    "linear": Family(rho_identity, (), True, _linear, lambda lam, deg: [{}]),
+    "threshold": Family(rho_identity, ("theta",), True, _threshold, _thetas),
+    "minmax": Family(
+        rho_identity, ("polarity",), False, _minmax,
+        lambda lam, deg: [{"polarity": "MIN"}, {"polarity": "MAX"}],
+    ),
+    "lifelike": Family(rho_identity, ("birth", "survive"), True, _lifelike, _read_lifelike),
+    "interval": Family(rho_identity, ("alpha", "beta"), True, _interval, _intervals),
+    "reaction": Family(rho_activity, ("theta",), False, _reaction, _thetas),
+}
+
+
+def _family(name: str, q: int) -> Family:
+    fam = FAMILIES.get(name)
+    if fam is None:
+        raise InvalidCsanError(f"unknown family {name!r}")
+    if fam.binary and q != 2:
+        raise InvalidCsanError(f"family {name!r} is binary only")
+    return fam
+
+
+def _family_table(name: str, q: int, deg: int, params: Mapping) -> dict:
+    """Table of a degree-deg node running family `name` with `params`."""
+    fam = _family(name, q)
+    if params.keys() != set(fam.keys):
+        raise InvalidCsanError(
+            f"family {name!r} takes parameters {list(fam.keys)}, got {list(params)}"
         )
-    return make_csan(q, n, [(u, v, rho) for u, v in norm], lam)
+    rule = fam.rule(q, **params)
+    return {(s, m): rule(s, m) for s in range(q) for m in multisets_up_to(q, deg)}
+
+
+def _family_csan(
+    name: str, n: int, edges: Iterable[tuple[int, int]], params: Sequence[Mapping], q: int = 2
+) -> Csan:
+    """Node v runs family `name` with params[v]; every edge gets its label."""
+    edges = list(edges)
+    degs = Counter(v for edge in edges for v in edge)
+    lam = [_family_table(name, q, degs[v], p) for v, p in enumerate(params)]
+    rho = _family(name, q).rho(q)
+    return make_csan(q, n, [(u, v, rho) for u, v in edges], lam)
 
 
 def build_linear_gf2(n: int, edges: Iterable[tuple[int, int]]) -> Csan:
     """Each node becomes the parity of its neighbors; own state is ignored."""
-    return _build_family(
-        n, edges, 2, rho_identity(2), lambda v, s, m: m[1] % 2
-    )
+    return _family_csan("linear", n, edges, [{}] * n)
 
 
 def build_rule90_ring(n: int) -> Csan:
@@ -323,11 +397,7 @@ def build_threshold(
     n: int, edges: Iterable[tuple[int, int]], theta: Sequence[int]
 ) -> Csan:
     """Node turns 1 exactly when at least theta[v] neighbors are 1."""
-    if len(theta) != n:
-        raise InvalidCsanError("one threshold per node required")
-    return _build_family(
-        n, edges, 2, rho_identity(2), lambda v, s, m: 1 if m[1] >= theta[v] else 0
-    )
+    return _family_csan("threshold", n, edges, [{"theta": t} for t in theta])
 
 
 def build_minmax(
@@ -338,42 +408,22 @@ def build_minmax(
     Isolated nodes hold their own state. On a binary alphabet MAX nodes
     are disjunctions and MIN nodes conjunctions of their neighbors.
     """
-    if len(polarity) != n or any(p not in ("MIN", "MAX") for p in polarity):
-        raise InvalidCsanError("polarity must give MIN or MAX for every node")
-
-    def rule(v: int, s: int, m: tuple[int, ...]) -> int:
-        present = [a for a, cnt in enumerate(m) if cnt > 0]
-        if not present:
-            return s
-        return min(present) if polarity[v] == "MIN" else max(present)
-
-    return _build_family(n, edges, alphabet, rho_identity(alphabet), rule)
+    return _family_csan("minmax", n, edges, [{"polarity": p} for p in polarity], alphabet)
 
 
 def build_lifelike(
     n: int, edges: Iterable[tuple[int, int]], birth: Iterable[int], survive: Iterable[int]
 ) -> Csan:
     """Dead node is born on a count in birth; live node survives on survive."""
-    b = frozenset(birth)
-    s_set = frozenset(survive)
-    return _build_family(
-        n,
-        edges,
-        2,
-        rho_identity(2),
-        lambda v, s, m: int(m[1] in (s_set if s else b)),
-    )
+    params = {"birth": tuple(birth), "survive": tuple(survive)}
+    return _family_csan("lifelike", n, edges, [params] * n)
 
 
 def build_interval(
     n: int, edges: Iterable[tuple[int, int]], alpha: int, beta: int
 ) -> Csan:
     """Node turns 1 exactly when its live-neighbor count lies in [alpha, beta]."""
-    if alpha > beta:
-        raise InvalidCsanError("need alpha <= beta")
-    return _build_family(
-        n, edges, 2, rho_identity(2), lambda v, s, m: int(alpha <= m[1] <= beta)
-    )
+    return _family_csan("interval", n, edges, [{"alpha": alpha, "beta": beta}] * n)
 
 
 def build_reaction_diffusion(
@@ -385,139 +435,44 @@ def build_reaction_diffusion(
     are exactly in state 1; a fired node walks 1 -> 2 -> ... -> chain and
     then returns to 0. Requires chain >= 2 so the refractory walk exists.
     """
-    if chain < 2:
-        raise InvalidCsanError("state chain needs length at least 2")
-    if len(theta) != n:
-        raise InvalidCsanError("one threshold per node required")
-    q = chain + 1
-
-    def rule(v: int, s: int, m: tuple[int, ...]) -> int:
-        if s == 0:
-            return 1 if m[1] >= theta[v] else 0
-        return 0 if s == chain else s + 1
-
-    return _build_family(n, edges, q, rho_activity(q), rule)
-
-
-# ---------------------------------------------------------------------------
-# Family membership predicates
+    return _family_csan("reaction", n, edges, [{"theta": t} for t in theta], chain + 1)
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A named family: alphabet plus a total predicate on one node's labels.
-
-    The predicate receives the node's table and the labels of its
-    incident edges and decides membership; a network is in the family
-    when every node passes.
-    """
+    """A family of `FAMILIES` on one alphabet; `csan_in_family` tests members."""
 
     name: str
     alphabet: int
-    member: Callable[[LambdaTable, tuple[tuple[int, ...], ...]], bool]
-
-
-def _all_rho(rhos: tuple[tuple[int, ...], ...], expect: tuple[int, ...]) -> bool:
-    return all(r == expect for r in rhos)
-
-
-def _member_linear(lam: LambdaTable, rhos) -> bool:
-    if not _all_rho(rhos, rho_identity(2)):
-        return False
-    return all(out == m[1] % 2 for (s, m), out in lam.items())
-
-
-def _member_threshold(lam: LambdaTable, rhos) -> bool:
-    if not _all_rho(rhos, rho_identity(2)):
-        return False
-    deg = max(sum(m) for _, m in lam)
-    return any(
-        all(out == int(m[1] >= t) for (s, m), out in lam.items())
-        for t in range(deg + 2)
-    )
-
-
-def _minmax_rule(kind: str, s: int, m: tuple[int, ...]) -> int:
-    present = [a for a, cnt in enumerate(m) if cnt > 0]
-    if not present:
-        return s
-    return min(present) if kind == "MIN" else max(present)
-
-
-def _member_minmax(q: int) -> Callable[[LambdaTable, tuple], bool]:
-    def member(lam: LambdaTable, rhos) -> bool:
-        if not _all_rho(rhos, rho_identity(q)):
-            return False
-        return any(
-            all(out == _minmax_rule(kind, s, m) for (s, m), out in lam.items())
-            for kind in ("MIN", "MAX")
-        )
-
-    return member
-
-
-def _member_lifelike(lam: LambdaTable, rhos) -> bool:
-    if not _all_rho(rhos, rho_identity(2)):
-        return False
-    # Output may depend only on (own state, live count), not on the
-    # dead count, so rows of different total size must agree.
-    by_key: dict[tuple[int, int], int] = {}
-    for (s, m), out in lam.items():
-        if by_key.setdefault((s, m[1]), out) != out:
-            return False
-    return True
-
-
-def _member_interval(lam: LambdaTable, rhos) -> bool:
-    if not _all_rho(rhos, rho_identity(2)):
-        return False
-    deg = max(sum(m) for _, m in lam)
-    return any(
-        all(out == int(a <= m[1] <= b) for (s, m), out in lam.items())
-        for a in range(deg + 1)
-        for b in range(a, deg + 1)
-    )
-
-
-def _member_reaction(q: int) -> Callable[[LambdaTable, tuple], bool]:
-    def member(lam: LambdaTable, rhos) -> bool:
-        if q < 3 or not _all_rho(rhos, rho_activity(q)):
-            return False
-        for (s, m), out in lam.items():
-            if s != 0 and out != (0 if s == q - 1 else s + 1):
-                return False
-        rest = [(m[1], out) for (s, m), out in lam.items() if s == 0]
-        deg = max(sum(m) for _, m in lam)
-        return any(
-            all(out == int(c >= t) for c, out in rest) for t in range(deg + 2)
-        )
-
-    return member
 
 
 def family_spec(name: str, alphabet: int = 2) -> FamilySpec:
-    """Membership predicate for one of the builtin families."""
-    table: dict[str, Callable] = {
-        "linear": _member_linear,
-        "threshold": _member_threshold,
-        "minmax": _member_minmax(alphabet),
-        "lifelike": _member_lifelike,
-        "interval": _member_interval,
-        "reaction": _member_reaction(alphabet),
-    }
-    if name not in table:
-        raise InvalidCsanError(f"unknown family {name!r}")
-    if name in ("linear", "threshold", "lifelike", "interval") and alphabet != 2:
-        raise InvalidCsanError(f"family {name!r} is binary only")
-    return FamilySpec(name, alphabet, table[name])
+    """Membership test for one of the registered families."""
+    _family(name, alphabet)
+    return FamilySpec(name, alphabet)
+
+
+def _reproduces(fam: Family, q: int, params: dict, lam: LambdaTable) -> bool:
+    # A candidate the rule refuses (a reaction chain on two states)
+    # reproduces nothing.
+    try:
+        rule = fam.rule(q, **params)
+    except InvalidCsanError:
+        return False
+    return all(rule(s, m) == out for (s, m), out in lam.items())
 
 
 def csan_in_family(c: Csan, spec: FamilySpec) -> bool:
-    if c.alphabet != spec.alphabet:
+    """Every edge carries the family's label, and every node's table is
+    reproduced by one of the family's candidate parameters."""
+    q = c.alphabet
+    if q != spec.alphabet:
         return False
-    inc = c.incidence
-    return all(
-        spec.member(c.lam[v], tuple(rho for _, rho in inc[v])) for v in range(c.n)
+    fam = FAMILIES[spec.name]
+    rho = fam.rho(q)
+    return all(rho == r for r in c.edge_rho) and all(
+        any(_reproduces(fam, q, p, c.lam[v]) for p in fam.candidates(c.lam[v], c.degree(v)))
+        for v in range(c.n)
     )
 
 
@@ -657,31 +612,6 @@ def interaction_graph_csan(c: Csan) -> set[tuple[int, int]]:
                     break
             if found:
                 edges.add((u, v))
-    return edges
-
-
-def interaction_graph_bruteforce(net: Network) -> set[tuple[int, int]]:
-    """Effective dependencies by trying every one-node change everywhere.
-
-    Exponential in n; this is the definitional oracle against which the
-    structural extraction is validated.
-    """
-    q = net.alphabet
-    n = net.n
-    edges: set[tuple[int, int]] = set()
-    for idx in range(q**n):
-        x = index_config(idx, q, n)
-        fx = step(net, x)
-        for u in range(n):
-            for a in range(q):
-                if a == x[u]:
-                    continue
-                y = list(x)
-                y[u] = a
-                fy = step(net, tuple(y))
-                for v in range(n):
-                    if fx[v] != fy[v]:
-                        edges.add((u, v))
     return edges
 
 
@@ -837,35 +767,6 @@ def circuit_encode(net: Network) -> Circuit:
 # Serialization
 
 
-def _shorthand_rule(q: int, spec: Mapping) -> Callable[[int, tuple[int, ...]], int]:
-    """Per-vertex rule from a family shorthand like {"family": "threshold", ...}."""
-    fam = spec.get("family")
-    if fam == "linear":
-        return lambda s, m: m[1] % 2
-    if fam == "threshold":
-        t = spec["theta"]
-        return lambda s, m: int(m[1] >= t)
-    if fam == "minmax":
-        kind = spec["polarity"]
-        if kind not in ("MIN", "MAX"):
-            raise InvalidCsanError("polarity must be MIN or MAX")
-        return lambda s, m: _minmax_rule(kind, s, m)
-    if fam == "lifelike":
-        b = frozenset(spec["birth"])
-        srv = frozenset(spec["survive"])
-        return lambda s, m: int(m[1] in (srv if s else b))
-    if fam == "interval":
-        a, b = spec["alpha"], spec["beta"]
-        return lambda s, m: int(a <= m[1] <= b)
-    if fam == "reaction":
-        t = spec["theta"]
-        chain = q - 1
-        return lambda s, m: (1 if m[1] >= t else 0) if s == 0 else (
-            0 if s == chain else s + 1
-        )
-    raise InvalidCsanError(f"unknown family shorthand {fam!r}")
-
-
 def csan_to_json(c: Csan) -> dict:
     edges = []
     for (u, v), rho in zip(c.edges, c.edge_rho):
@@ -887,22 +788,13 @@ def csan_from_json(data: dict) -> Csan:
         vertices = data["vertices"]
         if len(vertices) != n:
             raise InvalidCsanError("one vertex entry per node required")
-        degs = [0] * n
-        for u, v, _ in raw_edges:
-            degs[u] += 1
-            degs[v] += 1
+        degs = Counter(x for u, v, _ in raw_edges for x in (u, v))
         lam = []
         for v, entry in enumerate(vertices):
             body = entry["lambda"]
             if isinstance(body, Mapping):
-                rule = _shorthand_rule(q, body)
-                lam.append(
-                    {
-                        (s, m): rule(s, m)
-                        for s in range(q)
-                        for m in multisets_up_to(q, degs[v])
-                    }
-                )
+                params = dict(body)
+                lam.append(_family_table(params.pop("family", None), q, degs[v], params))
             else:
                 lam.append({(s, tuple(m)): out for s, m, out in body})
         return make_csan(q, n, raw_edges, lam)

@@ -11,7 +11,7 @@ assembled by repeated glueing (`gadget_glue`). A coherence certificate
 pins down, for one gate catalog, the exempted runs and boundary traces
 that make every such assembly simulate the corresponding gate network.
 
-`compile_gnetwork` performs the assembly without building the gadgets
+`compile_gnetwork_detailed` performs the assembly without building the gadgets
 in between. Glueing along disjoint sets of wires is associative, so the
 host is fixed by the gadgets and their wiring, not by the order of the
 glue steps: the compiler walks the gates in order only to number the
@@ -835,11 +835,6 @@ def compile_gnetwork_detailed(gn: GNetwork, cert: CoherentCertificate) -> Compil
         tuple(contexts),
         tuple(node_maps),
     )
-
-
-def compile_gnetwork(gn: GNetwork, cert: CoherentCertificate) -> tuple[Network, BlockEmbedding]:
-    compiled = compile_gnetwork_detailed(gn, cert)
-    return compiled.network, compiled.embedding
 
 
 # ---------------------------------------------------------------------------

@@ -102,14 +102,6 @@ def _ladder_edges(layers: int, ring: bool) -> list[tuple[int, int]]:
     return edges
 
 
-def _wire_csan() -> Csan:
-    return build_lifelike(24, _ladder_edges(6, ring=False), BIRTH, SURVIVE)
-
-
-def _clock_csan() -> Csan:
-    return build_lifelike(24, _ladder_edges(6, ring=True), BIRTH, SURVIVE)
-
-
 def _clock_initial() -> tuple[int, ...]:
     # Two adjacent live layers with the two helpers trailing them; the
     # pair advances one layer per step and wraps, so layer 2 is live

@@ -202,19 +202,6 @@ def reach(inst: ReachInstance, max_states: int = DEFAULT_MAX_STATES) -> bool:
     return inst.y in path
 
 
-def solve_instance(inst, max_states: int = DEFAULT_MAX_STATES) -> bool:
-    """Dispatch an instance to its solver (binary times via the cycle)."""
-    if isinstance(inst, PredInstance):
-        if inst.time_format == "unary":
-            return u_pred(inst)
-        return b_pred(inst, max_states)
-    if isinstance(inst, PredChgInstance):
-        return pred_chg(inst, max_states)
-    if isinstance(inst, ReachInstance):
-        return reach(inst, max_states)
-    raise TypeError(f"not an instance: {inst!r}")
-
-
 # ---------------------------------------------------------------------------
 # Carrying prediction across a block simulation
 

@@ -1,5 +1,7 @@
 """Circuit evaluation, synchronization and the gate-network compilers."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,6 @@ from artifact.circuit import (
     gmon_to_gmon2,
     make_circuit,
     nor_realizers,
-    random_closed_circuit,
     synchronize,
 )
 from artifact.core import analyze_orbit, index_config, iterate, trace
@@ -26,6 +27,43 @@ from artifact.gnet import (
     gnetwork_to_network,
 )
 from artifact.simulate import embed, verify_simulation
+
+
+def random_closed_circuit(n_inputs: int, depth: int, seed: int) -> Circuit:
+    """Random closed synchronous circuit with fanout 1 or 2 everywhere.
+
+    Layers of constant width: every layer node consumes nodes of the
+    previous layer only, each previous node is consumed once or twice,
+    and the last layer feeds back as the next input vector.
+    """
+    if n_inputs < 1 or depth < 1:
+        raise InvalidCircuitError("need n_inputs >= 1 and depth >= 1")
+    rng = random.Random(seed)
+    gates: list[tuple[str, tuple[int, ...]]] = []
+    prev_layer = list(range(n_inputs))
+    for _ in range(depth):
+        mandatory = prev_layer[:]
+        rng.shuffle(mandatory)
+        counts = {v: 1 for v in prev_layer}
+        layer = []
+        for j in range(n_inputs):
+            first = mandatory[j]
+            extra = [v for v in prev_layer if counts[v] < 2]
+            if extra and rng.random() < 0.6:
+                second = rng.choice(extra)
+                counts[second] += 1
+                op = rng.choice(["AND", "OR"])
+                args = (first, second) if rng.random() < 0.5 else (second, first)
+                gates.append((op, args))
+            else:
+                gates.append((rng.choice(["NOT", "ID"]), (first,)))
+            layer.append(n_inputs + len(gates) - 1)
+        prev_layer = layer
+    c = Circuit(n_inputs, tuple(gates), tuple(prev_layer))
+    c.validate()
+    if not c.is_synchronous():
+        raise InvalidCircuitError("generator produced a non-synchronous circuit")
+    return c
 
 
 def test_eval_basics():

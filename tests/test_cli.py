@@ -204,9 +204,24 @@ def rot3_embedding(**changes):
     return {**identity_embedding_doc(rotation(3)), **changes}
 
 
+def shorthand_csan(alphabet=2, label="id", **shorthand):
+    """Two joined nodes, both given by the same family shorthand."""
+    vertex = {"lambda": shorthand}
+    return {
+        "format": "csan",
+        "version": 1,
+        "alphabet": alphabet,
+        "n": 2,
+        "edges": [[0, 1, label]],
+        "vertices": [vertex, vertex],
+    }
+
+
 # case -> (arguments with DOC where the document's path goes, document).
 # Each of these documents once escaped its parser or checker as a built-in
-# exception, or was judged with exit code 0 or 1 on a non-integer state.
+# exception, was judged with exit code 0 or 1 on a non-integer state, or
+# (the shorthands) was converted with exit code 0 although the family
+# refuses its parameters or its alphabet.
 DOC = object()
 MALFORMED = {
     "certificate context key": (
@@ -251,6 +266,29 @@ MALFORMED = {
     "gnetwork alphabet string": (["convert", DOC], lambda: nor_pair_doc(alphabet="2")),
     "matrix rows scalar": (
         ["convert", DOC], lambda: {"format": "matrix", "kind": "gf2", "rows": 5}
+    ),
+    "shorthand interval alpha above beta": (
+        ["convert", DOC], lambda: shorthand_csan(family="interval", alpha=2, beta=1)
+    ),
+    "shorthand threshold theta float": (
+        ["convert", DOC], lambda: shorthand_csan(family="threshold", theta=1.5)
+    ),
+    "shorthand threshold theta bool": (
+        ["convert", DOC], lambda: shorthand_csan(family="threshold", theta=True)
+    ),
+    "shorthand lifelike birth string": (
+        ["convert", DOC],
+        lambda: shorthand_csan(family="lifelike", birth=["1"], survive=[2, 3]),
+    ),
+    "shorthand linear ternary": (
+        ["convert", DOC], lambda: shorthand_csan(alphabet=3, family="linear")
+    ),
+    "shorthand threshold ternary": (
+        ["convert", DOC], lambda: shorthand_csan(alphabet=3, family="threshold", theta=1)
+    ),
+    "shorthand reaction binary": (
+        ["convert", DOC],
+        lambda: shorthand_csan(label="activity", family="reaction", theta=1),
     ),
 }
 
@@ -318,6 +356,23 @@ def test_verify_sim_sampled_is_seed_deterministic(tmp_path, rot3_file, capsys):
     assert run([*args, "--seed", "7"]) == 0
     assert out_json(capsys) == first
     assert first["seed"] == 7 and first["checked"] == 20
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_verify_sim_refuses_fewer_than_one_sample(samples, tmp_path, rot3_file, capsys):
+    emb = write_json(tmp_path, "emb.json", identity_embedding_doc(rotation(3)))
+    args = ["verify-sim", rot3_file, rot3_file, emb, "--mode", "sample", f"--samples={samples}"]
+    assert run(args) == 2
+    assert "--samples" in out_json(capsys)["error"]
+
+
+@pytest.mark.parametrize("alphabet", [1000, 2000])
+def test_convert_csan_on_a_large_alphabet(alphabet, tmp_path, capsys):
+    lone = {"lambda": {"family": "minmax", "polarity": "MIN"}}
+    doc = {"format": "csan", "version": 1, "alphabet": alphabet, "n": 1, "edges": [], "vertices": [lone]}
+    assert run(["convert", write_json(tmp_path, "big.json", doc)]) == 0
+    # an isolated min-max node keeps its state
+    assert out_json(capsys)["nodes"] == [{"deps": [0], "table": list(range(alphabet))}]
 
 
 def test_convert_csan_and_circuit(tmp_path, rot3_file, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from artifact import csan as csan_module
 from artifact import docs
 from artifact.circuit import InvalidCircuitError, eval_circuit
 from artifact.core import InvalidConfigError, Network, Rule, index_config, make_network, step
@@ -29,10 +30,8 @@ from artifact.csan import (
     decode_config,
     encode_config,
     family_spec,
-    interaction_graph_bruteforce,
     interaction_graph_csan,
     make_csan,
-    make_multiset,
     matrix_to_network,
     multisets_up_to,
     multisets_with_total,
@@ -40,6 +39,7 @@ from artifact.csan import (
     rho_identity,
 )
 
+import family_reference as ref_csan
 from conftest import xor_ring
 
 # Shared 4-node instance: hub 0 joined to 1,2,3 and hub 3 joined to 1,2.
@@ -55,23 +55,48 @@ def all_configs(q, n):
     return (index_config(i, q, n) for i in range(q**n))
 
 
+def interaction_graph_bruteforce(net: Network) -> set[tuple[int, int]]:
+    """Effective dependencies by trying every one-node change everywhere.
+
+    Exponential in n; this is the definitional oracle against which the
+    structural extraction is validated.
+    """
+    q = net.alphabet
+    n = net.n
+    edges: set[tuple[int, int]] = set()
+    for idx in range(q**n):
+        x = index_config(idx, q, n)
+        fx = step(net, x)
+        for u in range(n):
+            for a in range(q):
+                if a == x[u]:
+                    continue
+                y = list(x)
+                y[u] = a
+                fy = step(net, tuple(y))
+                for v in range(n):
+                    if fx[v] != fy[v]:
+                        edges.add((u, v))
+    return edges
+
+
 # ---------------------------------------------------------------------------
 # Multisets
 
 
 def test_multiset_helpers():
-    m = make_multiset([1, 1, 2], 3, 5)
-    assert m.counts == (0, 2, 1)
-    assert m.total == 3
-    with pytest.raises(InvalidCsanError):
-        make_multiset([1, 1], 2, 1)
-    with pytest.raises(InvalidCsanError):
-        make_multiset([5], 2, 3)
     assert list(multisets_with_total(2, 2)) == [(0, 2), (1, 1), (2, 0)]
     assert list(multisets_up_to(2, 1)) == [(0, 0), (0, 1), (1, 0)]
     got = list(multisets_up_to(3, 4))
     assert len(got) == len(set(got))
     assert all(sum(m) <= 4 for m in got)
+
+
+def test_multisets_with_total_are_every_count_vector_in_order():
+    for q in range(1, 5):
+        for total in range(6):
+            every = [m for m in product(range(total + 1), repeat=q) if sum(m) == total]
+            assert list(multisets_with_total(q, total)) == every
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +581,121 @@ def test_threshold_is_lifelike_specialization():
 
 
 # ---------------------------------------------------------------------------
+# The family registry against the three copies it replaced
+
+# family -> (builder name, alphabet the builder gives, edge label name)
+BUILT = {
+    "linear": ("build_linear_gf2", lambda p: 2, "id"),
+    "threshold": ("build_threshold", lambda p: 2, "id"),
+    "minmax": ("build_minmax", lambda p: p["alphabet"], "id"),
+    "lifelike": ("build_lifelike", lambda p: 2, "id"),
+    "interval": ("build_interval", lambda p: 2, "id"),
+    "reaction": ("build_reaction_diffusion", lambda p: p["chain"] + 1, "activity"),
+}
+FAMILY_ALPHABETS = [(name, q) for name in sorted(BUILT) for q in (2, 3, 4)]
+
+
+@st.composite
+def family_cases(draw):
+    """A family, a graph and builder arguments, some of them out of range."""
+    name = draw(st.sampled_from(sorted(BUILT)))
+    # At least one node: with none, no node rule is built, so the
+    # registry leaves alpha <= beta and chain >= 2 unchecked there, where
+    # the former builders refused them.
+    n = draw(st.integers(1, 5))
+    edges = [
+        (v, u) if draw(st.booleans()) else (u, v)
+        for u, v in combinations(range(n), 2)
+        if draw(st.booleans())
+    ]
+    counts = st.integers(0, 5)
+
+    def per_node(values):
+        return [draw(values) for _ in range(n)]
+
+    kwargs = {
+        "linear": lambda: {},
+        "threshold": lambda: {"theta": per_node(counts)},
+        "minmax": lambda: {
+            "polarity": per_node(st.sampled_from(("MIN", "MAX"))),
+            "alphabet": draw(st.integers(2, 4)),
+        },
+        "lifelike": lambda: {
+            "birth": draw(st.sets(counts, max_size=3)),
+            "survive": draw(st.sets(counts, max_size=3)),
+        },
+        "interval": lambda: {"alpha": draw(counts), "beta": draw(counts)},
+        "reaction": lambda: {"theta": per_node(counts), "chain": draw(st.integers(1, 3))},
+    }[name]()
+    return name, n, edges, kwargs
+
+
+def shorthand_doc(name, n, edges, kwargs):
+    _, alphabet, label = BUILT[name]
+    vertices = []
+    for v in range(n):
+        params = {}
+        for key, value in kwargs.items():
+            if key in ("theta", "polarity"):
+                params[key] = value[v]
+            elif key in ("birth", "survive"):
+                params[key] = sorted(value)
+            elif key not in ("alphabet", "chain"):
+                params[key] = value
+        vertices.append({"lambda": {"family": name, **params}})
+    return {
+        "format": "csan",
+        "version": 1,
+        "alphabet": alphabet(kwargs),
+        "n": n,
+        "edges": [[u, v, label] for u, v in edges],
+        "vertices": vertices,
+    }
+
+
+def flipped(c, v, key):
+    lam = list(c.lam)
+    table = dict(lam[v])
+    table[key] = (table[key] + 1) % c.alphabet
+    lam[v] = table
+    return Csan(c.alphabet, c.edges, c.edge_rho, tuple(lam))
+
+
+def same_membership(c):
+    for name, q in FAMILY_ALPHABETS:
+        try:
+            want = ref_csan.csan_in_family(c, ref_csan.family_spec(name, q))
+        except InvalidCsanError:
+            with pytest.raises(InvalidCsanError):
+                family_spec(name, q)
+            continue
+        assert csan_in_family(c, family_spec(name, q)) == want, (name, q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(family_cases(), st.data())
+def test_registry_matches_the_former_builders_shorthand_and_membership(case, data):
+    name, n, edges, kwargs = case
+    builder = BUILT[name][0]
+    try:
+        want = getattr(ref_csan, builder)(n, edges, **kwargs)
+    except InvalidCsanError:
+        with pytest.raises(InvalidCsanError):
+            getattr(csan_module, builder)(n, edges, **kwargs)
+        with pytest.raises(InvalidCsanError):
+            csan_from_json(shorthand_doc(name, n, edges, kwargs))
+        return
+    got = getattr(csan_module, builder)(n, edges, **kwargs)
+    assert got == want
+    doc = shorthand_doc(name, n, edges, kwargs)
+    assert csan_from_json(doc) == got == ref_csan.csan_from_shorthand(doc)
+    same_membership(got)
+    v = data.draw(st.integers(0, n - 1))
+    key = data.draw(st.sampled_from(sorted(got.lam[v])))
+    same_membership(flipped(got, v, key))
+
+
+# ---------------------------------------------------------------------------
 # Matrix maps
 
 
@@ -747,6 +887,29 @@ def test_json_family_shorthand():
     short["vertices"] = doc["vertices"][:2]
     with pytest.raises(InvalidCsanError):
         csan_from_json(short)
+
+
+@pytest.mark.parametrize(
+    "shorthand",
+    [
+        {"family": "threshold"},
+        {"family": "threshold", "theta": 1, "beta": 2},
+        {"family": "interval", "alpha": 1},
+        {"family": "lifelike", "birth": [3], "survive": [2], "extra": 0},
+    ],
+    ids=["missing", "unknown", "interval missing", "lifelike unknown"],
+)
+def test_shorthand_keys_must_be_the_family_keys(shorthand):
+    doc = {
+        "format": "csan",
+        "version": 1,
+        "alphabet": 2,
+        "n": 2,
+        "edges": [[0, 1, "id"]],
+        "vertices": [{"lambda": shorthand}] * 2,
+    }
+    with pytest.raises(InvalidCsanError, match=f"family {shorthand['family']!r} takes"):
+        csan_from_json(doc)
 
 
 def test_symmetry_of_stored_structure():

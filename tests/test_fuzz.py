@@ -2,7 +2,8 @@
 
 `analyze` and `oracle b-pred|pred-chg|reach` read a network or an
 instance document and walk an orbit; `verify-cert` reads a certificate
-and replays its recorded runs. Whatever the documents hold, the
+and replays its recorded runs; `convert` reads a CSAN whose vertices
+are family shorthands and tabulates it. Whatever the documents hold, the
 command must end in one of its exit codes (0 yes, 1 no, 2 bad input,
 3 budget exceeded) and never in an uncaught exception.
 """
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact import gol
+from artifact import docs, gol
 from artifact.cli import run
 from artifact.core import network_to_json
 from artifact.gadget import certificate_to_json
@@ -153,3 +154,26 @@ def test_mutated_certificates_exit_with_a_code(data):
         doc_file = Path(tmp) / "cert.json"
         doc_file.write_text(json.dumps(doc))
         assert run(["verify-cert", str(doc_file), "-o", str(Path(tmp) / "out.json")]) in (0, 1, 2, 3)
+
+
+# The wire's vertices are lifelike shorthands. Only they are mutated: the
+# alphabet and n stay, since a CSAN document has no size budget yet.
+WIRE = docs.read(gol._DATA_DIR / "gol_wire.json")["csan"]
+
+
+def convert(doc) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        doc_file = Path(tmp) / "csan.json"
+        doc_file.write_text(json.dumps(doc))
+        return run(["convert", str(doc_file), "-o", str(Path(tmp) / "out.json")])
+
+
+def test_unmutated_shorthand_csan_converts():
+    assert convert(WIRE) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_shorthand_vertices_exit_with_a_code(data):
+    doc = data.draw(mutated(WIRE, lambda draw: [("vertices",)]))
+    assert convert(doc) in (0, 2)

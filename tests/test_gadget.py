@@ -19,7 +19,6 @@ from artifact.gadget import (
     _copy_trace_matches,
     certificate_from_json,
     certificate_to_json,
-    compile_gnetwork,
     compile_gnetwork_detailed,
     context_nodes,
     csan_closure_failures,
@@ -362,7 +361,8 @@ def test_certificate_trace_endpoints_checked():
 def test_compile_identity_loop_swaps():
     gn = two_gate_loop()
     cert = toy_certificate({ID_1_1: identity_gadget()})
-    host, emb = compile_gnetwork(gn, cert)
+    compiled = compile_gnetwork_detailed(gn, cert)
+    host, emb = compiled.network, compiled.embedding
     assert host.n == 4 and emb.time == 1
     source = gnetwork_to_network(gn)
     report = verify_simulation(source, host, emb, mode="exhaustive")
@@ -383,7 +383,8 @@ def test_compile_three_gate_rotation():
     b.connect(j2, [n1])
     gn = b.build()
     cert = toy_certificate({ID_1_1: identity_gadget()})
-    host, emb = compile_gnetwork(gn, cert)
+    compiled = compile_gnetwork_detailed(gn, cert)
+    host, emb = compiled.network, compiled.embedding
     assert host.n == 6
     report = verify_simulation(gnetwork_to_network(gn), host, emb, mode="exhaustive")
     assert report.ok, report.message()
@@ -399,7 +400,8 @@ def test_compile_with_disjoint_union_step():
     b.connect(3, [outs[2]])
     gn = b.build()
     cert = toy_certificate({ID_1_1: identity_gadget()})
-    host, emb = compile_gnetwork(gn, cert)
+    compiled = compile_gnetwork_detailed(gn, cert)
+    host, emb = compiled.network, compiled.embedding
     assert host.n == 8
     report = verify_simulation(gnetwork_to_network(gn), host, emb, mode="exhaustive")
     assert report.ok, report.message()
@@ -438,7 +440,8 @@ def test_compile_nor_latch_and_stitching():
 def test_compile_empty_gate_network():
     gn = GNetwork(2, (), (), ())
     cert = toy_certificate({ID_1_1: identity_gadget()})
-    host, emb = compile_gnetwork(gn, cert)
+    compiled = compile_gnetwork_detailed(gn, cert)
+    host, emb = compiled.network, compiled.embedding
     assert host.n == 0
     assert emb.blocks == ()
 
@@ -463,14 +466,14 @@ def test_compile_error_reporting():
     gn = two_gate_loop()
     cert = toy_certificate({NOR_2_2: nor_gadget()})
     with pytest.raises(InvalidGadgetError, match="no gadget recorded"):
-        compile_gnetwork(gn, cert)
+        compile_gnetwork_detailed(gn, cert)
     broken = toy_certificate({ID_1_1: identity_gadget()})
     del broken.pseudo_orbits[ID_1_1][((0,), (0,), (0,))]
     with pytest.raises(InvalidGadgetError, match="rejected"):
-        compile_gnetwork(gn, broken)
+        compile_gnetwork_detailed(gn, broken)
     looped = GNetwork(2, (ID_1_1,), ((0,),), ((0,),))
     with pytest.raises(InvalidGNetworkError):
-        compile_gnetwork(looped, toy_certificate({ID_1_1: identity_gadget()}))
+        compile_gnetwork_detailed(looped, toy_certificate({ID_1_1: identity_gadget()}))
 
 
 # ---------------------------------------------------------------------------

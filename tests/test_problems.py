@@ -46,7 +46,6 @@ from artifact.problems import (
     reach_to_pred,
     reduce_pred_via_simulation,
     sat_pred_network,
-    solve_instance,
     u_pred,
 )
 from artifact.simulate import BlockEmbedding, embed
@@ -107,13 +106,14 @@ def test_instance_json_round_trip():
         make_reach_instance(net, (1, 0, 0), (0, 0, 1)),
     ]
     kinds = ["u-pred", "b-pred", "pred-chg", "reach"]
-    for inst, kind in zip(insts, kinds):
+    solvers = [u_pred, b_pred, pred_chg, reach]
+    for inst, kind, solve in zip(insts, kinds, solvers):
         doc = instance_to_json(inst)
         assert doc["format"] == "instance" and doc["problem"] == kind
         back = instance_from_json(doc)
         assert type(back) is type(inst)
         assert instance_to_json(back) == doc
-        assert solve_instance(back) == solve_instance(inst)
+        assert solve(back) == solve(inst)
 
 
 def test_instance_json_errors():
@@ -249,17 +249,6 @@ def test_budget_exceeded_surfaces():
         b_pred(make_pred_instance(net, 0, x, 1, 10**9, "binary"), max_states=3)
     with pytest.raises(BudgetExceededError):
         reach(make_reach_instance(net, x, tuple(reversed(x))), max_states=3)
-
-
-def test_solve_instance_dispatch():
-    net = rotation(3)
-    x = (1, 0, 0)
-    assert solve_instance(make_pred_instance(net, 1, x, 1, 1, "unary"))
-    assert solve_instance(make_pred_instance(net, 1, x, 1, 3 * 10**9 + 1, "binary"))
-    assert solve_instance(make_pred_chg_instance(net, 0, x, 1))
-    assert solve_instance(make_reach_instance(net, x, (0, 0, 1)))
-    with pytest.raises(TypeError):
-        solve_instance(net)
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +677,7 @@ def test_property_oracles_and_json_agree(data):
     unary = make_pred_instance(net, v, x, target, t, "unary")
     binary = make_pred_instance(net, v, x, target, t, "binary")
     assert u_pred(unary) == b_pred(binary)
-    assert solve_instance(instance_from_json(instance_to_json(unary))) == u_pred(unary)
+    assert u_pred(instance_from_json(instance_to_json(unary))) == u_pred(unary)
 
 
 @settings(deadline=None, max_examples=25)
