@@ -239,7 +239,7 @@ def _cmd_gol(args):
     if args.action != "demo":
         raise ArtifactError(f"unknown gol action {args.action!r}")
     cert = gol.build_certificate()
-    cert_rep = verify_certificate(cert)
+    cert_rep = cert.report  # compile_to_gol reads the same report
     gn = _sample_nor_pair()
     compiled, emb = gol.compile_to_gol(gn, cert)
     sim_rep = verify_simulation(

@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import docs
@@ -780,21 +781,33 @@ def csan_to_json(c: Csan) -> dict:
 
 
 def csan_from_json(data: dict) -> Csan:
-    """Read a document whose vertex tables are explicit rows or shorthands."""
+    """Read a document whose vertex tables are explicit rows or shorthands.
+
+    Vertices with equal tables share one dict, interned by content, so
+    the per-table memos of `csan_to_network`, `Csan.validate` and
+    `Network.byte_tables` see one table.
+    """
     with docs.parsing(data, "csan", InvalidCsanError):
         q = data["alphabet"]
         n = data["n"]
+        docs.integers(InvalidCsanError, "alphabet and n", (q, n))
         raw_edges = [(u, v, rho) for u, v, rho in data["edges"]]
         vertices = data["vertices"]
         if len(vertices) != n:
             raise InvalidCsanError("one vertex entry per node required")
         degs = Counter(x for u, v, _ in raw_edges for x in (u, v))
+        interned: dict[frozenset, LambdaTable] = {}
         lam = []
         for v, entry in enumerate(vertices):
             body = entry["lambda"]
             if isinstance(body, Mapping):
                 params = dict(body)
-                lam.append(_family_table(params.pop("family", None), q, degs[v], params))
+                table = _family_table(params.pop("family", None), q, degs[v], params)
             else:
-                lam.append({(s, tuple(m)): out for s, m, out in body})
+                table = {(s, tuple(m)): out for s, m, out in body}
+                # A row is (own state, count vector, output); check every cell.
+                cells = [*chain.from_iterable(body)]
+                counts = [*chain.from_iterable(cells[1::3])]
+                docs.integers(InvalidCsanError, f"node {v} table", cells[::3], counts, cells[2::3])
+            lam.append(interned.setdefault(frozenset(table.items()), table))
         return make_csan(q, n, raw_edges, lam)

@@ -361,6 +361,14 @@ class CoherentCertificate:
     `time` steps; for each gate the certificate records one exempted
     run per (input states, next input states, output states) triple,
     the next output states being determined by the gate itself.
+
+    `report` is `verify_certificate` of this object, computed on first
+    use (the first compile) and kept; it is not a field, so it takes no
+    part in equality or serialization. Do not edit a certificate's
+    contents after its first compile: build a variant as a new object,
+    with `dataclasses.replace` or by loading it again. A `copy.copy`
+    carries the kept report over, so only those two ways give a
+    certificate that is verified again.
     """
 
     interface: Interface
@@ -383,6 +391,10 @@ class CoherentCertificate:
         for g in self.gadgets.values():
             return g.alphabet
         raise InvalidGadgetError("certificate carries no gadgets")
+
+    @cached_property
+    def report(self) -> CertificateReport:
+        return verify_certificate(self)
 
 
 def make_certificate(
@@ -741,7 +753,7 @@ def compile_gnetwork_detailed(gn: GNetwork, cert: CoherentCertificate) -> Compil
     frozen context nodes ride along in node 0's block.
     """
     gn.validate()
-    report = verify_certificate(cert)
+    report = cert.report
     if not report.ok:
         raise InvalidGadgetError(report.message())
     if gn.alphabet != cert.source_alphabet:

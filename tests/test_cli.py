@@ -217,6 +217,19 @@ def shorthand_csan(alphabet=2, label="id", **shorthand):
     }
 
 
+def explicit_csan(first_out):
+    """Two joined nodes with explicit rows, each keeping its own state."""
+    rows = [[s, m, s] for s in (0, 1) for m in ([1, 0], [0, 0], [0, 1])]
+    return {
+        "format": "csan",
+        "version": 1,
+        "alphabet": 2,
+        "n": 2,
+        "edges": [[0, 1, "id"]],
+        "vertices": [{"lambda": [[0, [1, 0], first_out], *rows[1:]]}, {"lambda": rows}],
+    }
+
+
 # case -> (arguments with DOC where the document's path goes, document).
 # Each of these documents once escaped its parser or checker as a built-in
 # exception, was judged with exit code 0 or 1 on a non-integer state, or
@@ -289,6 +302,13 @@ MALFORMED = {
     "shorthand reaction binary": (
         ["convert", DOC],
         lambda: shorthand_csan(label="activity", family="reaction", theta=1),
+    ),
+    "csan row output float": (["convert", DOC], lambda: explicit_csan(0.5)),
+    "csan alphabet bool": (
+        ["convert", DOC], lambda: shorthand_csan(alphabet=True, family="minmax", polarity="MIN")
+    ),
+    "csan n float": (
+        ["convert", DOC], lambda: {**shorthand_csan(family="minmax", polarity="MIN"), "n": 2.0}
     ),
 }
 

@@ -7,6 +7,7 @@ recomputed here from the junction dowel. Both must produce the same
 host, embedding, dowels, contexts and node maps.
 """
 
+import dataclasses
 import json
 import random
 import tracemalloc
@@ -16,8 +17,14 @@ import pytest
 from artifact import cli, csan, gadget, glue, gol
 from artifact.cli import run
 from artifact.csan import csan_to_json
-from artifact.gadget import compile_gnetwork_detailed, gadget_copy, gadget_glue
-from artifact.glue import glued_numbering, make_dowel
+from artifact.gadget import (
+    InvalidGadgetError,
+    certificate_to_json,
+    compile_gnetwork_detailed,
+    gadget_copy,
+    gadget_glue,
+)
+from artifact.glue import PseudoOrbit, glued_numbering, make_dowel
 from artifact.gnet import ID_1_1, NOR_2_2, GNetworkBuilder, gnetwork_to_json
 from artifact.simulate import BlockEmbedding, embedding_to_json
 
@@ -259,7 +266,7 @@ def test_host_tabulation_builds_as_many_tables_for_every_ring(monkeypatch):
         assert net.n == 66 * k
         assert len({id(rule.table) for rule in net.rules}) == len(built)
         counts.append(len(built))
-    assert counts[0] == counts[1] == counts[2] <= 84
+    assert counts == [12, 12, 12]
 
 
 def test_host_tabulation_memory_does_not_grow_with_the_ring():
@@ -286,3 +293,92 @@ def test_cli_compile_tabulates_the_host_only_for_dot(tmp_path, monkeypatch):
     assert run(["compile", str(src), "-o", str(out), "--dot", str(dot)]) == 0
     assert by_cli == [132] and set(elsewhere) == {84}
     assert dot.read_text().startswith("digraph")
+
+
+# ---------------------------------------------------------------------------
+# One certificate, verified once per object
+
+
+def counting_verifications(monkeypatch):
+    verified = []
+    original = gadget.verify_certificate
+
+    def counted(cert):
+        verified.append(id(cert))
+        return original(cert)
+
+    for mod in (gadget, gol, cli):
+        if hasattr(mod, "verify_certificate"):
+            monkeypatch.setattr(mod, "verify_certificate", counted)
+    return verified
+
+
+def test_compiles_with_one_certificate_verify_it_once(monkeypatch):
+    verified = counting_verifications(monkeypatch)
+    cert = gol.build_certificate()
+    for k in (2, 3, 4, 2):
+        host, _ = gol.compile_to_gol(nor_ring(k), cert)
+        assert host.n == 66 * k
+    assert verified == [id(cert)]
+    other = gol.build_certificate()
+    gol.compile_to_gol(nor_ring(2), other)
+    assert verified == [id(cert), id(other)]
+    assert cert.report.ok and cert.report.checked == 64
+    # The report is not a field: equality and the document ignore it.
+    assert cert == gol.build_certificate()
+    assert certificate_to_json(cert) == certificate_to_json(gol.build_certificate())
+
+
+def test_gol_demo_verifies_the_certificate_once(tmp_path, monkeypatch):
+    verified = counting_verifications(monkeypatch)
+    assert run(["gol", "demo", "-o", str(tmp_path / "demo.json")]) == 0
+    assert len(verified) == 1
+
+
+# The refusal the compiler gave before the report was kept, for the bundled
+# certificate with state (t=2, node 5) of the cell FLIPPED flipped.
+FLIPPED = ((0, 0), (0, 0), (1, 1))
+FLIPPED_MESSAGE = (
+    "certificate rejected: gate NOR_2_2 cell (0, 0)->(0, 0)|(1, 1): not a valid"
+    " exempted run (t=1, node 5, want 0, got 1); gate NOR_2_2 cell"
+    " (0, 0)->(0, 0)|(1, 1): input copy 0 strays from the standard trace at t=2"
+)
+
+
+def flipped(cert):
+    """A new certificate: cert with one run state of the cell FLIPPED flipped."""
+    table = dict(cert.pseudo_orbits[NOR_2_2])
+    po = table[FLIPPED]
+    configs = [list(x) for x in po.configs]
+    configs[2][5] ^= 1
+    table[FLIPPED] = PseudoOrbit(tuple(map(tuple, configs)), po.exempt)
+    return dataclasses.replace(cert, pseudo_orbits={NOR_2_2: table})
+
+
+def test_a_flipped_run_state_is_refused_after_its_original_compiled():
+    cert = gol.build_certificate()
+    gol.compile_to_gol(nor_ring(2), cert)
+    bad = flipped(cert)
+    for _ in range(2):
+        with pytest.raises(InvalidGadgetError) as exc:
+            gol.compile_to_gol(nor_ring(2), bad)
+        assert str(exc.value) == FLIPPED_MESSAGE
+    assert cert.report.ok and not bad.report.ok
+    assert bad.report == gadget.verify_certificate(bad)
+    host, _ = gol.compile_to_gol(nor_ring(2), cert)
+    assert host.n == 132
+
+
+def test_cli_compile_refuses_a_flipped_run_state(tmp_path):
+    doc = json.loads((gol._DATA_DIR / "gol_certificate.json").read_text())
+    for cell in doc["gates"][0]["pseudo_orbits"]:
+        if (tuple(cell["inputs"]), tuple(cell["next_inputs"]), tuple(cell["outputs"])) == FLIPPED:
+            cell["orbit"]["configs"][2][5] ^= 1
+    bad = tmp_path / "flipped.json"
+    bad.write_text(json.dumps(doc))
+    assert certificate_to_json(flipped(gol.build_certificate())) == json.loads(bad.read_text())
+    src = tmp_path / "ring.json"
+    src.write_text(json.dumps(gnetwork_to_json(nor_ring(2))))
+    out = tmp_path / "compiled.json"
+    assert run(["compile", str(src), "--certificate", str(bad), "-o", str(out)]) == 2
+    assert json.loads(out.read_text()) == {"error": FLIPPED_MESSAGE}

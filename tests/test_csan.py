@@ -1,5 +1,6 @@
 """Labeled-graph networks: families, semantics, interaction graphs, codecs."""
 
+import json
 from itertools import combinations, product
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifact import csan as csan_module
-from artifact import docs
+from artifact import docs, gol
 from artifact.circuit import InvalidCircuitError, eval_circuit
 from artifact.core import InvalidConfigError, Network, Rule, index_config, make_network, step
 from artifact.csan import (
@@ -857,6 +858,38 @@ def test_json_roundtrip(tmp_path):
     path = tmp_path / "net.json"
     docs.write(csan_to_json(rd), path, pretty=True)
     assert csan_from_json(docs.read(path)) == rd
+
+
+def uninterned_csan(doc):
+    """The explicit-row document read with one fresh table per vertex."""
+    tables = [{(s, tuple(m)): out for s, m, out in v["lambda"]} for v in doc["vertices"]]
+    return make_csan(doc["alphabet"], doc["n"], [tuple(e) for e in doc["edges"]], tables)
+
+
+def test_csan_from_json_shares_equal_explicit_tables():
+    cert = docs.read(gol._DATA_DIR / "gol_certificate.json")
+    doc = cert["gates"][0]["gadget"]["csan"]
+    got = csan_from_json(doc)
+    plain = uninterned_csan(doc)
+    assert len({id(t) for t in plain.lam}) == got.n == 84
+    contents = {frozenset(t.items()) for t in plain.lam}
+    assert len({id(t) for t in got.lam}) == len(contents) < 12
+    for u, v in combinations(range(84), 2):
+        assert (got.lam[u] is got.lam[v]) == (got.lam[u] == got.lam[v])
+    assert got == plain
+    text = json.dumps(csan_to_json(got), sort_keys=True)
+    assert text == json.dumps(csan_to_json(plain), sort_keys=True)
+    assert text == json.dumps(doc, sort_keys=True)
+
+
+def test_csan_from_json_shares_one_shorthand_table_per_degree():
+    doc = docs.read(gol._DATA_DIR / "gol_wire.json")["csan"]
+    got = csan_from_json(doc)
+    degrees = {got.degree(v) for v in range(got.n)}
+    assert len(degrees) > 1
+    assert len({id(t) for t in got.lam}) == len(degrees)
+    edges = [(u, v) for u, v, _ in doc["edges"]]
+    assert got == build_lifelike(got.n, edges, [3], [2, 3])
 
 
 def test_json_family_shorthand():
