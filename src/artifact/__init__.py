@@ -5,7 +5,7 @@ somewhere else in the package, except the public API below, which
 only users, the tests and the benchmark call:
 
     circuit: double_rail gmon_to_gmon2 nor_realizers synchronize
-    core: attractors config_index interaction_graph
+    core: attractors interaction_graph
     csan: build_interval build_minmax build_reaction_diffusion
     csan: build_rule90_ring build_threshold csan_in_family csan_step
     csan: decode_config encode_config interaction_graph_csan

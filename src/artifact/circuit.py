@@ -14,17 +14,17 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import docs
-from .core import ArtifactError, Network, index_config, make_network
+from .core import ArtifactError, Network, make_network, table_rows
 from .gnet import (
+    AND_2_1,
     AND_2_2,
     GATE_SETS,
-    Gate,
     GNetwork,
     GNetworkBuilder,
     InvalidGNetworkError,
     OR_2_2,
     gnetwork_to_network,
-    make_gate,
+    mon_gate,
 )
 from .simulate import BlockEmbedding
 
@@ -164,19 +164,13 @@ def closed_network(c: Circuit) -> Network:
     for j, o in enumerate(c.outputs):
         deps = tuple(sorted(cones[o]))
         table = []
-        for idx in range(2 ** len(deps)):
-            vals = index_config(idx, 2, len(deps))
+        for vals in table_rows(2, len(deps)):
             full = [0] * c.n_inputs
             for d, v in zip(deps, vals):
                 full[d] = v
             table.append(eval_circuit(c, full)[j])
         rules.append((deps, tuple(table)))
     return make_network(2, rules)
-
-
-def _mon_gate(op: str, n_in: int, n_out: int) -> Gate:
-    fn = min if op == "AND" else max
-    return make_gate(f"{op}_{n_in}_{n_out}", 2, n_in, n_out, lambda *a: (fn(a),) * n_out)
 
 
 def double_rail(c: Circuit) -> tuple[GNetwork, BlockEmbedding]:
@@ -216,18 +210,18 @@ def double_rail(c: Circuit) -> tuple[GNetwork, BlockEmbedding]:
 
     for j in range(c.n_inputs):
         for rail in ("pos", "neg"):
-            gj, outs = b.new_gate(_mon_gate("OR", 1, fanout[j]))
+            gj, outs = b.new_gate(mon_gate("OR", 1, fanout[j]))
             gate_of[j][rail] = gj
             slots[j][rail] = list(outs)
     for g, (op, args) in enumerate(c.gates):
         v = c.n_inputs + g
         f = fanout[v]
         if op == "AND":
-            pos, neg = _mon_gate("AND", 2, f), _mon_gate("OR", 2, f)
+            pos, neg = mon_gate("AND", 2, f), mon_gate("OR", 2, f)
         elif op == "OR":
-            pos, neg = _mon_gate("OR", 2, f), _mon_gate("AND", 2, f)
+            pos, neg = mon_gate("OR", 2, f), mon_gate("AND", 2, f)
         else:
-            pos, neg = _mon_gate("OR", 1, f), _mon_gate("OR", 1, f)
+            pos, neg = mon_gate("OR", 1, f), mon_gate("OR", 1, f)
         for rail, gate in (("pos", pos), ("neg", neg)):
             gj, outs = b.new_gate(gate)
             gate_of[v][rail] = gj
@@ -282,12 +276,6 @@ def double_rail(c: Circuit) -> tuple[GNetwork, BlockEmbedding]:
     return gn, emb
 
 
-_GMON_KIND = {}
-for _g in GATE_SETS["Gmon"]:
-    _GMON_KIND[_g.name] = ("AND" if _g.name.startswith("AND") else "OR",
-                           _g.n_in, _g.n_out)
-
-
 def gmon_to_gmon2(gn: GNetwork) -> tuple[GNetwork, BlockEmbedding]:
     """Re-express a monotone gate network with fanin-2/fanout-2 gates only.
 
@@ -302,11 +290,9 @@ def gmon_to_gmon2(gn: GNetwork) -> tuple[GNetwork, BlockEmbedding]:
     gn.validate()
     if gn.alphabet != 2:
         raise InvalidGNetworkError("expected a Boolean gate network")
-    kinds = []
     for g in gn.gates:
-        if g.name not in _GMON_KIND:
+        if g not in GATE_SETS["Gmon"]:
             raise InvalidGNetworkError(f"gate {g.name} is not in the monotone catalog")
-        kinds.append(_GMON_KIND[g.name])
 
     b = GNetworkBuilder(2)
     pair_slots: dict[int, list[int]] = {}
@@ -317,11 +303,10 @@ def gmon_to_gmon2(gn: GNetwork) -> tuple[GNetwork, BlockEmbedding]:
     internals: list[list[int]] = []
 
     for j, g in enumerate(gn.gates):
-        op, n_in, n_out = kinds[j]
+        n_in, n_out = g.n_in, g.n_out
         own: list[int] = []
-        cap = AND_2_2 if op == "AND" else OR_2_2
         if n_in == 2:
-            g1, (s1, s2) = b.new_gate(cap)
+            g1, (s1, s2) = b.new_gate(AND_2_2 if g in (AND_2_1, AND_2_2) else OR_2_2)
             pending.append((g1, 0, gn.inputs[j][0]))
             pending.append((g1, 1, gn.inputs[j][1]))
             k1, (c1, c1x) = b.new_gate(AND_2_2)

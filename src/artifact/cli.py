@@ -4,8 +4,9 @@ compilation, decision oracles, and the showcase constructions.
 Every subcommand reads JSON documents, writes a JSON report to stdout or
 a file, and exits 0 on success, 1 when the answer is "no" or a
 verification fails, 2 on input errors, and 3 when an exploration budget
-is exceeded. DOT output of a produced network goes through --dot;
---pretty indents the report for reading.
+is exceeded or a rule table would have more than `core.MAX_TABLE` rows.
+DOT output of a produced network goes through --dot; --pretty indents
+the report for reading.
 """
 
 from __future__ import annotations

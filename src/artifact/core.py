@@ -6,7 +6,10 @@ update; the global map applies all local updates synchronously.
 
 Table layout is row-major with the FIRST dependency varying fastest:
 the entry for values (a_0, ..., a_{k-1}) on deps (d_0, ..., d_{k-1})
-sits at index a_0 + a_1*q + a_2*q^2 + ...
+sits at index a_0 + a_1*q + a_2*q^2 + ... This module owns the layout:
+every builder writes a table by one pass over `table_rows`, which
+refuses a table of more than MAX_TABLE rows with BudgetExceededError
+before any row is made, and reads a row's index with `config_index`.
 
 Three steppers share that layout. `step` is the executable
 specification: a plain loop over the rules, which `iterate`, `trace`
@@ -36,14 +39,16 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, product
 from operator import index, itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import docs
 from .docs import ArtifactError  # the root error lives with the document layer
 
 DEFAULT_MAX_STATES = 2**22
+# Rows of the largest rule table any builder writes.
+MAX_TABLE = 2**22
 # States per orbit_graph batch: 64 KB of lanes per node.
 ORBIT_CHUNK = 2**14
 # Nodes per generated function of compile_step: one function for a
@@ -70,10 +75,12 @@ class InvalidConfigError(ArtifactError, ValueError):
 
 
 class BudgetExceededError(ArtifactError):
-    """An exploration exceeded its state or time budget.
+    """An exploration exceeded its state or time budget, or a rule table
+    would have more than MAX_TABLE rows.
 
     Raised instead of silently truncating; callers that want partial
-    results must pass a larger budget explicitly.
+    results must pass a larger exploration budget explicitly. The table
+    budget is fixed.
     """
 
 
@@ -322,6 +329,24 @@ def analyze_orbit(net: Network, x: Sequence[int], budget: int = DEFAULT_MAX_STAT
     """Transient, period and cycle of the orbit of x (see walk_orbit)."""
     path, tau, period = walk_orbit(net, check_config(net, x), budget)
     return OrbitAnalysis(tau, period, tuple(path[tau:]))
+
+
+def table_size(q: int, k: int) -> int:
+    """q**k, the rows of a table on k deps; BudgetExceededError past MAX_TABLE."""
+    size = q**k
+    if size > MAX_TABLE:
+        raise BudgetExceededError(f"a table of {q}^{k} rows exceeds the budget of {MAX_TABLE}")
+    return size
+
+
+def table_rows(q: int, k: int) -> Iterator[tuple[int, ...]]:
+    """The values of k deps over {0..q-1}, one tuple per table row, in table order.
+
+    Element 0 varies fastest, so the i-th tuple is the row at index i.
+    The budget is checked when called, before any row is made.
+    """
+    table_size(q, k)
+    return map(itemgetter(slice(None, None, -1)), product(range(q), repeat=k))
 
 
 def config_index(x: Sequence[int], q: int) -> int:

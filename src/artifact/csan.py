@@ -38,9 +38,10 @@ from .core import (
     Network,
     Rule,
     check_config,
-    index_config,
     make_network,
     map_shared,
+    table_rows,
+    table_size,
 )
 
 LambdaTable = Mapping[tuple[int, tuple[int, ...]], int]
@@ -196,7 +197,7 @@ class Csan:
                 raise InvalidCsanError(
                     f"node {v} table must cover exactly the multisets of size <= {deg}"
                 )
-            if any(not 0 <= out < q for out in self.lam[v].values()):
+            if any(type(out) is not int or not 0 <= out < q for out in self.lam[v].values()):
                 raise InvalidCsanError(f"node {v} table has out-of-alphabet outputs")
 
 
@@ -491,7 +492,7 @@ def _binary_rows(lam: LambdaTable, shifts: Sequence[int], base: int) -> bytes:
     # so far with shifts[i] added (64 for the node itself, rho[1] - rho[0]
     # for a neighbour), so bit i of a row index holds deps[i]. Counts
     # stay in [0, deg], so a code fits in a byte while deg < 64, which
-    # any table that fits in memory satisfies.
+    # the table budget guarantees.
     rows = bytes([base])
     for d in shifts:
         rows += rows.translate(_SHIFT[d]) if d else rows
@@ -507,10 +508,8 @@ def _general_rows(
     lam: LambdaTable, q: int, own: int, rhos: Sequence[tuple[int, ...]]
 ) -> tuple[int, ...]:
     # deps[own] is the node itself; rhos label the other deps in order.
-    k = len(rhos) + 1
     table = []
-    for idx in range(q**k):
-        combo = index_config(idx, q, k)
+    for combo in table_rows(q, len(rhos) + 1):
         counts = [0] * q
         for a, rho in zip(combo[:own] + combo[own + 1 :], rhos):
             counts[rho[a]] += 1
@@ -533,7 +532,7 @@ def csan_to_network(c: Csan) -> Network:
 
     The tables are valid by construction from a validated CSAN (distinct
     sorted deps, q^|deps| rows, states from lam), so they are not
-    validated again.
+    validated again. A table past the budget is refused before it is built.
     """
     inc = c.incidence
     q = c.alphabet
@@ -551,6 +550,7 @@ def csan_to_network(c: Csan) -> Network:
         table = tables.get(key)
         if table is None:
             if q == 2:
+                table_size(2, len(deps))
                 table = tuple(_binary_rows(lam, key[1], key[2]))
             else:
                 table = _general_rows(lam, q, key[1], key[2])
@@ -637,19 +637,11 @@ def matrix_to_network(kind: str, matrix: Sequence[Sequence[int]]) -> Network:
         raise InvalidCsanError("matrix must be square and nonempty")
     if any(e not in (0, 1) for row in rows for e in row):
         raise InvalidCsanError("matrix entries must be 0 or 1")
+    combine = {"GF2": lambda bits: sum(bits) % 2, "BOOLEAN_OR": any, "BOOLEAN_AND": all}[kind]
     rules = []
     for i in range(n):
         deps = tuple(j for j in range(n) if rows[i][j])
-        table = []
-        for idx in range(2 ** len(deps)):
-            bits = index_config(idx, 2, len(deps))
-            if kind == "GF2":
-                table.append(sum(bits) % 2)
-            elif kind == "BOOLEAN_OR":
-                table.append(1 if any(bits) else 0)
-            else:
-                table.append(1 if all(bits) else 0)
-        rules.append((deps, table))
+        rules.append((deps, [int(combine(bits)) for bits in table_rows(2, len(deps))]))
     return make_network(2, rules)
 
 
@@ -748,9 +740,7 @@ def circuit_encode(net: Network) -> Circuit:
     for rule in net.rules:
         d = len(rule.deps)
         bit_minterms: list[list[int]] = [[] for _ in range(k)]
-        for idx in range(q**d):
-            combo = index_config(idx, q, d)
-            out = rule.table[idx]
+        for combo, out in zip(table_rows(q, d), rule.table):
             needed = [b for b in range(k) if (out >> b) & 1]
             if not needed:
                 continue

@@ -18,9 +18,10 @@ from . import docs
 from .core import (
     ArtifactError,
     Network,
-    index_config,
+    config_index,
     make_network,
     step,
+    table_rows,
 )
 from .simulate import BlockEmbedding
 
@@ -48,16 +49,12 @@ class Gate:
     table: tuple[tuple[int, ...], ...]
 
     def apply(self, args: Sequence[int]) -> tuple[int, ...]:
-        idx = 0
-        for a in reversed(args):
-            idx = idx * self.alphabet + a
-        return self.table[idx]
+        return self.table[config_index(args, self.alphabet)]
 
 
 def make_gate(name: str, alphabet: int, n_in: int, n_out: int, fn: Callable) -> Gate:
     rows = []
-    for idx in range(alphabet**n_in):
-        args = index_config(idx, alphabet, n_in)
+    for args in table_rows(alphabet, n_in):
         row = fn(*args)
         if not isinstance(row, tuple):
             row = (row,)
@@ -67,19 +64,17 @@ def make_gate(name: str, alphabet: int, n_in: int, n_out: int, fn: Callable) -> 
     return Gate(name, alphabet, n_in, n_out, tuple(rows))
 
 
-def _and_gate(i: int, o: int) -> Gate:
-    return make_gate(f"AND_{i}_{o}", 2, i, o, lambda *a: (min(a),) * o)
+def mon_gate(op: str, n_in: int, n_out: int) -> Gate:
+    """The monotone Boolean gate AND or OR of n_in inputs, copied to n_out outputs."""
+    fn = min if op == "AND" else max
+    return make_gate(f"{op}_{n_in}_{n_out}", 2, n_in, n_out, lambda *a: (fn(a),) * n_out)
 
 
-def _or_gate(i: int, o: int) -> Gate:
-    return make_gate(f"OR_{i}_{o}", 2, i, o, lambda *a: (max(a),) * o)
-
-
-AND_2_1 = _and_gate(2, 1)
-OR_2_1 = _or_gate(2, 1)
-AND_2_2 = _and_gate(2, 2)
-OR_2_2 = _or_gate(2, 2)
-OR_1_2 = _or_gate(1, 2)
+AND_2_1 = mon_gate("AND", 2, 1)
+OR_2_1 = mon_gate("OR", 2, 1)
+AND_2_2 = mon_gate("AND", 2, 2)
+OR_2_2 = mon_gate("OR", 2, 2)
+OR_1_2 = mon_gate("OR", 1, 2)
 COPY_1_2 = make_gate("COPY_1_2", 2, 1, 2, lambda x: (x, x))
 ID_1_1 = make_gate("ID_1_1", 2, 1, 1, lambda x: (x,))
 NOR_2_2 = make_gate("NOR_2_2", 2, 2, 2, lambda x, y: (1 - max(x, y),) * 2)
@@ -101,10 +96,7 @@ FRZ_ID = make_gate("FRZ_ID", 3, 1, 1, lambda x: (x,))
 FRZ_FORK = make_gate("FRZ_FORK", 3, 1, 2, lambda x: (x, x))
 
 GATE_SETS: dict[str, tuple[Gate, ...]] = {
-    "Gmon": (
-        _and_gate(1, 1), _and_gate(1, 2), AND_2_1, AND_2_2,
-        _or_gate(1, 1), _or_gate(1, 2), OR_2_1, OR_2_2,
-    ),
+    "Gmon": tuple(mon_gate(op, i, o) for op in ("AND", "OR") for i in (1, 2) for o in (1, 2)),
     "Gmon2": (AND_2_2, OR_2_2),
     "Gnor": (NOR_2_2,),
     "Gnand": (NAND_2_2,),
@@ -313,17 +305,13 @@ def _match_gate(net, catalog, deps, out_nodes):
 
 
 def _tables_match(net, gate, deps, perm, assign):
-    q = net.alphabet
-    arity = len(deps)
-    for idx in range(q**arity):
-        vals = index_config(idx, q, arity)  # vals[j] is the value of deps[j]
-        row = 0
-        for k in reversed(range(arity)):
-            row = row * q + vals[perm[k]]
-        for k, w in enumerate(assign):
-            if net.rules[w].table[idx] != gate.table[row][k]:
-                return False
-    return True
+    # Row i holds the assigned nodes' entries for the i-th values of deps;
+    # port k reads deps[perm[k]].
+    rows = zip(*(net.rules[w].table for w in assign))
+    return all(
+        row == gate.apply([vals[p] for p in perm])
+        for row, vals in zip(rows, table_rows(net.alphabet, len(deps)))
+    )
 
 
 def gnetwork_to_json(gn: GNetwork) -> dict:
@@ -414,12 +402,13 @@ def conjunctive_from_graph(n_nodes: int, edges: Iterable[tuple[int, int]]) -> Ne
     rules = []
     for v in range(n_nodes):
         d = tuple(sorted(set(deps[v])))
-        table = tuple(
-            1 if all(c == 1 for c in index_config(i, 2, len(d))) else 0
-            for i in range(2 ** len(d))
-        )
-        rules.append((d, table))
+        rules.append((d, _and_table(len(d))))
     return make_network(2, rules)
+
+
+def _and_table(k: int) -> tuple[int, ...]:
+    """Conjunction of k binary deps as a rule table."""
+    return tuple(int(all(row)) for row in table_rows(2, k))
 
 
 def fanin_gadget() -> tuple[Network, tuple[int, int, int], int]:
@@ -445,14 +434,9 @@ def fanin_gadget() -> tuple[Network, tuple[int, int, int], int]:
 
 
 def _is_conjunctive(net: Network) -> bool:
-    if net.alphabet != 2:
-        return False
-    for rule in net.rules:
-        for i, want in enumerate(rule.table):
-            bits = index_config(i, 2, len(rule.deps))
-            if want != (1 if all(b == 1 for b in bits) else 0):
-                return False
-    return True
+    return net.alphabet == 2 and all(
+        rule.table == _and_table(len(rule.deps)) for rule in net.rules
+    )
 
 
 class _WaveBuilder:
@@ -720,48 +704,27 @@ def gt_and_tree(k: int) -> tuple[Network, tuple[int, ...], int, int]:
     """
     if k < 1:
         raise InvalidGNetworkError("tree needs at least one input")
-    rules: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for _ in range(k):
-        rules.append(((), ()))  # placeholder, fixed below
-    n_nodes = k
+    ident = tuple(row[0] for row in FRZ_ID.table)
+    conj = tuple(row[0] for row in FRZ_AND.table)
+    rules = [((i,), ident) for i in range(k)]
 
-    def id_table():
-        return (0, 1, 2)
-
-    def and01_table():
-        return tuple(
-            2 if 2 in (a, bb) else min(a, bb)
-            for bb in range(3) for a in range(3)
-        )
-
-    for i in range(k):
-        rules[i] = ((i,), id_table())
+    def add(rule) -> int:
+        rules.append(rule)
+        return len(rules) - 1
 
     def build(leaves: list[int]) -> tuple[int, int]:
-        nonlocal n_nodes
         if len(leaves) == 1:
-            src = leaves[0]
-            rules.append(((src,), id_table()))
-            node = n_nodes
-            n_nodes += 1
-            return node, 1
+            return add(((leaves[0],), ident)), 1
         half = (len(leaves) + 1) // 2
         left, ld = build(leaves[:half])
         right, rd = build(leaves[half:])
         while ld < rd:
-            rules.append(((left,), id_table()))
-            left = n_nodes
-            n_nodes += 1
+            left = add(((left,), ident))
             ld += 1
         while rd < ld:
-            rules.append(((right,), id_table()))
-            right = n_nodes
-            n_nodes += 1
+            right = add(((right,), ident))
             rd += 1
-        rules.append(((left, right), and01_table()))
-        node = n_nodes
-        n_nodes += 1
-        return node, ld + 1
+        return add(((left, right), conj)), ld + 1
 
     root, delay = build(list(range(k)))
     return make_network(3, rules), tuple(range(k)), root, delay

@@ -26,6 +26,7 @@ layout change.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from pathlib import Path
 from typing import Iterable
@@ -354,6 +355,16 @@ def build_certificate() -> CoherentCertificate:
     return _fixture(_CERT_FILE, "certificate", certificate_from_json)
 
 
+@cache
+def _bundled_certificate() -> CoherentCertificate:
+    """One `build_certificate()` per process, so its report is computed once.
+
+    Only `compile_to_gol` reads it; `build_certificate` still returns a
+    fresh object, which a caller may edit.
+    """
+    return build_certificate()
+
+
 def build_nor_gadget() -> Gadget:
     """Two input stubs, a pacing ring, and two output stubs around the
     collector; recorded runs re-emit the negated disjunction."""
@@ -443,7 +454,8 @@ def compile_to_gol(
     """Compile a closed NOR-gate network into a lifelike member.
 
     The returned labeled network simulates the gate network with six
-    host steps per gate step, witnessed by the block embedding.
+    host steps per gate step, witnessed by the block embedding. Without
+    a certificate, the bundled one is loaded and verified once per process.
     """
     gn.validate()
     for gate in gn.gates:
@@ -453,7 +465,7 @@ def compile_to_gol(
         emb = BlockEmbedding(SIGNAL_PERIOD, (), ())
         emb.validate(gnetwork_to_network(gn), make_network(2, []))
         return make_csan(2, 0, [], []), emb
-    cert = certificate if certificate is not None else build_certificate()
+    cert = certificate if certificate is not None else _bundled_certificate()
     compiled = compile_gnetwork_detailed(gn, cert)
     if compiled.csan is None:
         raise InvalidGadgetError("certificate gadgets carry no labeled structure")

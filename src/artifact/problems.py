@@ -15,21 +15,22 @@ exponentially long cycles, funnels, and many fixed points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Callable, Sequence
 
 from . import docs
 from .core import (
     DEFAULT_MAX_STATES,
     ArtifactError,
-    BudgetExceededError,
     Network,
     check_config,
+    config_index,
     iterate,
     make_network,
     network_from_json,
     network_to_json,
     step,
+    table_rows,
+    table_size,
     walk_orbit,
 )
 from .simulate import BlockEmbedding, embed
@@ -279,7 +280,7 @@ def reduce_pred_via_simulation(
 # Prediction <-> reachability rewritings
 
 
-def pred_to_reach(inst: PredInstance, max_table: int = 1 << 22) -> ReachInstance:
+def pred_to_reach(inst: PredInstance) -> ReachInstance:
     """Fold a timed prediction question into plain reachability.
 
     The built network keeps three tracks on m = max(n, bits of t)
@@ -289,7 +290,9 @@ def pred_to_reach(inst: PredInstance, max_table: int = 1 << 22) -> ReachInstance
     copy advances; at zero the network freezes, except that it jumps
     to a dedicated all-absorbing configuration exactly when the
     running copy shows the asked state at the asked node. Reaching the
-    absorbing configuration is then the same as answering yes.
+    absorbing configuration is then the same as answering yes. Every
+    node's table has (2q^2 + 1)^m rows; past the table budget the
+    rewriting is refused.
     """
     src = inst.net
     qn = src.alphabet
@@ -297,16 +300,13 @@ def pred_to_reach(inst: PredInstance, max_table: int = 1 << 22) -> ReachInstance
     m = max(n, inst.t.bit_length(), 1)
     alpha = 2 * qn * qn
     a_size = alpha + 1
-    if a_size**m > max_table:
-        raise BudgetExceededError(f"{a_size}^{m} table rows exceed budget {max_table}")
 
     def enc(frozen: int, running: int, bit: int) -> int:
         return (frozen * qn + running) * 2 + bit
 
     deps = tuple(range(m))
     tables: list[list[int]] = [[] for _ in range(m)]
-    for digits in product(range(a_size), repeat=m):
-        cfg = digits[::-1]  # row index has the first dependency varying fastest
+    for cfg in table_rows(a_size, m):
         if alpha in cfg:
             for u in range(m):
                 tables[u].append(cfg[u])
@@ -332,7 +332,7 @@ def pred_to_reach(inst: PredInstance, max_table: int = 1 << 22) -> ReachInstance
     return make_reach_instance(bar, start, (alpha,) * m)
 
 
-def reach_to_pred(inst: ReachInstance, max_horizon: int = 1 << 20) -> PredInstance:
+def reach_to_pred(inst: ReachInstance) -> PredInstance:
     """Fold reachability into a single timed prediction question.
 
     The built network runs the original map on a working track while a
@@ -340,8 +340,8 @@ def reach_to_pred(inst: ReachInstance, max_horizon: int = 1 << 20) -> PredInstan
     ticks away, and a marker node latches whenever the working track
     coincides with the sought configuration. After exactly q^n steps
     every comparison has happened and the countdown has expired, so
-    reading the marker there answers the question. The horizon q^n is
-    an explicit budget; larger instances are rejected.
+    reading the marker there answers the question. The table budget
+    bounds the horizon q^n too: each table has q^(3(n+1)) rows.
     """
     src = inst.net
     qn = src.alphabet
@@ -349,8 +349,6 @@ def reach_to_pred(inst: ReachInstance, max_horizon: int = 1 << 20) -> PredInstan
     if qn < 2:
         raise InvalidInstanceError("need at least two states for the marker node")
     horizon = qn**n
-    if horizon > max_horizon:
-        raise BudgetExceededError(f"horizon {horizon} exceeds budget {max_horizon}")
     a_size = qn**3
 
     def enc(running: int, target: int, digit: int) -> int:
@@ -362,8 +360,7 @@ def reach_to_pred(inst: ReachInstance, max_horizon: int = 1 << 20) -> PredInstan
     fcache: dict[tuple[int, ...], tuple[int, ...]] = {}
     deps = tuple(range(n + 1))
     tables: list[list[int]] = [[] for _ in range(n + 1)]
-    for digits in product(range(a_size), repeat=n + 1):
-        cfg = digits[::-1]
+    for cfg in table_rows(a_size, n + 1):
         running = tuple(run_of[s] for s in cfg[:n])
         target = tuple(tgt_of[s] for s in cfg[:n])
         marker = 1 if running == target else cfg[n]
@@ -474,16 +471,12 @@ def sat_pred_network(clauses, n_vars: int | None = None) -> Network:
     """
     n_vars, cl = _check_clauses(clauses, n_vars)
     n = n_vars
-    rules: list[tuple[tuple[int, ...], list[int]]] = []
-    rules.append(
-        (tuple(range(1, n + 1)), [1 if eval_cnf(cl, a) else 0 for a in range(1 << n)])
-    )
+    # Every table reads the low counter bits (nodes 1, 2, ...) in order, so
+    # its row a is counter value a.
+    flag = [int(eval_cnf(cl, a)) for a in range(table_size(2, n))]
+    rules = [(tuple(range(1, n + 1)), flag)]
     for bit in range(n):
-        table = []
-        for idx in range(1 << (bit + 1)):
-            own = (idx >> bit) & 1
-            carry = (idx & ((1 << bit) - 1)) == (1 << bit) - 1
-            table.append(own ^ int(carry))
+        table = [((a + 1) >> bit) & 1 for a in range(table_size(2, bit + 1))]
         rules.append((tuple(range(1, bit + 2)), table))
     return make_network(2, rules)
 
@@ -502,22 +495,15 @@ def reach_easy_network(clauses, n_vars: int | None = None) -> Network:
     """
     n_vars, cl = _check_clauses(clauses, n_vars)
     n = n_vars
-    truth = [eval_cnf(cl, a) for a in range(1 << n)]
-    deps = tuple(range(n + 1))
-    rules: list[tuple[tuple[int, ...], list[int]]] = []
-    flag_table = []
-    for idx in range(1 << (n + 1)):
-        flag_table.append(1 if (idx & 1) == 0 and truth[idx >> 1] else 0)
-    rules.append((deps, flag_table))
-    for bit in range(n):
-        table = []
-        for idx in range(1 << (n + 1)):
-            val = idx >> 1
-            hold = (idx & 1) == 0 and truth[val]
-            nxt = val if hold else (val + 1) % (1 << n)
-            table.append((nxt >> bit) & 1)
-        rules.append((deps, table))
-    return make_network(2, rules)
+    tables: list[list[int]] = [[] for _ in range(n + 1)]
+    for row in table_rows(2, n + 1):
+        val = config_index(row[1:], 2)
+        hold = not row[0] and eval_cnf(cl, val)
+        nxt = val if hold else (val + 1) % (1 << n)
+        tables[0].append(int(hold))
+        for bit in range(n):
+            tables[bit + 1].append((nxt >> bit) & 1)
+    return make_network(2, [(tuple(range(n + 1)), t) for t in tables])
 
 
 def reach_easy_answer(clauses, x: Sequence[int], y: Sequence[int], n_vars=None) -> bool:
@@ -558,8 +544,7 @@ def h_counter_network(n: int) -> Network:
     size = 1 << n
     deps = tuple(range(n))
     tables: list[list[int]] = [[] for _ in range(n)]
-    for digits in product(range(8), repeat=n):
-        cfg = digits[::-1]
+    for cfg in table_rows(8, n):
         i = 0
         k = 0
         for u, s in enumerate(cfg):
@@ -587,20 +572,11 @@ def product_network(f: Network, h: Network) -> Network:
         fr, hr = f.rules[v], h.rules[v]
         deps = tuple(sorted(set(fr.deps) | set(hr.deps)))
         pos = {d: j for j, d in enumerate(deps)}
-        table = []
-        for digits in product(range(qf * qh), repeat=len(deps)):
-            cfg = digits[::-1]
-            fi = 0
-            m = 1
-            for d in fr.deps:
-                fi += (cfg[pos[d]] // qh) * m
-                m *= qf
-            hi = 0
-            m = 1
-            for d in hr.deps:
-                hi += (cfg[pos[d]] % qh) * m
-                m *= qh
-            table.append(fr.table[fi] * qh + hr.table[hi])
+        table = [
+            fr.table[config_index([cfg[pos[d]] // qh for d in fr.deps], qf)] * qh
+            + hr.table[config_index([cfg[pos[d]] % qh for d in hr.deps], qh)]
+            for cfg in table_rows(qf * qh, len(deps))
+        ]
         rules.append((deps, table))
     return make_network(qf * qh, rules)
 
@@ -623,8 +599,7 @@ def gated_product_network(f: Network) -> tuple[Network, tuple[int, ...]]:
     tables: list[list[int]] = [[] for _ in range(n)]
     hcache: dict[tuple[int, ...], tuple[int, ...]] = {}
     fcache: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for digits in product(range(qf * 8), repeat=n):
-        cfg = digits[::-1]
+    for cfg in table_rows(qf * 8, n):
         fpart = tuple(s // 8 for s in cfg)
         hpart = tuple(s % 8 for s in cfg)
         nh = hcache.get(hpart)
@@ -705,26 +680,12 @@ def odometer(n: int) -> Network:
     """
     if n < 1:
         raise InvalidInstanceError("need at least one node")
-    rules = []
-    for j in range(n):
-        if n == 1:
-            deps = (0,)
-            table = [_odometer_local(n, j, None, s, None) for s in range(10)]
-        elif j == 0:
-            deps = (0, 1)
-            table = [
-                _odometer_local(n, j, None, idx % 10, idx // 10) for idx in range(100)
-            ]
-        elif j == n - 1:
-            deps = (j - 1, j)
-            table = [
-                _odometer_local(n, j, idx % 10, idx // 10, None) for idx in range(100)
-            ]
-        else:
-            deps = (j - 1, j, j + 1)
-            table = [
-                _odometer_local(n, j, idx % 10, (idx // 10) % 10, idx // 100)
-                for idx in range(1000)
-            ]
-        rules.append((deps, table))
-    return make_network(10, rules)
+    if n == 1:
+        table = [_odometer_local(1, 0, None, s, None) for (s,) in table_rows(10, 1)]
+        return make_network(10, [((0,), table)])
+    # Every inner node runs the same rule, so one table serves them all.
+    inner = [_odometer_local(n, 1, le, s, r) for le, s, r in table_rows(10, 3)] if n > 2 else []
+    rules = [((0, 1), [_odometer_local(n, 0, None, s, r) for s, r in table_rows(10, 2)])]
+    rules += [((j - 1, j, j + 1), inner) for j in range(1, n - 1)]
+    last = [_odometer_local(n, n - 1, le, s, None) for le, s in table_rows(10, 2)]
+    return make_network(10, rules + [((n - 2, n - 1), last)])

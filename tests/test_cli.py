@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ import artifact
 from artifact import cli, core, docs, gol
 from artifact.cli import run
 from artifact.core import make_network, network_to_json
-from artifact.csan import csan_to_json
+from artifact.csan import build_threshold, csan_to_json
 from artifact.glue import dowel_to_json, glue_networks, make_dowel
 from artifact.gnet import NOR_2_2, GNetworkBuilder, gnetwork_to_json
 from artifact.problems import (
@@ -486,6 +487,26 @@ def test_construct_gt_transient(capsys):
     doc = out_json(capsys)
     assert doc["gnetwork"]["format"] == "gnetwork"
     assert len(doc["start"]) == len(doc["net"]["nodes"])
+
+
+def _exits_three_at_once(argv, capsys):
+    start = time.perf_counter()
+    assert run(argv) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "exceeds the budget" in out_json(capsys)["error"]
+
+
+def test_construct_past_the_table_budget_exits_three(capsys):
+    _exits_three_at_once(["construct", "hcounter", "--n", "8"], capsys)  # 8^8 rows
+
+
+def test_convert_past_the_table_budget_exits_three(tmp_path, capsys):
+    rows = [[1] * 23] + [[0] * 23] * 22
+    matrix = {"format": "matrix", "version": 1, "kind": "GF2", "rows": rows}
+    _exits_three_at_once(["convert", write_json(tmp_path, "m.json", matrix)], capsys)
+    # a node of degree 22 reads 23 nodes
+    star = csan_to_json(build_threshold(23, [(0, v) for v in range(1, 23)], [1] * 23))
+    _exits_three_at_once(["convert", write_json(tmp_path, "star.json", star)], capsys)
 
 
 NO_NUMPY = """

@@ -282,6 +282,7 @@ def test_host_tabulation_memory_does_not_grow_with_the_ring():
 
 
 def test_cli_compile_tabulates_the_host_only_for_dot(tmp_path, monkeypatch):
+    gol._bundled_certificate.cache_clear()  # as in a fresh process
     by_cli = counting(monkeypatch, "csan_to_network", (cli,))
     elsewhere = counting(monkeypatch, "csan_to_network", (gadget, gol))
     src = tmp_path / "ring.json"
@@ -327,6 +328,16 @@ def test_compiles_with_one_certificate_verify_it_once(monkeypatch):
     # The report is not a field: equality and the document ignore it.
     assert cert == gol.build_certificate()
     assert certificate_to_json(cert) == certificate_to_json(gol.build_certificate())
+
+
+def test_compiles_without_a_certificate_verify_the_bundled_one_once(monkeypatch):
+    gol._bundled_certificate.cache_clear()
+    verified = counting_verifications(monkeypatch)
+    for k in (2, 3):
+        host, _ = gol.compile_to_gol(nor_ring(k))
+        assert host.n == 66 * k
+    assert len(verified) == 1
+    assert gol.build_certificate() is not gol.build_certificate()
 
 
 def test_gol_demo_verifies_the_certificate_once(tmp_path, monkeypatch):

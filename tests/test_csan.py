@@ -512,6 +512,16 @@ def test_shared_table_with_an_outside_output_is_rejected():
     assert str(err.value) == "edge (1,2) label is not a map on the alphabet"
 
 
+@pytest.mark.parametrize("out", [0.5, True, 1.0])
+def test_a_non_integer_output_is_refused_and_names_its_node(out):
+    path = [(0, 1, "id")]
+    t, u = _path_tables(1, 1)
+    u[(0, (1, 0))] = out
+    with pytest.raises(InvalidCsanError) as err:
+        make_csan(2, 2, path, [t, u])
+    assert str(err.value) == "node 1 table has out-of-alphabet outputs"
+
+
 def test_make_csan_copies_each_shared_table_once():
     path = [(0, 1, "id"), (1, 2, "neg"), (2, 3, "id")]
     deg1, deg2 = _path_tables(1, 2)

@@ -343,7 +343,7 @@ def test_pred_to_reach_table_budget():
     net = rotation(2)
     inst = make_pred_instance(net, 0, (1, 0), 1, 6 * 10**9, "binary")
     with pytest.raises(BudgetExceededError):
-        pred_to_reach(inst, max_table=10**6)
+        pred_to_reach(inst)
 
 
 def test_reach_to_pred_agrees_exhaustively():
@@ -376,9 +376,9 @@ def test_reach_to_pred_guards():
     one = make_network(1, [((0,), (0,))])
     with pytest.raises(InvalidInstanceError):
         reach_to_pred(make_reach_instance(one, (0,), (0,)))
-    net = rotation(5)
+    net = rotation(7)  # tables of 8^8 rows
     with pytest.raises(BudgetExceededError):
-        reach_to_pred(make_reach_instance(net, (0,) * 5, (1,) * 5), max_horizon=10)
+        reach_to_pred(make_reach_instance(net, (0,) * 7, (1,) * 7))
 
 
 # ---------------------------------------------------------------------------
