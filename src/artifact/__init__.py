@@ -8,13 +8,12 @@ only users, the tests and the benchmark call:
     core: attractors interaction_graph
     csan: build_interval build_minmax build_reaction_diffusion
     csan: build_rule90_ring build_threshold csan_in_family csan_step
-    csan: decode_config encode_config interaction_graph_csan
-    gadget: gadget_copy gadget_glue
+    csan: decode_config encode_config family_spec interaction_graph_csan
+    gadget: certificate_to_json gadget_copy gadget_glue
     glue: check_pseudo_orbit dowel_to_json glue_pseudo_orbits
     gnet: associated_conjunctive conj_to_gconj fanin_gadget gnetwork_step
     gnet: gt_and_tree gt_test_module network_to_gnetwork
-    gol: build_kit build_nor_gadget clock_initial nor_center_nodes
-    gol: regenerate_gol_fixtures wire_signal
+    gol: build_clock build_wire clock_initial nor_center_nodes wire_signal
     problems: gated_product_network instance_to_json pred_to_reach
     problems: product_network reach_easy_answer reach_easy_network
     problems: reach_to_pred reduce_pred_via_simulation

@@ -4,7 +4,8 @@ compilation, decision oracles, and the showcase constructions.
 Every subcommand reads JSON documents, writes a JSON report to stdout or
 a file, and exits 0 on success, 1 when the answer is "no" or a
 verification fails, 2 on input errors, and 3 when an exploration budget
-is exceeded or a rule table would have more than `core.MAX_TABLE` rows.
+is exceeded or a rule table, or the tables one builder fills, would have
+more than `core.MAX_TABLE` rows.
 DOT output of a produced network goes through --dot; --pretty indents
 the report for reading.
 """
@@ -422,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify_sim)
 
     p = sub.add_parser("verify-cert", help="check a coherence certificate")
-    p.add_argument("certificate", nargs="?", help="defaults to the bundled NOR data")
+    p.add_argument("certificate", nargs="?", help="defaults to the built-in NOR certificate")
     _add_common(p)
     p.set_defaults(handler=_cmd_verify_cert)
 

@@ -8,8 +8,9 @@ Table layout is row-major with the FIRST dependency varying fastest:
 the entry for values (a_0, ..., a_{k-1}) on deps (d_0, ..., d_{k-1})
 sits at index a_0 + a_1*q + a_2*q^2 + ... This module owns the layout:
 every builder writes a table by one pass over `table_rows`, which
-refuses a table of more than MAX_TABLE rows with BudgetExceededError
-before any row is made, and reads a row's index with `config_index`.
+refuses a table, or the tables one pass fills, of more than MAX_TABLE
+rows with BudgetExceededError before any row is made, and reads a
+row's index with `config_index`.
 
 Three steppers share that layout. `step` is the executable
 specification: a plain loop over the rules, which `iterate`, `trace`
@@ -75,8 +76,9 @@ class InvalidConfigError(ArtifactError, ValueError):
 
 
 class BudgetExceededError(ArtifactError):
-    """An exploration exceeded its state or time budget, or a rule table
-    would have more than MAX_TABLE rows.
+    """An exploration exceeded its state or time budget, or a rule table,
+    or the tables one builder pass fills, would have more than MAX_TABLE
+    rows.
 
     Raised instead of silently truncating; callers that want partial
     results must pass a larger exploration budget explicitly. The table
@@ -331,21 +333,30 @@ def analyze_orbit(net: Network, x: Sequence[int], budget: int = DEFAULT_MAX_STAT
     return OrbitAnalysis(tau, period, tuple(path[tau:]))
 
 
-def table_size(q: int, k: int) -> int:
-    """q**k, the rows of a table on k deps; BudgetExceededError past MAX_TABLE."""
-    size = q**k
-    if size > MAX_TABLE:
+def table_size(q: int, k: int, tables: int = 1) -> int:
+    """q**k, the rows of a table on k deps.
+
+    A builder that fills `tables` such tables in one pass says so, and
+    BudgetExceededError is raised when together they pass MAX_TABLE rows.
+    """
+    # q >= 2 and k past the budget's bit length exceed it without computing q**k.
+    if q > 1 and k >= MAX_TABLE.bit_length() or q**k > MAX_TABLE:
         raise BudgetExceededError(f"a table of {q}^{k} rows exceeds the budget of {MAX_TABLE}")
-    return size
+    if tables * q**k > MAX_TABLE:
+        raise BudgetExceededError(
+            f"a pass of {tables} tables of {q}^{k} rows exceeds the budget of {MAX_TABLE}"
+        )
+    return q**k
 
 
-def table_rows(q: int, k: int) -> Iterator[tuple[int, ...]]:
+def table_rows(q: int, k: int, tables: int = 1) -> Iterator[tuple[int, ...]]:
     """The values of k deps over {0..q-1}, one tuple per table row, in table order.
 
     Element 0 varies fastest, so the i-th tuple is the row at index i.
-    The budget is checked when called, before any row is made.
+    The budget, for `tables` tables filled from these rows, is checked
+    when called, before any row is made.
     """
-    table_size(q, k)
+    table_size(q, k, tables)
     return map(itemgetter(slice(None, None, -1)), product(range(q), repeat=k))
 
 

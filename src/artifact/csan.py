@@ -375,10 +375,22 @@ def _family_table(name: str, q: int, deg: int, params: Mapping) -> dict:
 def _family_csan(
     name: str, n: int, edges: Iterable[tuple[int, int]], params: Sequence[Mapping], q: int = 2
 ) -> Csan:
-    """Node v runs family `name` with params[v]; every edge gets its label."""
+    """Node v runs family `name` with params[v]; every edge gets its label.
+
+    Nodes with equal parameters and degree share one table, so the
+    per-table memos of `csan_to_network`, `Csan.validate` and
+    `Network.byte_tables` see one table, as for a document read by
+    `csan_from_json`.
+    """
     edges = list(edges)
     degs = Counter(v for edge in edges for v in edge)
-    lam = [_family_table(name, q, degs[v], p) for v, p in enumerate(params)]
+    tables: dict[tuple, dict] = {}
+    lam = []
+    for v, p in enumerate(params):
+        key = (degs[v], tuple(sorted(p.items())))
+        if key not in tables:
+            tables[key] = _family_table(name, q, degs[v], p)
+        lam.append(tables[key])
     rho = _family(name, q).rho(q)
     return make_csan(q, n, [(u, v, rho) for u, v in edges], lam)
 

@@ -53,7 +53,7 @@ def read(path):
         return json.load(fh)
 
 
-def write(doc, path, pretty: bool = False, sort_keys: bool = False) -> None:
+def write(doc, path, pretty: bool = False) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2 if pretty else None, sort_keys=sort_keys)
+        json.dump(doc, fh, indent=2 if pretty else None)
         fh.write("\n")

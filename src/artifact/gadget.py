@@ -49,13 +49,16 @@ from .glue import (
     check_dowel_structure,
     check_pseudo_orbit_shape,
     csan_glue,
+    differing_edges,
+    differing_labels,
     glue_networks,
     glued_numbering,
+    leaves_placement,
     make_dowel,
     pseudo_orbit_from_json,
     pseudo_orbit_to_json,
 )
-from .gnet import GNetwork, Gate, gnetwork_to_network
+from .gnet import GNetwork, Gate, gate_from_json, gate_to_json, gnetwork_to_network
 from .simulate import BlockEmbedding
 
 
@@ -448,9 +451,10 @@ def csan_closure_failures(
     checks glues freely without ever tripping the labeled-glue guards.
     """
     names = interface.names
+    csans = [g.csan for _, g in tagged]
     fails: list[str] = []
-    ref: tuple[str, dict[str, int], Csan] | None = None
-    for tag, g in tagged:
+    ref: tuple[str, dict[str, tuple[int, int]]] | None = None
+    for j, (tag, g) in enumerate(tagged):
         if g.csan is None:
             fails.append(f"{tag}: no labeled structure attached")
             continue
@@ -459,44 +463,28 @@ def csan_closure_failures(
         ]
         for kind, k, copy in copies:
             where = f"{tag} {kind} copy {k}"
+            at = {c: (j, v) for c, v in copy.items()}
             if ref is None:
-                ref = (where, dict(copy), g.csan)
+                ref = (where, at)
                 continue
-            ref_where, ref_copy, ref_csan = ref
-            for i, a in enumerate(names):
-                for b in names[i + 1 :]:
-                    e = g.csan.edge_label(copy[a], copy[b])
-                    if e != ref_csan.edge_label(ref_copy[a], ref_copy[b]):
-                        fails.append(
-                            f"{where}: induced labeled subgraph differs from"
-                            f" {ref_where} on pair ({a!r}, {b!r})"
-                        )
-            for a in names:
-                lam = g.csan.lam[copy[a]]
-                ref_lam = ref_csan.lam[ref_copy[a]]
-                shared = lam.keys() & ref_lam.keys()
-                if any(lam[key] != ref_lam[key] for key in shared):
+            ref_where, ref_at = ref
+            for a, b in differing_edges(csans, names, at, ref_at):
+                fails.append(
+                    f"{where}: induced labeled subgraph differs from"
+                    f" {ref_where} on pair ({a!r}, {b!r})"
+                )
+            for a in differing_labels(csans, names, at, ref_at):
+                fails.append(f"{where}: vertex labels differ from {ref_where} at {a!r}")
+        sides = (
+            ("input", g.in_copies, interface.outputs, "receiving"),
+            ("output", g.out_copies, interface.inputs, "continuation"),
+        )
+        for kind, kind_copies, half, role in sides:
+            for k, copy in enumerate(kind_copies):
+                if leaves_placement(csans, half, {c: (j, v) for c, v in copy.items()}):
                     fails.append(
-                        f"{where}: vertex labels differ from {ref_where} at {a!r}"
+                        f"{tag}: {kind} copy {k} {role} nodes have neighbors outside the copy"
                     )
-        for k, copy in enumerate(g.in_copies):
-            image = set(copy.values())
-            for c in interface.outputs:
-                if not g.csan.neighbors(copy[c]) <= image:
-                    fails.append(
-                        f"{tag}: input copy {k} receiving nodes have neighbors"
-                        " outside the copy"
-                    )
-                    break
-        for k, copy in enumerate(g.out_copies):
-            image = set(copy.values())
-            for c in interface.inputs:
-                if not g.csan.neighbors(copy[c]) <= image:
-                    fails.append(
-                        f"{tag}: output copy {k} continuation nodes have neighbors"
-                        " outside the copy"
-                    )
-                    break
     return tuple(fails)
 
 
@@ -853,26 +841,6 @@ def compile_gnetwork_detailed(gn: GNetwork, cert: CoherentCertificate) -> Compil
 # Serialization
 
 
-def _gate_doc(g: Gate) -> dict:
-    return {
-        "name": g.name,
-        "alphabet": g.alphabet,
-        "n_in": g.n_in,
-        "n_out": g.n_out,
-        "table": [list(row) for row in g.table],
-    }
-
-
-def _gate_from_doc(doc: dict) -> Gate:
-    return Gate(
-        doc["name"],
-        doc["alphabet"],
-        doc["n_in"],
-        doc["n_out"],
-        tuple(tuple(row) for row in doc["table"]),
-    )
-
-
 def _interface_doc(iface: Interface) -> dict:
     return {"inputs": list(iface.inputs), "outputs": list(iface.outputs)}
 
@@ -918,7 +886,7 @@ def certificate_to_json(cert: CoherentCertificate) -> dict:
         ],
         gates=[
             {
-                "gate": _gate_doc(gate),
+                "gate": {"alphabet": gate.alphabet, **gate_to_json(gate)},
                 "gadget": gadget_to_json(cert.gadgets[gate]),
                 "context": {str(v): s for v, s in sorted(cert.context_configs[gate].items())},
                 "pseudo_orbits": [
@@ -944,7 +912,7 @@ def certificate_from_json(data: dict) -> CoherentCertificate:
         contexts: dict[Gate, Mapping[int, int]] = {}
         orbits: dict[Gate, dict[tuple, PseudoOrbit]] = {}
         for item in data["gates"]:
-            gate = _gate_from_doc(item["gate"])
+            gate = gate_from_json(item["gate"], item["gate"]["alphabet"])
             gadgets[gate] = gadget_from_json(item["gadget"])
             contexts[gate] = {int(v): s for v, s in item["context"].items()}
             orbits[gate] = {

@@ -13,7 +13,7 @@ for the glued network whenever they agree on the dowel at every step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import docs
 from .core import (
@@ -301,50 +301,67 @@ def glue_pseudo_orbits(
 # Glueing that stays inside a labeled family
 
 
-def check_dowel_structure(
-    parts: Sequence[Csan],
-    d: Dowel,
-    at1: Mapping[Name, tuple[int, int]],
-    at2: Mapping[Name, tuple[int, int]],
-) -> None:
-    """The labeled-glue guards, with every dowel name placed on both sides.
+# The three guards, shared by `check_dowel_structure` and the certificate's
+# closure check. A placement at[c] = (j, v) puts name c at node v of
+# parts[j]; nodes of different parts share no edge.
+Placement = Mapping[Name, tuple[int, int]]
 
-    at1[c] = (j, v) places name c of the first side at node v of
-    parts[j], at2 likewise on the second side. Nodes of different parts
-    share no edge. The dowel must induce the same labeled subgraph on
-    both sides, the vertex labels must agree where both tables are
-    defined, and on each side the image of the other side's half may
-    touch only the dowel. Each violation is reported by name.
-    """
-    names = d.names
 
-    def edge_of(at: Mapping[Name, tuple[int, int]], a: Name, b: Name):
+def differing_edges(
+    parts: Sequence[Csan], names: Sequence[Name], at1: Placement, at2: Placement
+) -> Iterator[tuple[Name, Name]]:
+    """The name pairs whose edge label differs between the two placements."""
+
+    def edge_of(at: Placement, a: Name, b: Name):
         (ja, u), (jb, v) = at[a], at[b]
         return parts[ja].edge_label(u, v) if ja == jb else None
 
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
             if edge_of(at1, a, b) != edge_of(at2, a, b):
-                raise InvalidGlueError(
-                    f"induced dowel subgraphs differ on pair ({a!r}, {b!r})"
-                )
+                yield a, b
+
+
+def differing_labels(
+    parts: Sequence[Csan], names: Sequence[Name], at1: Placement, at2: Placement
+) -> Iterator[Name]:
+    """The names whose two vertex tables disagree where both are defined."""
     for a in names:
         (j1, v1), (j2, v2) = at1[a], at2[a]
         lam1 = parts[j1].lam[v1]
         lam2 = parts[j2].lam[v2]
-        shared = lam1.keys() & lam2.keys()
-        if any(lam1[k] != lam2[k] for k in shared):
-            raise InvalidGlueError(f"dowel vertex labels differ at {a!r}")
-    sides = (
-        (d.c2, at1, "second-half image must touch only the dowel in the first network"),
-        (d.c1, at2, "first-half image must touch only the dowel in the second network"),
-    )
-    for half, at, message in sides:
-        image = set(at.values())
-        for c in half:
-            j, v = at[c]
-            if any((j, u) not in image for u in parts[j].neighbors(v)):
-                raise InvalidGlueError(message)
+        if any(lam1[k] != lam2[k] for k in lam1.keys() & lam2.keys()):
+            yield a
+
+
+def leaves_placement(parts: Sequence[Csan], half: Iterable[Name], at: Placement) -> bool:
+    """Whether a node of `half` has a neighbour outside the placement's image."""
+    image = set(at.values())
+    for c in half:
+        j, v = at[c]
+        if any((j, u) not in image for u in parts[j].neighbors(v)):
+            return True
+    return False
+
+
+def check_dowel_structure(
+    parts: Sequence[Csan], d: Dowel, at1: Placement, at2: Placement
+) -> None:
+    """The labeled-glue guards, with every dowel name placed on both sides.
+
+    The dowel must induce the same labeled subgraph on both sides, the
+    vertex labels must agree where both tables are defined, and on each
+    side the image of the other side's half may touch only the dowel.
+    The first violation is reported by name.
+    """
+    for a, b in differing_edges(parts, d.names, at1, at2):
+        raise InvalidGlueError(f"induced dowel subgraphs differ on pair ({a!r}, {b!r})")
+    for a in differing_labels(parts, d.names, at1, at2):
+        raise InvalidGlueError(f"dowel vertex labels differ at {a!r}")
+    if leaves_placement(parts, d.c2, at1):
+        raise InvalidGlueError("second-half image must touch only the dowel in the first network")
+    if leaves_placement(parts, d.c1, at2):
+        raise InvalidGlueError("first-half image must touch only the dowel in the second network")
 
 
 def csan_glue(c1: Csan, c2: Csan, d: Dowel) -> Csan:

@@ -22,12 +22,13 @@ from .core import (
     make_network,
     step,
     table_rows,
+    table_size,
 )
 from .simulate import BlockEmbedding
 
 
 class InvalidGNetworkError(ArtifactError, ValueError):
-    """Port bijection or self-loop constraint violated."""
+    """Malformed gate, or port bijection or self-loop constraint violated."""
 
 
 class NotDecomposableError(ArtifactError, ValueError):
@@ -314,19 +315,44 @@ def _tables_match(net, gate, deps, perm, assign):
     )
 
 
+def gate_to_json(g: Gate) -> dict:
+    """A gate entry of a document: name, arities and table rows."""
+    return {
+        "name": g.name,
+        "n_in": g.n_in,
+        "n_out": g.n_out,
+        "table": [list(row) for row in g.table],
+    }
+
+
+def gate_from_json(item, alphabet: int) -> Gate:
+    """Read a gate entry over `alphabet`, for gnetwork and certificate documents.
+
+    The name is a string; the alphabet (at least 1), the arities and
+    every cell are ints; the table has alphabet^n_in rows, each of
+    n_out states in the alphabet. A table past the budget is refused
+    with BudgetExceededError.
+    """
+    name, n_in, n_out, table = item["name"], item["n_in"], item["n_out"], item["table"]
+    if not isinstance(name, str):
+        raise InvalidGNetworkError(f"gate name must be a string, got {name!r}")
+    what = f"gate {name} alphabet, arities and table"
+    docs.integers(InvalidGNetworkError, what, (alphabet, n_in, n_out), *table)
+    if alphabet < 1 or n_in < 0 or n_out < 0:
+        raise InvalidGNetworkError(f"gate {name}: needs a state and arities of at least 0")
+    if len(table) != table_size(alphabet, n_in):
+        raise InvalidGNetworkError(f"gate {name}: {len(table)} table rows, not {alphabet}^{n_in}")
+    if any(len(row) != n_out or not all(0 <= s < alphabet for s in row) for row in table):
+        raise InvalidGNetworkError(f"gate {name}: each table row needs {n_out} states < {alphabet}")
+    return Gate(name, alphabet, n_in, n_out, tuple(map(tuple, table)))
+
+
 def gnetwork_to_json(gn: GNetwork) -> dict:
     return docs.envelope(
         "gnetwork",
         alphabet=gn.alphabet,
         gates=[
-            {
-                "name": g.name,
-                "n_in": g.n_in,
-                "n_out": g.n_out,
-                "table": [list(row) for row in g.table],
-                "inputs": list(gn.inputs[j]),
-                "outputs": list(gn.outputs[j]),
-            }
+            {**gate_to_json(g), "inputs": list(gn.inputs[j]), "outputs": list(gn.outputs[j])}
             for j, g in enumerate(gn.gates)
         ],
     )
@@ -338,16 +364,8 @@ def gnetwork_from_json(data: dict) -> GNetwork:
         docs.integers(InvalidGNetworkError, "alphabet", (q,))
         gates, inputs, outputs = [], [], []
         for j, item in enumerate(data["gates"]):
-            docs.integers(
-                InvalidGNetworkError, f"gate {j} arities, ports and table",
-                (item["n_in"], item["n_out"]), item["inputs"], item["outputs"], *item["table"],
-            )
-            gates.append(
-                Gate(
-                    item["name"], q, item["n_in"], item["n_out"],
-                    tuple(tuple(row) for row in item["table"]),
-                )
-            )
+            docs.integers(InvalidGNetworkError, f"gate {j} ports", item["inputs"], item["outputs"])
+            gates.append(gate_from_json(item, q))
             inputs.append(tuple(item["inputs"]))
             outputs.append(tuple(item["outputs"]))
         gn = GNetwork(q, tuple(gates), tuple(inputs), tuple(outputs))

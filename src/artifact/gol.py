@@ -11,43 +11,33 @@ incoming wire stubs, a pacing ring, and two outgoing wire stubs around
 a sixteen-neighbor collector node that fires exactly when both inputs
 stayed quiet, so the stubs re-emit the negated disjunction.
 
-The shipped adjacency is data, not code: builders read three JSON
-fixtures under data/, the wire and the clock in their own `gol-*`
-formats and the NOR certificate, which embeds the NOR gadget, in the
-generic certificate format that `certificate_from_json` reads. All
-three go through the document layer (`docs.read`, `docs.parsing`), and
-any failure, from a missing file to a malformed body, becomes an
-`InvalidGolFixtureError` that names the file. The private layout
-functions kept in this module are their provenance, and
-`regenerate_gol_fixtures` rewrites the files with `docs.write` after a
-layout change.
+Each gadget is built from the layout code below, which is its only
+source: `build_wire`, `build_clock` and the NOR gadget lay out their
+edges, and `build_certificate` records the NOR gadget's 64 exempted
+runs by stepping the gadget under the boundary traces, all runs at
+once in one lane batch per time step. Nothing is read from disk; a
+certificate's `report` verifies what was built, once per object.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from pathlib import Path
 from typing import Iterable
 
-from . import docs
-from .core import ArtifactError, make_network, step
-from .csan import Csan, FamilySpec, build_lifelike, csan_from_json, family_spec, make_csan
+from .core import make_network, pack_lanes, step_batch, unpack_lanes
+from .csan import Csan, build_lifelike, make_csan
 from .gadget import (
     CoherentCertificate,
     Gadget,
     Interface,
     InvalidGadgetError,
-    certificate_from_json,
-    certificate_to_json,
     compile_gnetwork_detailed,
     context_nodes,
     exempt_nodes,
     make_certificate,
     make_gadget,
     make_interface,
-    verify_certificate,
 )
 from .glue import PseudoOrbit, make_pseudo_orbit
 from .gnet import NOR_2_2, GNetwork, gnetwork_to_network
@@ -67,18 +57,9 @@ SIGNAL_PERIOD = 6
 RELAY_NAMES = ("relay0", "relay1", "relay2", "relay_aux")
 DRIVE_NAMES = ("drive0", "drive1", "drive2", "spent_aux", "drive_aux")
 
-_DATA_DIR = Path(__file__).resolve().parent / "data"
-_WIRE_FILE = "gol_wire.json"
-_CLOCK_FILE = "gol_clock.json"
-_CERT_FILE = "gol_certificate.json"
-
-
-class InvalidGolFixtureError(InvalidGadgetError):
-    """A gol data file is missing, mislabeled, or malformed."""
-
 
 # ---------------------------------------------------------------------------
-# Layout generators (the provenance of the data files)
+# Layouts: the wire, the clock and the NOR gadget
 
 
 def _band(base: int) -> tuple[int, int, int]:
@@ -103,10 +84,23 @@ def _ladder_edges(layers: int, ring: bool) -> list[tuple[int, int]]:
     return edges
 
 
-def _clock_initial() -> tuple[int, ...]:
-    # Two adjacent live layers with the two helpers trailing them; the
-    # pair advances one layer per step and wraps, so layer 2 is live
-    # exactly at steps 2 and 3 of each period.
+def build_wire() -> Csan:
+    """Open six-layer signal carrier, one helper node per layer."""
+    return build_lifelike(24, _ladder_edges(6, ring=False), BIRTH, SURVIVE)
+
+
+def build_clock() -> Csan:
+    """Same ladder closed into a ring; ticks with period six."""
+    return build_lifelike(24, _ladder_edges(6, ring=True), BIRTH, SURVIVE)
+
+
+def clock_initial() -> tuple[int, ...]:
+    """Canonical seed of the ring's period-six orbit.
+
+    Two adjacent live layers with the two helpers trailing them; the
+    pair advances one layer per step and wraps, so layer 2 is live
+    exactly at steps 2 and 3 of each period.
+    """
     x = [0] * 24
     for v in (*_band(15), *_band(0), 22, 23):
         x[v] = 1
@@ -189,7 +183,9 @@ def nor_interface() -> Interface:
     return make_interface(RELAY_NAMES, DRIVE_NAMES)
 
 
-def _nor_gadget() -> Gadget:
+def build_nor_gadget() -> Gadget:
+    """Two input stubs, a pacing ring, and two output stubs around the
+    collector; recorded runs re-emit the negated disjunction."""
     csan = build_lifelike(_NOR_SIZE, _nor_edges(), BIRTH, SURVIVE)
     ins, outs = _nor_copies()
     return make_gadget(nor_interface(), csan, ins, outs)
@@ -233,10 +229,6 @@ def _boundary_rows(old: int, new: int) -> tuple[dict[str, int], ...]:
     return tuple(rows)
 
 
-def _state_patterns() -> tuple[dict[str, int], ...]:
-    return tuple(_boundary_rows(q, q)[0] for q in (0, 1))
-
-
 def _nor_context(gd: Gadget) -> dict[int, int]:
     live = {_ring_node(5, i) for i in range(3)}
     live |= {_ring_node(0, i) for i in range(3)}
@@ -244,115 +236,64 @@ def _nor_context(gd: Gadget) -> dict[int, int]:
     return {v: int(v in live) for v in context_nodes(gd)}
 
 
-def _record_run(
+def _driven(
     gd: Gadget,
     traces: dict[tuple[int, int], tuple[dict[str, int], ...]],
-    context: dict[int, int],
-    q_i: tuple[int, int],
-    q_ip: tuple[int, int],
-    q_o: tuple[int, int],
-    q_op: tuple[int, int],
-) -> PseudoOrbit:
-    states = _state_patterns()
-    x = [0] * gd.n
-    for v, s in context.items():
-        x[v] = s
-    for k, copy in enumerate(gd.in_copies):
-        for name, v in copy.items():
-            x[v] = states[q_i[k]][name]
-    for k, copy in enumerate(gd.out_copies):
-        for name, v in copy.items():
-            x[v] = states[q_o[k]][name]
-    configs = [tuple(x)]
-    for t in range(1, SIGNAL_PERIOD + 1):
-        x = list(step(gd.net, x))
-        for k, copy in enumerate(gd.in_copies):
-            row = traces[(q_i[k], q_ip[k])][t]
-            for name in DRIVE_NAMES:
-                x[copy[name]] = row[name]
-        for k, copy in enumerate(gd.out_copies):
-            row = traces[(q_o[k], q_op[k])][t]
-            for name in RELAY_NAMES:
-                x[copy[name]] = row[name]
-        configs.append(tuple(x))
-    return make_pseudo_orbit(configs, exempt_nodes(gd))
-
-
-def _certificate_parts(gd: Gadget):
-    traces = {(a, b): _boundary_rows(a, b) for a in (0, 1) for b in (0, 1)}
-    context = _nor_context(gd)
-    orbits: dict[tuple, PseudoOrbit] = {}
-    for q_i in product(range(2), repeat=2):
-        q_op = NOR_2_2.apply(q_i)
-        for q_ip in product(range(2), repeat=2):
-            for q_o in product(range(2), repeat=2):
-                orbits[(q_i, q_ip, q_o)] = _record_run(
-                    gd, traces, context, q_i, q_ip, q_o, q_op
-                )
-    return _state_patterns(), context, traces, orbits
-
-
-def _assemble_certificate(gd: Gadget) -> CoherentCertificate:
-    states, context, traces, orbits = _certificate_parts(gd)
-    return make_certificate(
-        nor_interface(),
-        {NOR_2_2: gd},
-        states,
-        {NOR_2_2: context},
-        SIGNAL_PERIOD,
-        traces,
-        {NOR_2_2: orbits},
+    cell: tuple[tuple[int, ...], ...],
+    t: int,
+) -> Iterable[tuple[int, int]]:
+    # (node, state) pairs the boundary imposes at step t on the run of
+    # cell (q_i, q_ip, q_o): every copy node at t = 0, afterwards the
+    # drive block of input copies and the relay block of output copies.
+    q_i, q_ip, q_o = cell
+    sides = (
+        (gd.in_copies, zip(q_i, q_ip), DRIVE_NAMES),
+        (gd.out_copies, zip(q_o, NOR_2_2.apply(q_i)), RELAY_NAMES),
     )
-
-
-# ---------------------------------------------------------------------------
-# Fixture files
-
-
-def _lifelike_doc(n: int, edges: Iterable[tuple[int, int]]) -> dict:
-    shorthand = {"family": "lifelike", "birth": list(BIRTH), "survive": list(SURVIVE)}
-    return docs.envelope(
-        "csan",
-        alphabet=2,
-        n=n,
-        edges=[[u, v, "id"] for u, v in sorted((min(e), max(e)) for e in edges)],
-        vertices=[{"lambda": dict(shorthand)} for _ in range(n)],
-    )
-
-
-def _fixture(name: str, kind: str, parse):
-    """Parse the data file `name`, a `kind` document; failures name the file."""
-    try:
-        doc = docs.read(_DATA_DIR / name)
-    except FileNotFoundError as exc:
-        raise InvalidGolFixtureError(f"missing data file {name}") from exc
-    except ValueError as exc:
-        raise InvalidGolFixtureError(f"data file {name} is not JSON: {exc}") from exc
-    try:
-        with docs.parsing(doc, kind, InvalidGolFixtureError):
-            return parse(doc)
-    except ArtifactError as exc:
-        raise InvalidGolFixtureError(f"data file {name}: {exc}") from exc
-
-
-def build_wire() -> Csan:
-    """Open six-layer signal carrier, one helper node per layer."""
-    return _fixture(_WIRE_FILE, "gol-wire", lambda doc: csan_from_json(doc["csan"]))
-
-
-def build_clock() -> Csan:
-    """Same ladder closed into a ring; ticks with period six."""
-    return _fixture(_CLOCK_FILE, "gol-clock", lambda doc: csan_from_json(doc["csan"]))
-
-
-def clock_initial() -> tuple[int, ...]:
-    """Canonical seed of the ring's period-six orbit."""
-    return _fixture(_CLOCK_FILE, "gol-clock", lambda doc: tuple(int(s) for s in doc["initial"]))
+    for copies, pairs, names in sides:
+        for copy, pair in zip(copies, pairs):
+            row = traces[pair][t]
+            for name in row if t == 0 else names:
+                yield copy[name], row[name]
 
 
 def build_certificate() -> CoherentCertificate:
-    """Coherence data for the NOR gadget at time constant six."""
-    return _fixture(_CERT_FILE, "certificate", certificate_from_json)
+    """Coherence data for the NOR gadget at time constant six.
+
+    Cell (q_i, q_ip, q_o) starts from the frozen context with every
+    copy in its state pattern, then steps the gadget while the boundary
+    traces overwrite the externally driven nodes. The 64 runs advance
+    together, lane i of one `step_batch` per step running cell i.
+    """
+    gd = build_nor_gadget()
+    traces = {(a, b): _boundary_rows(a, b) for a in (0, 1) for b in (0, 1)}
+    context = _nor_context(gd)
+    cells = list(product(product(range(2), repeat=2), repeat=3))
+    xs = []
+    for cell in cells:
+        x = [0] * gd.n
+        for v, s in (*context.items(), *_driven(gd, traces, cell, 0)):
+            x[v] = s
+        xs.append(x)
+    runs = [[tuple(x)] for x in xs]
+    b = len(cells)
+    for t in range(1, SIGNAL_PERIOD + 1):
+        cols = step_batch(gd.net, [pack_lanes(col) for col in zip(*xs)], b)
+        xs = [list(x) for x in zip(*(unpack_lanes(col, b) for col in cols))]
+        for x, run, cell in zip(xs, runs, cells):
+            for v, s in _driven(gd, traces, cell, t):
+                x[v] = s
+            run.append(tuple(x))
+    exempt = exempt_nodes(gd)
+    return make_certificate(
+        nor_interface(),
+        {NOR_2_2: gd},
+        tuple(traces[(q, q)][0] for q in (0, 1)),
+        {NOR_2_2: context},
+        SIGNAL_PERIOD,
+        traces,
+        {NOR_2_2: {cell: make_pseudo_orbit(run, exempt) for cell, run in zip(cells, runs)}},
+    )
 
 
 @cache
@@ -363,40 +304,6 @@ def _bundled_certificate() -> CoherentCertificate:
     fresh object, which a caller may edit.
     """
     return build_certificate()
-
-
-def build_nor_gadget() -> Gadget:
-    """Two input stubs, a pacing ring, and two output stubs around the
-    collector; recorded runs re-emit the negated disjunction."""
-    return build_certificate().gadgets[NOR_2_2]
-
-
-def regenerate_gol_fixtures(dest: str | Path | None = None) -> tuple[Path, ...]:
-    """Rebuild the three data files from the layout generators.
-
-    Refuses to write anything unless the freshly generated certificate
-    verifies in full.
-    """
-    root = Path(dest) if dest is not None else _DATA_DIR
-    root.mkdir(parents=True, exist_ok=True)
-    cert = _assemble_certificate(_nor_gadget())
-    report = verify_certificate(cert)
-    if not report.ok:
-        raise InvalidGadgetError(f"generated data is unusable: {report.message()}")
-    fixtures = {
-        _WIRE_FILE: docs.envelope(
-            "gol-wire", csan=_lifelike_doc(24, _ladder_edges(6, ring=False))
-        ),
-        _CLOCK_FILE: docs.envelope(
-            "gol-clock",
-            csan=_lifelike_doc(24, _ladder_edges(6, ring=True)),
-            initial=list(_clock_initial()),
-        ),
-        _CERT_FILE: certificate_to_json(cert),
-    }
-    for name, doc in fixtures.items():
-        docs.write(doc, root / name, sort_keys=True)
-    return tuple(root / name for name in fixtures)
 
 
 # ---------------------------------------------------------------------------
@@ -427,25 +334,7 @@ def wire_signal(bit: int, steps: int = 5, offset: int = 0) -> PseudoOrbit:
 
 
 # ---------------------------------------------------------------------------
-# The kit and the compiler
-
-
-@dataclass
-class GolGadgetKit:
-    """One bundle of everything the NOR-to-lifelike pipeline needs."""
-
-    rule: FamilySpec
-    wire: Csan
-    clock: Csan
-    nor: Gadget
-    certificate: CoherentCertificate
-
-
-def build_kit() -> GolGadgetKit:
-    cert = build_certificate()
-    return GolGadgetKit(
-        family_spec("lifelike"), build_wire(), build_clock(), cert.gadgets[NOR_2_2], cert
-    )
+# The compiler
 
 
 def compile_to_gol(
@@ -455,7 +344,7 @@ def compile_to_gol(
 
     The returned labeled network simulates the gate network with six
     host steps per gate step, witnessed by the block embedding. Without
-    a certificate, the bundled one is loaded and verified once per process.
+    a certificate, `build_certificate()` runs and is verified once per process.
     """
     gn.validate()
     for gate in gn.gates:

@@ -290,9 +290,9 @@ def pred_to_reach(inst: PredInstance) -> ReachInstance:
     copy advances; at zero the network freezes, except that it jumps
     to a dedicated all-absorbing configuration exactly when the
     running copy shows the asked state at the asked node. Reaching the
-    absorbing configuration is then the same as answering yes. Every
-    node's table has (2q^2 + 1)^m rows; past the table budget the
-    rewriting is refused.
+    absorbing configuration is then the same as answering yes. Each of
+    the m tables has (2q^2 + 1)^m rows; past the table budget they are
+    refused together.
     """
     src = inst.net
     qn = src.alphabet
@@ -306,7 +306,7 @@ def pred_to_reach(inst: PredInstance) -> ReachInstance:
 
     deps = tuple(range(m))
     tables: list[list[int]] = [[] for _ in range(m)]
-    for cfg in table_rows(a_size, m):
+    for cfg in table_rows(a_size, m, tables=m):
         if alpha in cfg:
             for u in range(m):
                 tables[u].append(cfg[u])
@@ -360,7 +360,7 @@ def reach_to_pred(inst: ReachInstance) -> PredInstance:
     fcache: dict[tuple[int, ...], tuple[int, ...]] = {}
     deps = tuple(range(n + 1))
     tables: list[list[int]] = [[] for _ in range(n + 1)]
-    for cfg in table_rows(a_size, n + 1):
+    for cfg in table_rows(a_size, n + 1, tables=n + 1):
         running = tuple(run_of[s] for s in cfg[:n])
         target = tuple(tgt_of[s] for s in cfg[:n])
         marker = 1 if running == target else cfg[n]
@@ -472,8 +472,9 @@ def sat_pred_network(clauses, n_vars: int | None = None) -> Network:
     n_vars, cl = _check_clauses(clauses, n_vars)
     n = n_vars
     # Every table reads the low counter bits (nodes 1, 2, ...) in order, so
-    # its row a is counter value a.
-    flag = [int(eval_cnf(cl, a)) for a in range(table_size(2, n))]
+    # its row a is counter value a. The flag's 2^n rows and the counter
+    # bits' 2^(n+1) - 2 fit the budget of three tables of 2^n rows.
+    flag = [int(eval_cnf(cl, a)) for a in range(table_size(2, n, tables=3))]
     rules = [(tuple(range(1, n + 1)), flag)]
     for bit in range(n):
         table = [((a + 1) >> bit) & 1 for a in range(table_size(2, bit + 1))]
@@ -496,7 +497,7 @@ def reach_easy_network(clauses, n_vars: int | None = None) -> Network:
     n_vars, cl = _check_clauses(clauses, n_vars)
     n = n_vars
     tables: list[list[int]] = [[] for _ in range(n + 1)]
-    for row in table_rows(2, n + 1):
+    for row in table_rows(2, n + 1, tables=n + 1):
         val = config_index(row[1:], 2)
         hold = not row[0] and eval_cnf(cl, val)
         nxt = val if hold else (val + 1) % (1 << n)
@@ -544,7 +545,7 @@ def h_counter_network(n: int) -> Network:
     size = 1 << n
     deps = tuple(range(n))
     tables: list[list[int]] = [[] for _ in range(n)]
-    for cfg in table_rows(8, n):
+    for cfg in table_rows(8, n, tables=n):
         i = 0
         k = 0
         for u, s in enumerate(cfg):
@@ -592,6 +593,7 @@ def gated_product_network(f: Network) -> tuple[Network, tuple[int, ...]]:
     (x, anchor). States are encoded f_state * 8 + beacon_state.
     """
     n = f.n
+    rows = table_rows(f.alphabet * 8, n, tables=n)  # checked before the beacon is built
     beacon = h_counter_network(n)
     anchor = (4,) * n
     qf = f.alphabet
@@ -599,7 +601,7 @@ def gated_product_network(f: Network) -> tuple[Network, tuple[int, ...]]:
     tables: list[list[int]] = [[] for _ in range(n)]
     hcache: dict[tuple[int, ...], tuple[int, ...]] = {}
     fcache: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for cfg in table_rows(qf * 8, n):
+    for cfg in rows:
         fpart = tuple(s // 8 for s in cfg)
         hpart = tuple(s % 8 for s in cfg)
         nh = hcache.get(hpart)

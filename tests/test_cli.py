@@ -14,8 +14,9 @@ from artifact import cli, core, docs, gol
 from artifact.cli import run
 from artifact.core import make_network, network_to_json
 from artifact.csan import build_threshold, csan_to_json
+from artifact.gadget import certificate_to_json
 from artifact.glue import dowel_to_json, glue_networks, make_dowel
-from artifact.gnet import NOR_2_2, GNetworkBuilder, gnetwork_to_json
+from artifact.gnet import ID_1_1, NOR_2_2, GNetworkBuilder, gnetwork_to_json
 from artifact.problems import (
     instance_to_json,
     make_pred_instance,
@@ -171,8 +172,7 @@ def test_non_integer_inputs_exit_two(tmp_path, rot3_file, capsys):
 
 
 def bundled_certificate(**changes):
-    doc = docs.read(gol._DATA_DIR / "gol_certificate.json")
-    return {**doc, **changes}
+    return {**certificate_to_json(gol.build_certificate()), **changes}
 
 
 def certificate_with_context(context):
@@ -320,6 +320,47 @@ def test_malformed_documents_exit_two(case, tmp_path, capsys):
     path = write_json(tmp_path, "doc.json", build())
     assert run([path if a is DOC else a for a in args]) == 2
     assert out_json(capsys)["error"]
+
+
+def id_pair_doc(table):
+    """Two ID_1_1 gates feeding each other, the first given `table`."""
+    b = GNetworkBuilder(2)
+    g0, o0 = b.new_gate(ID_1_1)
+    g1, o1 = b.new_gate(ID_1_1)
+    b.connect(g0, o1)
+    b.connect(g1, o0)
+    doc = gnetwork_to_json(b.build())
+    doc["gates"][0]["table"] = table
+    return doc
+
+
+# Gate entries that once escaped as a built-in exception or, with a row too
+# long or a float cell, were read with exit code 0. One codec reads both.
+BAD_GNETWORK_TABLES = {"row too short": [[0], []], "row too long": [[0], [1, 1]]}
+BAD_CERTIFICATE_GATES = {
+    "two rows": lambda gate: gate.update(table=gate["table"][:2]),
+    "alphabet float": lambda gate: gate.update(alphabet=2.0),
+    "row too short": lambda gate: gate["table"].__setitem__(1, [0]),
+    "cell float": lambda gate: gate["table"][0].__setitem__(0, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GNETWORK_TABLES))
+def test_malformed_gnetwork_gates_exit_two(case, tmp_path, capsys):
+    path = write_json(tmp_path, "gnet.json", id_pair_doc(BAD_GNETWORK_TABLES[case]))
+    for argv in (["convert", path], ["analyze", path, "--config", "[0, 1]"]):
+        assert run(argv) == 2
+        assert "gate ID_1_1: each table row needs 1 states < 2" in out_json(capsys)["error"]
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CERTIFICATE_GATES))
+def test_malformed_certificate_gates_exit_two(case, tmp_path, capsys):
+    edit = BAD_CERTIFICATE_GATES[case]
+    cert = write_json(tmp_path, "cert.json", edited_certificate(lambda d: edit(d["gates"][0]["gate"])))
+    pair = write_json(tmp_path, "pair.json", nor_pair_doc())
+    for argv in (["verify-cert", cert], ["compile", pair, "--certificate", cert]):
+        assert run(argv) == 2
+        assert "gate NOR_2_2" in out_json(capsys)["error"]
 
 
 @pytest.mark.parametrize(
@@ -498,6 +539,7 @@ def _exits_three_at_once(argv, capsys):
 
 def test_construct_past_the_table_budget_exits_three(capsys):
     _exits_three_at_once(["construct", "hcounter", "--n", "8"], capsys)  # 8^8 rows
+    _exits_three_at_once(["construct", "hcounter", "--n", "7"], capsys)  # 7 tables of 8^7
 
 
 def test_convert_past_the_table_budget_exits_three(tmp_path, capsys):

@@ -877,8 +877,7 @@ def uninterned_csan(doc):
 
 
 def test_csan_from_json_shares_equal_explicit_tables():
-    cert = docs.read(gol._DATA_DIR / "gol_certificate.json")
-    doc = cert["gates"][0]["gadget"]["csan"]
+    doc = csan_to_json(gol.build_nor_gadget().csan)
     got = csan_from_json(doc)
     plain = uninterned_csan(doc)
     assert len({id(t) for t in plain.lam}) == got.n == 84
@@ -892,8 +891,14 @@ def test_csan_from_json_shares_equal_explicit_tables():
     assert text == json.dumps(doc, sort_keys=True)
 
 
+def lifelike_shorthand(c):
+    """The document of a Game of Life CSAN with every vertex table a shorthand."""
+    shorthand = {"family": "lifelike", "birth": [3], "survive": [2, 3]}
+    return {**csan_to_json(c), "vertices": [{"lambda": dict(shorthand)} for _ in range(c.n)]}
+
+
 def test_csan_from_json_shares_one_shorthand_table_per_degree():
-    doc = docs.read(gol._DATA_DIR / "gol_wire.json")["csan"]
+    doc = lifelike_shorthand(gol.build_wire())
     got = csan_from_json(doc)
     degrees = {got.degree(v) for v in range(got.n)}
     assert len(degrees) > 1

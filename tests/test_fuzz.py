@@ -2,10 +2,12 @@
 
 `analyze` and `oracle b-pred|pred-chg|reach` read a network or an
 instance document and walk an orbit; `verify-cert` reads a certificate
-and replays its recorded runs; `convert` reads a CSAN whose vertices
-are family shorthands and tabulates it. Whatever the documents hold, the
-command must end in one of its exit codes (0 yes, 1 no, 2 bad input,
-3 budget exceeded) and never in an uncaught exception.
+and replays its recorded runs; `compile --certificate` compiles with
+one; `convert` and `analyze` read a gate network, and `convert` a CSAN
+whose vertices are family shorthands, and tabulate it. Whatever the
+documents hold, the command must end in one of its exit codes (0 yes,
+1 no, 2 bad input, 3 budget exceeded) and never in an uncaught
+exception.
 """
 
 import json
@@ -16,10 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact import docs, gol
+from artifact import gol
 from artifact.cli import run
 from artifact.core import network_to_json
 from artifact.gadget import certificate_to_json
+from artifact.gnet import gnetwork_to_json
 from artifact.problems import (
     instance_to_json,
     make_pred_chg_instance,
@@ -27,6 +30,9 @@ from artifact.problems import (
     make_reach_instance,
     odometer,
 )
+
+from test_csan import lifelike_shorthand
+from test_gol import cross_pair
 
 NET = odometer(3)  # from START: transient 18, period 12, inside the budget of 64
 START = (5, 5, 5)
@@ -156,9 +162,67 @@ def test_mutated_certificates_exit_with_a_code(data):
         assert run(["verify-cert", str(doc_file), "-o", str(Path(tmp) / "out.json")]) in (0, 1, 2, 3)
 
 
-# The wire's vertices are lifelike shorthands. Only they are mutated: the
-# alphabet and n stay, since a CSAN document has no size budget yet.
-WIRE = docs.read(gol._DATA_DIR / "gol_wire.json")["csan"]
+# Gate entries: the gate of the certificate, and every gate of a gnetwork.
+# The codec refuses a wrong type, row count or row length with exit code 2.
+
+
+def run_to_document(argv) -> int:
+    """The exit code of `run(argv)`, whose report must be a JSON document."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.json"
+        code = run([*argv, "-o", str(out)])
+        assert isinstance(json.loads(out.read_text()), dict)
+        return code
+
+
+NOR_PAIR = gnetwork_to_json(cross_pair())
+GATE_FIELDS = ("name", "n_in", "n_out", "table")
+
+
+def test_unmutated_gate_documents_answer(tmp_path):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(CERT))
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps(NOR_PAIR))
+    assert run_to_document(["compile", str(pair), "--certificate", str(cert)]) == 0
+    assert run_to_document(["convert", str(pair)]) == 0
+    assert run_to_document(["analyze", str(pair), "--config", "[0, 1, 1, 0]"]) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), command=st.sampled_from(("verify-cert", "compile")))
+def test_mutated_certificate_gates_exit_with_a_document(data, command):
+    doc = data.draw(mutated(CERT, lambda draw: [("gates", 0, "gate")]))
+    with tempfile.TemporaryDirectory() as tmp:
+        cert = Path(tmp) / "cert.json"
+        cert.write_text(json.dumps(doc))
+        if command == "verify-cert":
+            argv = ["verify-cert", str(cert)]
+        else:
+            pair = Path(tmp) / "pair.json"
+            pair.write_text(json.dumps(NOR_PAIR))
+            argv = ["compile", str(pair), "--certificate", str(cert)]
+        assert run_to_document(argv) in (0, 1, 2, 3)
+
+
+def gate_fields(draw):
+    return [("gates", draw(st.integers(0, 1)), draw(st.sampled_from(GATE_FIELDS)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), command=st.sampled_from(("convert", "analyze")))
+def test_mutated_gnetwork_gates_exit_with_a_document(data, command):
+    doc = data.draw(mutated(NOR_PAIR, gate_fields))
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "gnet.json"
+        src.write_text(json.dumps(doc))
+        argv = [command, str(src)] + (["--config", "[0, 1, 1, 0]"] if command == "analyze" else [])
+        assert run_to_document(argv) in (0, 1, 2, 3)
+
+
+# The wire with lifelike shorthands for vertices. Only they are mutated:
+# the alphabet and n stay, since a CSAN document has no size budget yet.
+WIRE = lifelike_shorthand(gol.build_wire())
 
 
 def convert(doc) -> int:

@@ -1,15 +1,16 @@
 """Life-on-graphs kit: wire and clock dynamics, NOR gadget, compiler."""
 
+import hashlib
 import json
-from itertools import product
 
 import pytest
 
 from artifact import gol
 from artifact.core import analyze_orbit, step, trace
-from artifact.csan import csan_in_family, csan_step, csan_to_network, family_spec
+from artifact.csan import csan_in_family, csan_step, csan_to_json, csan_to_network, family_spec
 from artifact.gadget import (
     InvalidGadgetError,
+    certificate_to_json,
     exempt_nodes,
     gadget_copy,
     gadget_glue,
@@ -257,51 +258,40 @@ def test_compile_empty_network():
     assert emb.time == 6 and emb.blocks == ()
 
 
-def test_kit_bundle(wire, clock, nor, certificate):
-    kit = gol.build_kit()
-    assert kit.rule.name == "lifelike"
-    assert kit.wire == wire and kit.clock == clock
-    assert kit.nor == nor and kit.certificate.time == certificate.time
-    for graph in (kit.wire, kit.clock, kit.nor.csan):
-        assert csan_in_family(graph, kit.rule)
+def test_kit_parts_are_lifelike(wire, clock, nor):
+    for graph in (wire, clock, nor.csan):
+        assert csan_in_family(graph, LIFELIKE)
 
 
 # ---------------------------------------------------------------------------
-# Data files
+# The built kit against the data files it replaced
+
+# sha256 of json.dumps(doc, sort_keys=True) for the documents of the wire,
+# the clock, the clock's seed and the certificate as they were read from
+# the former data files (csan_to_json of the loaded wire and clock,
+# certificate_to_json of the loaded certificate, which equals its file).
+SHIPPED = {
+    "wire": "4f925219433fd77b90864c97d12855be54ac70843df5596f0dc3deadee780761",
+    "clock": "97bdef850ad823d0c670c9c56092f52ca39f285c87e71020affafcb90b84fcaa",
+    "clock_initial": "978159ab383a0e70da9e199b6cc107210ce2ee62779e6b2e1a990c535537ce47",
+    "certificate": "9cd48d97b844e7b80a24da4777b19aded76efc36196f17fc0f41a412cc83ccca",
+}
 
 
-def test_fixtures_match_generators(tmp_path):
-    fresh = gol.regenerate_gol_fixtures(tmp_path)
-    names = sorted(p.name for p in fresh)
-    assert names == sorted(["gol_wire.json", "gol_clock.json", "gol_certificate.json"])
-    # nothing stale may linger next to the files the generators write
-    assert sorted(p.name for p in gol._DATA_DIR.iterdir()) == names
-    for path in fresh:
-        shipped = json.loads((gol._DATA_DIR / path.name).read_text())
-        assert json.loads(path.read_text()) == shipped
-        assert shipped["version"] == 1
-    for name in ("gol_wire.json", "gol_clock.json"):
-        assert json.loads((gol._DATA_DIR / name).read_text())["format"].startswith("gol-")
-    cert = json.loads((gol._DATA_DIR / "gol_certificate.json").read_text())
-    assert cert["format"] == "certificate"
-    assert [sorted(item["gadget"]) for item in cert["gates"]] == [
-        ["csan", "format", "in_copies", "interface", "out_copies", "version"]
-    ]
+def digest(doc):
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def test_fixture_errors(tmp_path, monkeypatch):
-    monkeypatch.setattr(gol, "_DATA_DIR", tmp_path)
-    with pytest.raises(gol.InvalidGolFixtureError, match="missing data file"):
-        gol.build_wire()
-    (tmp_path / "gol_wire.json").write_text('{"format": "something-else"}')
-    with pytest.raises(gol.InvalidGolFixtureError, match="not a gol-wire document"):
-        gol.build_wire()
-    (tmp_path / "gol_clock.json").write_text("not json")
-    with pytest.raises(gol.InvalidGolFixtureError, match="not JSON"):
-        gol.build_clock()
-    (tmp_path / "gol_certificate.json").write_text('{"format": "gol-certificate"}')
-    with pytest.raises(gol.InvalidGolFixtureError, match="not a certificate document"):
-        gol.build_certificate()
-    (tmp_path / "gol_certificate.json").write_text('{"format": "certificate", "gates": []}')
-    with pytest.raises(gol.InvalidGolFixtureError, match="gol_certificate.json: bad certificate"):
-        gol.build_nor_gadget()
+def test_built_kit_equals_the_former_data_files(wire, clock, certificate):
+    got = {
+        "wire": csan_to_json(wire),
+        "clock": csan_to_json(clock),
+        "clock_initial": list(gol.clock_initial()),
+        "certificate": certificate_to_json(certificate),
+    }
+    assert {name: digest(doc) for name, doc in got.items()} == SHIPPED
+
+
+def test_nor_gadget_holds_one_table_per_degree(nor):
+    degrees = {nor.csan.degree(v) for v in range(nor.n)}
+    assert len({id(t) for t in nor.csan.lam}) == len(degrees) == 9

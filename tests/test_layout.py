@@ -80,6 +80,33 @@ def test_table_rows_refuse_a_table_past_the_budget_when_called():
             table_rows(q, k)
 
 
+def test_table_rows_refuse_a_pass_past_the_budget_when_called():
+    table_rows(2, 20, tables=4)  # exactly MAX_TABLE rows in all
+    with pytest.raises(BudgetExceededError, match="a pass of 5 tables of 2\\^20 rows"):
+        table_rows(2, 20, tables=5)
+
+
+# Builders whose every table fits the budget but whose pass does not.
+PAST_THE_PASS_BUDGET = {
+    "h_counter_network": lambda: h_counter_network(7),  # 7 tables of 8^7 rows
+    "gated_product_network": lambda: gated_product_network(rotation(5)),  # 5 of 16^5
+    "reach_easy_network": lambda: reach_easy_network([(1,)], 18),  # 19 of 2^19
+    "sat_pred_network": lambda: sat_pred_network([(1,)], 21),  # 3 * 2^21 in all
+    "pred_to_reach": lambda: pred_to_reach(  # 13 tables of 3^13 rows
+        make_pred_instance(make_network(1, [((), (0,))] * 13), 0, (0,) * 13, 0, 5)
+    ),
+    "reach_to_pred": lambda: reach_to_pred(  # 7 tables of 8^7 rows
+        make_reach_instance(rotation(6), (0,) * 6, (1,) + (0,) * 5)
+    ),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(PAST_THE_PASS_BUDGET))
+def test_builders_refuse_a_pass_past_the_budget_before_any_row(builder):
+    with pytest.raises(BudgetExceededError, match="a pass of"):
+        PAST_THE_PASS_BUDGET[builder]()
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     q=st.integers(1, 4),
