@@ -23,21 +23,24 @@ callers step a few times, which would not repay a compilation, and
 because independent checks (the benchmark's reference answers among
 them) step with it.
 
-`step_batch` reads a table for all lanes at once in one of two ways.
-A table of at most 256 entries on an alphabet of at most 256 is read
-with `bytes.translate`: every lane index fits the low byte of its
-32-bit lane, so translating the packed bytes through the table padded
-to 256 bytes, then masking each lane to its low byte, reads every lane
-in a few C-level passes and makes no per-lane Python objects. 256 is
-the limit because a byte holds the index and the state. A larger
-table, or a larger alphabet, is read with `operator.itemgetter` over
-the unpacked lanes.
+`step_batch` packs a batch of configurations into one int per node,
+one lane per configuration. The lane width belongs to the network
+(`Network.lane_bytes`): one byte when every table has at most 256
+entries on an alphabet of at most 256, so that a byte holds every
+table index and every state, and 32 bits otherwise. A table that fits
+a byte is read for all lanes with `bytes.translate` through the table
+padded to 256 bytes: in byte lanes the translated bytes are the
+result; in 32-bit lanes each lane's index sits in its low byte, and a
+mask keeps that byte. Either way a few C-level passes read every lane
+and make no per-lane Python objects. A larger table, or a larger
+alphabet, is read with `operator.itemgetter` over the unpacked lanes.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product
@@ -57,10 +60,14 @@ ORBIT_CHUNK = 2**14
 STEP_CHUNK = 64
 
 # Lane packing: a batch of b configurations is one int per node, whose
-# 32-bit lane i holds that node's state in configuration i.
+# lane i holds that node's state in configuration i. A lane is one byte
+# when the network's tables all fit a byte (`Network.lane_bytes`) and
+# LANE_BITS wide otherwise; successor codes always take LANE_BITS.
 LANE_BITS = 32
 LANE_BYTES = LANE_BITS // 8
 LANE_LIMIT = 1 << LANE_BITS
+# array typecode per lane width in bytes
+LANE_CODES = {1: "B", LANE_BYTES: "I"}
 # Tables and alphabets up to this size are read with bytes.translate.
 BYTE_TABLE = 256
 if array("I").itemsize != LANE_BYTES:
@@ -115,6 +122,15 @@ class Network:
         return tuple(
             map_shared(lambda t: byte_table(t, self.alphabet), [r.table for r in self.rules])
         )
+
+    @cached_property
+    def lane_bytes(self) -> int:
+        """Bytes per lane of `step_batch`: 1 when every rule has a byte table, else 4.
+
+        A byte table has at most 256 entries on an alphabet of at most
+        256, so a byte holds every table index and state. Not a field.
+        """
+        return 1 if None not in self.byte_tables else LANE_BYTES
 
     def validate(self) -> None:
         q = self.alphabet
@@ -212,14 +228,14 @@ def compile_step(net: Network) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
     return lambda x: tuple(chain.from_iterable([f(x) for f in parts]))
 
 
-def pack_lanes(states: Iterable[int]) -> int:
-    """One packed int whose lane i holds the i-th state (each below 2^32)."""
-    return int.from_bytes(array("I", states).tobytes(), sys.byteorder)
+def pack_lanes(states: Iterable[int], width: int) -> int:
+    """One packed int whose lane i, `width` bytes wide, holds the i-th state."""
+    return int.from_bytes(array(LANE_CODES[width], states).tobytes(), sys.byteorder)
 
 
-def unpack_lanes(x: int, b: int) -> array:
-    """The b lanes of a packed int, lane 0 first."""
-    return array("I", x.to_bytes(LANE_BYTES * b, sys.byteorder))
+def unpack_lanes(x: int, b: int, width: int) -> array:
+    """The b lanes of a packed int, each `width` bytes wide, lane 0 first."""
+    return array(LANE_CODES[width], x.to_bytes(width * b, sys.byteorder))
 
 
 def byte_table(table: Sequence[int], alphabet: int) -> bytes | None:
@@ -234,37 +250,50 @@ def byte_table(table: Sequence[int], alphabet: int) -> bytes | None:
 
 
 def low_bytes(b: int) -> int:
-    """The mask that keeps the low byte of each of b lanes."""
+    """The mask that keeps the low byte of each of b 32-bit lanes."""
     return int.from_bytes(b"\xff\0\0\0" * b, "little")
 
 
-def gather_lanes(table: Sequence[int], idx: int, b: int, tr: bytes | None, low: int) -> int:
-    """pack_lanes(table[i] for i in unpack_lanes(idx, b)), at C speed.
+def gather_lanes(
+    table: Sequence[int],
+    idx: int,
+    b: int,
+    width: int,
+    tr: bytes | None,
+    low: int | None,
+    idx_width: int | None = None,
+) -> int:
+    """pack_lanes(table[i] for i in unpack_lanes(idx, b, idx_width), width), at C speed.
 
-    tr is byte_table(table, ...) and low is low_bytes(b). With a
-    translation table each byte of the packed indices is translated
-    and the mask keeps each lane's low byte, which held its index;
-    the mask, not the byte order, picks that byte. Without one the
-    lanes are unpacked and read with itemgetter.
+    idx_width, the lane width of idx, defaults to width; it may differ
+    only when tr is None. tr is byte_table(table, ...), and low is
+    low_bytes(b) in 32-bit lanes. With a translation table every byte
+    of the packed indices is translated. In byte lanes that is the
+    result; in 32-bit lanes the mask keeps each lane's low byte, which
+    held its index (the mask, not the byte order, picks that byte).
+    Without one the lanes are unpacked and read with itemgetter.
     """
     if tr is not None:
-        return int.from_bytes(idx.to_bytes(LANE_BYTES * b, "little").translate(tr), "little") & low
-    lanes = unpack_lanes(idx, b)
+        got = int.from_bytes(idx.to_bytes(width * b, "little").translate(tr), "little")
+        return got if width == 1 else got & low
+    lanes = unpack_lanes(idx, b, idx_width or width)
     got = itemgetter(*lanes)(table)
-    return pack_lanes(got if b > 1 else (got,))
+    return pack_lanes(got if b > 1 else (got,), width)
 
 
 def step_batch(net: Network, xs: Sequence[int], b: int) -> list[int]:
-    """`step` on b >= 1 configurations at once, in the lane packing.
+    """`step` on b >= 1 configurations at once, in lanes of net.lane_bytes.
 
     xs[v] packs node v's state in each configuration. The table index
     sum a_0 + a_1*q + ... is formed for all lanes with a few big-int
     operations; no lane carries into the next, since an index stays
-    below q^deg = len(table) < 2^32. The table is then read for every
-    lane by `gather_lanes`.
+    below q^deg = len(table), which is at most 256 in byte lanes and
+    below 2^32 otherwise. The table is then read for every lane by
+    `gather_lanes`.
     """
     q = net.alphabet
-    low = low_bytes(b)
+    width = net.lane_bytes
+    low = low_bytes(b) if width == LANE_BYTES else None
     out = []
     for rule, tr in zip(net.rules, net.byte_tables):
         idx = 0
@@ -272,7 +301,7 @@ def step_batch(net: Network, xs: Sequence[int], b: int) -> list[int]:
         for d in rule.deps:
             idx += xs[d] * m
             m *= q
-        out.append(gather_lanes(rule.table, idx, b, tr, low))
+        out.append(gather_lanes(rule.table, idx, b, width, tr, low))
     return out
 
 
@@ -392,10 +421,15 @@ def orbit_graph(net: Network, max_states: int = DEFAULT_MAX_STATES) -> OrbitGrap
     """Exhaustive successor table; refuses to enumerate past max_states.
 
     States are stepped in chunks of q^c <= ORBIT_CHUNK that share their
-    high digits, with step_batch. The c low digit planes are the same
-    in every chunk and are built once by repeating bytes; the high
-    digits are constant in a chunk. Successors are encoded in the lanes
-    as y_0 + y_1*q + ..., which needs q^n < 2^32.
+    high digits, with step_batch in the network's lanes. The c low
+    digit planes are the same in every chunk and are built once by
+    repeating lanes; the high digits are constant in a chunk.
+    Successors are encoded as y_0 + y_1*q + ..., which needs q^n < 2^32
+    and so 32-bit lanes. In 32-bit lanes the code is summed in place.
+    In byte lanes the nodes are taken in groups whose partial code
+    y_v + y_{v+1}*q + ... stays below 256; each group's code is summed
+    in byte lanes, widened to 32-bit lanes by bytearray slice
+    assignment, and the groups are summed there.
     """
     q, n = net.alphabet, net.n
     n_conf = q**n
@@ -409,18 +443,32 @@ def orbit_graph(net: Network, max_states: int = DEFAULT_MAX_STATES) -> OrbitGrap
     while c < n and q ** (c + 1) <= ORBIT_CHUNK:
         c += 1
     b = q**c
-    lane = [s.to_bytes(LANE_BYTES, sys.byteorder) for s in range(q)]
+    width = net.lane_bytes
+    lane = [s.to_bytes(width, sys.byteorder) for s in range(q)]
     low = [
         int.from_bytes(b"".join(a * q**v for a in lane) * q ** (c - v - 1), sys.byteorder)
         for v in range(c)
     ]
-    ones = pack_lanes([1] * b)
-    weights = [q**v for v in range(n)]
+    ones = int.from_bytes((1).to_bytes(width, sys.byteorder) * b, sys.byteorder)
+    # g nodes per partial code: all of them in 32-bit lanes, q^g <= 256 in byte lanes.
+    g = max(n, 1)
+    if width == 1 and q > 1:
+        g = 1
+        while q ** (g + 1) <= BYTE_TABLE:
+            g += 1
     succ = array("I")
     for hi in range(q ** (n - c)):
         xs = low + [s * ones for s in index_config(hi, q, n - c)]
         ys = step_batch(net, xs, b)
-        succ.extend(unpack_lanes(sum(y * w for y, w in zip(ys, weights)), b))
+        code = 0
+        for lo in range(0, n, g):
+            part = sum(y * q**j for j, y in enumerate(ys[lo : lo + g]))
+            if width == 1:
+                wide = bytearray(LANE_BYTES * b)
+                wide[0::LANE_BYTES] = part.to_bytes(b, "little")
+                part = int.from_bytes(wide, "little")
+            code += part * q**lo
+        succ.extend(unpack_lanes(code, b, LANE_BYTES))
     return OrbitGraph(q, n, tuple(succ))
 
 
@@ -440,34 +488,25 @@ def attractors(net: Network, max_states: int = DEFAULT_MAX_STATES) -> list[Attra
     """
     og = orbit_graph(net, max_states=max_states)
     succ = og.succ
-    n_conf = len(succ)
-    comp = [-1] * n_conf
-    state = bytearray(n_conf)  # 0 new, 1 on current path, 2 done
+    # comp[s]: -1 new, -2 on the current path, else the id of s's cycle
+    comp = [-1] * len(succ)
     cycles: list[list[int]] = []
-    for s in range(n_conf):
-        if state[s]:
+    for s in range(len(succ)):
+        if comp[s] != -1:
             continue
         path = []
         u = s
-        while state[u] == 0:
-            state[u] = 1
+        while comp[u] == -1:
+            comp[u] = -2
             path.append(u)
             u = succ[u]
-        if state[u] == 1:
-            at = path.index(u)
-            cyc = path[at:]
-            cid = len(cycles)
-            cycles.append(cyc)
-            for w in cyc:
-                comp[w] = cid
         cid = comp[u]
+        if cid == -2:
+            cid = len(cycles)
+            cycles.append(path[path.index(u) :])
         for w in path:
-            if comp[w] == -1:
-                comp[w] = cid
-            state[w] = 2
-    basin = [0] * len(cycles)
-    for c in comp:
-        basin[c] += 1
+            comp[w] = cid
+    basin = Counter(comp)
     q, n = og.alphabet, og.n
     return [
         Attractor(tuple(index_config(i, q, n) for i in cyc), basin[cid])

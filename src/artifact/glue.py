@@ -209,8 +209,8 @@ def check_pseudo_orbit_shape(net: Network, p: PseudoOrbit) -> None:
     """Raise InvalidConfigError unless p's configurations and exempt set fit net.
 
     States are checked against the alphabet once per distinct value.
-    Runs are stepped in 32-bit lanes, so an alphabet past 2^32 is
-    refused too.
+    Runs are stepped in lanes of at most 32 bits, so an alphabet past
+    2^32 is refused too.
     """
     if any(len(x) != net.n for x in p.configs):
         raise InvalidConfigError("pseudo-orbit does not match the network size")
@@ -240,14 +240,14 @@ def _check_shaped_runs(net: Network, runs: Sequence[PseudoOrbit]) -> list[Pseudo
     sources = [x for p in runs for x in p.configs[:-1]]
     found: list[list[tuple[int, int, int, int]]] = [[] for _ in runs]
     if sources:
-        b = len(sources)
-        got = step_batch(net, [pack_lanes(col) for col in zip(*sources)], b)
-        want = [pack_lanes(col) for col in zip(*(x for p in runs for x in p.configs[1:]))]
+        b, width = len(sources), net.lane_bytes
+        got = step_batch(net, [pack_lanes(col, width) for col in zip(*sources)], b)
+        want = [pack_lanes(col, width) for col in zip(*(x for p in runs for x in p.configs[1:]))]
         owner = [(r, t) for r, p in enumerate(runs) for t in range(p.horizon)]
         for v, (g, w) in enumerate(zip(got, want)):
             if g == w:
                 continue
-            g_lanes, w_lanes = unpack_lanes(g, b), unpack_lanes(w, b)
+            g_lanes, w_lanes = unpack_lanes(g, b, width), unpack_lanes(w, b, width)
             for lane in range(b):
                 r, t = owner[lane]
                 if g_lanes[lane] != w_lanes[lane] and v not in runs[r].exempt:

@@ -276,10 +276,10 @@ def build_certificate() -> CoherentCertificate:
             x[v] = s
         xs.append(x)
     runs = [[tuple(x)] for x in xs]
-    b = len(cells)
+    b, width = len(cells), gd.net.lane_bytes
     for t in range(1, SIGNAL_PERIOD + 1):
-        cols = step_batch(gd.net, [pack_lanes(col) for col in zip(*xs)], b)
-        xs = [list(x) for x in zip(*(unpack_lanes(col, b) for col in cols))]
+        cols = step_batch(gd.net, [pack_lanes(col, width) for col in zip(*xs)], b)
+        xs = [list(x) for x in zip(*(unpack_lanes(col, b, width) for col in cols))]
         for x, run, cell in zip(xs, runs, cells):
             for v, s in _driven(gd, traces, cell, t):
                 x[v] = s

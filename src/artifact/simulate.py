@@ -17,7 +17,8 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import docs
 from .core import (
-    LANE_BITS,
+    BYTE_TABLE,
+    LANE_BYTES,
     LANE_LIMIT,
     ArtifactError,
     Network,
@@ -35,7 +36,8 @@ if TYPE_CHECKING:
     from .csan import Csan
 
 
-# Host configurations per verify_simulation batch: 4 KB of lanes per host node.
+# Host configurations per verify_simulation batch: 1 or 4 KB of lanes per
+# host node, by its lane width.
 VERIFY_CHUNK = 1024
 
 
@@ -142,9 +144,16 @@ def verify_simulation(
     mode "exhaustive" sweeps all |Q|^n source configurations; mode
     "sample" draws `samples` configurations from a recorded RNG seed.
     The host side runs VERIFY_CHUNK configurations at a time through
-    step_batch; a failure names the first failing configuration in
-    sweep order, and `checked` counts up to and including it.
+    step_batch, in the host's lanes; a failure names the first failing
+    configuration in sweep order, and `checked` counts up to and
+    including it. Alphabets past 2^32, whose states no lane holds, are
+    refused with InvalidEmbeddingError.
     """
+    for role, net in (("source", source), ("host", host)):
+        if net.alphabet > LANE_LIMIT:
+            raise InvalidEmbeddingError(
+                f"{role} alphabet of {net.alphabet} does not fit a 32-bit lane"
+            )
     emb.validate(source, host)
     if mode == "exhaustive":
         configs = product(range(source.alphabet), repeat=source.n)
@@ -169,23 +178,29 @@ def verify_simulation(
             if col not in shared:
                 shared[col] = (*col, byte_table(col[1], host.alphabet))
             cols[u] = shared[col]
+    # Host states take the host's lanes. Source states share them when
+    # they fit; past a byte they take 32-bit lanes, which only the
+    # itemgetter gather reads (their columns have no byte table).
+    width = host.lane_bytes
+    src_width = width if source.alphabet <= BYTE_TABLE else LANE_BYTES
+    bits = 8 * width
     checked = 0
     while chunk := list(islice(configs, VERIFY_CHUNK)):
         b = len(chunk)
-        low = low_bytes(b)
-        xs = [pack_lanes(s) for s in zip(*chunk)]
-        ys = [pack_lanes(s) for s in zip(*(step(source, x) for x in chunk))]
-        got = [gather_lanes(col, xs[v], b, tr, low) for v, col, tr in cols]
+        low = low_bytes(b) if width == LANE_BYTES else None
+        xs = [pack_lanes(s, src_width) for s in zip(*chunk)]
+        ys = [pack_lanes(s, src_width) for s in zip(*(step(source, x) for x in chunk))]
+        got = [gather_lanes(col, xs[v], b, width, tr, low, src_width) for v, col, tr in cols]
         for _ in range(emb.time):
             got = step_batch(host, got, b)
-        want = [gather_lanes(col, ys[v], b, tr, low) for v, col, tr in cols]
+        want = [gather_lanes(col, ys[v], b, width, tr, low, src_width) for v, col, tr in cols]
         diff = 0
         for w, g in zip(want, got):
             diff |= w ^ g
         if diff:
-            lane = ((diff & -diff).bit_length() - 1) // LANE_BITS
-            at = LANE_BITS * lane
-            bad = [u for u in range(host.n) if (want[u] ^ got[u]) >> at & (LANE_LIMIT - 1)]
+            lane = ((diff & -diff).bit_length() - 1) // bits
+            at = bits * lane
+            bad = [u for u in range(host.n) if (want[u] ^ got[u]) >> at & ((1 << bits) - 1)]
             return VerificationReport(
                 False,
                 mode,

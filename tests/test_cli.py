@@ -428,6 +428,42 @@ def test_verify_sim_refuses_fewer_than_one_sample(samples, tmp_path, rot3_file, 
     assert "--samples" in out_json(capsys)["error"]
 
 
+@pytest.mark.parametrize("side", ["source", "host"])
+def test_verify_sim_refuses_an_alphabet_past_a_lane(side, tmp_path, capsys):
+    # one node on 2^33 states beside a one-node binary network, identity-shaped blocks
+    wide = make_network(2**33, [((), (2**33 - 1,))])
+    narrow = make_network(2, [((), (1,))])
+    source, host = (wide, narrow) if side == "source" else (narrow, wide)
+    src = write_json(tmp_path, "source.json", network_to_json(source))
+    dst = write_json(tmp_path, "host.json", network_to_json(host))
+    emb = write_json(tmp_path, "emb.json", identity_embedding_doc(narrow))
+    assert run(["verify-sim", src, dst, emb]) == 2
+    error = f"{side} alphabet of 8589934592 does not fit a 32-bit lane"
+    assert out_json(capsys) == {"error": error}
+
+
+def test_verify_sim_reaches_a_verdict_on_a_ten_gate_ring(tmp_path, monkeypatch, capsys):
+    # 2^20 source configurations at T = 6 are 6.3M host configurations.
+    # verify-sim has no budget on them, and the analyze/oracle budget
+    # does not reach it. The embedding claims T = 12, so the first
+    # configuration fails and the check stops after one chunk.
+    monkeypatch.setenv("ARTIFACT_MAX_STATES", "1")
+    b = GNetworkBuilder(2)
+    gates = [b.new_gate(NOR_2_2) for _ in range(10)]
+    for (g, _), (_, outs) in zip(gates, gates[-1:] + gates[:-1]):
+        b.connect(g, outs)
+    ring = write_json(tmp_path, "ring.json", gnetwork_to_json(b.build()))
+    out = tmp_path / "compiled.json"
+    assert run(["compile", ring, "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["embedding"]["time"] == 6
+    host = write_json(tmp_path, "host.json", doc["csan"])
+    emb = write_json(tmp_path, "emb.json", {**doc["embedding"], "time": 12})
+    assert run(["verify-sim", ring, host, emb]) == 1
+    report = out_json(capsys)
+    assert not report["ok"] and report["checked"] == 1
+
+
 @pytest.mark.parametrize("alphabet", [1000, 2000])
 def test_convert_csan_on_a_large_alphabet(alphabet, tmp_path, capsys):
     lone = {"lambda": {"family": "minmax", "polarity": "MIN"}}

@@ -1,5 +1,6 @@
 """Core dynamics: stepping, orbit analysis, attractors, serialization."""
 
+import dataclasses
 import gc
 import itertools
 import random
@@ -270,9 +271,9 @@ def batch_case(draw):
 
 def batch_step(net, configs):
     """step_batch on configs, unpacked back to one configuration per lane."""
-    b = len(configs)
-    xs = [core.pack_lanes(x[v] for x in configs) for v in range(net.n)]
-    ys = [core.unpack_lanes(y, b) for y in core.step_batch(net, xs, b)]
+    b, width = len(configs), net.lane_bytes
+    xs = [core.pack_lanes((x[v] for x in configs), width) for v in range(net.n)]
+    ys = [core.unpack_lanes(y, b, width) for y in core.step_batch(net, xs, b)]
     return [tuple(y[i] for y in ys) for i in range(b)]
 
 
@@ -283,31 +284,36 @@ def test_step_batch_matches_step_per_lane(case):
     assert batch_step(net, configs) == [step(net, x) for x in configs]
 
 
-# (alphabet, dependencies per node): tables of 256 and 512 entries on
-# q = 2, of 243 and 729 on q = 3, either side of the byte gather's limit.
-GATHER_BOUNDARY = ((2, 8), (2, 9), (3, 5), (3, 6))
+# (alphabet, dependencies per node) either side of the byte gather's
+# limit and of byte lanes: tables of 256 and 512 entries on q = 2, of 243
+# and 729 on q = 3, of 256 and 257 on q = 256 and 257, and one-entry
+# tables on q = 256 and 257.
+GATHER_BOUNDARY = ((2, 8), (2, 9), (3, 5), (3, 6), (256, 1), (257, 1), (256, 0), (257, 0))
 
 
-def boundary_network(q, k, n, seed):
-    """n nodes, each reading k of them through a seeded table of q^k entries."""
+def boundary_network(q, k, n, seed, constant=False):
+    """n nodes, each reading k of them through a seeded table of q^k entries,
+    and with `constant` one more node of degree 0."""
     rng = random.Random(seed)
-    return make_network(
-        q, [(rng.sample(range(n), k), [rng.randrange(q) for _ in range(q**k)]) for _ in range(n)]
-    )
+    rules = [(rng.sample(range(n), k), [rng.randrange(q) for _ in range(q**k)]) for _ in range(n)]
+    return make_network(q, rules + [((), [rng.randrange(q)])] * constant)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(GATHER_BOUNDARY),
     st.integers(0, 2),
+    st.booleans(),
     st.sampled_from((1, 2, 37)),
     st.integers(0, 2**32),
 )
-def test_step_batch_matches_step_at_the_gather_boundary(qk, extra, b, seed):
+def test_step_batch_matches_step_at_the_gather_boundary(qk, extra, constant, b, seed):
     q, k = qk
-    net = boundary_network(q, k, k + extra, seed)
-    byte_read = q**k <= core.BYTE_TABLE
-    assert [tr is not None for tr in net.byte_tables] == [byte_read] * net.n
+    net = boundary_network(q, k, k + extra, seed, constant)
+    byte_read = q**k <= core.BYTE_TABLE and q <= core.BYTE_TABLE
+    want = [byte_read] * (k + extra) + [q <= core.BYTE_TABLE] * constant
+    assert [tr is not None for tr in net.byte_tables] == want
+    assert net.lane_bytes == (1 if all(want) else 4)  # an empty network has byte lanes
     rng = random.Random(seed)
     configs = [tuple(rng.randrange(q) for _ in range(net.n)) for _ in range(b)]
     assert batch_step(net, configs) == [step(net, x) for x in configs]
@@ -317,7 +323,7 @@ def test_step_batch_matches_step_at_the_gather_boundary(qk, extra, b, seed):
 def test_large_alphabet_skips_the_byte_gather(b):
     # one-entry tables on q = 300, one of them past a byte
     net = make_network(300, [((), (299,)), ((), (7,)), ((0, 1), tuple(range(300)) * 300)])
-    assert net.byte_tables == (None, None, None)
+    assert net.byte_tables == (None, None, None) and net.lane_bytes == 4
     rng = random.Random(b)
     configs = [tuple(rng.randrange(300) for _ in range(3)) for _ in range(b)]
     assert batch_step(net, configs) == [step(net, x) for x in configs]
@@ -327,6 +333,7 @@ def test_large_alphabet_skips_the_byte_gather(b):
 def test_orbit_graph_crosses_chunks_at_the_gather_boundary(q, k, n):
     net = boundary_network(q, k, n, seed=q * k)
     assert q**n > core.ORBIT_CHUNK
+    assert net.lane_bytes == (1 if q**k <= core.BYTE_TABLE else 4)
     assert list(orbit_graph(net).succ) == reference_succ(net)
 
 
@@ -335,7 +342,9 @@ def test_byte_tables_are_no_field():
     twin = xor_ring(4)
     assert net.byte_tables[0] == bytes((0, 1, 1, 0)).ljust(256, b"\0")
     assert net.byte_tables is net.byte_tables
+    assert net.lane_bytes == 1
     assert net == twin and hash(net) == hash(twin)
+    assert "lane_bytes" not in {f.name for f in dataclasses.fields(net)}
     assert network_to_json(net) == network_to_json(twin)
 
 
@@ -367,8 +376,76 @@ def test_orbit_graph_matches_step(net):
 
 def test_orbit_graph_crosses_chunks():
     net = random_network(random.Random(3), 10, 3)  # 3^10 states, 3^8 per chunk
-    assert 3**10 > core.ORBIT_CHUNK
+    assert 3**10 > core.ORBIT_CHUNK and net.lane_bytes == 1
     assert list(orbit_graph(net).succ) == reference_succ(net)
+
+
+# (alphabet, nodes, past one chunk): in byte lanes a partial successor
+# code takes 8 nodes on q = 2, 5 on q = 3 and 3 on q = 5, so every n
+# below ends on a short group.
+@pytest.mark.parametrize(
+    "q, n, crosses", [(2, 11, False), (3, 7, False), (5, 4, False), (2, 15, True), (5, 7, True)]
+)
+def test_orbit_graph_in_byte_lanes(q, n, crosses):
+    net = random_network(random.Random(q * n), n, q)
+    assert net.lane_bytes == 1
+    assert (q**n > core.ORBIT_CHUNK) == crosses
+    assert list(orbit_graph(net).succ) == reference_succ(net)
+
+
+def reference_attractors(net):
+    """The two-array cycle search that `attractors` replaced, on `reference_succ`."""
+    succ = reference_succ(net)
+    n_conf = len(succ)
+    comp = [-1] * n_conf
+    state = bytearray(n_conf)  # 0 new, 1 on current path, 2 done
+    cycles = []
+    for s in range(n_conf):
+        if state[s]:
+            continue
+        path = []
+        u = s
+        while state[u] == 0:
+            state[u] = 1
+            path.append(u)
+            u = succ[u]
+        if state[u] == 1:
+            at = path.index(u)
+            cyc = path[at:]
+            cid = len(cycles)
+            cycles.append(cyc)
+            for w in cyc:
+                comp[w] = cid
+        cid = comp[u]
+        for w in path:
+            if comp[w] == -1:
+                comp[w] = cid
+            state[w] = 2
+    basin = [0] * len(cycles)
+    for c in comp:
+        basin[c] += 1
+    q, n = net.alphabet, net.n
+    return [
+        core.Attractor(tuple(index_config(i, q, n) for i in cyc), basin[cid])
+        for cid, cyc in enumerate(cycles)
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_networks(min_q=1))
+def test_attractors_match_reference(net):
+    # equal lists: the same cycles in the same order, each from the same configuration
+    assert attractors(net) == reference_attractors(net)
+
+
+def test_attractors_of_the_empty_network():
+    net = make_network(2, [])
+    assert attractors(net) == reference_attractors(net) == [core.Attractor(((),), 1)]
+
+
+def test_attractors_past_a_chunk_match_reference():
+    net = random_network(random.Random(3), 10, 3)  # 3^10 states, 3^8 per chunk
+    assert attractors(net) == reference_attractors(net)
 
 
 def test_orbit_graph_refuses_states_past_a_lane():

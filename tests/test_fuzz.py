@@ -1,8 +1,9 @@
 """Fuzz `cli.run` over mutated documents.
 
 `analyze` and `oracle b-pred|pred-chg|reach` read a network or an
-instance document and walk an orbit; `verify-cert` reads a certificate
-and replays its recorded runs; `compile --certificate` compiles with
+instance document and walk an orbit; `verify-sim` reads a source, a
+host and an embedding and steps the host in lanes; `verify-cert` reads
+a certificate and replays its recorded runs; `compile --certificate` compiles with
 one; `convert` and `analyze` read a gate network, and `convert` a CSAN
 whose vertices are family shorthands, and tabulate it. Whatever the
 documents hold, the command must end in one of its exit codes (0 yes,
@@ -15,7 +16,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from artifact import gol
@@ -30,7 +31,9 @@ from artifact.problems import (
     make_reach_instance,
     odometer,
 )
+from artifact.simulate import BlockEmbedding, embedding_to_json
 
+from conftest import rotation
 from test_csan import lifelike_shorthand
 from test_gol import cross_pair
 
@@ -241,3 +244,50 @@ def test_unmutated_shorthand_csan_converts():
 def test_mutated_shorthand_vertices_exit_with_a_code(data):
     doc = data.draw(mutated(WIRE, lambda draw: [("vertices",)]))
     assert convert(doc) in (0, 2)
+
+
+# A 3-rotation simulated at time 2 by a 6-rotation that holds each state
+# twice. One of the three documents is mutated at a time.
+SIMULATION = {
+    "source": network_to_json(rotation(3)),
+    "host": network_to_json(rotation(6)),
+    "embedding": embedding_to_json(
+        BlockEmbedding(2, ((0, 1), (2, 3), (4, 5)), (((0, 0), (1, 1)),) * 3)
+    ),
+}
+
+
+def verify_sim(documents, *options) -> int:
+    """The exit code of `verify-sim` on the source, host and embedding documents."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for role in ("source", "host", "embedding"):
+            path = Path(tmp) / f"{role}.json"
+            path.write_text(json.dumps(documents[role]))
+            paths.append(str(path))
+        return run_to_document(["verify-sim", *paths, *options])
+
+
+def host_steps(embedding) -> int:
+    """The host steps per configuration an embedding document asks for, 0 if none."""
+    time = embedding.get("time") if isinstance(embedding, dict) else None
+    return time if type(time) is int else 0
+
+
+def test_unmutated_simulation_verifies():
+    assert verify_sim(SIMULATION) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    role=st.sampled_from(sorted(SIMULATION)),
+    mode=st.sampled_from(("exhaustive", "sample")),
+)
+def test_mutated_simulation_documents_exit_with_a_document(data, role, mode):
+    documents = {**SIMULATION, role: data.draw(mutated(SIMULATION[role]))}
+    # verify-sim has no budget on host steps: a time of 2^64 is valid and
+    # runs without end, so times past 1,000 are left out here.
+    assume(host_steps(documents["embedding"]) <= 1000)
+    options = ["--mode", mode, "--samples", "20", "--seed", "1"]
+    assert verify_sim(documents, *options) in (0, 1, 2, 3)

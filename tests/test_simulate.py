@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact.core import iterate, make_network, step
+from artifact.core import Network, iterate, make_network, step
 from artifact.simulate import (
     BlockEmbedding,
     InvalidEmbeddingError,
@@ -186,6 +186,65 @@ def test_verify_simulation_on_a_host_past_a_byte(corrupt):
     rep = verify_simulation(source, host, emb)
     assert rep == reference_verify_simulation(source, host, emb)
     assert rep.ok is not corrupt
+
+
+def forced_wide(net):
+    """A copy of net whose `step_batch` runs in 32-bit lanes whatever its tables."""
+    wide = Network(net.alphabet, net.rules)
+    wide.__dict__["lane_bytes"] = 4  # the cached_property's slot
+    return wide
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 11), st.data())
+def test_failures_on_a_narrow_host_match_the_32_bit_path(n, data):
+    source = xor_ring(n)
+    corrupt = (data.draw(st.integers(0, 2 * n - 1)), data.draw(st.integers(0, 3)))
+    host, emb = copy_host(source, corrupt)
+    assert host.lane_bytes == 1 and forced_wide(host).lane_bytes == 4
+    rep = verify_simulation(source, host, emb)
+    assert rep == verify_simulation(source, forced_wide(host), emb)
+    assert rep == reference_verify_simulation(source, host, emb)
+
+
+def test_narrow_host_names_a_failing_lane_off_a_32_bit_boundary():
+    # The first failure is lane 2 of the second chunk: a lane located in
+    # 32-bit steps would read lane 0 and count 1025.
+    source = xor_ring(11)
+    host, emb = copy_host(source, corrupt=(20, 3))
+    assert host.lane_bytes == 1
+    rep = verify_simulation(source, host, emb)
+    assert not rep.ok and rep.checked == 1027
+    assert rep.failures == ("host nodes [20] differ after 1 steps",)
+    assert rep == verify_simulation(source, forced_wide(host), emb)
+    assert rep == reference_verify_simulation(source, host, emb)
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_source_past_a_byte_on_a_narrow_host(corrupt):
+    # 300 source states written as two base-20 digits; the source steps
+    # its low digit, and each host node reads only itself (20 entries).
+    source = make_network(300, [((0,), [(s % 20 + 1) % 20 + s // 20 * 20 for s in range(300)])])
+    step_low = [(d + 1) % 20 for d in range(20)]
+    if corrupt:
+        step_low[19] = 1
+    host = make_network(20, [((0,), step_low), ((1,), list(range(20)))])
+    emb = BlockEmbedding(1, ((0, 1),), (tuple((s % 20, s // 20) for s in range(300)),))
+    assert host.lane_bytes == 1
+    rep = verify_simulation(source, host, emb)
+    assert rep == reference_verify_simulation(source, host, emb)
+    assert rep == verify_simulation(source, forced_wide(host), emb)
+    assert rep.ok is not corrupt
+
+
+@pytest.mark.parametrize("side", ["source", "host"])
+def test_alphabets_past_a_lane_are_refused(side):
+    wide = make_network(2**33, [((), (2**33 - 1,))])
+    narrow = make_network(2, [((), (1,))])
+    source, host = (wide, narrow) if side == "source" else (narrow, wide)
+    emb = BlockEmbedding(1, ((0,),), (tuple((s,) for s in range(2)),))
+    with pytest.raises(InvalidEmbeddingError, match=f"{side} alphabet of 8589934592 does not fit"):
+        verify_simulation(source, host, emb)
 
 
 def test_embedding_validation():
