@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -30,8 +29,10 @@ from .core import (
     iterate,
     network_from_json,
     network_to_json,
+    orbit_at,
     to_dot,
     trace,
+    walk_orbit,
 )
 from .csan import (
     InvalidCsanError,
@@ -68,19 +69,6 @@ from .problems import (
     u_pred,
 )
 from .simulate import embedding_from_json, embedding_to_json, verify_simulation
-
-MAX_STATES_ENV = "ARTIFACT_MAX_STATES"
-
-
-def _default_max_states() -> int:
-    raw = os.environ.get(MAX_STATES_ENV)
-    if raw is None:
-        return DEFAULT_MAX_STATES
-    try:
-        return int(raw)
-    except ValueError:
-        raise ArtifactError(f"{MAX_STATES_ENV} must be an integer, got {raw!r}") from None
-
 
 def _kind(doc):
     return doc.get("format") if isinstance(doc, dict) else None
@@ -146,6 +134,15 @@ def _cmd_simulate(args):
     x = _parse_config(args, net)
     if args.t < 0:
         raise ArtifactError("time must be non-negative")
+    if args.t > DEFAULT_MAX_STATES:
+        # Past the state budget: no trace, and the time folds into the
+        # orbit's cycle once a walk of at most that many states closes it.
+        if args.trace:
+            raise BudgetExceededError(
+                f"a trace of {args.t} steps exceeds the budget of {DEFAULT_MAX_STATES} states"
+            )
+        path, tau, period = walk_orbit(net, x, DEFAULT_MAX_STATES)
+        return {"t": args.t, "config": list(orbit_at(path, tau, period, args.t))}, 0
     if args.trace:
         rows = trace(net, x, args.t)
         return {"t": args.t, "config": list(rows[-1]), "trace": [list(r) for r in rows]}, 0
@@ -395,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="transient and period of an orbit")
     p.add_argument("net")
     _add_config(p)
-    p.add_argument("--max-states", type=int, default=None)
+    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
     _add_common(p)
     p.set_defaults(handler=_cmd_analyze)
 
@@ -442,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem", choices=("u-pred", "b-pred", "pred-chg", "reach"))
     p.add_argument("instances", nargs="+", help="instance JSON files")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    p.add_argument("--max-states", type=int, default=None)
+    p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES)
     _add_common(p)
     p.set_defaults(handler=_cmd_oracle)
 
@@ -469,8 +466,6 @@ def run(argv=None) -> int:
         _emit(argparse.Namespace(output=None, pretty=False), {"error": str(exc)})
         return 2
     try:
-        if hasattr(args, "max_states") and args.max_states is None:
-            args.max_states = _default_max_states()
         doc, code = args.handler(args)
         _emit(args, doc)
         return code

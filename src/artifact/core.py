@@ -356,6 +356,13 @@ def walk_orbit(
     return list(seen), tau, i - tau
 
 
+def orbit_at(path: Sequence[tuple[int, ...]], tau: int, period: int, t: int) -> tuple[int, ...]:
+    """F^t(x) from walk_orbit's (path, tau, period); t past the path folds into the cycle."""
+    if t < len(path):
+        return path[t]
+    return path[tau + (t - tau) % period]
+
+
 def analyze_orbit(net: Network, x: Sequence[int], budget: int = DEFAULT_MAX_STATES) -> OrbitAnalysis:
     """Transient, period and cycle of the orbit of x (see walk_orbit)."""
     path, tau, period = walk_orbit(net, check_config(net, x), budget)

@@ -11,15 +11,18 @@ assembled by repeated glueing (`gadget_glue`). A coherence certificate
 pins down, for one gate catalog, the exempted runs and boundary traces
 that make every such assembly simulate the corresponding gate network.
 
-`compile_gnetwork_detailed` performs the assembly without building the gadgets
-in between. Glueing along disjoint sets of wires is associative, so the
-host is fixed by the gadgets and their wiring, not by the order of the
-glue steps: the compiler walks the gates in order only to number the
-nodes of each step as the chained glue would, then builds the host
-from every gadget at once and validates it once. For labeled gadgets
-the certificate's `csan_closure_failures` already certifies the glue
-guards inside every interface copy; the compiler still runs them at
-each step, across the wires of that step.
+Both `gadget_glue` and `compile_gnetwork_detailed` glue through one
+routine, `_glue`, which takes the gadgets and, for each step, the wires
+joining the next gadget to those before it. A step only checks its
+wires, builds its junction dowel on (gadget, node) identities, runs the
+labeled-glue guards on it and records which nodes it fused; nothing is
+renumbered. Glueing along disjoint sets of wires is associative and a
+fused node is never fused again, so one pass at the end numbers the
+host exactly as chained pairwise glueing would, and the host is built
+and validated once. The compiler thus costs time linear in the gates.
+For labeled gadgets the certificate's `csan_closure_failures` already
+certifies the glue guards inside every interface copy; each step still
+runs them across its own wires.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .core import (
 from .csan import Csan, csan_from_json, csan_to_json, csan_to_network
 from .glue import (
     Dowel,
-    GluedIndex,
+    Placement,
     PseudoOrbit,
     PseudoOrbitReport,
     _check_shaped_runs,
@@ -48,11 +51,8 @@ from .glue import (
     assemble_network,
     check_dowel_structure,
     check_pseudo_orbit_shape,
-    csan_glue,
     differing_edges,
     differing_labels,
-    glue_networks,
-    glued_numbering,
     leaves_placement,
     make_dowel,
     pseudo_orbit_from_json,
@@ -215,111 +215,120 @@ def exempt_nodes(g: Gadget) -> frozenset[int]:
 
 # ---------------------------------------------------------------------------
 # Gadget glueing
-
-
-@dataclass
-class _Frame:
-    """All that the numbering of a glue step reads: node count and copies."""
-
-    n: int
-    in_copies: tuple[dict[str, int], ...]
-    out_copies: tuple[dict[str, int], ...]
-
-
-def _frame(g: Gadget) -> _Frame:
-    return _Frame(g.n, g.in_copies, g.out_copies)
-
-
-@dataclass
-class _GlueStep:
-    """Numbering of one glue step, shared by gadget_glue and the compiler.
-
-    frame holds the surviving copies in glued numbering; kept_in and
-    kept_out name them as (side, copy index), side 1 for the first
-    gadget and 2 for the second. a_nodes and b_nodes are the fused
-    copies of in_pairs and out_pairs.
-    """
-
-    dowel: Dowel
-    num: GluedIndex
-    frame: _Frame
-    kept_in: list[tuple[int, int]]
-    kept_out: list[tuple[int, int]]
-    a_nodes: tuple[dict[str, int], ...]
-    b_nodes: tuple[dict[str, int], ...]
+#
+# Until the host is numbered, a copy of a glued part is named by
+# (part, copy index) and a node by (part, node). A step's wires pair a
+# copy of an earlier part with a copy index of the part glued on.
+Wires = Sequence[tuple[tuple[int, int], int]]
 
 
 def _junction_dowel(
     iface: Interface,
-    first: _Frame,
-    second: _Frame,
-    in_pairs: Sequence[tuple[int, int]],
-    out_pairs: Sequence[tuple[int, int]],
+    in_pairs: Sequence[tuple[Placement, Placement]],
+    out_pairs: Sequence[tuple[Placement, Placement]],
 ) -> Dowel:
-    # Junction fusing an input copy of `first` with an output copy of
-    # `second`: the receiving half keeps the consumer's rules, the
-    # emitting half the producer's. Symmetrically for the other kind.
+    # Junction fusing each (input copy, output copy) of in_pairs and each
+    # (output copy, input copy) of out_pairs, the first copy of a pair on
+    # the first side: the receiving half keeps the consumer's rules, the
+    # emitting half the producer's. phi1 and phi2 are placements.
     c1: list[str] = []
     c2: list[str] = []
-    phi1: dict[str, int] = {}
-    phi2: dict[str, int] = {}
-    for j, (ia, ob) in enumerate(in_pairs):
-        for c in iface.names:
-            name = f"a{j}:{c}"
-            (c1 if c in iface.inputs else c2).append(name)
-            phi1[name] = first.in_copies[ia][c]
-            phi2[name] = second.out_copies[ob][c]
-    for j, (oa, ib) in enumerate(out_pairs):
-        for c in iface.names:
-            name = f"b{j}:{c}"
-            (c1 if c in iface.outputs else c2).append(name)
-            phi1[name] = first.out_copies[oa][c]
-            phi2[name] = second.in_copies[ib][c]
+    phi1: dict[str, tuple[int, int]] = {}
+    phi2: dict[str, tuple[int, int]] = {}
+    for tag, pairs, half in (("a", in_pairs, iface.inputs), ("b", out_pairs, iface.outputs)):
+        for j, (first, second) in enumerate(pairs):
+            for c in iface.names:
+                name = f"{tag}{j}:{c}"
+                (c1 if c in half else c2).append(name)
+                phi1[name] = first[c]
+                phi2[name] = second[c]
     return make_dowel(c1, c2, phi1, phi2)
 
 
-def _check_pairs(pairs: Sequence[tuple[int, int]], n_first: int, n_second: int, what: str) -> None:
+def _check_pairs(pairs: Wires, live: set[tuple[int, int]], n_second: int, what: str) -> None:
     firsts = [a for a, _ in pairs]
     seconds = [b for _, b in pairs]
     if len(set(firsts)) != len(firsts) or len(set(seconds)) != len(seconds):
         raise InvalidGadgetError(f"reused {what} index in the wiring")
-    if any(not 0 <= a < n_first for a in firsts) or any(
-        not 0 <= b < n_second for b in seconds
-    ):
+    if any(a not in live for a in firsts) or any(not 0 <= b < n_second for b in seconds):
         raise InvalidGadgetError(f"{what} wiring index out of range")
 
 
-def _glue_step(
-    iface: Interface,
-    first: _Frame,
-    second: _Frame,
-    in_pairs: Sequence[tuple[int, int]],
-    out_pairs: Sequence[tuple[int, int]],
-) -> _GlueStep:
-    _check_pairs(in_pairs, len(first.in_copies), len(second.out_copies), "input/output")
-    _check_pairs(out_pairs, len(first.out_copies), len(second.in_copies), "output/input")
-    dowel = _junction_dowel(iface, first, second, in_pairs, out_pairs)
-    num = glued_numbering(first.n, second.n, dowel)
-    index = {1: num.v1_index, 2: num.v2_index}
-    ins = {1: first.in_copies, 2: second.in_copies}
-    outs = {1: first.out_copies, 2: second.out_copies}
+def _glue(
+    parts: Sequence[Gadget], wiring: Sequence[tuple[Wires, Wires]]
+) -> tuple[Gadget, list[dict[int, int]]]:
+    """Glue parts[j] onto the glue of parts[:j] for j = 1, 2, ...; number the host once.
 
-    def kept(copies: dict, used: dict[int, set[int]]) -> list[tuple[int, int]]:
-        return [(s, k) for s in (1, 2) for k in range(len(copies[s])) if k not in used[s]]
+    wiring[j - 1] = (in_pairs, out_pairs) wires step j: ((i, k), k') in
+    in_pairs fuses input copy k of part i < j with output copy k' of
+    part j, and out_pairs fuses output copies of earlier parts with
+    input copies of part j likewise. A step checks its pairs against the
+    copies still unfused, builds its junction dowel on (part, node)
+    identities and, when every part is labeled, runs the labeled-glue
+    guards on it; then it records which nodes it fused.
 
-    def placed(copies: dict, side: int, k: int) -> dict[str, int]:
-        return {c: index[side][v] for c, v in copies[side][k].items()}
+    A fused node is never fused again, so the host numbering of chained
+    pairwise glueing comes out of one pass: the last step's fused nodes
+    in dowel order, back to the first step's, then every part's unfused
+    nodes, part by part, ascending. Returns the glued gadget, whose
+    copies are the unfused ones in (part, copy) order, and node_maps,
+    where node_maps[j] sends the nodes of part j to host nodes.
+    """
+    iface = parts[0].interface
+    csans = [g.csan for g in parts]
+    labeled = None not in csans
 
-    kept_in = kept(ins, {1: {ia for ia, _ in in_pairs}, 2: {ib for _, ib in out_pairs}})
-    kept_out = kept(outs, {1: {oa for oa, _ in out_pairs}, 2: {ob for _, ob in in_pairs}})
-    frame = _Frame(
-        num.n,
-        tuple(placed(ins, s, k) for s, k in kept_in),
-        tuple(placed(outs, s, k) for s, k in kept_out),
-    )
-    a_nodes = tuple(placed(ins, 1, ia) for ia, _ in in_pairs)
-    b_nodes = tuple(placed(outs, 1, oa) for oa, _ in out_pairs)
-    return _GlueStep(dowel, num, frame, kept_in, kept_out, a_nodes, b_nodes)
+    def at(i: int, copy: Mapping[str, int]) -> dict[str, tuple[int, int]]:
+        return {c: (i, v) for c, v in copy.items()}
+
+    live_in = {(0, k) for k in range(len(parts[0].in_copies))}
+    live_out = {(0, k) for k in range(len(parts[0].out_copies))}
+    fused: list[list[tuple[tuple[int, int], tuple[int, int]]]] = []
+    for j, (in_pairs, out_pairs) in enumerate(wiring, 1):
+        g = parts[j]
+        _check_pairs(in_pairs, live_in, len(g.out_copies), "input/output")
+        _check_pairs(out_pairs, live_out, len(g.in_copies), "output/input")
+        dowel = _junction_dowel(
+            iface,
+            [(at(i, parts[i].in_copies[k]), at(j, g.out_copies[b])) for (i, k), b in in_pairs],
+            [(at(i, parts[i].out_copies[k]), at(j, g.in_copies[b])) for (i, k), b in out_pairs],
+        )
+        if labeled:
+            check_dowel_structure(csans, dowel, dowel.phi1, dowel.phi2)
+        fused.append(
+            [(dowel.phi1[c], dowel.phi2[c]) for c in dowel.c1]
+            + [(dowel.phi2[c], dowel.phi1[c]) for c in dowel.c2]
+        )
+        live_in.difference_update(a for a, _ in in_pairs)
+        live_out.difference_update(a for a, _ in out_pairs)
+        taken_in, taken_out = {b for _, b in out_pairs}, {b for _, b in in_pairs}
+        live_in.update((j, k) for k in range(len(g.in_copies)) if k not in taken_in)
+        live_out.update((j, k) for k in range(len(g.out_copies)) if k not in taken_out)
+
+    # owner[h] = (j, v): host node h runs the rule of node v of part j.
+    owner: list[tuple[int, int]] = []
+    host_of: dict[tuple[int, int], int] = {}
+    for step in reversed(fused):
+        for kept, merged in step:
+            host_of[kept] = host_of[merged] = len(owner)
+            owner.append(kept)
+    for i, g in enumerate(parts):
+        for v in range(g.n):
+            if (i, v) not in host_of:
+                host_of[i, v] = len(owner)
+                owner.append((i, v))
+    node_maps = [{v: host_of[i, v] for v in range(g.n)} for i, g in enumerate(parts)]
+    if labeled:
+        host: Csan | Network = assemble_csan(csans, node_maps, owner)
+    else:
+        host = assemble_network([g.net for g in parts], node_maps, owner)
+
+    def placed(i: int, copy: Mapping[str, int]) -> dict[str, int]:
+        return {c: node_maps[i][v] for c, v in copy.items()}
+
+    ins = tuple(placed(i, parts[i].in_copies[k]) for i, k in sorted(live_in))
+    outs = tuple(placed(i, parts[i].out_copies[k]) for i, k in sorted(live_out))
+    return Gadget(iface, host, ins, outs), node_maps
 
 
 def gadget_glue(
@@ -341,12 +350,8 @@ def gadget_glue(
         raise InvalidGadgetError("glued gadgets must share an interface")
     if first.alphabet != second.alphabet:
         raise InvalidGadgetError("glued gadgets must share an alphabet")
-    st = _glue_step(first.interface, _frame(first), _frame(second), in_pairs, out_pairs)
-    if first.csan is not None and second.csan is not None:
-        glued: Csan | Network = csan_glue(first.csan, second.csan, st.dowel)
-    else:
-        glued = glue_networks(first.net, second.net, st.dowel)
-    gadget = Gadget(first.interface, glued, st.frame.in_copies, st.frame.out_copies)
+    step = ([((0, a), b) for a, b in in_pairs], [((0, a), b) for a, b in out_pairs])
+    gadget, _ = _glue((first, second), [step])
     gadget.validate()
     return gadget
 
@@ -720,25 +725,24 @@ class CompiledGadgets:
 
 
 def compile_gnetwork_detailed(gn: GNetwork, cert: CoherentCertificate) -> CompiledGadgets:
-    """Assemble one gadget per gate: number every glue step, build once.
+    """Assemble one gadget per gate with one glue pass; number and build the host once.
 
-    The gates are walked in order, and gate j is glued onto the result
-    of gates 0..j-1 along every wire between them; wireless steps are
-    disjoint unions. A step only numbers nodes, from the copy maps and
-    its junction dowel, so node_maps, dowels and contexts come out as
-    the chained `gadget_glue` would give them. Glueing along disjoint
-    wire sets is associative, so the host depends only on the gadgets
-    and their wiring: host node h runs the rule of the gadget owning it,
-    and the edges are the union of every gadget's edges mapped through
-    node_maps. That host is built and validated once, at the end.
+    The gates are walked in order, and gate j is glued onto the glue of
+    gates 0..j-1 along every wire between them; wireless steps are
+    disjoint unions. This is the chained `gadget_glue`, without the
+    gadgets in between: `_glue` checks and fuses each step's wires on
+    (gate, node) identities, numbers the host once at the end as the
+    chained glue would, and builds and validates it once. So node_maps,
+    dowels and contexts equal the chained result, and glueing along
+    disjoint wire sets being associative, so does the host: host node h
+    runs the rule of the gadget node owning it, and the edges are the
+    union of every gadget's edges mapped through node_maps.
 
-    Labeled steps still run the `csan_glue` guards, on the gadgets' own
-    structure: the dowel nodes on the accumulated side lie in copies
-    not glued before, so each belongs to one gadget. Within one copy
-    the certificate's `csan_closure_failures` has already passed these
-    guards, which leaves only pairs of nodes across wires to catch.
-    Each source node owns its fused interface copy as a block; all
-    frozen context nodes ride along in node 0's block.
+    Labeled steps still run the `csan_glue` guards across the wires of
+    each step; within one copy the certificate's `csan_closure_failures`
+    has already passed them. Each source node owns its fused interface
+    copy as a block; all frozen context nodes ride along in node 0's
+    block.
     """
     gn.validate()
     report = cert.report
@@ -766,44 +770,24 @@ def compile_gnetwork_detailed(gn: GNetwork, cert: CoherentCertificate) -> Compil
         for k, v in enumerate(gn.inputs[j]):
             consumed_by[v] = (j, k)
 
-    # The accumulated side is only a frame; its copies are tagged with
-    # the source node each one carries, and owner[h] = (j, v) records
-    # which gadget node rules host node h.
+    # Step j fuses the wires between gate j and the gates before it, in
+    # (gate, copy) order of the earlier copies.
+    wiring = [
+        (
+            sorted((consumed_by[v], k) for k, v in enumerate(gn.outputs[j]) if consumed_by[v][0] < j),
+            sorted((produced_by[v], k) for k, v in enumerate(gn.inputs[j]) if produced_by[v][0] < j),
+        )
+        for j in range(1, len(gn.gates))
+    ]
     parts = [cert.gadgets[gate] for gate in gn.gates]
-    csans = [gd.csan for gd in parts]
-    labeled = None not in csans
-    frame = _frame(parts[0])
-    node_maps: list[dict[int, int]] = [{v: v for v in range(frame.n)}]
-    owner = [(0, v) for v in range(frame.n)]
-    in_tags, out_tags = list(gn.inputs[0]), list(gn.outputs[0])
-    dowels: dict[int, dict[str, int]] = {}
-    for j in range(1, len(gn.gates)):
-        in_pairs = [(i, produced_by[v][1]) for i, v in enumerate(in_tags) if produced_by[v][0] == j]
-        out_pairs = [
-            (i, consumed_by[v][1]) for i, v in enumerate(out_tags) if consumed_by[v][0] == j
-        ]
-        st = _glue_step(cert.interface, frame, _frame(parts[j]), in_pairs, out_pairs)
-        if labeled:
-            check_dowel_structure(
-                csans,
-                st.dowel,
-                {c: owner[h] for c, h in st.dowel.phi1.items()},
-                {c: (j, v) for c, v in st.dowel.phi2.items()},
-            )
-        num = st.num
-        node_maps = [{o: num.v1_index[h] for o, h in m.items()} for m in node_maps]
-        node_maps.append(dict(num.v2_index))
-        owner = [owner[v] if side == 1 else (j, v) for side, v in num.origin]
-        dowels = {v: {c: num.v1_index[h] for c, h in m.items()} for v, m in dowels.items()}
-        dowels.update(zip((in_tags[i] for i, _ in in_pairs), st.a_nodes))
-        dowels.update(zip((out_tags[i] for i, _ in out_pairs), st.b_nodes))
-        in_tags = [in_tags[k] if side == 1 else gn.inputs[j][k] for side, k in st.kept_in]
-        out_tags = [out_tags[k] if side == 1 else gn.outputs[j][k] for side, k in st.kept_out]
-        frame = st.frame
-    if labeled:
-        host: Csan | Network = assemble_csan(csans, node_maps, owner)
-    else:
-        host = assemble_network([gd.net for gd in parts], node_maps, owner)
+    glued, node_maps = _glue(parts, wiring)
+    host = glued.dynamics
+    # The fused copy carrying v, numbered through the earlier of its two gates.
+    dowels = []
+    for v in range(gn.n):
+        (pj, pk), (cj, ck) = produced_by[v], consumed_by[v]
+        j, copy = (pj, parts[pj].out_copies[pk]) if pj < cj else (cj, parts[cj].in_copies[ck])
+        dowels.append({c: node_maps[j][u] for c, u in copy.items()})
 
     contexts: list[dict[int, int]] = []
     for j, gate in enumerate(gn.gates):
@@ -828,13 +812,7 @@ def compile_gnetwork_detailed(gn: GNetwork, cert: CoherentCertificate) -> Compil
         patterns.append(tuple(rows))
     emb = BlockEmbedding(cert.time, tuple(blocks), tuple(patterns))
     emb.validate(gnetwork_to_network(gn), host)
-    return CompiledGadgets(
-        emb,
-        host,
-        tuple(dowels[v] for v in range(gn.n)),
-        tuple(contexts),
-        tuple(node_maps),
-    )
+    return CompiledGadgets(emb, host, tuple(dowels), tuple(contexts), tuple(node_maps))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .core import (
     make_network,
     network_from_json,
     network_to_json,
+    orbit_at,
     step,
     table_rows,
     table_size,
@@ -157,12 +158,6 @@ def instance_from_json(doc) -> PredInstance | PredChgInstance | ReachInstance:
 # Oracles
 
 
-def _config_at(path, tau: int, p: int, t: int):
-    if t < len(path):
-        return path[t]
-    return path[tau + (t - tau) % p]
-
-
 def u_pred(inst: PredInstance) -> bool:
     """Answer by plain stepping; suited to unary (small) times."""
     return iterate(inst.net, inst.x, inst.t)[inst.v] == inst.q
@@ -177,7 +172,7 @@ def b_pred(inst: PredInstance, max_states: int = DEFAULT_MAX_STATES) -> bool:
     amount at no extra cost.
     """
     path, tau, p = walk_orbit(inst.net, inst.x, max_states)
-    return _config_at(path, tau, p, inst.t)[inst.v] == inst.q
+    return orbit_at(path, tau, p, inst.t)[inst.v] == inst.q
 
 
 def pred_chg(inst: PredChgInstance, max_states: int = DEFAULT_MAX_STATES) -> bool:
@@ -193,7 +188,7 @@ def pred_chg(inst: PredChgInstance, max_states: int = DEFAULT_MAX_STATES) -> boo
     horizon = -(-tau // inst.k) + p
     ref = inst.x[inst.v]
     return any(
-        _config_at(path, tau, p, inst.k * t)[inst.v] != ref for t in range(1, horizon + 1)
+        orbit_at(path, tau, p, inst.k * t)[inst.v] != ref for t in range(1, horizon + 1)
     )
 
 

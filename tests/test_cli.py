@@ -76,6 +76,34 @@ def test_simulate_config_file_and_output(tmp_path, rot3_file, capsys):
     assert json.loads(out.read_text()) == {"t": 1, "config": [0, 0, 1]}
 
 
+def test_simulate_folds_a_huge_time_into_the_cycle(tmp_path, rot3_file, capsys):
+    flip = write_json(tmp_path, "flip.json", network_to_json(make_network(2, [((0,), (1, 0))])))
+    start = time.perf_counter()
+    assert run(["simulate", flip, "--config", "[0]", "-t", str(10**30)]) == 0
+    assert time.perf_counter() - start < 1
+    assert out_json(capsys) == {"t": 10**30, "config": [0]}
+    assert run(["simulate", rot3_file, "--config", "[1,0,0]", "-t", str(10**30 + 1)]) == 0
+    assert out_json(capsys) == {"t": 10**30 + 1, "config": [0, 0, 1]}  # 10**30 + 1 = 2 mod 3
+
+
+def test_simulate_past_the_budget_agrees_with_stepping(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "DEFAULT_MAX_STATES", 5)
+    # A rotation of nodes 0-2; node 3 latches once node 0 shows a 1.
+    rules = [((2,), (0, 1)), ((0,), (0, 1)), ((1,), (0, 1)), ((0, 3), (0, 1, 1, 1))]
+    net = make_network(2, rules)
+    x = (0, 0, 1, 0)  # transient 2, period 3
+    path = write_json(tmp_path, "net.json", network_to_json(net))
+    for t in range(12):
+        assert run(["simulate", path, "--config", json.dumps(x), "-t", str(t)]) == 0
+        assert out_json(capsys) == {"t": t, "config": list(core.iterate(net, x, t))}
+    # A trace past the budget, and an orbit that does not close within it.
+    assert run(["simulate", path, "--config", json.dumps(x), "-t", "6", "--trace"]) == 3
+    assert "budget" in out_json(capsys)["error"]
+    ring = write_json(tmp_path, "ring.json", network_to_json(rotation(8)))
+    assert run(["simulate", ring, "--config", "[1,0,0,0,0,0,0,0]", "-t", "100"]) == 3
+    assert "budget" in out_json(capsys)["error"]
+
+
 def test_pretty_indents(rot3_file, capsys):
     assert run(["simulate", rot3_file, "--config", "[1,0,0]", "-t", "0", "--pretty"]) == 0
     text = capsys.readouterr().out
@@ -116,15 +144,6 @@ def test_oracle_budget_exit_code(tmp_path, capsys):
     path = write_json(tmp_path, "big.json", instance_to_json(inst))
     assert run(["oracle", "b-pred", path, "--max-states", "3"]) == 3
     assert "error" in out_json(capsys)
-
-
-def test_oracle_budget_env_default(tmp_path, capsys, monkeypatch):
-    net = rotation(8)
-    inst = make_pred_instance(net, 0, (1, 0, 0, 0, 1, 1, 0, 1), 1, 10**9, "binary")
-    path = write_json(tmp_path, "big.json", instance_to_json(inst))
-    monkeypatch.setenv("ARTIFACT_MAX_STATES", "3")
-    assert run(["oracle", "b-pred", path]) == 3
-    capsys.readouterr()
 
 
 def test_oracle_kind_mismatch(tmp_path, capsys):
@@ -442,12 +461,11 @@ def test_verify_sim_refuses_an_alphabet_past_a_lane(side, tmp_path, capsys):
     assert out_json(capsys) == {"error": error}
 
 
-def test_verify_sim_reaches_a_verdict_on_a_ten_gate_ring(tmp_path, monkeypatch, capsys):
+def test_verify_sim_reaches_a_verdict_on_a_ten_gate_ring(tmp_path, capsys):
     # 2^20 source configurations at T = 6 are 6.3M host configurations.
     # verify-sim has no budget on them, and the analyze/oracle budget
     # does not reach it. The embedding claims T = 12, so the first
     # configuration fails and the check stops after one chunk.
-    monkeypatch.setenv("ARTIFACT_MAX_STATES", "1")
     b = GNetworkBuilder(2)
     gates = [b.new_gate(NOR_2_2) for _ in range(10)]
     for (g, _), (_, outs) in zip(gates, gates[-1:] + gates[:-1]):

@@ -1,18 +1,23 @@
 """The one-pass gadget compiler against chained pairwise glueing.
 
-The oracle below is the compiler as it was before the host was built in
-one pass: gate j is glued onto the accumulated gadget of gates 0..j-1
-with the public `gadget_glue`, and the numbering of every step is
-recomputed here from the junction dowel. Both must produce the same
-host, embedding, dowels, contexts and node maps.
+The oracle below glues gate j onto the accumulated gadget of gates
+0..j-1 with the public `gadget_glue`, and recomputes the numbering of
+every step here from the test's own junction dowel. `gadget_glue` shares
+its glue routine with the compiler, so every chained step is also held
+to `glue.csan_glue` or `glue.glue_networks` on that dowel, which glue
+two networks on their own. Both must produce the same host, embedding,
+dowels, contexts and node maps.
 """
 
 import dataclasses
+import functools
 import json
 import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from artifact import cli, csan, gadget, glue, gol
 from artifact.cli import run
@@ -40,18 +45,19 @@ def nor_ring(k):
     return b.build()
 
 
-def nor_random(k, rng):
+def random_wiring(k, rng, gate=NOR_2_2):
     """Inputs wired by a random permutation of the outputs, no gate fed by itself."""
-    n = 2 * k
+    m = gate.n_in  # = gate.n_out
+    n = m * k
     while True:
         perm = rng.sample(range(n), n)
-        if all({perm[2 * j], perm[2 * j + 1]}.isdisjoint({2 * j, 2 * j + 1}) for j in range(k)):
+        if all(set(perm[m * j : m * j + m]).isdisjoint(range(m * j, m * j + m)) for j in range(k)):
             break
     b = GNetworkBuilder(2)
     for _ in range(k):
-        b.new_gate(NOR_2_2)
+        b.new_gate(gate)
     for j in range(k):
-        b.connect(j, perm[2 * j : 2 * j + 2])
+        b.connect(j, perm[m * j : m * j + m])
     return b.build()
 
 
@@ -117,7 +123,12 @@ def pairwise_compile(gn, cert):
                 out_pairs.append((idx, ck))
                 b_wires.append(v)
         glued = gadget_glue(acc, new, in_pairs, out_pairs)
-        num = glued_numbering(acc.net.n, new.net.n, junction_dowel(acc, new, in_pairs, out_pairs))
+        d = junction_dowel(acc, new, in_pairs, out_pairs)
+        if acc.csan is not None and new.csan is not None:
+            assert glued.csan == glue.csan_glue(acc.csan, new.csan, d)
+        else:
+            assert glued.net == glue.glue_networks(acc.net, new.net, d)
+        num = glued_numbering(acc.net.n, new.net.n, d)
         node_maps = [{o: num.v1_index[h] for o, h in m.items()} for m in node_maps]
         node_maps.append(dict(num.v2_index))
         dowels = {v: {c: num.v1_index[h] for c, h in m.items()} for v, m in dowels.items()}
@@ -129,6 +140,20 @@ def pairwise_compile(gn, cert):
         used_out_second = {ob for _, ob in in_pairs}
         used_out_first = {oa for oa, _ in out_pairs}
         used_in_second = {ib for _, ib in out_pairs}
+        for kind, used_first, used_second in (
+            ("in_copies", used_in_first, used_in_second),
+            ("out_copies", used_out_first, used_out_second),
+        ):
+            kept = [
+                {c: index[u] for c, u in copy.items()}
+                for part, index, used in (
+                    (acc, num.v1_index, used_first),
+                    (new, num.v2_index, used_second),
+                )
+                for k, copy in enumerate(getattr(part, kind))
+                if k not in used
+            ]
+            assert getattr(glued, kind) == tuple(kept)
         in_tags = [t for k, t in enumerate(in_tags) if k not in used_in_first] + [
             (j, k) for k in range(gate.n_in) if k not in used_in_second
         ]
@@ -180,7 +205,7 @@ def certificate():
 # Differential tests
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 8, 12, 16])
 def test_nor_rings_match_pairwise(certificate, k):
     got = assert_same_as_pairwise(nor_ring(k), certificate)
     assert got.csan.n == 66 * k
@@ -189,24 +214,55 @@ def test_nor_rings_match_pairwise(certificate, k):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_random_nor_wirings_match_pairwise(certificate, seed):
     rng = random.Random(seed)
-    assert_same_as_pairwise(nor_random(3, rng), certificate)
+    for k in (3, 8, 16):
+        assert_same_as_pairwise(random_wiring(k, rng), certificate)
+
+
+@functools.cache
+def toy_nor_certificate():
+    return toy_certificate({NOR_2_2: nor_gadget()})
+
+
+@functools.cache
+def toy_identity_certificate():
+    # Node 4 lies outside both copies; the certificate's context holds it.
+    return toy_certificate({ID_1_1: identity_gadget(extra_nodes=1)}, contexts={ID_1_1: {4: 0}})
 
 
 def test_toy_nor_wirings_match_pairwise():
-    cert = toy_certificate({NOR_2_2: nor_gadget()})
+    cert = toy_nor_certificate()
     rng = random.Random(7)
     for k in range(2, 7):
         got = assert_same_as_pairwise(nor_ring(k), cert)
         assert got.csan is None
         for _ in range(4):
-            assert_same_as_pairwise(nor_random(k, rng), cert)
+            assert_same_as_pairwise(random_wiring(k, rng), cert)
 
 
 def test_toy_identity_rings_with_context_match_pairwise():
-    cert = toy_certificate({ID_1_1: identity_gadget(extra_nodes=1)}, contexts={ID_1_1: {4: 0}})
+    cert = toy_identity_certificate()
     for k in range(2, 6):
         got = assert_same_as_pairwise(identity_ring(k), cert)
         assert got.network.n == 3 * k  # five nodes per gadget, two fused per wire
+
+
+TOY_CASES = {
+    "NOR_2_2": (NOR_2_2, toy_nor_certificate, nor_ring),
+    "ID_1_1": (ID_1_1, toy_identity_certificate, identity_ring),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from(sorted(TOY_CASES)),
+    wiring=st.sampled_from(("ring", "permutation")),
+    k=st.integers(2, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_toy_ring_and_permutation_wirings_match_pairwise(case, wiring, k, seed):
+    gate, make_cert, ring = TOY_CASES[case]
+    gn = ring(k) if wiring == "ring" else random_wiring(k, random.Random(seed), gate)
+    assert_same_as_pairwise(gn, make_cert())
 
 
 def test_cli_compile_writes_the_pairwise_host(tmp_path, certificate):
