@@ -396,6 +396,21 @@ def table_rows(q: int, k: int, tables: int = 1) -> Iterator[tuple[int, ...]]:
     return map(itemgetter(slice(None, None, -1)), product(range(q), repeat=k))
 
 
+def global_map_network(
+    q: int, n: int, next_config: Callable[[tuple[int, ...]], Sequence[int]]
+) -> Network:
+    """The network on n nodes, each reading all n, whose global map is next_config.
+
+    Each row's image goes into the n tables as it is made, and no row is
+    kept; the budget of n tables of q^n rows is checked before any row.
+    """
+    tables: list[list[int]] = [[] for _ in range(n)]
+    for row in table_rows(q, n, tables=n):
+        for table, s in zip(tables, next_config(row)):
+            table.append(s)
+    return make_network(q, [(range(n), t) for t in tables])
+
+
 def config_index(x: Sequence[int], q: int) -> int:
     """Encode a configuration as an integer, node 0 varying fastest."""
     idx = 0

@@ -14,15 +14,12 @@ that make every such assembly simulate the corresponding gate network.
 Both `gadget_glue` and `compile_gnetwork_detailed` glue through one
 routine, `_glue`, which takes the gadgets and, for each step, the wires
 joining the next gadget to those before it. A step only checks its
-wires, builds its junction dowel on (gadget, node) identities, runs the
-labeled-glue guards on it and records which nodes it fused; nothing is
-renumbered. Glueing along disjoint sets of wires is associative and a
-fused node is never fused again, so one pass at the end numbers the
-host exactly as chained pairwise glueing would, and the host is built
-and validated once. The compiler thus costs time linear in the gates.
-For labeled gadgets the certificate's `csan_closure_failures` already
-certifies the glue guards inside every interface copy; each step still
-runs them across its own wires.
+wires and builds its junction on (gadget, node) identities; then
+`glue.glue_parts` runs the labeled-glue guards, numbers the host and
+builds it once, so the compiler costs time linear in the gates. For
+labeled gadgets the certificate's `csan_closure_failures` already
+certifies the glue guards inside every interface copy; each junction
+still runs them across its own wires.
 """
 
 from __future__ import annotations
@@ -42,19 +39,16 @@ from .core import (
 )
 from .csan import Csan, csan_from_json, csan_to_json, csan_to_network
 from .glue import (
-    Dowel,
+    Junction,
     Placement,
     PseudoOrbit,
     PseudoOrbitReport,
     _check_shaped_runs,
-    assemble_csan,
-    assemble_network,
-    check_dowel_structure,
     check_pseudo_orbit_shape,
     differing_edges,
     differing_labels,
+    glue_parts,
     leaves_placement,
-    make_dowel,
     pseudo_orbit_from_json,
     pseudo_orbit_to_json,
 )
@@ -222,27 +216,27 @@ def exempt_nodes(g: Gadget) -> frozenset[int]:
 Wires = Sequence[tuple[tuple[int, int], int]]
 
 
-def _junction_dowel(
+def _junction(
     iface: Interface,
     in_pairs: Sequence[tuple[Placement, Placement]],
     out_pairs: Sequence[tuple[Placement, Placement]],
-) -> Dowel:
+) -> Junction:
     # Junction fusing each (input copy, output copy) of in_pairs and each
     # (output copy, input copy) of out_pairs, the first copy of a pair on
     # the first side: the receiving half keeps the consumer's rules, the
-    # emitting half the producer's. phi1 and phi2 are placements.
+    # emitting half the producer's.
     c1: list[str] = []
     c2: list[str] = []
-    phi1: dict[str, tuple[int, int]] = {}
-    phi2: dict[str, tuple[int, int]] = {}
+    at1: dict[str, tuple[int, int]] = {}
+    at2: dict[str, tuple[int, int]] = {}
     for tag, pairs, half in (("a", in_pairs, iface.inputs), ("b", out_pairs, iface.outputs)):
         for j, (first, second) in enumerate(pairs):
             for c in iface.names:
                 name = f"{tag}{j}:{c}"
                 (c1 if c in half else c2).append(name)
-                phi1[name] = first[c]
-                phi2[name] = second[c]
-    return make_dowel(c1, c2, phi1, phi2)
+                at1[name] = first[c]
+                at2[name] = second[c]
+    return Junction(tuple(c1), tuple(c2), at1, at2)
 
 
 def _check_pairs(pairs: Wires, live: set[tuple[int, int]], n_second: int, what: str) -> None:
@@ -257,47 +251,36 @@ def _check_pairs(pairs: Wires, live: set[tuple[int, int]], n_second: int, what: 
 def _glue(
     parts: Sequence[Gadget], wiring: Sequence[tuple[Wires, Wires]]
 ) -> tuple[Gadget, list[dict[int, int]]]:
-    """Glue parts[j] onto the glue of parts[:j] for j = 1, 2, ...; number the host once.
+    """Glue parts[j] onto the glue of parts[:j] for j = 1, 2, ... in one build.
 
     wiring[j - 1] = (in_pairs, out_pairs) wires step j: ((i, k), k') in
     in_pairs fuses input copy k of part i < j with output copy k' of
     part j, and out_pairs fuses output copies of earlier parts with
     input copies of part j likewise. A step checks its pairs against the
-    copies still unfused, builds its junction dowel on (part, node)
-    identities and, when every part is labeled, runs the labeled-glue
-    guards on it; then it records which nodes it fused.
-
-    A fused node is never fused again, so the host numbering of chained
-    pairwise glueing comes out of one pass: the last step's fused nodes
-    in dowel order, back to the first step's, then every part's unfused
-    nodes, part by part, ascending. Returns the glued gadget, whose
-    copies are the unfused ones in (part, copy) order, and node_maps,
-    where node_maps[j] sends the nodes of part j to host nodes.
+    copies still unfused and builds its junction on (part, node)
+    identities; `glue_parts` glues along all the junctions, labeled when
+    every part is. Returns the glued gadget, whose copies are the
+    unfused ones in (part, copy) order, and node_maps, where
+    node_maps[j] sends the nodes of part j to host nodes.
     """
     iface = parts[0].interface
-    csans = [g.csan for g in parts]
-    labeled = None not in csans
 
     def at(i: int, copy: Mapping[str, int]) -> dict[str, tuple[int, int]]:
         return {c: (i, v) for c, v in copy.items()}
 
     live_in = {(0, k) for k in range(len(parts[0].in_copies))}
     live_out = {(0, k) for k in range(len(parts[0].out_copies))}
-    fused: list[list[tuple[tuple[int, int], tuple[int, int]]]] = []
+    junctions = []
     for j, (in_pairs, out_pairs) in enumerate(wiring, 1):
         g = parts[j]
         _check_pairs(in_pairs, live_in, len(g.out_copies), "input/output")
         _check_pairs(out_pairs, live_out, len(g.in_copies), "output/input")
-        dowel = _junction_dowel(
-            iface,
-            [(at(i, parts[i].in_copies[k]), at(j, g.out_copies[b])) for (i, k), b in in_pairs],
-            [(at(i, parts[i].out_copies[k]), at(j, g.in_copies[b])) for (i, k), b in out_pairs],
-        )
-        if labeled:
-            check_dowel_structure(csans, dowel, dowel.phi1, dowel.phi2)
-        fused.append(
-            [(dowel.phi1[c], dowel.phi2[c]) for c in dowel.c1]
-            + [(dowel.phi2[c], dowel.phi1[c]) for c in dowel.c2]
+        junctions.append(
+            _junction(
+                iface,
+                [(at(i, parts[i].in_copies[k]), at(j, g.out_copies[b])) for (i, k), b in in_pairs],
+                [(at(i, parts[i].out_copies[k]), at(j, g.in_copies[b])) for (i, k), b in out_pairs],
+            )
         )
         live_in.difference_update(a for a, _ in in_pairs)
         live_out.difference_update(a for a, _ in out_pairs)
@@ -305,23 +288,8 @@ def _glue(
         live_in.update((j, k) for k in range(len(g.in_copies)) if k not in taken_in)
         live_out.update((j, k) for k in range(len(g.out_copies)) if k not in taken_out)
 
-    # owner[h] = (j, v): host node h runs the rule of node v of part j.
-    owner: list[tuple[int, int]] = []
-    host_of: dict[tuple[int, int], int] = {}
-    for step in reversed(fused):
-        for kept, merged in step:
-            host_of[kept] = host_of[merged] = len(owner)
-            owner.append(kept)
-    for i, g in enumerate(parts):
-        for v in range(g.n):
-            if (i, v) not in host_of:
-                host_of[i, v] = len(owner)
-                owner.append((i, v))
-    node_maps = [{v: host_of[i, v] for v in range(g.n)} for i, g in enumerate(parts)]
-    if labeled:
-        host: Csan | Network = assemble_csan(csans, node_maps, owner)
-    else:
-        host = assemble_network([g.net for g in parts], node_maps, owner)
+    labeled = all(g.csan is not None for g in parts)
+    host, node_maps = glue_parts([g.dynamics if labeled else g.net for g in parts], junctions)
 
     def placed(i: int, copy: Mapping[str, int]) -> dict[str, int]:
         return {c: node_maps[i][v] for c, v in copy.items()}
@@ -725,18 +693,13 @@ class CompiledGadgets:
 
 
 def compile_gnetwork_detailed(gn: GNetwork, cert: CoherentCertificate) -> CompiledGadgets:
-    """Assemble one gadget per gate with one glue pass; number and build the host once.
+    """Assemble one gadget per gate with one glue pass; build the host once.
 
     The gates are walked in order, and gate j is glued onto the glue of
     gates 0..j-1 along every wire between them; wireless steps are
-    disjoint unions. This is the chained `gadget_glue`, without the
-    gadgets in between: `_glue` checks and fuses each step's wires on
-    (gate, node) identities, numbers the host once at the end as the
-    chained glue would, and builds and validates it once. So node_maps,
-    dowels and contexts equal the chained result, and glueing along
-    disjoint wire sets being associative, so does the host: host node h
-    runs the rule of the gadget node owning it, and the edges are the
-    union of every gadget's edges mapped through node_maps.
+    disjoint unions. This is the chained `gadget_glue` without the
+    gadgets in between, and `_glue` builds the host once, so node_maps,
+    dowels, contexts and host equal the chained result.
 
     Labeled steps still run the `csan_glue` guards across the wires of
     each step; within one copy the certificate's `csan_closure_failures`

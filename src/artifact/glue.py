@@ -1,13 +1,16 @@
-"""Glueing two networks over a shared dowel, and pseudo-orbit stitching.
+"""Glueing networks along shared dowels, and pseudo-orbit stitching.
 
 A dowel is an abstract node set C split in two halves, injected into
 both networks. The glued network keeps C once: nodes of the first half
 run the first network's rule, nodes of the second half the second's,
-and every dependency is rerouted through the injections. Many parts
-can be glued in one build once every node's place and owner is known
-(`assemble_network`, `assemble_csan`). Sequences that respect each
-network except on an exempt set can be stitched into one such sequence
-for the glued network whenever they agree on the dowel at every step.
+and every dependency is rerouted through the injections. A junction is
+a dowel placed on (part, node) pairs, so any number of parts can be
+glued along junctions in one build (`glue_parts`). `glued_numbering`
+alone decides where every node of a glued host lands, for pairwise
+glueing, stitched pseudo-orbits and the gadget compiler alike.
+Sequences that respect each network except on an exempt set can be
+stitched into one such sequence for the glued network whenever they
+agree on the dowel at every step.
 """
 
 from __future__ import annotations
@@ -83,47 +86,65 @@ def make_dowel(
     return Dowel(tuple(c1), tuple(c2), dict(phi1), dict(phi2))
 
 
-@dataclass
-class GluedIndex:
-    """Deterministic numbering of the glued node set.
+# A placement at[c] = (j, v) puts name c at node v of parts[j].
+Placement = Mapping[Name, tuple[int, int]]
 
-    Order: dowel names (first half then second), remaining first-network
-    nodes ascending, remaining second-network nodes ascending. origin[i]
-    tells which side rules node i and at which original node.
+
+@dataclass(frozen=True)
+class Junction:
+    """Dowel names placed on two sides: each name fuses its two nodes.
+
+    The fused node of a c1 name runs the rule at at1, that of a c2 name
+    the rule at at2.
     """
 
-    n: int
-    c_index: dict[Name, int]
-    v1_index: dict[int, int]
-    v2_index: dict[int, int]
-    origin: tuple[tuple[int, int], ...]
+    c1: tuple[Name, ...]
+    c2: tuple[Name, ...]
+    at1: Placement
+    at2: Placement
 
 
-def glued_numbering(n1: int, n2: int, d: Dowel) -> GluedIndex:
-    d.validate(n1, n2)
-    img1 = {d.phi1[c]: c for c in d.names}
-    img2 = {d.phi2[c]: c for c in d.names}
-    c_index = {c: i for i, c in enumerate(d.names)}
-    origin: list[tuple[int, int]] = []
-    for c in d.c1:
-        origin.append((1, d.phi1[c]))
-    for c in d.c2:
-        origin.append((2, d.phi2[c]))
-    v1_index = {}
-    for v in range(n1):
-        if v in img1:
-            v1_index[v] = c_index[img1[v]]
-        else:
-            v1_index[v] = len(origin)
-            origin.append((1, v))
-    v2_index = {}
-    for v in range(n2):
-        if v in img2:
-            v2_index[v] = c_index[img2[v]]
-        else:
-            v2_index[v] = len(origin)
-            origin.append((2, v))
-    return GluedIndex(len(origin), c_index, v1_index, v2_index, tuple(origin))
+def dowel_junction(d: Dowel) -> Junction:
+    """d placed on parts 0 (phi1) and 1 (phi2); d is not validated here."""
+    return Junction(
+        d.c1, d.c2, {c: (0, d.phi1[c]) for c in d.names}, {c: (1, d.phi2[c]) for c in d.names}
+    )
+
+
+def glued_numbering(
+    sizes: Sequence[int], junctions: Sequence[Junction]
+) -> tuple[list[dict[int, int]], list[tuple[int, int]]]:
+    """Where each node of parts of the given sizes lands when glued along junctions.
+
+    The glued nodes are: the last junction's names in dowel order (c1
+    then c2), back to the first junction's; then each part's unfused
+    nodes, part by part, ascending. For one dowel that is the dowel's
+    names, then the first network's other nodes, then the second's. A
+    node fused by one junction may not be fused by another; glueing
+    along disjoint junctions is associative, so chained pairwise
+    glueing numbers its host the same way.
+
+    Returns (node_maps, owner): node_maps[j] sends the nodes of part j
+    to glued nodes, and owner[h] = (j, v) names the node whose rule
+    glued node h runs.
+    """
+    owner: list[tuple[int, int]] = []
+    host_of: dict[tuple[int, int], int] = {}
+    for junction in reversed(junctions):
+        for names, kept, merged in (
+            (junction.c1, junction.at1, junction.at2),
+            (junction.c2, junction.at2, junction.at1),
+        ):
+            for c in names:
+                host_of[kept[c]] = host_of[merged[c]] = len(owner)
+                owner.append(kept[c])
+    for j, n in enumerate(sizes):
+        for v in range(n):
+            if (j, v) not in host_of:
+                host_of[j, v] = len(owner)
+                owner.append((j, v))
+    node_maps = [{v: host_of[j, v] for v in range(n)} for j, n in enumerate(sizes)]
+    return node_maps, owner
 
 
 def _shared_alphabet(parts: Sequence[Network] | Sequence[Csan]) -> int:
@@ -133,34 +154,47 @@ def _shared_alphabet(parts: Sequence[Network] | Sequence[Csan]) -> int:
     return alphabets.pop()
 
 
-def _owners(num: GluedIndex) -> list[tuple[int, int]]:
-    return [(side - 1, orig) for side, orig in num.origin]
+def glue_parts(
+    parts: Sequence[Network] | Sequence[Csan], junctions: Sequence[Junction]
+) -> tuple[Network | Csan, list[dict[int, int]]]:
+    """Glue any number of parts along junctions in one build; returns (host, node_maps).
+
+    Glued node h runs the rule of owner[h] (see `glued_numbering`) with
+    its dependencies routed through node_maps. Labeled parts (all Csan)
+    must pass `check_dowel_structure` at every junction and give a Csan
+    host, whose edges are the union of every part's edges routed
+    through node_maps; edges fused from several parts must carry one
+    label. Tabulated parts give a Network.
+    """
+    q = _shared_alphabet(parts)
+    node_maps, owner = glued_numbering([p.n for p in parts], junctions)
+    if not all(isinstance(p, Csan) for p in parts):
+        rules = []
+        for j, v in owner:
+            rule = parts[j].rules[v]
+            rules.append((tuple(node_maps[j][u] for u in rule.deps), rule.table))
+        return make_network(q, rules), node_maps
+    for junction in junctions:
+        check_dowel_structure(parts, junction)
+    edges: dict[tuple[int, int], tuple[int, ...]] = {}
+    for c, route in zip(parts, node_maps):
+        for (u, v), rho in zip(c.edges, c.edge_rho):
+            a, b = route[u], route[v]
+            key = (a, b) if a < b else (b, a)
+            if edges.setdefault(key, rho) != rho:
+                raise InvalidGlueError(f"conflicting edge labels meet at glued edge {key}")
+    lam = [parts[j].lam[v] for j, v in owner]
+    return make_csan(q, len(owner), [(u, v, rho) for (u, v), rho in edges.items()], lam), node_maps
 
 
 def glue_networks(f1: Network, f2: Network, d: Dowel) -> Network:
-    """Glued network: dowel once, every dependency rerouted through it."""
-    _shared_alphabet((f1, f2))
-    num = glued_numbering(f1.n, f2.n, d)
-    return assemble_network((f1, f2), (num.v1_index, num.v2_index), _owners(num))
+    """Glued network: dowel once, every dependency rerouted through it.
 
-
-def assemble_network(
-    parts: Sequence[Network],
-    node_maps: Sequence[Mapping[int, int]],
-    owner: Sequence[tuple[int, int]],
-) -> Network:
-    """Glue any number of networks at once, given where every node lands.
-
-    node_maps[j] sends the nodes of parts[j] to glued nodes, and
-    owner[h] = (j, v) names the node v of parts[j] whose rule glued node
-    h runs, its dependencies rerouted through node_maps[j].
+    Two Csans glue as in `csan_glue`.
     """
-    q = _shared_alphabet(parts)
-    rules = []
-    for j, v in owner:
-        rule = parts[j].rules[v]
-        rules.append((tuple(node_maps[j][u] for u in rule.deps), rule.table))
-    return make_network(q, rules)
+    _shared_alphabet((f1, f2))
+    d.validate(f1.n, f2.n)
+    return glue_parts((f1, f2), [dowel_junction(d)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +302,15 @@ def glue_pseudo_orbits(
     The first sequence may be exempt on the second half's image (and
     vice versa) plus private sets X and Y away from the dowel; the
     sequences must agree on the dowel at every step. The result is
-    exempt exactly on X union Y, renumbered.
+    exempt exactly on X union Y, renumbered. Runs that do not fit their
+    network raise InvalidConfigError.
     """
     if len(p1.configs) != len(p2.configs):
         raise InvalidGlueError("pseudo-orbits must have equal length")
-    num = glued_numbering(f1.n, f2.n, d)
+    d.validate(f1.n, f2.n)
+    check_pseudo_orbit_shape(f1, p1)
+    check_pseudo_orbit_shape(f2, p2)
+    node_maps, owner = glued_numbering((f1.n, f2.n), [dowel_junction(d)])
     img1_c2 = {d.phi1[c] for c in d.c2}
     img2_c1 = {d.phi2[c] for c in d.c1}
     if p1.exempt & {d.phi1[c] for c in d.c1}:
@@ -286,15 +324,10 @@ def glue_pseudo_orbits(
                     f"trace mismatch at t={t}, dowel node {c!r}: "
                     f"{x[d.phi1[c]]} vs {y[d.phi2[c]]}"
                 )
-    configs = []
-    for x, y in zip(p1.configs, p2.configs):
-        z = []
-        for side, orig in num.origin:
-            z.append(x[orig] if side == 1 else y[orig])
-        configs.append(tuple(z))
-    exempt = {num.v1_index[v] for v in p1.exempt - img1_c2}
-    exempt |= {num.v2_index[v] for v in p2.exempt - img2_c1}
-    return PseudoOrbit(tuple(configs), frozenset(exempt))
+    configs = tuple(tuple(xy[j][v] for j, v in owner) for xy in zip(p1.configs, p2.configs))
+    exempt = {node_maps[0][v] for v in p1.exempt - img1_c2}
+    exempt |= {node_maps[1][v] for v in p2.exempt - img2_c1}
+    return PseudoOrbit(configs, frozenset(exempt))
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +335,7 @@ def glue_pseudo_orbits(
 
 
 # The three guards, shared by `check_dowel_structure` and the certificate's
-# closure check. A placement at[c] = (j, v) puts name c at node v of
-# parts[j]; nodes of different parts share no edge.
-Placement = Mapping[Name, tuple[int, int]]
+# closure check. Nodes of different parts share no edge.
 
 
 def differing_edges(
@@ -344,23 +375,22 @@ def leaves_placement(parts: Sequence[Csan], half: Iterable[Name], at: Placement)
     return False
 
 
-def check_dowel_structure(
-    parts: Sequence[Csan], d: Dowel, at1: Placement, at2: Placement
-) -> None:
-    """The labeled-glue guards, with every dowel name placed on both sides.
+def check_dowel_structure(parts: Sequence[Csan], d: Junction) -> None:
+    """The labeled-glue guards on a junction of parts.
 
     The dowel must induce the same labeled subgraph on both sides, the
     vertex labels must agree where both tables are defined, and on each
     side the image of the other side's half may touch only the dowel.
     The first violation is reported by name.
     """
-    for a, b in differing_edges(parts, d.names, at1, at2):
+    names = d.c1 + d.c2
+    for a, b in differing_edges(parts, names, d.at1, d.at2):
         raise InvalidGlueError(f"induced dowel subgraphs differ on pair ({a!r}, {b!r})")
-    for a in differing_labels(parts, d.names, at1, at2):
+    for a in differing_labels(parts, names, d.at1, d.at2):
         raise InvalidGlueError(f"dowel vertex labels differ at {a!r}")
-    if leaves_placement(parts, d.c2, at1):
+    if leaves_placement(parts, d.c2, d.at1):
         raise InvalidGlueError("second-half image must touch only the dowel in the first network")
-    if leaves_placement(parts, d.c1, at2):
+    if leaves_placement(parts, d.c1, d.at2):
         raise InvalidGlueError("first-half image must touch only the dowel in the second network")
 
 
@@ -372,46 +402,7 @@ def csan_glue(c1: Csan, c2: Csan, d: Dowel) -> Csan:
     the dowel; symmetrically in the second input. Each violation is
     reported by name.
     """
-    _shared_alphabet((c1, c2))
-    d.validate(c1.n, c2.n)
-    check_dowel_structure(
-        (c1, c2),
-        d,
-        {c: (0, d.phi1[c]) for c in d.names},
-        {c: (1, d.phi2[c]) for c in d.names},
-    )
-    num = glued_numbering(c1.n, c2.n, d)
-    return assemble_csan((c1, c2), (num.v1_index, num.v2_index), _owners(num))
-
-
-def assemble_csan(
-    parts: Sequence[Csan],
-    node_maps: Sequence[Mapping[int, int]],
-    owner: Sequence[tuple[int, int]],
-) -> Csan:
-    """Glue any number of labeled networks at once, built and validated once.
-
-    node_maps and owner are as in `assemble_network`: glued node h keeps
-    the table of its owner, and the edges are the union of every part's
-    edges routed through node_maps. Edges fused from several parts must
-    carry one label.
-    """
-    q = _shared_alphabet(parts)
-    edges: dict[tuple[int, int], tuple[int, ...]] = {}
-    for c, route in zip(parts, node_maps):
-        for (u, v), rho in zip(c.edges, c.edge_rho):
-            a, b = route[u], route[v]
-            key = (a, b) if a < b else (b, a)
-            if edges.setdefault(key, rho) != rho:
-                raise InvalidGlueError(
-                    f"conflicting edge labels meet at glued edge {key}"
-                )
-    return make_csan(
-        q,
-        len(owner),
-        [(u, v, rho) for (u, v), rho in edges.items()],
-        [parts[j].lam[v] for j, v in owner],
-    )
+    return glue_networks(c1, c2, d)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +417,7 @@ def dowel_to_json(d: Dowel) -> dict:
 
 def dowel_from_json(data: dict) -> Dowel:
     with docs.parsing(data, "dowel", InvalidGlueError):
+        docs.integers(InvalidGlueError, "dowel images", data["phi1"].values(), data["phi2"].values())
         return make_dowel(data["C1"], data["C2"], data["phi1"], data["phi2"])
 
 

@@ -24,6 +24,7 @@ from .core import (
     Network,
     check_config,
     config_index,
+    global_map_network,
     iterate,
     make_network,
     network_from_json,
@@ -299,29 +300,21 @@ def pred_to_reach(inst: PredInstance) -> ReachInstance:
     def enc(frozen: int, running: int, bit: int) -> int:
         return (frozen * qn + running) * 2 + bit
 
-    deps = tuple(range(m))
-    tables: list[list[int]] = [[] for _ in range(m)]
-    for cfg in table_rows(a_size, m, tables=m):
+    def next_config(cfg: tuple[int, ...]) -> Sequence[int]:
         if alpha in cfg:
-            for u in range(m):
-                tables[u].append(cfg[u])
-            continue
+            return cfg
         frozen = [s // (2 * qn) for s in cfg]
         running = [(s // 2) % qn for s in cfg]
         count = sum((s & 1) << i for i, s in enumerate(cfg))
         if count > 0:
             nxt = list(step(src, running[:n])) + running[n:]
             down = count - 1
-            for u in range(m):
-                tables[u].append(enc(frozen[u], nxt[u], (down >> u) & 1))
-        elif running[inst.v] == inst.q:
-            for u in range(m):
-                tables[u].append(alpha)
-        else:
-            for u in range(m):
-                tables[u].append(cfg[u])
+            return [enc(frozen[u], nxt[u], (down >> u) & 1) for u in range(m)]
+        if running[inst.v] == inst.q:
+            return (alpha,) * m
+        return cfg
 
-    bar = make_network(a_size, [(deps, tab) for tab in tables])
+    bar = global_map_network(a_size, m, next_config)
     pad = inst.x + (0,) * (m - n)
     start = tuple(enc(pad[u], pad[u], (inst.t >> u) & 1) for u in range(m))
     return make_reach_instance(bar, start, (alpha,) * m)
@@ -353,29 +346,24 @@ def reach_to_pred(inst: ReachInstance) -> PredInstance:
     tgt_of = [(s // qn) % qn for s in range(a_size)]
     dig_of = [s % qn for s in range(a_size)]
     fcache: dict[tuple[int, ...], tuple[int, ...]] = {}
-    deps = tuple(range(n + 1))
-    tables: list[list[int]] = [[] for _ in range(n + 1)]
-    for cfg in table_rows(a_size, n + 1, tables=n + 1):
+
+    def next_config(cfg: tuple[int, ...]) -> list[int]:
         running = tuple(run_of[s] for s in cfg[:n])
         target = tuple(tgt_of[s] for s in cfg[:n])
         marker = 1 if running == target else cfg[n]
         count = 0
         for s in reversed(cfg[:n]):
             count = count * qn + dig_of[s]
-        if count > 0:
-            nxt = fcache.get(running)
-            if nxt is None:
-                nxt = step(src, running)
-                fcache[running] = nxt
-            down = count - 1
-            for u in range(n):
-                tables[u].append(enc(nxt[u], target[u], (down // qn**u) % qn))
-        else:
-            for u in range(n):
-                tables[u].append(enc(target[u], target[u], 0))
-        tables[n].append(marker)
+        if count == 0:
+            return [*(enc(target[u], target[u], 0) for u in range(n)), marker]
+        nxt = fcache.get(running)
+        if nxt is None:
+            nxt = step(src, running)
+            fcache[running] = nxt
+        down = count - 1
+        return [*(enc(nxt[u], target[u], (down // qn**u) % qn) for u in range(n)), marker]
 
-    bar = make_network(a_size, [(deps, tab) for tab in tables])
+    bar = global_map_network(a_size, n + 1, next_config)
     top = horizon - 1
     start = tuple(
         enc(inst.x[u], inst.y[u], (top // qn**u) % qn) for u in range(n)
@@ -491,15 +479,14 @@ def reach_easy_network(clauses, n_vars: int | None = None) -> Network:
     """
     n_vars, cl = _check_clauses(clauses, n_vars)
     n = n_vars
-    tables: list[list[int]] = [[] for _ in range(n + 1)]
-    for row in table_rows(2, n + 1, tables=n + 1):
+
+    def next_config(row: tuple[int, ...]) -> list[int]:
         val = config_index(row[1:], 2)
         hold = not row[0] and eval_cnf(cl, val)
         nxt = val if hold else (val + 1) % (1 << n)
-        tables[0].append(int(hold))
-        for bit in range(n):
-            tables[bit + 1].append((nxt >> bit) & 1)
-    return make_network(2, [(tuple(range(n + 1)), t) for t in tables])
+        return [int(hold), *((nxt >> bit) & 1 for bit in range(n))]
+
+    return global_map_network(2, n + 1, next_config)
 
 
 def reach_easy_answer(clauses, x: Sequence[int], y: Sequence[int], n_vars=None) -> bool:
@@ -538,9 +525,8 @@ def h_counter_network(n: int) -> Network:
     if n < 1:
         raise InvalidInstanceError("need at least one node")
     size = 1 << n
-    deps = tuple(range(n))
-    tables: list[list[int]] = [[] for _ in range(n)]
-    for cfg in table_rows(8, n, tables=n):
+
+    def next_config(cfg: tuple[int, ...]) -> list[int]:
         i = 0
         k = 0
         for u, s in enumerate(cfg):
@@ -549,9 +535,9 @@ def h_counter_network(n: int) -> Network:
         mark = 4 if k <= i < 2 * k else 0
         ni = (i + 1) % size
         nk = (k + 1) % size if i == size - 1 else k
-        for u in range(n):
-            tables[u].append(mark + ((ni >> u) & 1) * 2 + ((nk >> u) & 1))
-    return make_network(8, [(deps, t) for t in tables])
+        return [mark + ((ni >> u) & 1) * 2 + ((nk >> u) & 1) for u in range(n)]
+
+    return global_map_network(8, n, next_config)
 
 
 def product_network(f: Network, h: Network) -> Network:
@@ -588,15 +574,14 @@ def gated_product_network(f: Network) -> tuple[Network, tuple[int, ...]]:
     (x, anchor). States are encoded f_state * 8 + beacon_state.
     """
     n = f.n
-    rows = table_rows(f.alphabet * 8, n, tables=n)  # checked before the beacon is built
+    qf = f.alphabet
+    table_size(qf * 8, n, tables=n)  # checked before the beacon is built
     beacon = h_counter_network(n)
     anchor = (4,) * n
-    qf = f.alphabet
-    deps = tuple(range(n))
-    tables: list[list[int]] = [[] for _ in range(n)]
     hcache: dict[tuple[int, ...], tuple[int, ...]] = {}
     fcache: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for cfg in rows:
+
+    def next_config(cfg: tuple[int, ...]) -> list[int]:
         fpart = tuple(s // 8 for s in cfg)
         hpart = tuple(s % 8 for s in cfg)
         nh = hcache.get(hpart)
@@ -610,9 +595,9 @@ def gated_product_network(f: Network) -> tuple[Network, tuple[int, ...]]:
                 fcache[fpart] = nf
         else:
             nf = fpart
-        for u in range(n):
-            tables[u].append(nf[u] * 8 + nh[u])
-    return make_network(qf * 8, [(deps, t) for t in tables]), anchor
+        return [a * 8 + b for a, b in zip(nf, nh)]
+
+    return global_map_network(qf * 8, n, next_config), anchor
 
 
 # ---------------------------------------------------------------------------

@@ -530,6 +530,15 @@ def test_glue_matches_library(tmp_path, capsys):
     assert len(doc["nodes"]) == want.n
 
 
+@pytest.mark.parametrize("image", ["0", 1.5, [0], None, True], ids=repr)
+def test_glue_refuses_a_dowel_image_that_is_not_an_integer(image, tmp_path, capsys):
+    f = write_json(tmp_path, "f.json", network_to_json(make_network(2, [((0,), (0, 1))] * 2)))
+    dowel = dowel_to_json(make_dowel(["c0"], [], {"c0": 1}, {"c0": 0}))
+    dowel["phi2"]["c0"] = image
+    assert run(["glue", f, f, write_json(tmp_path, "d.json", dowel)]) == 2
+    assert "expected integers for dowel images" in out_json(capsys)["error"]
+
+
 def test_compile_emits_host_and_embedding(tmp_path, capsys):
     b = GNetworkBuilder(2)
     g0, o0 = b.new_gate(NOR_2_2)

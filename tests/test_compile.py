@@ -6,7 +6,9 @@ every step here from the test's own junction dowel. `gadget_glue` shares
 its glue routine with the compiler, so every chained step is also held
 to `glue.csan_glue` or `glue.glue_networks` on that dowel, which glue
 two networks on their own. Both must produce the same host, embedding,
-dowels, contexts and node maps.
+dowels, contexts and node maps. The oracle numbers each step through
+`glue.glued_numbering`, as the compiler does, so test_glued_hosts.py
+pins compiled documents by digest as well.
 """
 
 import dataclasses
@@ -29,7 +31,7 @@ from artifact.gadget import (
     gadget_copy,
     gadget_glue,
 )
-from artifact.glue import PseudoOrbit, glued_numbering, make_dowel
+from artifact.glue import PseudoOrbit, dowel_junction, glued_numbering, make_dowel
 from artifact.gnet import ID_1_1, NOR_2_2, GNetworkBuilder, gnetwork_to_json
 from artifact.simulate import BlockEmbedding, embedding_to_json
 
@@ -128,14 +130,14 @@ def pairwise_compile(gn, cert):
             assert glued.csan == glue.csan_glue(acc.csan, new.csan, d)
         else:
             assert glued.net == glue.glue_networks(acc.net, new.net, d)
-        num = glued_numbering(acc.net.n, new.net.n, d)
-        node_maps = [{o: num.v1_index[h] for o, h in m.items()} for m in node_maps]
-        node_maps.append(dict(num.v2_index))
-        dowels = {v: {c: num.v1_index[h] for c, h in m.items()} for v, m in dowels.items()}
+        (m1, m2), _ = glued_numbering((acc.net.n, new.net.n), [dowel_junction(d)])
+        node_maps = [{o: m1[h] for o, h in m.items()} for m in node_maps]
+        node_maps.append(m2)
+        dowels = {v: {c: m1[h] for c, h in m.items()} for v, m in dowels.items()}
         for v, (ia, _) in zip(a_wires, in_pairs):
-            dowels[v] = {c: num.v1_index[acc.in_copies[ia][c]] for c in iface.names}
+            dowels[v] = {c: m1[acc.in_copies[ia][c]] for c in iface.names}
         for v, (oa, _) in zip(b_wires, out_pairs):
-            dowels[v] = {c: num.v1_index[acc.out_copies[oa][c]] for c in iface.names}
+            dowels[v] = {c: m1[acc.out_copies[oa][c]] for c in iface.names}
         used_in_first = {ia for ia, _ in in_pairs}
         used_out_second = {ob for _, ob in in_pairs}
         used_out_first = {oa for oa, _ in out_pairs}
@@ -147,8 +149,8 @@ def pairwise_compile(gn, cert):
             kept = [
                 {c: index[u] for c, u in copy.items()}
                 for part, index, used in (
-                    (acc, num.v1_index, used_first),
-                    (new, num.v2_index, used_second),
+                    (acc, m1, used_first),
+                    (new, m2, used_second),
                 )
                 for k, copy in enumerate(getattr(part, kind))
                 if k not in used

@@ -5,7 +5,8 @@ instance document and walk an orbit; `verify-sim` reads a source, a
 host and an embedding and steps the host in lanes; `verify-cert` reads
 a certificate and replays its recorded runs; `compile --certificate` compiles with
 one; `convert` and `analyze` read a gate network, and `convert` a CSAN
-whose vertices are family shorthands, and tabulate it. Whatever the
+whose vertices are family shorthands, and tabulate it; `glue` reads two
+networks or CSANs and a dowel. Whatever the
 documents hold, the command must end in one of its exit codes (0 yes,
 1 no, 2 bad input, 3 budget exceeded) and never in an uncaught
 exception.
@@ -22,7 +23,9 @@ from hypothesis import strategies as st
 from artifact import gol
 from artifact.cli import run
 from artifact.core import network_to_json
+from artifact.csan import csan_to_json
 from artifact.gadget import certificate_to_json
+from artifact.glue import dowel_to_json, make_dowel
 from artifact.gnet import gnetwork_to_json
 from artifact.problems import (
     instance_to_json,
@@ -33,8 +36,9 @@ from artifact.problems import (
 )
 from artifact.simulate import BlockEmbedding, embedding_to_json
 
-from conftest import rotation
+from conftest import rotation, xor_ring
 from test_csan import lifelike_shorthand
+from test_glued_hosts import wire_junction
 from test_gol import cross_pair
 
 NET = odometer(3)  # from START: transient 18, period 12, inside the budget of 64
@@ -291,3 +295,54 @@ def test_mutated_simulation_documents_exit_with_a_document(data, role, mode):
     assume(host_steps(documents["embedding"]) <= 1000)
     options = ["--mode", mode, "--samples", "20", "--seed", "1"]
     assert verify_sim(documents, *options) in (0, 1, 2, 3)
+
+
+# `glue` on two lifelike wires (the csan path) and on two plain networks,
+# each with its dowel. One of the three documents is mutated at a time; a
+# wire keeps its alphabet and n, as above.
+GLUE = {
+    "csan": {
+        "first": csan_to_json(gol.build_wire()),
+        "second": csan_to_json(gol.build_wire()),
+        "dowel": dowel_to_json(wire_junction()),
+    },
+    "network": {
+        "first": network_to_json(xor_ring(3)),
+        "second": network_to_json(rotation(3)),
+        "dowel": dowel_to_json(make_dowel(["a"], ["b"], {"a": 2, "b": 0}, {"a": 1, "b": 2})),
+    },
+}
+
+
+def glue_sections(path, role):
+    if path == "csan" and role != "dowel":
+        return lambda draw: [("edges",), ("vertices",)]
+    return lambda draw: [()]
+
+
+def glue(documents) -> int:
+    """The exit code of `glue` on the first, second and dowel documents."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for role in ("first", "second", "dowel"):
+            path = Path(tmp) / f"{role}.json"
+            path.write_text(json.dumps(documents[role]))
+            paths.append(str(path))
+        return run_to_document(["glue", *paths])
+
+
+@pytest.mark.parametrize("path", sorted(GLUE))
+def test_unmutated_glue_documents_glue(path):
+    assert glue(GLUE[path]) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    path=st.sampled_from(sorted(GLUE)),
+    role=st.sampled_from(("first", "second", "dowel")),
+)
+def test_mutated_glue_documents_exit_with_a_document(data, path, role):
+    documents = GLUE[path]
+    documents = {**documents, role: data.draw(mutated(documents[role], glue_sections(path, role)))}
+    assert glue(documents) in (0, 2)

@@ -11,6 +11,7 @@ from artifact.core import InvalidConfigError, index_config, make_network, step, 
 from artifact.csan import build_lifelike, build_threshold, csan_in_family, csan_step, csan_to_network, family_spec
 from artifact.glue import (
     InvalidGlueError,
+    Junction,
     check_dowel_structure,
     PseudoOrbit,
     PseudoOrbitReport,
@@ -18,6 +19,7 @@ from artifact.glue import (
     check_pseudo_orbits,
     csan_glue,
     dowel_from_json,
+    dowel_junction,
     dowel_to_json,
     glue_networks,
     glue_pseudo_orbits,
@@ -37,13 +39,9 @@ def all_configs(q, n):
 
 def definitional_step(f1, f2, d, z):
     """Oracle: pull back through each side's reindexing, step, reassemble."""
-    num = glued_numbering(f1.n, f2.n, d)
-    x1 = [z[num.v1_index[v]] for v in range(f1.n)]
-    x2 = [z[num.v2_index[v]] for v in range(f2.n)]
-    s1, s2 = step(f1, x1), step(f2, x2)
-    return tuple(
-        s1[orig] if side == 1 else s2[orig] for side, orig in num.origin
-    )
+    node_maps, owner = glued_numbering((f1.n, f2.n), [dowel_junction(d)])
+    stepped = [step(f, [z[m[v]] for v in range(f.n)]) for f, m in zip((f1, f2), node_maps)]
+    return tuple(stepped[j][v] for j, v in owner)
 
 
 # ---------------------------------------------------------------------------
@@ -79,12 +77,19 @@ def test_empty_dowel_is_disjoint_union():
 
 def test_numbering_order():
     d = make_dowel(["a"], ["b"], {"a": 2, "b": 0}, {"a": 1, "b": 2})
-    num = glued_numbering(3, 3, d)
-    assert num.n == 4
-    assert num.c_index == {"a": 0, "b": 1}
-    assert num.origin == ((1, 2), (2, 2), (1, 1), (2, 0))
-    assert num.v1_index == {0: 1, 1: 2, 2: 0}
-    assert num.v2_index == {0: 3, 1: 0, 2: 1}
+    node_maps, owner = glued_numbering((3, 3), [dowel_junction(d)])
+    assert owner == [(0, 2), (1, 2), (0, 1), (1, 0)]
+    assert node_maps == [{0: 1, 1: 2, 2: 0}, {0: 3, 1: 0, 2: 1}]
+
+
+def test_numbering_order_of_chained_junctions():
+    # "a" fuses node 1 of part 0 with node 0 of part 1, ruled by part 0;
+    # then "b" fuses node 1 of part 1 with node 0 of part 2, ruled by part 2.
+    first = Junction(("a",), (), {"a": (0, 1)}, {"a": (1, 0)})
+    second = Junction((), ("b",), {"b": (1, 1)}, {"b": (2, 0)})
+    node_maps, owner = glued_numbering((2, 2, 2), [first, second])
+    assert owner == [(2, 0), (0, 1), (0, 0), (2, 1)]
+    assert node_maps == [{0: 2, 1: 1}, {0: 1, 1: 0}, {0: 0, 1: 3}]
 
 
 def test_one_sided_dowel_keeps_first_network():
@@ -92,16 +97,16 @@ def test_one_sided_dowel_keeps_first_network():
     f2 = rotation(3)
     d = make_dowel(["a"], [], {"a": 0}, {"a": 1})
     glued = glue_networks(f1, f2, d)
-    num = glued_numbering(3, 3, d)
+    (m1, _), _ = glued_numbering((3, 3), [dowel_junction(d)])
     for z in all_configs(2, glued.n):
         got = step(glued, z)
         want = definitional_step(f1, f2, d, z)
         assert got == want
         # First-network nodes evolve exactly as in the first network.
-        x1 = [z[num.v1_index[v]] for v in range(3)]
+        x1 = [z[m1[v]] for v in range(3)]
         s1 = step(f1, x1)
         for v in range(3):
-            assert got[num.v1_index[v]] == s1[v]
+            assert got[m1[v]] == s1[v]
 
 
 def test_glue_matches_definitional_oracle_randomized():
@@ -274,6 +279,27 @@ def test_exempt_own_half_rejected():
         glue_pseudo_orbits(f1, f2, d, p1, make_pseudo_orbit([start]))
 
 
+@pytest.mark.parametrize("change", [lambda x: x[:2], lambda x: x + (0,)], ids=["short", "long"])
+@pytest.mark.parametrize("side", [0, 1])
+def test_stitching_refuses_runs_of_the_wrong_length(change, side):
+    f1, f2 = xor_ring(3), rotation(3)
+    d = make_dowel(["a"], [], {"a": 0}, {"a": 0})
+    runs = [make_pseudo_orbit(trace(f, (1, 0, 0), 2)) for f in (f1, f2)]
+    runs[side] = make_pseudo_orbit([change(x) for x in runs[side].configs])
+    with pytest.raises(InvalidConfigError, match="network size"):
+        glue_pseudo_orbits(f1, f2, d, *runs)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_stitching_refuses_an_exempt_node_outside_the_network(side):
+    f1, f2 = xor_ring(3), rotation(3)
+    d = make_dowel(["a"], [], {"a": 0}, {"a": 0})
+    runs = [make_pseudo_orbit(trace(f, (1, 0, 0), 2)) for f in (f1, f2)]
+    runs[side] = make_pseudo_orbit(runs[side].configs, exempt={7})
+    with pytest.raises(InvalidConfigError, match="node range"):
+        glue_pseudo_orbits(f1, f2, d, *runs)
+
+
 # ---------------------------------------------------------------------------
 # Family-preserving glueing
 
@@ -342,14 +368,13 @@ def test_dowel_guards_see_no_edge_between_parts():
     # different paths they share no edge, like two isolated nodes.
     pair, isolated = lifelike_path(2), build_lifelike(2, [], {3}, {2, 3})
     parts = (pair, pair, isolated)
-    d = make_dowel(["a", "b"], [], {"a": 0, "b": 1}, {"a": 0, "b": 1})
     apart = {"a": (0, 0), "b": (1, 1)}
     alone = {"a": (2, 0), "b": (2, 1)}
     together = {"a": (0, 0), "b": (0, 1)}
-    check_dowel_structure(parts, d, apart, alone)
-    check_dowel_structure(parts, d, together, together)
+    check_dowel_structure(parts, Junction(("a", "b"), (), apart, alone))
+    check_dowel_structure(parts, Junction(("a", "b"), (), together, together))
     with pytest.raises(InvalidGlueError, match="induced dowel subgraphs differ"):
-        check_dowel_structure(parts, d, apart, together)
+        check_dowel_structure(parts, Junction(("a", "b"), (), apart, together))
 
 
 # ---------------------------------------------------------------------------

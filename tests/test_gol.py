@@ -19,6 +19,7 @@ from artifact.gadget import (
 from artifact.glue import (
     check_pseudo_orbit,
     csan_glue,
+    dowel_junction,
     glue_pseudo_orbits,
     glued_numbering,
     make_dowel,
@@ -191,11 +192,11 @@ def test_long_wire_glue_carries_signal(wire):
     assert check_pseudo_orbit(net, p1).ok
     assert check_pseudo_orbit(net, p2).ok
     stitched = glue_pseudo_orbits(net, net, d, p1, p2)
-    num = glued_numbering(24, 24, d)
-    assert stitched.exempt == {num.v1_index[v] for v in (0, 1, 2, 18)}
+    (m1, m2), _ = glued_numbering((24, 24), [dowel_junction(d)])
+    assert stitched.exempt == {m1[v] for v in (0, 1, 2, 18)}
     assert check_pseudo_orbit(csan_to_network(long_wire), stitched).ok
     # by step six the pair has crossed the junction into the second wire
-    far = [num.v2_index[v] for v in (6, 7, 8)]
+    far = [m2[v] for v in (6, 7, 8)]
     assert [stitched.configs[6][v] for v in far] == [1, 1, 1]
     assert [stitched.configs[0][v] for v in far] == [0, 0, 0]
 
