@@ -11,13 +11,11 @@ only users, the tests and the benchmark call:
     csan: decode_config encode_config family_spec interaction_graph_csan
     gadget: certificate_to_json gadget_copy gadget_glue
     glue: check_pseudo_orbit dowel_to_json glue_pseudo_orbits
-    gnet: associated_conjunctive conj_to_gconj fanin_gadget gnetwork_step
-    gnet: gt_and_tree gt_test_module network_to_gnetwork
+    gnet: conj_to_gconj
     gol: build_clock build_wire clock_initial nor_center_nodes wire_signal
     problems: gated_product_network instance_to_json pred_to_reach
     problems: product_network reach_easy_answer reach_easy_network
     problems: reach_to_pred reduce_pred_via_simulation
-    simulate: project verify_orbit_embedding
 """
 
 __version__ = "0.1.0"

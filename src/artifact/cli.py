@@ -158,15 +158,13 @@ def _cmd_analyze(args):
 
 def _cmd_convert(args):
     doc = docs.read(args.input)
-    if args.to == "network":
-        net = _as_network(doc, args.input)
-        _emit_dot(args, net)
-        return network_to_json(net), 0
     if args.to == "circuit":
         if _kind(doc) == "circuit":
             return circuit_to_json(circuit_from_json(doc)), 0
         return circuit_to_json(circuit_encode(_as_network(doc, args.input))), 0
-    raise ArtifactError(f"unknown conversion target {args.to!r}")
+    net = _as_network(doc, args.input)
+    _emit_dot(args, net)
+    return network_to_json(net), 0
 
 
 def _cmd_glue(args):
@@ -235,8 +233,6 @@ def _sample_nor_pair():
 
 
 def _cmd_gol(args):
-    if args.action != "demo":
-        raise ArtifactError(f"unknown gol action {args.action!r}")
     cert = gol.build_certificate()
     cert_rep = cert.report  # compile_to_gol reads the same report
     gn = _sample_nor_pair()
@@ -330,7 +326,7 @@ def _cmd_construct(args):
             "clauses": [list(c) for c in clauses],
             "net": network_to_json(net),
         }
-    elif kind == "gt-transient":
+    else:  # gt-transient
         gn, start = gt_transient_network(args.n)
         net = gnetwork_to_network(gn)
         doc = {
@@ -340,8 +336,6 @@ def _cmd_construct(args):
             "gnetwork": gnetwork_to_json(gn),
             "start": list(start),
         }
-    else:
-        raise ArtifactError(f"unknown construction {kind!r}")
     _emit_dot(args, net)
     return doc, 0
 

@@ -701,9 +701,9 @@ def compile_gnetwork_detailed(gn: GNetwork, cert: CoherentCertificate) -> Compil
     gadgets in between, and `_glue` builds the host once, so node_maps,
     dowels, contexts and host equal the chained result.
 
-    Labeled steps still run the `csan_glue` guards across the wires of
-    each step; within one copy the certificate's `csan_closure_failures`
-    has already passed them. Each source node owns its fused interface
+    Labeled steps run `check_dowel_structure`, through `glue_parts`,
+    across the wires of each step; within one copy the certificate's
+    `csan_closure_failures` has already passed them. Each source node owns its fused interface
     copy as a block; all frozen context nodes ride along in node 0's
     block.
     """

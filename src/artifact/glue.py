@@ -71,6 +71,7 @@ class Dowel:
             if set(phi.keys()) != set(names):
                 raise InvalidGlueError(f"{tag} must be defined exactly on the dowel")
             vals = list(phi.values())
+            docs.integers(InvalidGlueError, f"{tag} images", vals)
             if len(set(vals)) != len(vals):
                 raise InvalidGlueError(f"{tag} must be injective")
             if any(not 0 <= v < n for v in vals):

@@ -11,8 +11,7 @@ applied to the nodes wired to its input ports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from . import docs
 from .core import (
@@ -29,10 +28,6 @@ from .simulate import BlockEmbedding
 
 class InvalidGNetworkError(ArtifactError, ValueError):
     """Malformed gate, or port bijection or self-loop constraint violated."""
-
-
-class NotDecomposableError(ArtifactError, ValueError):
-    """Network cannot be carved into gates from the given catalog."""
 
 
 @dataclass(frozen=True)
@@ -201,21 +196,12 @@ class GNetworkBuilder:
         return gn
 
 
-def gnetwork_step(gn: GNetwork, x: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * gn.n
-    for j, g in enumerate(gn.gates):
-        res = g.apply([x[u] for u in gn.inputs[j]])
-        for k, v in enumerate(gn.outputs[j]):
-            out[v] = res[k]
-    return tuple(out)
-
-
 def gnetwork_to_network(gn: GNetwork) -> Network:
     """Same dynamics as an explicit-table network.
 
     Node deps follow the producing gate's input port order, including
-    ports the specific output happens to ignore, so converting back
-    recovers the gate structure exactly.
+    ports the specific output happens to ignore, so all outputs of one
+    gate read the same deps in the same order.
     """
     gn.validate()
     rules: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())] * gn.n
@@ -225,94 +211,6 @@ def gnetwork_to_network(gn: GNetwork) -> Network:
             table = tuple(row[k] for row in g.table)
             rules[v] = (deps, table)
     return make_network(gn.alphabet, rules)
-
-
-def network_to_gnetwork(net: Network, catalog: Sequence[Gate]) -> GNetwork:
-    """Recover the gate structure of a network built from `catalog`.
-
-    Starting from each yet-unclaimed node, alternate predecessor and
-    successor closure: the inputs of a gate are exactly the deps of its
-    outputs, and (because every node is consumed once) the successors of
-    those inputs are exactly the outputs of the same gate. The closed
-    group is then matched against the catalog over input port
-    permutations and output orderings.
-    """
-    net.validate()
-    n = net.n
-    readers: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        for u in net.rules[v].deps:
-            readers[u].append(v)
-    claimed = [False] * n
-    gates: list[Gate] = []
-    g_inputs: list[tuple[int, ...]] = []
-    g_outputs: list[tuple[int, ...]] = []
-    for v in range(n):
-        if claimed[v]:
-            continue
-        out_set = {v}
-        while True:
-            in_set = set()
-            for w in out_set:
-                in_set.update(net.rules[w].deps)
-            new_out = set()
-            for u in in_set:
-                new_out.update(readers[u])
-            if not in_set:
-                raise NotDecomposableError(f"node {v} has no dependencies")
-            if new_out == out_set:
-                break
-            out_set = new_out
-        if min(out_set) < v:
-            raise NotDecomposableError(
-                f"node {v} overlaps a group processed earlier; inconsistent wiring"
-            )
-        deps_tuples = {net.rules[w].deps for w in out_set}
-        if len(deps_tuples) != 1:
-            raise NotDecomposableError(
-                f"nodes {sorted(out_set)} disagree on dependency order"
-            )
-        deps = next(iter(deps_tuples))
-        if set(deps) != in_set:
-            raise NotDecomposableError(f"node {v}: dependency closure mismatch")
-        match = _match_gate(net, catalog, deps, sorted(out_set))
-        if match is None:
-            raise NotDecomposableError(
-                f"no catalog gate fits nodes {sorted(out_set)} reading {deps}"
-            )
-        gate, ports, outs = match
-        gates.append(gate)
-        g_inputs.append(ports)
-        g_outputs.append(outs)
-        for w in out_set:
-            claimed[w] = True
-    gn = GNetwork(net.alphabet, tuple(gates), tuple(g_inputs), tuple(g_outputs))
-    gn.validate()
-    return gn
-
-
-def _match_gate(net, catalog, deps, out_nodes):
-    q = net.alphabet
-    arity = len(deps)
-    for gate in catalog:
-        if gate.n_in != arity or gate.n_out != len(out_nodes) or gate.alphabet != q:
-            continue
-        for perm in permutations(range(arity)):
-            ports = tuple(deps[p] for p in perm)
-            for assign in permutations(out_nodes):
-                if _tables_match(net, gate, deps, perm, assign):
-                    return gate, ports, assign
-    return None
-
-
-def _tables_match(net, gate, deps, perm, assign):
-    # Row i holds the assigned nodes' entries for the i-th values of deps;
-    # port k reads deps[perm[k]].
-    rows = zip(*(net.rules[w].table for w in assign))
-    return all(
-        row == gate.apply([vals[p] for p in perm])
-        for row, vals in zip(rows, table_rows(net.alphabet, len(deps)))
-    )
 
 
 def gate_to_json(g: Gate) -> dict:
@@ -409,51 +307,11 @@ def prime_rotations(n: int) -> tuple[GNetwork, tuple[int, ...]]:
     return gn, tuple(config)
 
 
-def conjunctive_from_graph(n_nodes: int, edges: Iterable[tuple[int, int]]) -> Network:
-    """Conjunctive network on a digraph: each node ANDs its in-neighbours.
-
-    Nodes without in-neighbours compute the empty conjunction, constant 1.
-    """
-    deps: list[list[int]] = [[] for _ in range(n_nodes)]
-    for u, v in edges:
-        deps[v].append(u)
-    rules = []
-    for v in range(n_nodes):
-        d = tuple(sorted(set(deps[v])))
-        rules.append((d, _and_table(len(d))))
-    return make_network(2, rules)
-
-
-def _and_table(k: int) -> tuple[int, ...]:
-    """Conjunction of k binary deps as a rule table."""
-    return tuple(int(all(row)) for row in table_rows(2, k))
-
-
-def fanin_gadget() -> tuple[Network, tuple[int, int, int], int]:
-    """12-node conjunctive relay computing a triple AND in three steps.
-
-    Returns (network, input nodes, output node): for every input values
-    and arbitrary junk on the other nodes, the output node after three
-    steps is the conjunction of the three input states. The leftover
-    signal keeps circulating in an absorbing loop without re-entering
-    the output.
-    """
-    # 0..2 inputs; 3: relay of 0; 4: relay of 1; 5: relay of 2;
-    # 6: AND of 4,5; 7: relay of 3; 8: output AND of 7,6;
-    # 9: relay of 7; 10: loop AND; 11: loop AND.
-    edges = [
-        (0, 3), (1, 4), (2, 5),
-        (3, 7), (4, 6), (5, 6),
-        (7, 8), (6, 8),
-        (7, 9),
-        (9, 10), (9, 11), (11, 10), (10, 11),
-    ]
-    return conjunctive_from_graph(12, edges), (0, 1, 2), 8
-
-
 def _is_conjunctive(net: Network) -> bool:
+    """Every node ANDs its deps (no deps: constant 1) over {0, 1}."""
     return net.alphabet == 2 and all(
-        rule.table == _and_table(len(rule.deps)) for rule in net.rules
+        rule.table == tuple(int(all(row)) for row in table_rows(2, len(rule.deps)))
+        for rule in net.rules
     )
 
 
@@ -692,62 +550,6 @@ def conj_to_gconj(net: Network) -> tuple[GNetwork, BlockEmbedding]:
     return gn, emb
 
 
-def gt_test_module() -> tuple[Network, dict[str, int]]:
-    """Freezing watchdog: a single 1 on the input permanently excites it.
-
-    Input node x holds its state; a fork relays it to a pair whose
-    coincidence gate emits a 2; the 2 is caught in the hold/relay pair
-    and keeps circulating (the hold node shows 2 at least once in every
-    two consecutive steps from step 3 on). With x at 0 everything stays
-    at 0.
-    """
-    names = {"x": 0, "u1": 1, "u2": 2, "hot": 3, "hold": 4, "relay": 5}
-    rules = [
-        ((0,), (0, 1, 2)),  # x holds itself
-        ((0,), (0, 1, 2)),
-        ((0,), (0, 1, 2)),
-        ((1, 2), tuple(row[0] for row in FRZ_HOT_AND.table)),
-        ((3, 5), tuple(row[0] for row in FRZ_HOLD.table)),
-        ((4,), (0, 1, 2)),
-    ]
-    return make_network(3, rules), names
-
-
-def gt_and_tree(k: int) -> tuple[Network, tuple[int, ...], int, int]:
-    """Balanced freezing AND tree with held inputs.
-
-    Returns (network, input nodes, output node, delay): the output at
-    time t+delay is 1 iff all inputs were 1 at time t (inputs hold their
-    state; a 2 anywhere floods through).
-    """
-    if k < 1:
-        raise InvalidGNetworkError("tree needs at least one input")
-    ident = tuple(row[0] for row in FRZ_ID.table)
-    conj = tuple(row[0] for row in FRZ_AND.table)
-    rules = [((i,), ident) for i in range(k)]
-
-    def add(rule) -> int:
-        rules.append(rule)
-        return len(rules) - 1
-
-    def build(leaves: list[int]) -> tuple[int, int]:
-        if len(leaves) == 1:
-            return add(((leaves[0],), ident)), 1
-        half = (len(leaves) + 1) // 2
-        left, ld = build(leaves[:half])
-        right, rd = build(leaves[half:])
-        while ld < rd:
-            left = add(((left,), ident))
-            ld += 1
-        while rd < ld:
-            right = add(((right,), ident))
-            rd += 1
-        return add(((left, right), conj)), ld + 1
-
-    root, delay = build(list(range(k)))
-    return make_network(3, rules), tuple(range(k)), root, delay
-
-
 def gt_transient_network(n: int) -> tuple[GNetwork, tuple[int, ...]]:
     """Freezing network whose transient exceeds the product of primes < n.
 
@@ -804,27 +606,3 @@ def gt_transient_network(n: int) -> tuple[GNetwork, tuple[int, ...]]:
     for node in marked:
         config[node] = 1
     return gn, tuple(config)
-
-
-def associated_conjunctive(gn: GNetwork) -> Network:
-    """Boolean shadow of a freezing-gate network.
-
-    AND-like gates become plain ANDs on the same inputs, forks and
-    relays copy, and the hold gate keeps only its first (data) input.
-    Wherever the freezing run stays in {0,1}, both runs agree.
-    """
-    allowed = {g.name for g in GATE_SETS["Gt"]}
-    rules: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())] * gn.n
-    for j, g in enumerate(gn.gates):
-        if g.name not in allowed or g.alphabet != 3:
-            raise InvalidGNetworkError(f"gate {g.name} is not a freezing gate")
-        deps = gn.inputs[j]
-        if g.name in ("FRZ_AND", "FRZ_HOT_AND"):
-            spec = (deps, (0, 0, 0, 1))
-        elif g.name == "FRZ_HOLD":
-            spec = ((deps[0],), (0, 1))
-        else:
-            spec = (deps, (0, 1))
-        for v in gn.outputs[j]:
-            rules[v] = spec
-    return make_network(2, rules)

@@ -11,20 +11,20 @@ is the union of its block patterns, and correctness means
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice, product
 from typing import TYPE_CHECKING, Sequence
 
 from . import docs
 from .core import (
     BYTE_TABLE,
+    DEFAULT_MAX_STATES,
     LANE_BYTES,
     LANE_LIMIT,
     ArtifactError,
+    BudgetExceededError,
     Network,
-    analyze_orbit,
     byte_table,
-    check_config,
     gather_lanes,
     low_bytes,
     pack_lanes,
@@ -100,20 +100,6 @@ def embed(emb: BlockEmbedding, host_n: int, x: Sequence[int]) -> tuple[int, ...]
     return tuple(out)
 
 
-def project(emb: BlockEmbedding, y: Sequence[int]) -> tuple[int, ...] | None:
-    """Decode a host configuration back to source states, None if off-code."""
-    out = []
-    for v, block in enumerate(emb.blocks):
-        got = tuple(y[u] for u in block)
-        for q, pat in enumerate(emb.patterns[v]):
-            if pat == got:
-                out.append(q)
-                break
-        else:
-            return None
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of a simulation or certificate check."""
@@ -131,6 +117,32 @@ class VerificationReport:
         return f"{status} ({self.mode}, {self.checked} configurations checked{extra})"
 
 
+def _advance(host: Network, lanes: list[int], b: int, t: int) -> list[int]:
+    """G^t on a batch of b packed lanes, t folded by the batch's cycle.
+
+    Brent's cycle detection (Brent 1980, BIT 20) keeps one saved batch;
+    the first repeat, lam steps after it was saved, leaves t mod lam
+    steps to go. BudgetExceededError if DEFAULT_MAX_STATES steps pass
+    without a repeat and t is larger.
+    """
+    saved, power, lam = lanes, 1, 0
+    for done in range(1, t + 1):
+        if done > DEFAULT_MAX_STATES:
+            raise BudgetExceededError(
+                f"embedding time {t} exceeds the budget of {DEFAULT_MAX_STATES}"
+                " host steps, and the batch has not cycled within it"
+            )
+        lanes = step_batch(host, lanes, b)
+        lam += 1
+        if lanes == saved:
+            for _ in range((t - done) % lam):
+                lanes = step_batch(host, lanes, b)
+            return lanes
+        if lam == power:
+            saved, power, lam = lanes, 2 * power, 0
+    return lanes
+
+
 def verify_simulation(
     source: Network,
     host: Network,
@@ -144,10 +156,11 @@ def verify_simulation(
     mode "exhaustive" sweeps all |Q|^n source configurations; mode
     "sample" draws `samples` configurations from a recorded RNG seed.
     The host side runs VERIFY_CHUNK configurations at a time through
-    step_batch, in the host's lanes; a failure names the first failing
-    configuration in sweep order, and `checked` counts up to and
-    including it. Alphabets past 2^32, whose states no lane holds, are
-    refused with InvalidEmbeddingError.
+    step_batch, in the host's lanes, with T folded by each batch's cycle
+    (`_advance`); a failure names the first failing configuration in
+    sweep order, and `checked` counts up to and including it. Alphabets
+    past 2^32, whose states no lane holds, are refused with
+    InvalidEmbeddingError.
     """
     for role, net in (("source", source), ("host", host)):
         if net.alphabet > LANE_LIMIT:
@@ -191,8 +204,7 @@ def verify_simulation(
         xs = [pack_lanes(s, src_width) for s in zip(*chunk)]
         ys = [pack_lanes(s, src_width) for s in zip(*(step(source, x) for x in chunk))]
         got = [gather_lanes(col, xs[v], b, width, tr, low, src_width) for v, col, tr in cols]
-        for _ in range(emb.time):
-            got = step_batch(host, got, b)
+        got = _advance(host, got, b, emb.time)
         want = [gather_lanes(col, ys[v], b, width, tr, low, src_width) for v, col, tr in cols]
         diff = 0
         for w, g in zip(want, got):
@@ -211,33 +223,6 @@ def verify_simulation(
             )
         checked += b
     return VerificationReport(True, mode, checked, seed=used_seed)
-
-
-def verify_orbit_embedding(
-    source: Network, host: Network, emb: BlockEmbedding
-) -> VerificationReport:
-    """Simulation check plus periodicity transfer on every source orbit.
-
-    x is periodic for the source iff embed(x) is periodic for the host;
-    exhaustive over the source configuration space.
-    """
-    rep = verify_simulation(source, host, emb, mode="exhaustive")
-    if not rep.ok:
-        return rep
-    failures = []
-    checked = 0
-    for x in product(range(source.alphabet), repeat=source.n):
-        checked += 1
-        x = check_config(source, x)
-        src_periodic = analyze_orbit(source, x).transient == 0
-        host_periodic = analyze_orbit(host, embed(emb, host.n, x)).transient == 0
-        if src_periodic != host_periodic:
-            failures.append(
-                f"config {x}: source periodic={src_periodic}, host periodic={host_periodic}"
-            )
-    if failures:
-        return VerificationReport(False, "exhaustive", checked, failures=tuple(failures))
-    return VerificationReport(True, "exhaustive", checked + rep.checked)
 
 
 def embedding_to_json(emb: BlockEmbedding) -> dict:

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import artifact
-from artifact import cli, core, docs, gol
+from artifact import cli, core, docs, gol, simulate
+from artifact.circuit import circuit_to_json, closed_network, make_circuit
 from artifact.cli import run
 from artifact.core import make_network, network_to_json
 from artifact.csan import build_threshold, csan_to_json
@@ -160,6 +161,23 @@ def test_oracle_kind_mismatch(tmp_path, capsys):
     )
     assert run(["oracle", "u-pred", binary]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("problem", ["pred-chg", "reach"])
+def test_oracle_refuses_another_instance_kind(problem, tmp_path, capsys):
+    binary = make_pred_instance(rotation(3), 0, (1, 0, 0), 1, 3, "binary")
+    inst = write_json(tmp_path, "b.json", instance_to_json(binary))
+    assert run(["oracle", problem, inst]) == 2
+    kind = "change" if problem == "pred-chg" else "reachability"
+    assert out_json(capsys) == {"error": f"{inst}: not a {kind} instance"}
+
+
+def test_analyze_reads_a_circuit_as_its_closed_network(tmp_path, capsys):
+    circ = make_circuit(2, [("AND", (0, 1)), ("NOT", (0,)), ("OR", (2, 3))], (4, 2))
+    path = write_json(tmp_path, "circuit.json", circuit_to_json(circ))
+    assert run(["analyze", path, "--config", "[1, 1]"]) == 0
+    res = core.analyze_orbit(closed_network(circ), (1, 1))
+    assert out_json(capsys) == {"transient": res.transient, "period": res.period}
 
 
 def test_input_errors_exit_two(rot3_file, capsys):
@@ -459,6 +477,34 @@ def test_verify_sim_refuses_an_alphabet_past_a_lane(side, tmp_path, capsys):
     assert run(["verify-sim", src, dst, emb]) == 2
     error = f"{side} alphabet of 8589934592 does not fit a 32-bit lane"
     assert out_json(capsys) == {"error": error}
+
+
+def test_verify_sim_folds_a_huge_time_into_the_cycle(tmp_path, rot3_file):
+    # 2^64 = 1 (mod 3). Run apart, so that a regression fails on the
+    # timeout instead of stepping without end.
+    emb = write_json(tmp_path, "emb.json", identity_embedding_doc(rotation(3), time=2**64))
+    src = str(Path(artifact.__file__).parents[1])
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    done = subprocess.run(
+        [sys.executable, "-m", "artifact.cli", "verify-sim", rot3_file, rot3_file, emb],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {"ok": True, "mode": "exhaustive", "checked": 8, "failures": []}
+
+
+def test_verify_sim_exits_three_when_a_batch_does_not_cycle_within_the_budget(
+    tmp_path, monkeypatch, capsys
+):
+    # The budget of 4 steps ends before the 5-rotation's batch repeats.
+    monkeypatch.setattr(simulate, "DEFAULT_MAX_STATES", 4)
+    net = write_json(tmp_path, "rot5.json", network_to_json(rotation(5)))
+    emb = write_json(tmp_path, "emb.json", identity_embedding_doc(rotation(5), time=5))
+    assert run(["verify-sim", net, net, emb]) == 3
+    assert "exceeds the budget of 4 host steps" in out_json(capsys)["error"]
 
 
 def test_verify_sim_reaches_a_verdict_on_a_ten_gate_ring(tmp_path, capsys):

@@ -17,7 +17,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifact import gol
@@ -272,12 +272,6 @@ def verify_sim(documents, *options) -> int:
         return run_to_document(["verify-sim", *paths, *options])
 
 
-def host_steps(embedding) -> int:
-    """The host steps per configuration an embedding document asks for, 0 if none."""
-    time = embedding.get("time") if isinstance(embedding, dict) else None
-    return time if type(time) is int else 0
-
-
 def test_unmutated_simulation_verifies():
     assert verify_sim(SIMULATION) == 0
 
@@ -289,10 +283,8 @@ def test_unmutated_simulation_verifies():
     mode=st.sampled_from(("exhaustive", "sample")),
 )
 def test_mutated_simulation_documents_exit_with_a_document(data, role, mode):
+    # Any time is in: a huge one folds into each batch's cycle.
     documents = {**SIMULATION, role: data.draw(mutated(SIMULATION[role]))}
-    # verify-sim has no budget on host steps: a time of 2^64 is valid and
-    # runs without end, so times past 1,000 are left out here.
-    assume(host_steps(documents["embedding"]) <= 1000)
     options = ["--mode", mode, "--samples", "20", "--seed", "1"]
     assert verify_sim(documents, *options) in (0, 1, 2, 3)
 

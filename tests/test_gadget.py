@@ -35,12 +35,14 @@ from artifact.gadget import (
 )
 from artifact.glue import PseudoOrbit, make_pseudo_orbit
 from artifact.gnet import (
+    FRZ_ID,
     ID_1_1,
     NOR_2_2,
     GNetwork,
     GNetworkBuilder,
     InvalidGNetworkError,
     gnetwork_to_network,
+    make_gate,
 )
 from artifact.simulate import embed, verify_simulation
 
@@ -354,6 +356,83 @@ def test_certificate_trace_endpoints_checked():
     assert any("does not start at pattern 1" in f for f in report.failures)
 
 
+def alphabet_3_gadget():
+    net = make_network(3, [((), (0,))] * 4)
+    return make_gadget(IFACE, net, [{"ci": 0, "co": 1}], [{"ci": 2, "co": 3}])
+
+
+def foreign_interface_gadget():
+    iface = make_interface(["a"], ["b"])
+    return make_gadget(iface, identity_gadget().net, [{"a": 0, "b": 1}], [{"a": 2, "b": 3}])
+
+
+# Each case edits one clause of the valid toy certificate: (edit, failure).
+CERTIFICATE_REFUSALS = {
+    "invalid interface": (
+        lambda c: dataclasses.replace(c, interface=dataclasses.replace(IFACE, inputs=("co",))),
+        "interface: interface halves must be disjoint and duplicate-free",
+    ),
+    "no encoded states": (
+        lambda c: dataclasses.replace(c, state_configs=()),
+        "certificate encodes no states",
+    ),
+    "time below 1": (
+        lambda c: dataclasses.replace(c, time=0),
+        "time constant must be >= 1",
+    ),
+    "gadgets on two alphabets": (
+        lambda c: dataclasses.replace(c, gadgets={**c.gadgets, NOR_2_2: alphabet_3_gadget()}),
+        "gadgets disagree on the alphabet",
+    ),
+    "state pattern keys": (
+        lambda c: dataclasses.replace(c, state_configs=({"ci": 0}, STATES[1])),
+        "state pattern 0 must assign exactly the interface names",
+    ),
+    "state pattern outside the alphabet": (
+        lambda c: dataclasses.replace(c, state_configs=(STATES[0], {"ci": 0, "co": 2})),
+        "state pattern 1 uses states outside the alphabet",
+    ),
+    "trace step keys": (
+        lambda c: dataclasses.replace(
+            c, standard_traces={**c.standard_traces, (0, 1): ({"ci": 0, "co": 0}, {"co": 1})}
+        ),
+        "trace (0,1) step 1 must assign exactly the interface names",
+    ),
+    "invalid gadget": (
+        lambda c: dataclasses.replace(
+            c, gadgets={ID_1_1: dataclasses.replace(identity_gadget(), in_copies=({"ci": 0},))}
+        ),
+        "gate ID_1_1: input copy 0 must map exactly the interface names",
+    ),
+    "gadget interface": (
+        lambda c: dataclasses.replace(c, gadgets={ID_1_1: foreign_interface_gadget()}),
+        "gate ID_1_1: gadget interface differs from the certificate's",
+    ),
+    "gate alphabet": (
+        lambda c: dataclasses.replace(c, gadgets={FRZ_ID: identity_gadget()}),
+        "gate FRZ_ID: gate alphabet 3 differs from the 2 encoded states",
+    ),
+    "copy count": (
+        lambda c: dataclasses.replace(c, gadgets={NOR_2_2: identity_gadget()}),
+        "gate NOR_2_2: gadget exposes 1/1 copies for a 2->2 gate",
+    ),
+    "labeled beside unlabeled": (
+        lambda c: dataclasses.replace(
+            c, gadgets={**c.gadgets, NOR_2_2: lifelike_gadget([(0, 1), (2, 3)])}
+        ),
+        "mixed labeled and unlabeled gadgets",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CERTIFICATE_REFUSALS))
+def test_certificate_refusals_name_the_broken_clause(case):
+    edit, failure = CERTIFICATE_REFUSALS[case]
+    report = verify_certificate(edit(toy_certificate({ID_1_1: identity_gadget()})))
+    assert not report.ok
+    assert failure in report.failures
+
+
 # ---------------------------------------------------------------------------
 # Compiling gate networks
 
@@ -474,6 +553,16 @@ def test_compile_error_reporting():
     looped = GNetwork(2, (ID_1_1,), ((0,),), ((0,),))
     with pytest.raises(InvalidGNetworkError):
         compile_gnetwork_detailed(looped, toy_certificate({ID_1_1: identity_gadget()}))
+
+
+@pytest.mark.parametrize("q", [1, 3])
+def test_compile_refuses_a_gate_network_on_other_states(q):
+    ident = make_gate("ID", q, 1, 1, lambda x: (x,))
+    gn = GNetwork(q, (ident, ident), ((1,), (0,)), ((0,), (1,)))
+    with pytest.raises(
+        InvalidGadgetError, match=f"gate network alphabet {q} differs from the 2 certified states"
+    ):
+        compile_gnetwork_detailed(gn, toy_certificate({ID_1_1: identity_gadget()}))
 
 
 # ---------------------------------------------------------------------------

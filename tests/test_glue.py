@@ -66,6 +66,16 @@ def test_dowel_validation():
         glue_networks(ident, make_network(3, [((0,), (0, 1, 2))]), good)
 
 
+@pytest.mark.parametrize("image", [1.0, True], ids=repr)
+def test_dowel_validation_refuses_an_image_that_is_not_an_int(image):
+    # 1.0 used to end in a bare TypeError, and True glued as node 1.
+    f = make_network(2, [((0,), (0, 1))] * 2)
+    for tag in ("phi1", "phi2"):
+        phi = {"phi1": {"a": 0}, "phi2": {"a": 0}, tag: {"a": image}}
+        with pytest.raises(InvalidGlueError, match=f"expected integers for {tag} images"):
+            glue_networks(f, f, make_dowel(["a"], [], phi["phi1"], phi["phi2"]))
+
+
 def test_empty_dowel_is_disjoint_union():
     ident = make_network(2, [((0,), (0, 1))])
     d = make_dowel([], [], {}, {})

@@ -76,6 +76,12 @@ def test_public_api_list_names_existing_definitions():
     assert not called, f"listed as public API but called in the package: {called}"
 
 
+def test_public_api_list_does_not_grow():
+    # 37 names once the test-only gate and simulation helpers left the
+    # package; listing another one takes an edit here.
+    assert len(public_api()) <= 37
+
+
 def _benchmark_sites():
     """(module, name) of every tracer target and of every `module.name`
     that the benchmark's generators and workloads read."""

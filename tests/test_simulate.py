@@ -2,12 +2,14 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact.core import Network, iterate, make_network, step
+from artifact import simulate
+from artifact.core import BudgetExceededError, Network, analyze_orbit, iterate, make_network, step
 from artifact.simulate import (
     BlockEmbedding,
     InvalidEmbeddingError,
@@ -15,8 +17,6 @@ from artifact.simulate import (
     embed,
     embedding_from_json,
     embedding_to_json,
-    project,
-    verify_orbit_embedding,
     verify_simulation,
 )
 from conftest import rotation, small_networks, xor_ring
@@ -34,13 +34,14 @@ def doubled_rotation_host(n):
     return host, BlockEmbedding(2, blocks, patterns)
 
 
-def test_embed_and_project_roundtrip():
-    src = rotation(3)
+def test_embed_writes_one_pattern_per_block():
     host, emb = doubled_rotation_host(3)
+    seen = set()
     for x in itertools.product(range(2), repeat=3):
         y = embed(emb, host.n, x)
-        assert project(emb, y) == x
-    assert project(emb, (1, 0, 0, 0, 0, 0)) is None
+        assert y == tuple(s for s in x for _ in range(2))
+        seen.add(y)
+    assert len(seen) == 8
 
 
 def test_verify_simulation_exhaustive_pass():
@@ -263,21 +264,102 @@ def test_embedding_validation():
         ).validate(src, host)
 
 
-def test_verify_orbit_embedding_periodicity_transfer():
-    src = rotation(3)
-    host, emb = doubled_rotation_host(3)
-    rep = verify_orbit_embedding(src, host, emb)
-    assert rep.ok
+@settings(max_examples=40, deadline=None)
+@given(simulation_case(), st.booleans())
+def test_periodicity_transfers_through_a_verified_embedding(case, doubled):
+    # The simulation law and injective patterns make x periodic for the
+    # source iff embed(x) is periodic for the host: no separate check
+    # is needed once verify_simulation passes.
+    source, host, emb = case
+    if doubled:
+        source = rotation(3)
+        host, emb = doubled_rotation_host(3)
+    if not verify_simulation(source, host, emb).ok:
+        return
+    for x in itertools.product(range(source.alphabet), repeat=source.n):
+        src_periodic = analyze_orbit(source, x).transient == 0
+        assert src_periodic == (analyze_orbit(host, embed(emb, host.n, x)).transient == 0)
 
 
-def test_verify_orbit_embedding_catches_transient_mismatch():
-    # Host adds a sink node that must die out: embedded configs with the
-    # sink alive are not periodic even when the source config is.
+def test_verify_simulation_catches_a_host_that_clears_a_copy():
+    # The host's second node must die out, so embed(F(x)) = (x, x) is
+    # never G(embed(x)) = (x, 0) once x = 1.
     src = make_network(2, [((0,), (0, 1))])  # identity, all configs periodic
     host = make_network(2, [((0,), (0, 1)), ((1,), (0, 0))])
     emb = BlockEmbedding(1, ((0, 1),), (((0, 0), (1, 1)),))
     rep = verify_simulation(src, host, emb)
     assert not rep.ok  # embed(F(x)) keeps node 1 at x, host kills it
+
+
+def replaced(emb, v, block=None, patterns=None, time=None):
+    """emb with source node v's block or patterns, or the time, replaced."""
+    blocks = list(emb.blocks)
+    pats = list(emb.patterns)
+    if block is not None:
+        blocks[v] = block
+    if patterns is not None:
+        pats[v] = patterns
+    return BlockEmbedding(emb.time if time is None else time, tuple(blocks), tuple(pats))
+
+
+# Each case edits one clause of the valid doubled-rotation embedding.
+EMBEDDING_REFUSALS = {
+    "time below 1": (dict(time=0), "time constant must be >= 1"),
+    "empty block": (dict(block=()), "source node 1: empty block"),
+    "block node outside the host": (dict(block=(2, 6)), "block node 6 out of host range"),
+    "pattern count": (dict(patterns=((0, 0),)), "source node 1: need one pattern per state"),
+    "pattern state outside the host alphabet": (
+        dict(patterns=((0, 0), (1, 2))),
+        "pattern state 2 out of host alphabet",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMBEDDING_REFUSALS))
+def test_embedding_validation_names_the_broken_clause(case):
+    host, emb = doubled_rotation_host(3)
+    emb.validate(rotation(3), host)
+    edit, message = EMBEDDING_REFUSALS[case]
+    with pytest.raises(InvalidEmbeddingError, match=f"^{re.escape(message)}$"):
+        replaced(emb, 1, **edit).validate(rotation(3), host)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_networks(), st.integers(1, 40))
+def test_folded_time_matches_stepping(net, time):
+    # A network simulates itself at time t iff F^t = F on the checked
+    # configurations; each batch folds t by its own cycle.
+    emb = BlockEmbedding(
+        time, tuple((v,) for v in range(net.n)), (tuple((s,) for s in range(net.alphabet)),) * net.n
+    )
+    assert verify_simulation(net, net, emb) == reference_verify_simulation(net, net, emb)
+
+
+def test_a_huge_time_folds_into_the_cycle():
+    # 2^64 = 1 (mod 3): the 3-rotation simulates itself at that time, not at 2^65.
+    emb = BlockEmbedding(2**64, ((0,), (1,), (2,)), (((0,), (1,)),) * 3)
+    assert verify_simulation(rotation(3), rotation(3), emb).ok
+    emb = BlockEmbedding(2**65, emb.blocks, emb.patterns)
+    assert not verify_simulation(rotation(3), rotation(3), emb).ok
+
+
+def test_a_batch_that_does_not_cycle_within_the_budget_is_refused(monkeypatch):
+    # The 8-rotation's batch has period 8, and Brent's search, saving at
+    # steps 1, 3 and 7, sees the repeat at step 15. A time within the
+    # budget is stepped in full; a longer one folds only when the repeat
+    # comes within the budget.
+    net = rotation(8)
+    blocks, patterns = tuple((v,) for v in range(8)), (((0,), (1,)),) * 8
+    monkeypatch.setattr(simulate, "DEFAULT_MAX_STATES", 6)
+    assert not verify_simulation(net, net, BlockEmbedding(6, blocks, patterns)).ok
+    with pytest.raises(BudgetExceededError, match="embedding time 7 exceeds the budget of 6"):
+        verify_simulation(net, net, BlockEmbedding(7, blocks, patterns))
+    huge = BlockEmbedding(8 * 10**6 + 1, blocks, patterns)
+    monkeypatch.setattr(simulate, "DEFAULT_MAX_STATES", 14)
+    with pytest.raises(BudgetExceededError, match="has not cycled within it"):
+        verify_simulation(net, net, huge)
+    monkeypatch.setattr(simulate, "DEFAULT_MAX_STATES", 15)
+    assert verify_simulation(net, net, huge).ok
 
 
 def test_embedding_json_roundtrip():
