@@ -112,6 +112,11 @@ def _parse_config(args, net: Network):
     return check_config(net, data)
 
 
+def _require_positive(flag: str, value: int) -> None:
+    if value < 1:
+        raise ArtifactError(f"{flag} must be at least 1, got {value}")
+
+
 def _emit(args, doc) -> None:
     if args.output:
         docs.write(doc, args.output, pretty=args.pretty)
@@ -150,6 +155,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_analyze(args):
+    _require_positive("--max-states", args.max_states)
     net = _load_network(args.net)
     x = _parse_config(args, net)
     res = analyze_orbit(net, x, budget=args.max_states)
@@ -157,6 +163,8 @@ def _cmd_analyze(args):
 
 
 def _cmd_convert(args):
+    if args.to == "circuit" and args.dot:
+        raise ArtifactError("--dot draws a network, and --to circuit produces none")
     doc = docs.read(args.input)
     if args.to == "circuit":
         if _kind(doc) == "circuit":
@@ -181,8 +189,7 @@ def _cmd_glue(args):
 
 
 def _cmd_verify_sim(args):
-    if args.samples < 1:
-        raise ArtifactError(f"--samples must be at least 1, got {args.samples}")
+    _require_positive("--samples", args.samples)
     source = _load_network(args.source)
     host = _load_network(args.host)
     emb = embedding_from_json(docs.read(args.embedding))
@@ -278,6 +285,7 @@ def _solve_named(kind: str, path: str, max_states: int) -> bool:
 
 
 def _cmd_oracle(args):
+    _require_positive("--max-states", args.max_states)
     if args.jobs > 1 and len(args.instances) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             answers = list(

@@ -168,16 +168,6 @@ def make_gadget(
     return g
 
 
-def gadget_copy(g: Gadget) -> Gadget:
-    """Fresh gadget with identical content; safe to glue onto the original."""
-    return Gadget(
-        g.interface,
-        g.dynamics,
-        tuple(dict(c) for c in g.in_copies),
-        tuple(dict(c) for c in g.out_copies),
-    )
-
-
 def interface_nodes(g: Gadget) -> frozenset[int]:
     """All nodes owned by some interface copy."""
     nodes: set[int] = set()
@@ -310,7 +300,9 @@ def gadget_glue(
     in_pairs lists (input copy of first, output copy of second) pairs,
     out_pairs the (output copy of first, input copy of second) ones.
     Surviving copies keep their relative order, first gadget first.
-    Empty wiring degenerates to the disjoint union.
+    Empty wiring degenerates to the disjoint union. `first` and `second`
+    may be one gadget: nodes are named by (part, node) until the host is
+    numbered, and neither part is changed.
     """
     first.validate()
     second.validate()
@@ -703,9 +695,9 @@ def compile_gnetwork_detailed(gn: GNetwork, cert: CoherentCertificate) -> Compil
 
     Labeled steps run `check_dowel_structure`, through `glue_parts`,
     across the wires of each step; within one copy the certificate's
-    `csan_closure_failures` has already passed them. Each source node owns its fused interface
-    copy as a block; all frozen context nodes ride along in node 0's
-    block.
+    `csan_closure_failures` has already passed them. Each source node
+    owns its fused interface copy as a block; all frozen context nodes
+    ride along in node 0's block.
     """
     gn.validate()
     report = cert.report

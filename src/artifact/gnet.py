@@ -19,11 +19,9 @@ from .core import (
     Network,
     config_index,
     make_network,
-    step,
     table_rows,
     table_size,
 )
-from .simulate import BlockEmbedding
 
 
 class InvalidGNetworkError(ArtifactError, ValueError):
@@ -67,10 +65,8 @@ def mon_gate(op: str, n_in: int, n_out: int) -> Gate:
 
 
 AND_2_1 = mon_gate("AND", 2, 1)
-OR_2_1 = mon_gate("OR", 2, 1)
 AND_2_2 = mon_gate("AND", 2, 2)
 OR_2_2 = mon_gate("OR", 2, 2)
-OR_1_2 = mon_gate("OR", 1, 2)
 COPY_1_2 = make_gate("COPY_1_2", 2, 1, 2, lambda x: (x, x))
 ID_1_1 = make_gate("ID_1_1", 2, 1, 1, lambda x: (x,))
 NOR_2_2 = make_gate("NOR_2_2", 2, 2, 2, lambda x, y: (1 - max(x, y),) * 2)
@@ -177,10 +173,6 @@ class GNetworkBuilder:
         j, outs = self.new_gate(gate)
         self.connect(j, input_nodes)
         return outs
-
-    @property
-    def n_nodes(self) -> int:
-        return self._n_nodes
 
     def build(self) -> GNetwork:
         for j, ports in enumerate(self._inputs):
@@ -305,249 +297,6 @@ def prime_rotations(n: int) -> tuple[GNetwork, tuple[int, ...]]:
     for start, _ in ring_starts:
         config[start] = 1
     return gn, tuple(config)
-
-
-def _is_conjunctive(net: Network) -> bool:
-    """Every node ANDs its deps (no deps: constant 1) over {0, 1}."""
-    return net.alphabet == 2 and all(
-        rule.table == tuple(int(all(row)) for row in table_rows(2, len(rule.deps)))
-        for rule in net.rules
-    )
-
-
-class _WaveBuilder:
-    """Helper assembling delay chains and trees for conj_to_gconj."""
-
-    def __init__(self, b: GNetworkBuilder):
-        self.b = b
-
-    def absorber(self, src: int) -> list[int]:
-        """Sink consuming src; output pair latches at 0 from a 0 start."""
-        b = self.b
-        cj, (f1, f2) = b.new_gate(COPY_1_2)
-        b.connect(cj, [src])
-        a1, (w1,) = b.new_gate(AND_2_1)
-        a2, (w2,) = b.new_gate(AND_2_1)
-        b.connect(a1, [f1, w2])
-        b.connect(a2, [f2, w1])
-        return [f1, f2, w1, w2]
-
-    def chain(self, length: int) -> tuple[int, int, int, list[int]]:
-        """Delay chain: (entry gate, entry port, exit node, all nodes).
-
-        Odd lengths place the single fanout-splitting unit at the head;
-        its junk branch is absorbed. The exit of any chain of length
-        >= 2 is an AND output, so it can serve as a value-carrying cell.
-        """
-        b = self.b
-        nodes: list[int] = []
-        entry = None
-        prev = None
-        rest = length
-        if length % 2 == 1:
-            cj, (t, j) = b.new_gate(COPY_1_2)
-            entry = (cj, 0)
-            nodes += [t, j]
-            nodes += self.absorber(j)
-            prev = t
-            rest -= 1
-        for _ in range(rest // 2):
-            cj, (o1, o2) = b.new_gate(COPY_1_2)
-            if entry is None:
-                entry = (cj, 0)
-            else:
-                b.connect_port(cj, 0, prev)
-            aj, (t,) = b.new_gate(AND_2_1)
-            b.connect(aj, [o1, o2])
-            nodes += [o1, o2, t]
-            prev = t
-        assert entry is not None and prev is not None
-        return entry[0], entry[1], prev, nodes
-
-    def and_tree(self, k: int) -> tuple[list[tuple[int, int, int]], int, list[int]]:
-        """Balanced AND tree with k leaves: (slots, root, nodes).
-
-        Each slot is (gate, port, depth); depth counts the AND stages
-        between the slot and the root inclusive.
-        """
-        b = self.b
-        assert k >= 2
-        g, (out,) = b.new_gate(AND_2_1)
-        nodes = [out]
-        slots: list[tuple[int, int, int]] = []
-        for port, part in enumerate([(k + 1) // 2, k - (k + 1) // 2]):
-            if part == 1:
-                slots.append((g, port, 1))
-            else:
-                sub_slots, sub_root, sub_nodes = self.and_tree(part)
-                b.connect_port(g, port, sub_root)
-                nodes += sub_nodes
-                slots += [(sg, sp, d + 1) for sg, sp, d in sub_slots]
-        return slots, out, nodes
-
-    def copy_tree(self, k: int) -> tuple[int, int, list[tuple[int, int]], list[int]]:
-        """Balanced fanout tree: (entry gate, entry port, exits, nodes).
-
-        exits are (node, depth) pairs, depth counting the fork stages
-        from the entry.
-        """
-        b = self.b
-        assert k >= 2
-        g, (left, right) = b.new_gate(COPY_1_2)
-        nodes = [left, right]
-        exits: list[tuple[int, int]] = []
-        for out, part in ((left, (k + 1) // 2), (right, k - (k + 1) // 2)):
-            if part == 1:
-                exits.append((out, 1))
-            else:
-                sub_entry, sub_port, sub_exits, sub_nodes = self.copy_tree(part)
-                b.connect_port(sub_entry, sub_port, out)
-                nodes += sub_nodes
-                exits += [(nd, d + 1) for nd, d in sub_exits]
-        return g, 0, exits, nodes
-
-
-def conj_to_gconj(net: Network) -> tuple[GNetwork, BlockEmbedding]:
-    """Compile a conjunctive network into a COPY/AND gate network.
-
-    One value-carrying cell per edge holds the source state of that
-    edge; everything else rides a zero-quiescent wave. Fan-in trees
-    gather a node's new value in A steps, fanout trees redistribute it
-    in B more, so one source step takes T = A + B host steps. Nodes with
-    no in-edges (constant 1) are fed by a rotating pulse loop of length
-    T; nodes with no out-edges park their value in a drain cell.
-    """
-    if not _is_conjunctive(net):
-        raise InvalidGNetworkError("input is not a conjunctive network")
-    n = net.n
-    in_edges = [tuple(net.rules[v].deps) for v in range(n)]
-    out_edges: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        for u in in_edges[v]:
-            out_edges[u].append(v)
-    for u in range(n):
-        out_edges[u].sort()
-
-    def clog2(k):
-        return (k - 1).bit_length() if k >= 1 else 0
-
-    big_a = 1 + max((clog2(len(d)) for d in in_edges if d), default=0)
-    big_b = 2 + max((clog2(len(o)) for o in out_edges if o), default=0)
-    big_t = big_a + big_b
-
-    b = GNetworkBuilder(2)
-    wb = _WaveBuilder(b)
-    block_nodes: list[list[int]] = [[] for _ in range(n)]
-    value_cells: list[list[int]] = [[] for _ in range(n)]  # pattern = state
-    edge_cell: dict[tuple[int, int], int] = {}
-    pending: list[tuple[int, int, tuple[int, int]]] = []  # gate, port, edge
-    pulse_components: list[tuple[int, list[int]]] = []  # (node owner, nodes)
-
-    for v in range(n):
-        mine = block_nodes[v]
-        d = len(in_edges[v])
-        if d == 0:
-            # pulse loop: length-T ring of forks; tap 1 drives the node
-            loop_gates, loop_nodes, taps = [], [], []
-            for _ in range(big_t):
-                j, (ln, tn) = b.new_gate(COPY_1_2)
-                loop_gates.append(j)
-                loop_nodes.append(ln)
-                taps.append(tn)
-            for i, j in enumerate(loop_gates):
-                b.connect_port(j, 0, loop_nodes[(i - 1) % big_t])
-            comp = list(loop_nodes) + list(taps)
-            for p, tap in enumerate(taps):
-                if p != 1:
-                    comp += wb.absorber(tap)
-            if big_a == 1:
-                root = taps[1]
-            else:
-                cg, cp, root, cn = wb.chain(big_a - 1)
-                b.connect_port(cg, cp, taps[1])
-                comp += cn
-            mine += comp
-            pulse_components.append((v, comp))
-        elif d == 1:
-            cg, cp, root, cn = wb.chain(big_a)
-            pending.append((cg, cp, (in_edges[v][0], v)))
-            mine += cn
-        else:
-            slots, root, tn = wb.and_tree(d)
-            mine += tn
-            for u, (sg, sp, depth) in zip(in_edges[v], slots):
-                pad = big_a - depth
-                cg, cp, pad_exit, cn = wb.chain(pad)
-                b.connect_port(sg, sp, pad_exit)
-                pending.append((cg, cp, (u, v)))
-                mine += cn
-
-        f = len(out_edges[v])
-        if f == 0:
-            cg, cp, drain, cn = wb.chain(big_b)
-            b.connect_port(cg, cp, root)
-            mine += cn
-            mine += wb.absorber(drain)
-            value_cells[v] = [drain]
-        elif f == 1:
-            cg, cp, cell, cn = wb.chain(big_b)
-            b.connect_port(cg, cp, root)
-            mine += cn
-            edge_cell[(v, out_edges[v][0])] = cell
-            value_cells[v] = [cell]
-        else:
-            tg, tp, exits, tn = wb.copy_tree(f)
-            b.connect_port(tg, tp, root)
-            mine += tn
-            cells = []
-            for w, (exit_node, depth) in zip(out_edges[v], exits):
-                cg, cp, cell, cn = wb.chain(big_b - depth)
-                b.connect_port(cg, cp, exit_node)
-                mine += cn
-                edge_cell[(v, w)] = cell
-                cells.append(cell)
-            value_cells[v] = cells
-
-    for gate_idx, port, edge in pending:
-        b.connect_port(gate_idx, port, edge_cell[edge])
-
-    gn = b.build()
-    host = gnetwork_to_network(gn)
-
-    # machinery patterns: zero everywhere except inside pulse components,
-    # whose steady phase is read off by running them in isolation
-    base = [0] * gn.n
-    if pulse_components:
-        sim = [0] * gn.n
-        for v, comp in pulse_components:
-            sim[comp[0]] = 1  # pulse parked on the first loop node
-        cur = tuple(sim)
-        for _ in range(2 * big_t):
-            cur = step(host, cur)
-        again = cur
-        for _ in range(big_t):
-            again = step(host, again)
-        for v, comp in pulse_components:
-            for u in comp:
-                if again[u] != cur[u]:
-                    raise InvalidGNetworkError("pulse component failed to settle")
-                base[u] = cur[u]
-
-    blocks = []
-    patterns = []
-    for v in range(n):
-        cells = set(value_cells[v])
-        block = value_cells[v] + [u for u in block_nodes[v] if u not in cells]
-        blocks.append(tuple(block))
-        pats = []
-        for q in range(2):
-            pat = [q] * len(value_cells[v])
-            pat += [base[u] for u in block_nodes[v] if u not in cells]
-            pats.append(tuple(pat))
-        patterns.append(tuple(pats))
-    emb = BlockEmbedding(big_t, tuple(blocks), tuple(patterns))
-    emb.validate(net, host)
-    return gn, emb
 
 
 def gt_transient_network(n: int) -> tuple[GNetwork, tuple[int, ...]]:

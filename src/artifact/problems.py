@@ -604,9 +604,6 @@ def gated_product_network(f: Network) -> tuple[Network, tuple[int, ...]]:
 # Three-speed odometer
 
 
-IDLE_STATES = (8, 9)
-
-
 def _odometer_local(n: int, j: int, left, own, right) -> int:
     # states 0..2 count, 3..4 are collapse seeds, 5..7 are the one-shot
     # counter, 8..9 are inert

@@ -32,42 +32,6 @@ def and_funnel() -> Network:
     return make_network(2, [((0, 1), (0, 0, 0, 1)), ((1,), (0, 1))])
 
 
-def conjunctive_from_graph(n_nodes: int, edges) -> Network:
-    """Conjunctive network on a digraph: each node ANDs its in-neighbours.
-
-    Nodes without in-neighbours compute the empty conjunction, constant 1.
-    """
-    deps: list[set[int]] = [set() for _ in range(n_nodes)]
-    for u, v in edges:
-        deps[v].add(u)
-    # the AND of k binary deps is 1 on the last row only (all deps at 1)
-    return make_network(
-        2, [(tuple(sorted(d)), [0] * (2 ** len(d) - 1) + [1]) for d in deps]
-    )
-
-
-def fanin_gadget() -> tuple[Network, tuple[int, int, int], int]:
-    """12-node conjunctive relay computing a triple AND in three steps.
-
-    Returns (network, input nodes, output node): for every input values
-    and arbitrary junk on the other nodes, the output node after three
-    steps is the conjunction of the three input states. The leftover
-    signal keeps circulating in an absorbing loop without re-entering
-    the output.
-    """
-    # 0..2 inputs; 3: relay of 0; 4: relay of 1; 5: relay of 2;
-    # 6: AND of 4,5; 7: relay of 3; 8: output AND of 7,6;
-    # 9: relay of 7; 10: loop AND; 11: loop AND.
-    edges = [
-        (0, 3), (1, 4), (2, 5),
-        (3, 7), (4, 6), (5, 6),
-        (7, 8), (6, 8),
-        (7, 9),
-        (9, 10), (9, 11), (11, 10), (10, 11),
-    ]
-    return conjunctive_from_graph(12, edges), (0, 1, 2), 8
-
-
 def constant_net(n: int, q: int, value: int) -> Network:
     return make_network(q, [((), (value,)) for _ in range(n)])
 

@@ -23,8 +23,8 @@ from artifact.core import analyze_orbit, index_config, iterate, trace
 from artifact.gnet import (
     AND_2_1,
     GNetworkBuilder,
-    OR_1_2,
     gnetwork_to_network,
+    mon_gate,
 )
 from artifact.simulate import embed, verify_simulation
 
@@ -218,7 +218,7 @@ def gmon_loop_and_fork():
     # AND(u, v) -> m; OR fork of m -> (u, v): closed monotone network
     b = GNetworkBuilder(2)
     ga, (m,) = b.new_gate(AND_2_1)
-    gf, (u, v) = b.new_gate(OR_1_2)
+    gf, (u, v) = b.new_gate(mon_gate("OR", 1, 2))
     b.connect(ga, [u, v])
     b.connect(gf, [m])
     return b.build()

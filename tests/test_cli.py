@@ -147,6 +147,27 @@ def test_oracle_budget_exit_code(tmp_path, capsys):
     assert "error" in out_json(capsys)
 
 
+@pytest.mark.parametrize("max_states", ["0", "-5"])
+@pytest.mark.parametrize("command", ["analyze", "oracle"])
+def test_max_states_below_one_is_refused(command, max_states, tmp_path, rot3_file, capsys):
+    if command == "analyze":
+        argv = ["analyze", rot3_file, "--config", "[1,0,0]"]
+    else:
+        inst = make_reach_instance(rotation(3), (1, 0, 0), (0, 1, 0))
+        argv = ["oracle", "reach", write_json(tmp_path, "r.json", instance_to_json(inst))]
+    assert run([*argv, "--max-states", max_states]) == 2
+    assert out_json(capsys) == {"error": f"--max-states must be at least 1, got {max_states}"}
+
+
+def test_max_states_one_answers_a_fixed_point(tmp_path, rot3_file, capsys):
+    assert run(["analyze", rot3_file, "--config", "[0,0,0]", "--max-states", "1"]) == 0
+    assert out_json(capsys) == {"transient": 0, "period": 1}
+    inst = make_reach_instance(rotation(3), (0, 0, 0), (0, 0, 0))
+    path = write_json(tmp_path, "r.json", instance_to_json(inst))
+    assert run(["oracle", "reach", path, "--max-states", "1"]) == 0
+    assert out_json(capsys)["answer"] is True
+
+
 def test_oracle_kind_mismatch(tmp_path, capsys):
     net = rotation(3)
     inst = write_json(
@@ -558,6 +579,18 @@ def test_convert_writes_dot(tmp_path, rot3_file, capsys):
     assert run(["convert", rot3_file, "--to", "network", "--dot", str(dot)]) == 0
     assert dot.read_text().startswith("digraph")
     capsys.readouterr()
+
+
+def test_convert_refuses_dot_with_a_circuit(tmp_path, rot3_file, capsys):
+    dot = tmp_path / "c.dot"
+    assert run(["convert", rot3_file, "--to", "circuit", "--dot", str(dot)]) == 2
+    error = out_json(capsys)["error"]
+    assert "--dot" in error and "--to circuit" in error
+    assert not dot.exists()
+    # refused before the input is read
+    missing = str(tmp_path / "missing.json")
+    assert run(["convert", missing, "--to", "circuit", "--dot", str(dot)]) == 2
+    assert out_json(capsys)["error"] == error
 
 
 def test_glue_matches_library(tmp_path, capsys):

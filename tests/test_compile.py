@@ -28,7 +28,6 @@ from artifact.gadget import (
     InvalidGadgetError,
     certificate_to_json,
     compile_gnetwork_detailed,
-    gadget_copy,
     gadget_glue,
 )
 from artifact.glue import PseudoOrbit, dowel_junction, glued_numbering, make_dowel
@@ -102,14 +101,14 @@ def pairwise_compile(gn, cert):
         for k, v in enumerate(gn.inputs[j]):
             consumed_by[v] = (j, k)
     iface = cert.interface
-    acc = gadget_copy(cert.gadgets[gn.gates[0]])
+    acc = cert.gadgets[gn.gates[0]]
     node_maps = [{v: v for v in range(acc.net.n)}]
     in_tags = [(0, k) for k in range(gn.gates[0].n_in)]
     out_tags = [(0, k) for k in range(gn.gates[0].n_out)]
     dowels = {}
     for j in range(1, len(gn.gates)):
         gate = gn.gates[j]
-        new = gadget_copy(cert.gadgets[gate])
+        new = cert.gadgets[gate]
         in_pairs, a_wires = [], []
         for idx, (jj, kk) in enumerate(in_tags):
             v = gn.inputs[jj][kk]

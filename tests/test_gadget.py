@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+from copy import deepcopy
 from itertools import product
 from typing import Mapping
 
@@ -23,7 +24,6 @@ from artifact.gadget import (
     context_nodes,
     csan_closure_failures,
     exempt_nodes,
-    gadget_copy,
     gadget_from_json,
     gadget_glue,
     gadget_to_json,
@@ -168,12 +168,17 @@ def test_gadget_validation_errors():
         make_gadget(IFACE, net, [{"ci": 0, "co": 1}], [{"ci": 1, "co": 3}])
 
 
-def test_gadget_copy_is_independent():
-    g = identity_gadget()
-    c = gadget_copy(g)
-    assert c.net == g.net and c.in_copies == g.in_copies
-    c.in_copies[0]["ci"] = 3
-    assert g.in_copies[0]["ci"] == 0
+@pytest.mark.parametrize(
+    "make, in_pairs, out_pairs",
+    [(gol.build_nor_gadget, (), [(0, 0)]), (identity_gadget, [(0, 0)], [(0, 0)])],
+    ids=["nor", "identity"],
+)
+def test_glue_onto_itself_equals_glue_onto_a_deep_copy(make, in_pairs, out_pairs):
+    g = make()
+    before = deepcopy(g)
+    itself = gadget_glue(g, g, in_pairs, out_pairs)
+    assert g == before
+    assert itself == gadget_glue(g, deepcopy(g), in_pairs, out_pairs)
 
 
 def test_boundary_node_helpers():
@@ -237,9 +242,9 @@ def test_glue_rejects_mismatches():
         gadget_glue(g, identity_gadget(), in_pairs=[(0, 7)])
 
 
-def test_copy_then_self_glue_closes():
+def test_self_glue_closes():
     g = identity_gadget()
-    closed = gadget_glue(g, gadget_copy(g), in_pairs=[(0, 0)], out_pairs=[(0, 0)])
+    closed = gadget_glue(g, g, in_pairs=[(0, 0)], out_pairs=[(0, 0)])
     assert closed.net.n == 4
     assert closed.in_copies == () and closed.out_copies == ()
 

@@ -1,8 +1,6 @@
-"""Gate network construction, catalogs and compilers."""
+"""Gate network construction, catalogs and showcase builders."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from artifact.core import analyze_orbit, index_config, iterate, step, trace
 from artifact.gnet import (
@@ -17,16 +15,12 @@ from artifact.gnet import (
     ID_1_1,
     InvalidGNetworkError,
     NOR_2_2,
-    conj_to_gconj,
     gnetwork_from_json,
     gnetwork_to_json,
     gnetwork_to_network,
     gt_transient_network,
     prime_rotations,
 )
-from artifact.simulate import verify_simulation
-
-from conftest import conjunctive_from_graph, fanin_gadget
 
 
 def gnetwork_step(gn: GNetwork, x) -> tuple[int, ...]:
@@ -122,83 +116,6 @@ def test_prime_rotation_periods():
     assert res.period == 2 * 3 * 5 * 7
     gn3, marked3 = prime_rotations(3)
     assert analyze_orbit(gnetwork_to_network(gn3), marked3).period == 2
-
-
-def brute_conj_step(n, edges, x):
-    ins = [[] for _ in range(n)]
-    for u, v in edges:
-        ins[v].append(u)
-    return tuple(int(all(x[u] for u in ins[v])) for v in range(n))
-
-
-def test_conjunctive_from_graph():
-    edges = [(0, 1), (1, 2), (2, 0), (0, 2)]
-    net = conjunctive_from_graph(3, edges)
-    for idx in range(8):
-        x = index_config(idx, 2, 3)
-        assert step(net, x) == brute_conj_step(3, edges, x)
-
-
-def test_fanin_gadget_triple_and():
-    net, inputs, out = fanin_gadget()
-    assert net.n == 12
-    for idx in range(2**12):
-        x = index_config(idx, 2, 12)
-        want = x[inputs[0]] & x[inputs[1]] & x[inputs[2]]
-        assert iterate(net, x, 3)[out] == want
-
-
-SMALL_GRAPHS = [
-    (1, []),                                    # isolated constant node
-    (1, [(0, 0)]),                              # pure self-loop
-    (2, [(0, 1), (1, 0)]),                      # 2-cycle
-    (3, [(0, 1), (1, 2)]),                      # path: source, relay, sink
-    (4, [(3, 0), (3, 1), (0, 1), (1, 2)]),      # fanout from a constant
-    (3, [(0, 1), (0, 2), (1, 2), (2, 0)]),      # dense mix
-    (4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (1, 3)]),
-]
-
-
-@pytest.mark.parametrize("n,edges", SMALL_GRAPHS)
-def test_conj_to_gconj_exhaustive(n, edges):
-    net = conjunctive_from_graph(n, edges)
-    gn, emb = conj_to_gconj(net)
-    host = gnetwork_to_network(gn)
-    report = verify_simulation(net, host, emb, mode="exhaustive")
-    assert report.ok, report.message()
-
-
-def test_conj_to_gconj_iterated():
-    net = conjunctive_from_graph(4, [(3, 0), (3, 1), (0, 1), (1, 2)])
-    gn, emb = conj_to_gconj(net)
-    host = gnetwork_to_network(gn)
-    from artifact.simulate import embed
-    for idx in range(2**4):
-        x = index_config(idx, 2, 4)
-        y = embed(emb, host.n, x)
-        assert iterate(host, y, 3 * emb.time) == embed(
-            emb, host.n, iterate(net, x, 3)
-        )
-
-
-def test_conj_to_gconj_fanin_gadget_sampled():
-    net, _, _ = fanin_gadget()
-    gn, emb = conj_to_gconj(net)
-    host = gnetwork_to_network(gn)
-    report = verify_simulation(net, host, emb, mode="sample", samples=200, seed=7)
-    assert report.ok, report.message()
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.data())
-def test_conj_to_gconj_random_graphs(data):
-    n = data.draw(st.integers(1, 4))
-    all_edges = [(u, v) for u in range(n) for v in range(n)]
-    edges = data.draw(st.lists(st.sampled_from(all_edges), unique=True, max_size=8))
-    net = conjunctive_from_graph(n, edges)
-    gn, emb = conj_to_gconj(net)
-    report = verify_simulation(net, gnetwork_to_network(gn), emb, mode="exhaustive")
-    assert report.ok, report.message()
 
 
 def test_gt_transient_network_small():

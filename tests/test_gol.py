@@ -12,7 +12,6 @@ from artifact.gadget import (
     InvalidGadgetError,
     certificate_to_json,
     exempt_nodes,
-    gadget_copy,
     gadget_glue,
     verify_certificate,
 )
@@ -202,7 +201,7 @@ def test_long_wire_glue_carries_signal(wire):
 
 
 def test_nor_chain_glue_stays_in_family(nor):
-    chained = gadget_glue(nor, gadget_copy(nor), out_pairs=[(0, 0)])
+    chained = gadget_glue(nor, nor, out_pairs=[(0, 0)])
     assert chained.net.n == 84 + 84 - 9
     assert csan_in_family(chained.csan, LIFELIKE)
     assert len(chained.in_copies) == 3 and len(chained.out_copies) == 3

@@ -43,7 +43,7 @@ from artifact.csan import (
     csan_to_network,
     matrix_to_network,
 )
-from artifact.gnet import GATE_SETS, conj_to_gconj, gnetwork_to_json
+from artifact.gnet import GATE_SETS, gnetwork_to_json
 from artifact.problems import (
     gated_product_network,
     h_counter_network,
@@ -58,7 +58,7 @@ from artifact.problems import (
     sat_pred_network,
 )
 
-from conftest import conjunctive_from_graph, fanin_gadget, rotation
+from conftest import rotation
 
 
 def test_table_rows_enumerate_the_layout():
@@ -133,7 +133,6 @@ RING = make_network(
 CLAUSES = [(1, -2), (2, 3), (-1, -3)]
 MATRIX = [[0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 1, 0], [0, 0, 0, 0]]
 CIRCUIT = make_circuit(2, [("AND", (0, 1)), ("NOT", (0,)), ("OR", (2, 3))], (4, 2))
-CONJ = conjunctive_from_graph(3, [(0, 1), (1, 2), (2, 0), (0, 2)])
 
 
 def _gated(f):
@@ -182,11 +181,6 @@ BUILDS = {
         ]
         for name, gates in GATE_SETS.items()
     },
-    "fanin_gadget()": lambda: network_to_json(fanin_gadget()[0]),
-    "conjunctive_from_graph(5)": lambda: network_to_json(
-        conjunctive_from_graph(5, [(0, 1), (1, 2), (2, 0), (3, 4), (0, 4), (2, 4)])
-    ),
-    "conj_to_gconj": lambda: gnetwork_to_json(conj_to_gconj(CONJ)[0]),
     **{f"construct gt-transient --n {n}": lambda n=n: _construct("gt-transient", n) for n in (4, 6)},
     "csan_to_network(reaction q=3)": lambda: network_to_json(
         csan_to_network(
@@ -222,14 +216,11 @@ PINNED = {
     "GATE_SETS[Gwire]": "be33dbfa3943c6ebf39355d30af1544ff7115d5777bf3fa20199e5713de3ae3c",
     "circuit_encode(ring)": "094c266dbc420495e80597e62d8780a1ce0a5148b4ef233183e4d5d7f8ad7988",
     "closed_network(circ)": "2715eefb2cce85f73f5b9578364139ed004e59a5919ebb1df4042f4ea4d86421",
-    "conj_to_gconj": "e0027b82da9efbb6be6ed9b86d9196cd850cbd9a2d605826c1e020dbcb006f96",
-    "conjunctive_from_graph(5)": "caa272496539d235833852e54716957914c9313e2db3abd88c0c52f9066a72c9",
     "construct gt-transient --n 4": "cd88515264ffd1648223d8b668945069585980dc052132525d8445c78b71ea64",
     "construct gt-transient --n 6": "9e306ffb524218f09f89d72dc727ad13c652fafd5d9a35b80418f47500a38265",
     "csan_to_network(minmax q=3)": "8d38a273384b0d76b2dc56532be6e13e095ad22c1cc85a3be957c445dc8b4798",
     "csan_to_network(reaction q=3)": "65a77b122f6e26100c0abeecddaac5cce3f92b3b01bc21c57ada9972801f9969",
     "double_rail": "9f24436a655ae52a6d2e10e79076c9052f994f719c3f165410c68f712e40e469",
-    "fanin_gadget()": "4c0fc2c0d2c922679d4508f3dccd1a64ee14c57f8587996b76dee3649d15305f",
     "gated_product_network(ring)": "807e0093f14367eab2519237666aa599246479a94cbfece749be4ca30cef14d8",
     "gated_product_network(rotation(2))": "93856b51849b209652065149d8e9118c4a00de7c72e50421c24c84592e66749b",
     "gmon_to_gmon2(double_rail)": "40f6d5573986c14c664392452b0c3c774ef96a725e29c28b6edb00a0725d0fd3",
