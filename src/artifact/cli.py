@@ -286,6 +286,7 @@ def _solve_named(kind: str, path: str, max_states: int) -> bool:
 
 def _cmd_oracle(args):
     _require_positive("--max-states", args.max_states)
+    _require_positive("--jobs", args.jobs)
     if args.jobs > 1 and len(args.instances) > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             answers = list(

@@ -24,16 +24,16 @@ because independent checks (the benchmark's reference answers among
 them) step with it.
 
 `step_batch` packs a batch of configurations into one int per node,
-one lane per configuration. The lane width belongs to the network
-(`Network.lane_bytes`): one byte when every table has at most 256
-entries on an alphabet of at most 256, so that a byte holds every
-table index and every state, and 32 bits otherwise. A table that fits
-a byte is read for all lanes with `bytes.translate` through the table
-padded to 256 bytes: in byte lanes the translated bytes are the
-result; in 32-bit lanes each lane's index sits in its low byte, and a
-mask keeps that byte. Either way a few C-level passes read every lane
-and make no per-lane Python objects. A larger table, or a larger
-alphabet, is read with `operator.itemgetter` over the unpacked lanes.
+one lane per configuration. The lane width belongs to the alphabet
+(`Network.lane_bytes`): one byte when it has at most 256 states, and
+32 bits past that. A table of at most 256 entries is read for all
+lanes with `bytes.translate` through the table padded to 256 bytes: a
+few C-level passes that make no per-lane Python objects. A larger
+table needs a 32-bit index. In byte lanes it is built for that node
+alone: its deps are summed in groups whose codes stay below 256, each
+group's code is widened once to 32-bit lanes, and the groups are
+summed there (`wide_index`). That index, or any index past a byte, is
+read with `operator.itemgetter` over the unpacked lanes.
 """
 
 from __future__ import annotations
@@ -61,8 +61,9 @@ STEP_CHUNK = 64
 
 # Lane packing: a batch of b configurations is one int per node, whose
 # lane i holds that node's state in configuration i. A lane is one byte
-# when the network's tables all fit a byte (`Network.lane_bytes`) and
-# LANE_BITS wide otherwise; successor codes always take LANE_BITS.
+# on an alphabet of at most BYTE_TABLE states (`Network.lane_bytes`)
+# and LANE_BITS wide otherwise; table indices past a byte and successor
+# codes always take LANE_BITS.
 LANE_BITS = 32
 LANE_BYTES = LANE_BITS // 8
 LANE_LIMIT = 1 << LANE_BITS
@@ -125,12 +126,12 @@ class Network:
 
     @cached_property
     def lane_bytes(self) -> int:
-        """Bytes per lane of `step_batch`: 1 when every rule has a byte table, else 4.
+        """Bytes per lane of `step_batch`: 1 on an alphabet of at most 256, else 4.
 
-        A byte table has at most 256 entries on an alphabet of at most
-        256, so a byte holds every table index and state. Not a field.
+        A byte holds every state; a table of more than 256 entries reads
+        a 32-bit index built for its node alone. Not a field.
         """
-        return 1 if None not in self.byte_tables else LANE_BYTES
+        return 1 if self.alphabet <= BYTE_TABLE else LANE_BYTES
 
     def validate(self) -> None:
         q = self.alphabet
@@ -230,7 +231,8 @@ def compile_step(net: Network) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
 
 def pack_lanes(states: Iterable[int], width: int) -> int:
     """One packed int whose lane i, `width` bytes wide, holds the i-th state."""
-    return int.from_bytes(array(LANE_CODES[width], states).tobytes(), sys.byteorder)
+    raw = bytes(states) if width == 1 else array(LANE_CODES[width], states).tobytes()
+    return int.from_bytes(raw, sys.byteorder)
 
 
 def unpack_lanes(x: int, b: int, width: int) -> array:
@@ -249,36 +251,42 @@ def byte_table(table: Sequence[int], alphabet: int) -> bytes | None:
     return bytes(table).ljust(BYTE_TABLE, b"\0")
 
 
-def low_bytes(b: int) -> int:
-    """The mask that keeps the low byte of each of b 32-bit lanes."""
-    return int.from_bytes(b"\xff\0\0\0" * b, "little")
-
-
 def gather_lanes(
-    table: Sequence[int],
-    idx: int,
-    b: int,
-    width: int,
-    tr: bytes | None,
-    low: int | None,
-    idx_width: int | None = None,
+    table: Sequence[int], idx: int, b: int, width: int, tr: bytes | None, idx_width: int | None = None
 ) -> int:
     """pack_lanes(table[i] for i in unpack_lanes(idx, b, idx_width), width), at C speed.
 
-    idx_width, the lane width of idx, defaults to width; it may differ
-    only when tr is None. tr is byte_table(table, ...), and low is
-    low_bytes(b) in 32-bit lanes. With a translation table every byte
-    of the packed indices is translated. In byte lanes that is the
-    result; in 32-bit lanes the mask keeps each lane's low byte, which
-    held its index (the mask, not the byte order, picks that byte).
-    Without one the lanes are unpacked and read with itemgetter.
+    idx_width, the lane width of idx, defaults to width. tr is
+    byte_table(table, ...), given only in byte lanes: every byte of the
+    packed indices is translated, and that is the result. Without it the
+    lanes are unpacked and read with itemgetter.
     """
     if tr is not None:
-        got = int.from_bytes(idx.to_bytes(width * b, "little").translate(tr), "little")
-        return got if width == 1 else got & low
+        return int.from_bytes(idx.to_bytes(b, "little").translate(tr), "little")
     lanes = unpack_lanes(idx, b, idx_width or width)
     got = itemgetter(*lanes)(table)
     return pack_lanes(got if b > 1 else (got,), width)
+
+
+def wide_index(lanes: Sequence[int], q: int, b: int) -> int:
+    """lanes[0] + lanes[1]*q + lanes[2]*q^2 + ... in 32-bit lanes, from b byte lanes.
+
+    The lanes hold states below q <= 256 and the sum must stay below
+    2^32. They are taken in groups of g, the largest g with q^g <= 256,
+    so that a group's code stays within a byte and no lane carries into
+    the next. Each code is widened once to 32-bit lanes by bytearray
+    slice assignment and multiplied by its group's place value there.
+    """
+    g = 1
+    while g < len(lanes) and q ** (g + 1) <= BYTE_TABLE:
+        g += 1
+    idx = 0
+    for lo in range(0, len(lanes), g):
+        code = sum(y * q**j for j, y in enumerate(lanes[lo : lo + g]))
+        wide = bytearray(LANE_BYTES * b)
+        wide[0::LANE_BYTES] = code.to_bytes(b, "little")
+        idx += int.from_bytes(wide, "little") * q**lo
+    return idx
 
 
 def step_batch(net: Network, xs: Sequence[int], b: int) -> list[int]:
@@ -286,22 +294,26 @@ def step_batch(net: Network, xs: Sequence[int], b: int) -> list[int]:
 
     xs[v] packs node v's state in each configuration. The table index
     sum a_0 + a_1*q + ... is formed for all lanes with a few big-int
-    operations; no lane carries into the next, since an index stays
-    below q^deg = len(table), which is at most 256 in byte lanes and
-    below 2^32 otherwise. The table is then read for every lane by
-    `gather_lanes`.
+    operations, in the network's lanes when the table fits them: it has
+    at most 256 entries in byte lanes, and fewer than 2^32 in 32-bit
+    lanes, so no lane carries into the next. A larger table in byte
+    lanes reads a 32-bit index from `wide_index`. The table is then read
+    for every lane by `gather_lanes`.
     """
     q = net.alphabet
     width = net.lane_bytes
-    low = low_bytes(b) if width == LANE_BYTES else None
     out = []
     for rule, tr in zip(net.rules, net.byte_tables):
+        if tr is None and width == 1:
+            idx = wide_index([xs[d] for d in rule.deps], q, b)
+            out.append(gather_lanes(rule.table, idx, b, width, None, LANE_BYTES))
+            continue
         idx = 0
         m = 1
         for d in rule.deps:
             idx += xs[d] * m
             m *= q
-        out.append(gather_lanes(rule.table, idx, b, width, tr, low))
+        out.append(gather_lanes(rule.table, idx, b, width, tr))
     return out
 
 
@@ -447,11 +459,8 @@ def orbit_graph(net: Network, max_states: int = DEFAULT_MAX_STATES) -> OrbitGrap
     digit planes are the same in every chunk and are built once by
     repeating lanes; the high digits are constant in a chunk.
     Successors are encoded as y_0 + y_1*q + ..., which needs q^n < 2^32
-    and so 32-bit lanes. In 32-bit lanes the code is summed in place.
-    In byte lanes the nodes are taken in groups whose partial code
-    y_v + y_{v+1}*q + ... stays below 256; each group's code is summed
-    in byte lanes, widened to 32-bit lanes by bytearray slice
-    assignment, and the groups are summed there.
+    and so 32-bit lanes: in 32-bit lanes the code is summed in place,
+    and in byte lanes `wide_index` builds it, as for a wide table.
     """
     q, n = net.alphabet, net.n
     n_conf = q**n
@@ -472,24 +481,14 @@ def orbit_graph(net: Network, max_states: int = DEFAULT_MAX_STATES) -> OrbitGrap
         for v in range(c)
     ]
     ones = int.from_bytes((1).to_bytes(width, sys.byteorder) * b, sys.byteorder)
-    # g nodes per partial code: all of them in 32-bit lanes, q^g <= 256 in byte lanes.
-    g = max(n, 1)
-    if width == 1 and q > 1:
-        g = 1
-        while q ** (g + 1) <= BYTE_TABLE:
-            g += 1
     succ = array("I")
     for hi in range(q ** (n - c)):
         xs = low + [s * ones for s in index_config(hi, q, n - c)]
         ys = step_batch(net, xs, b)
-        code = 0
-        for lo in range(0, n, g):
-            part = sum(y * q**j for j, y in enumerate(ys[lo : lo + g]))
-            if width == 1:
-                wide = bytearray(LANE_BYTES * b)
-                wide[0::LANE_BYTES] = part.to_bytes(b, "little")
-                part = int.from_bytes(wide, "little")
-            code += part * q**lo
+        if width == 1:
+            code = wide_index(ys, q, b)
+        else:
+            code = sum(y * q**v for v, y in enumerate(ys))
         succ.extend(unpack_lanes(code, b, LANE_BYTES))
     return OrbitGraph(q, n, tuple(succ))
 

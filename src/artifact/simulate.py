@@ -26,7 +26,6 @@ from .core import (
     Network,
     byte_table,
     gather_lanes,
-    low_bytes,
     pack_lanes,
     step,
     step_batch,
@@ -156,7 +155,8 @@ def verify_simulation(
     mode "exhaustive" sweeps all |Q|^n source configurations; mode
     "sample" draws `samples` configurations from a recorded RNG seed.
     The host side runs VERIFY_CHUNK configurations at a time through
-    step_batch, in the host's lanes, with T folded by each batch's cycle
+    step_batch, in the host's lanes (bytes on a host alphabet of at most
+    256, whatever its tables), with T folded by each batch's cycle
     (`_advance`); a failure names the first failing configuration in
     sweep order, and `checked` counts up to and including it. Alphabets
     past 2^32, whose states no lane holds, are refused with
@@ -180,32 +180,32 @@ def verify_simulation(
         )
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    # Host states take the host's lanes: bytes on an alphabet of at most
+    # 256. Source states share them when they fit; past a byte they take
+    # 32-bit lanes, which only the itemgetter gather reads.
+    width = host.lane_bytes
+    src_width = width if source.alphabet <= BYTE_TABLE else LANE_BYTES
+    bits = 8 * width
     # Host node u carries position k of source node v's block: cols[u] is
-    # (v, the state written on u for each source state, its byte table).
-    # Equal entries are shared, so a wide host leaves few tracked objects.
+    # (v, the state written on u for each source state, its byte table in
+    # byte lanes). Equal entries are shared, so a wide host leaves few
+    # tracked objects.
     cols: list = [None] * host.n
     shared: dict = {}
     for v, block in enumerate(emb.blocks):
         for k, u in enumerate(block):
             col = (v, tuple(pat[k] for pat in emb.patterns[v]))
             if col not in shared:
-                shared[col] = (*col, byte_table(col[1], host.alphabet))
+                shared[col] = (*col, byte_table(col[1], host.alphabet) if width == 1 else None)
             cols[u] = shared[col]
-    # Host states take the host's lanes. Source states share them when
-    # they fit; past a byte they take 32-bit lanes, which only the
-    # itemgetter gather reads (their columns have no byte table).
-    width = host.lane_bytes
-    src_width = width if source.alphabet <= BYTE_TABLE else LANE_BYTES
-    bits = 8 * width
     checked = 0
     while chunk := list(islice(configs, VERIFY_CHUNK)):
         b = len(chunk)
-        low = low_bytes(b) if width == LANE_BYTES else None
         xs = [pack_lanes(s, src_width) for s in zip(*chunk)]
         ys = [pack_lanes(s, src_width) for s in zip(*(step(source, x) for x in chunk))]
-        got = [gather_lanes(col, xs[v], b, width, tr, low, src_width) for v, col, tr in cols]
+        got = [gather_lanes(col, xs[v], b, width, tr, src_width) for v, col, tr in cols]
         got = _advance(host, got, b, emb.time)
-        want = [gather_lanes(col, ys[v], b, width, tr, low, src_width) for v, col, tr in cols]
+        want = [gather_lanes(col, ys[v], b, width, tr, src_width) for v, col, tr in cols]
         diff = 0
         for w, g in zip(want, got):
             diff |= w ^ g

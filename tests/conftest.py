@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from artifact.core import Network, Rule, make_network
+from artifact.core import Network, make_network
 
 
 def xor_ring(n: int) -> Network:

@@ -159,6 +159,21 @@ def test_max_states_below_one_is_refused(command, max_states, tmp_path, rot3_fil
     assert out_json(capsys) == {"error": f"--max-states must be at least 1, got {max_states}"}
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_oracle_jobs_below_one_is_refused(jobs, tmp_path, capsys):
+    inst = make_reach_instance(rotation(3), (1, 0, 0), (0, 1, 0))
+    path = write_json(tmp_path, "r.json", instance_to_json(inst))
+    assert run(["oracle", "reach", path, path, "--jobs", jobs]) == 2
+    assert out_json(capsys) == {"error": f"--jobs must be at least 1, got {jobs}"}
+
+
+def test_oracle_one_job_answers(tmp_path, capsys):
+    inst = make_reach_instance(rotation(3), (1, 0, 0), (0, 1, 0))
+    path = write_json(tmp_path, "r.json", instance_to_json(inst))
+    assert run(["oracle", "reach", path, "--jobs", "1"]) == 0
+    assert out_json(capsys)["answer"] is True
+
+
 def test_max_states_one_answers_a_fixed_point(tmp_path, rot3_file, capsys):
     assert run(["analyze", rot3_file, "--config", "[0,0,0]", "--max-states", "1"]) == 0
     assert out_json(capsys) == {"transient": 0, "period": 1}

@@ -287,19 +287,30 @@ def test_step_batch_matches_step_per_lane(case):
 # (alphabet, dependencies per node) either side of the byte gather's
 # limit and of byte lanes: tables of 256 and 512 entries on q = 2, of 243
 # and 729 on q = 3, of 256 and 257 on q = 256 and 257, and one-entry
-# tables on q = 256 and 257.
-GATHER_BOUNDARY = ((2, 8), (2, 9), (3, 5), (3, 6), (256, 1), (257, 1), (256, 0), (257, 0))
+# tables on q = 256 and 257. A table past 256 entries in byte lanes reads
+# an index summed in groups of 8 deps on q = 2, 5 on q = 3, 3 on q = 5
+# and 1 on q = 17; the rest take each side of those group boundaries.
+GATHER_BOUNDARY = (
+    (2, 8), (2, 9), (3, 5), (3, 6), (256, 1), (257, 1), (256, 0), (257, 0),
+    (2, 16), (2, 17), (3, 11), (5, 3), (5, 4), (5, 7), (17, 1), (17, 2), (17, 3),
+)  # fmt: skip
 
 
 def boundary_network(q, k, n, seed, constant=False):
     """n nodes, each reading k of them through a seeded table of q^k entries,
-    and with `constant` one more node of degree 0."""
+    and with `constant` one more node of degree 0.
+
+    Each node's table is one seeded table rotated by a seeded shift, so
+    that tables of 2^17 entries on 19 nodes cost one draw of 2^17 states.
+    """
     rng = random.Random(seed)
-    rules = [(rng.sample(range(n), k), [rng.randrange(q) for _ in range(q**k)]) for _ in range(n)]
+    base = rng.choices(range(q), k=q**k)
+    shifts = [rng.randrange(q**k) for _ in range(n)]
+    rules = [(rng.sample(range(n), k), base[r:] + base[:r]) for r in shifts]
     return make_network(q, rules + [((), [rng.randrange(q)])] * constant)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     st.sampled_from(GATHER_BOUNDARY),
     st.integers(0, 2),
@@ -313,7 +324,7 @@ def test_step_batch_matches_step_at_the_gather_boundary(qk, extra, constant, b, 
     byte_read = q**k <= core.BYTE_TABLE and q <= core.BYTE_TABLE
     want = [byte_read] * (k + extra) + [q <= core.BYTE_TABLE] * constant
     assert [tr is not None for tr in net.byte_tables] == want
-    assert net.lane_bytes == (1 if all(want) else 4)  # an empty network has byte lanes
+    assert net.lane_bytes == (1 if q <= core.BYTE_TABLE else 4)
     rng = random.Random(seed)
     configs = [tuple(rng.randrange(q) for _ in range(net.n)) for _ in range(b)]
     assert batch_step(net, configs) == [step(net, x) for x in configs]
@@ -333,7 +344,17 @@ def test_large_alphabet_skips_the_byte_gather(b):
 def test_orbit_graph_crosses_chunks_at_the_gather_boundary(q, k, n):
     net = boundary_network(q, k, n, seed=q * k)
     assert q**n > core.ORBIT_CHUNK
-    assert net.lane_bytes == (1 if q**k <= core.BYTE_TABLE else 4)
+    assert net.lane_bytes == (1 if q <= core.BYTE_TABLE else 4)
+    assert list(orbit_graph(net).succ) == reference_succ(net)
+
+
+def test_orbit_graph_crosses_chunks_with_wide_and_byte_tables_on_three_states():
+    # 3^6 = 729 entries on even nodes (index groups of 5 and 1 deps), 3^2 on odd ones
+    rng = random.Random(36)
+    rules = [(rng.sample(range(10), k), [rng.randrange(3) for _ in range(3**k)]) for k in (6, 2) * 5]
+    net = make_network(3, rules)
+    assert 3**10 > core.ORBIT_CHUNK and net.lane_bytes == 1
+    assert [tr is None for tr in net.byte_tables] == [True, False] * 5
     assert list(orbit_graph(net).succ) == reference_succ(net)
 
 
@@ -558,3 +579,16 @@ def test_compile_step_on_a_wide_host_stays_small():
     assert peak < 3 * 2**20
     x = tuple(random.Random(8).randrange(2) for _ in range(net.n))
     assert stepper(x) == step(net, x)
+
+
+def test_step_batch_runs_a_nor_host_in_byte_lanes():
+    from artifact import csan, gol
+    from test_compile import nor_ring
+
+    host, _ = gol.compile_to_gol(nor_ring(3))
+    net = csan.csan_to_network(host)
+    assert net.lane_bytes == 1
+    assert max(len(rule.table) for rule in net.rules) > core.BYTE_TABLE
+    rng = random.Random(3)
+    configs = [tuple(rng.randrange(2) for _ in range(net.n)) for _ in range(1024)]
+    assert batch_step(net, configs) == [step(net, x) for x in configs]

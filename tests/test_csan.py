@@ -17,7 +17,6 @@ from artifact.csan import (
     bits_per_node,
     build_interval,
     build_lifelike,
-    build_linear_gf2,
     build_minmax,
     build_reaction_diffusion,
     build_rule90_ring,
@@ -36,7 +35,6 @@ from artifact.csan import (
     matrix_to_network,
     multisets_up_to,
     multisets_with_total,
-    rho_activity,
     rho_identity,
 )
 

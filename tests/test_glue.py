@@ -30,7 +30,7 @@ from artifact.glue import (
     pseudo_orbit_to_json,
 )
 
-from conftest import random_glue_instance, random_network, rotation, xor_ring
+from conftest import random_glue_instance, rotation, xor_ring
 
 
 def all_configs(q, n):

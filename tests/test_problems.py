@@ -23,9 +23,6 @@ from artifact.problems import (
     UNARY_TIME_LIMIT,
     CnfParseError,
     InvalidInstanceError,
-    PredChgInstance,
-    PredInstance,
-    ReachInstance,
     b_pred,
     eval_cnf,
     gated_product_network,

@@ -132,3 +132,27 @@ def test_names_the_benchmark_reads_stay_bound():
         if not hasattr(importlib.import_module(module), name)
     )
     assert not missing, f"the benchmark reads names that are gone: {missing}"
+
+
+def unread_imports(path: Path) -> list[str]:
+    """Names that a module's import statements bind and no other node reads.
+
+    `from __future__` imports are exempt: they set compiler flags.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read)
+
+
+def test_every_test_import_is_read():
+    tests = Path(__file__).resolve().parent
+    unread = [entry for path in sorted(tests.glob("*.py")) for entry in unread_imports(path)]
+    assert not unread, f"imported and never read: {unread}"

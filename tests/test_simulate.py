@@ -190,9 +190,11 @@ def test_verify_simulation_on_a_host_past_a_byte(corrupt):
 
 
 def forced_wide(net):
-    """A copy of net whose `step_batch` runs in 32-bit lanes whatever its tables."""
+    """A copy of net whose `step_batch` runs in 32-bit lanes with no byte table,
+    as on an alphabet past 256."""
     wide = Network(net.alphabet, net.rules)
-    wide.__dict__["lane_bytes"] = 4  # the cached_property's slot
+    wide.__dict__["lane_bytes"] = 4  # the cached_properties' slots
+    wide.__dict__["byte_tables"] = (None,) * net.n
     return wide
 
 
