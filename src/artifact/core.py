@@ -29,11 +29,11 @@ one lane per configuration. The lane width belongs to the alphabet
 32 bits past that. A table of at most 256 entries is read for all
 lanes with `bytes.translate` through the table padded to 256 bytes: a
 few C-level passes that make no per-lane Python objects. A larger
-table needs a 32-bit index. In byte lanes it is built for that node
-alone: its deps are summed in groups whose codes stay below 256, each
-group's code is widened once to 32-bit lanes, and the groups are
-summed there (`wide_index`). That index, or any index past a byte, is
-read with `operator.itemgetter` over the unpacked lanes.
+table reads a 32-bit index. In byte lanes it is built for that node
+alone (`wide_index`): its deps are summed in groups whose codes fit a
+byte, and each group's code is widened once to 32-bit lanes and summed
+there. Such an index is read with `operator.itemgetter` over the
+unpacked lanes.
 """
 
 from __future__ import annotations
@@ -268,44 +268,51 @@ def gather_lanes(
     return pack_lanes(got if b > 1 else (got,), width)
 
 
-def wide_index(lanes: Sequence[int], q: int, b: int) -> int:
-    """lanes[0] + lanes[1]*q + lanes[2]*q^2 + ... in 32-bit lanes, from b byte lanes.
+def byte_digits(q: int) -> int:
+    """The most base-q digits whose code fits a byte: the largest g <= 8 with q^g <= 256."""
+    return next((g for g in range(8, 1, -1) if q**g <= BYTE_TABLE), 1)
 
-    The lanes hold states below q <= 256 and the sum must stay below
-    2^32. They are taken in groups of g, the largest g with q^g <= 256,
-    so that a group's code stays within a byte and no lane carries into
-    the next. Each code is widened once to 32-bit lanes by bytearray
-    slice assignment and multiplied by its group's place value there.
+
+def wide_index(xs: Sequence[int], deps: Sequence[int], q: int, b: int, g: int) -> int:
+    """xs[d_0] + xs[d_1]*q + ... over deps in 32-bit lanes, from b byte lanes of states below q.
+
+    The sum must stay below 2^32. The deps are taken in groups of
+    g = byte_digits(q), so that a group's code fits a byte and no lane
+    carries into the next. Each code is widened once to 32-bit lanes by
+    bytearray slice assignment and multiplied by its place value there.
     """
-    g = 1
-    while g < len(lanes) and q ** (g + 1) <= BYTE_TABLE:
-        g += 1
     idx = 0
-    for lo in range(0, len(lanes), g):
-        code = sum(y * q**j for j, y in enumerate(lanes[lo : lo + g]))
+    place = 1
+    for lo in range(0, len(deps), g):
+        code = 0
+        m = 1
+        for d in deps[lo : lo + g]:
+            code += xs[d] * m
+            m *= q
         wide = bytearray(LANE_BYTES * b)
         wide[0::LANE_BYTES] = code.to_bytes(b, "little")
-        idx += int.from_bytes(wide, "little") * q**lo
+        idx += int.from_bytes(wide, "little") * place
+        place *= m
     return idx
 
 
 def step_batch(net: Network, xs: Sequence[int], b: int) -> list[int]:
     """`step` on b >= 1 configurations at once, in lanes of net.lane_bytes.
 
-    xs[v] packs node v's state in each configuration. The table index
-    sum a_0 + a_1*q + ... is formed for all lanes with a few big-int
-    operations, in the network's lanes when the table fits them: it has
-    at most 256 entries in byte lanes, and fewer than 2^32 in 32-bit
-    lanes, so no lane carries into the next. A larger table in byte
-    lanes reads a 32-bit index from `wide_index`. The table is then read
-    for every lane by `gather_lanes`.
+    xs[v] packs node v's state in each configuration. A table of at most
+    256 entries in byte lanes, or any table in 32-bit lanes, has its
+    index sum a_0 + a_1*q + ... formed in the network's lanes with a few
+    big-int operations, and no lane carries into the next. A larger
+    table in byte lanes reads a 32-bit index from `wide_index`.
+    `gather_lanes` then reads the table for every lane.
     """
     q = net.alphabet
     width = net.lane_bytes
+    g = byte_digits(q)
     out = []
     for rule, tr in zip(net.rules, net.byte_tables):
         if tr is None and width == 1:
-            idx = wide_index([xs[d] for d in rule.deps], q, b)
+            idx = wide_index(xs, rule.deps, q, b, g)
             out.append(gather_lanes(rule.table, idx, b, width, None, LANE_BYTES))
             continue
         idx = 0
@@ -486,7 +493,7 @@ def orbit_graph(net: Network, max_states: int = DEFAULT_MAX_STATES) -> OrbitGrap
         xs = low + [s * ones for s in index_config(hi, q, n - c)]
         ys = step_batch(net, xs, b)
         if width == 1:
-            code = wide_index(ys, q, b)
+            code = wide_index(ys, range(n), q, b, byte_digits(q))
         else:
             code = sum(y * q**v for v, y in enumerate(ys))
         succ.extend(unpack_lanes(code, b, LANE_BYTES))

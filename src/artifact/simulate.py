@@ -187,9 +187,8 @@ def verify_simulation(
     src_width = width if source.alphabet <= BYTE_TABLE else LANE_BYTES
     bits = 8 * width
     # Host node u carries position k of source node v's block: cols[u] is
-    # (v, the state written on u for each source state, its byte table in
-    # byte lanes). Equal entries are shared, so a wide host leaves few
-    # tracked objects.
+    # (v, the state written on u for each source state, its byte table).
+    # Equal entries are shared, so a wide host leaves few tracked objects.
     cols: list = [None] * host.n
     shared: dict = {}
     for v, block in enumerate(emb.blocks):
