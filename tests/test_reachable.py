@@ -5,7 +5,8 @@ module-level assignment binds, must be referenced somewhere else in the
 package (another module, or another statement of its own module),
 unless the package docstring lists it as public API. Dunder names such
 as `__version__` are exempt. A definition that only tests read belongs
-in tests/, and one that nothing reads should go.
+in tests/, and one that nothing reads should go. Likewise every name
+that a test module imports must be read in that module.
 """
 
 import ast
