@@ -252,7 +252,8 @@ def byte_table(table: Sequence[int], alphabet: int) -> bytes | None:
 
 
 def gather_lanes(
-    table: Sequence[int], idx: int, b: int, width: int, tr: bytes | None, idx_width: int | None = None
+    table: Sequence[int], idx: int, b: int, width: int, tr: bytes | None,
+    idx_width: int | None = None,
 ) -> int:
     """pack_lanes(table[i] for i in unpack_lanes(idx, b, idx_width), width), at C speed.
 
@@ -269,7 +270,7 @@ def gather_lanes(
 
 
 def byte_digits(q: int) -> int:
-    """The most base-q digits whose code fits a byte: the largest g <= 8 with q^g <= 256."""
+    """The most base-q digits whose code fits a byte: the largest g <= 8 with q^g <= 256, or 1."""
     return next((g for g in range(8, 1, -1) if q**g <= BYTE_TABLE), 1)
 
 

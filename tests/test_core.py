@@ -351,7 +351,7 @@ def test_orbit_graph_crosses_chunks_at_the_gather_boundary(q, k, n):
 def test_orbit_graph_crosses_chunks_with_wide_and_byte_tables_on_three_states():
     # 3^6 = 729 entries on even nodes (index groups of 5 and 1 deps), 3^2 on odd ones
     rng = random.Random(36)
-    rules = [(rng.sample(range(10), k), [rng.randrange(3) for _ in range(3**k)]) for k in (6, 2) * 5]
+    rules = [(rng.sample(range(10), k), rng.choices(range(3), k=3**k)) for k in (6, 2) * 5]
     net = make_network(3, rules)
     assert 3**10 > core.ORBIT_CHUNK and net.lane_bytes == 1
     assert [tr is None for tr in net.byte_tables] == [True, False] * 5
