@@ -210,9 +210,10 @@ def make_csan(
     """Build and validate. Edge labels may be catalog names or explicit maps.
 
     Each distinct table object in lam is copied once, so nodes given the
-    same dict share one copy (as glued hosts do, every copy of a gadget
-    node naming that node's table), and a later change to the caller's
-    dict does not reach the Csan.
+    same dict share one copy, and a later change to the caller's dict
+    does not reach the Csan. Documents and builders come through here;
+    a glued host is built from its valid parts by `glue.glued_csan`,
+    which shares their tables and does not validate again.
     """
     norm = []
     rhos = []

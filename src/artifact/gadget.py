@@ -15,18 +15,18 @@ Both `gadget_glue` and `compile_gnetwork_detailed` glue through one
 routine, `_glue`, which takes the gadgets and, for each step, the wires
 joining the next gadget to those before it. A step only checks its
 wires and builds its junction on (gadget, node) identities; then
-`glue.glue_parts` runs the labeled-glue guards, numbers the host and
-builds it once, so the compiler costs time linear in the gates. For
-labeled gadgets the certificate's `csan_closure_failures` already
-certifies the glue guards inside every interface copy; each junction
-still runs them across its own wires.
+`glue.glue_parts` numbers the host and builds it once, so the compiler
+costs time linear in the gates. `gadget_glue` runs the full labeled-glue
+guards at its junction. The compiler's gadgets are certified: the
+certificate's `csan_closure_failures` discharges every guard inside an
+interface copy, so each junction only compares edges across its wires.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import chain, combinations, product
 from typing import Iterable, Mapping, Sequence
 
 from . import docs
@@ -34,11 +34,13 @@ from .core import (
     ArtifactError,
     Network,
     make_network,
+    map_shared,
     network_from_json,
     network_to_json,
 )
-from .csan import Csan, csan_from_json, csan_to_json, csan_to_network
+from .csan import Csan, InvalidCsanError, csan_from_json, csan_to_json, csan_to_network
 from .glue import (
+    InvalidGlueError,
     Junction,
     Placement,
     PseudoOrbit,
@@ -229,6 +231,39 @@ def _junction(
     return Junction(tuple(c1), tuple(c2), at1, at2)
 
 
+def _copy_crossings(g: Gadget) -> dict[int, list[int]]:
+    """Each interface node's neighbours in other copies of g (none in the NOR gadget)."""
+    copy_of = {v: k for k, copy in enumerate((*g.in_copies, *g.out_copies)) for v in copy.values()}
+    out: dict[int, list[int]] = {}
+    for u, v in g.csan.edges:
+        ku, kv = copy_of.get(u), copy_of.get(v)
+        if ku is not None and kv is not None and ku != kv:
+            out.setdefault(u, []).append(v)
+            out.setdefault(v, []).append(u)
+    return out
+
+
+def _check_across_wires(
+    parts: Sequence[Csan], d: Junction, crossings: Sequence[Mapping[int, list[int]]]
+) -> None:
+    """`check_dowel_structure` on a junction of certified gadgets, whose copies are wires.
+
+    crossings[j] is `_copy_crossings` of part j. Only names on different
+    wires can still differ (see `csan_closure_failures`), and on one side
+    such a pair shares an edge only if it joins two copies of one part.
+    Those pairs are compared in the full guard's order.
+    """
+    joined = set()
+    for at in (d.at1, d.at2):
+        name_at = {node: a for a, node in at.items()}
+        for a, (j, u) in at.items():
+            ends = (name_at.get((j, w)) for w in crossings[j].get(u, ()))
+            joined.update(frozenset((a, b)) for b in ends if b is not None)
+    pairs = [p for p in combinations(d.c1 + d.c2, 2) if frozenset(p) in joined]
+    for a, b in differing_edges(parts, pairs, d.at1, d.at2):
+        raise InvalidGlueError(f"induced dowel subgraphs differ on pair ({a!r}, {b!r})")
+
+
 def _check_pairs(pairs: Wires, live: set[tuple[int, int]], n_second: int, what: str) -> None:
     firsts = [a for a, _ in pairs]
     seconds = [b for _, b in pairs]
@@ -239,7 +274,7 @@ def _check_pairs(pairs: Wires, live: set[tuple[int, int]], n_second: int, what: 
 
 
 def _glue(
-    parts: Sequence[Gadget], wiring: Sequence[tuple[Wires, Wires]]
+    parts: Sequence[Gadget], wiring: Sequence[tuple[Wires, Wires]], _certified: bool = False
 ) -> tuple[Gadget, list[dict[int, int]]]:
     """Glue parts[j] onto the glue of parts[:j] for j = 1, 2, ... in one build.
 
@@ -249,11 +284,20 @@ def _glue(
     input copies of part j likewise. A step checks its pairs against the
     copies still unfused and builds its junction on (part, node)
     identities; `glue_parts` glues along all the junctions, labeled when
-    every part is. Returns the glued gadget, whose copies are the
-    unfused ones in (part, copy) order, and node_maps, where
-    node_maps[j] sends the nodes of part j to host nodes.
+    every part is, and runs the full labeled-glue guards. Returns the
+    glued gadget, whose copies are the unfused ones in (part, copy)
+    order, and node_maps, where node_maps[j] sends the nodes of part j
+    to host nodes.
+
+    _certified says the parts are gadgets of a certificate whose report
+    holds. Then labeled parts are valid, and a step compares edge labels
+    only between names on different wires (`_check_across_wires`);
+    `csan_closure_failures` shows why that is the whole guard.
     """
     iface = parts[0].interface
+    labeled = all(g.csan is not None for g in parts)
+    csans = [g.csan for g in parts]
+    crossings = map_shared(_copy_crossings, parts) if _certified and labeled else []
 
     def at(i: int, copy: Mapping[str, int]) -> dict[str, tuple[int, int]]:
         return {c: (i, v) for c, v in copy.items()}
@@ -265,21 +309,23 @@ def _glue(
         g = parts[j]
         _check_pairs(in_pairs, live_in, len(g.out_copies), "input/output")
         _check_pairs(out_pairs, live_out, len(g.in_copies), "output/input")
-        junctions.append(
-            _junction(
-                iface,
-                [(at(i, parts[i].in_copies[k]), at(j, g.out_copies[b])) for (i, k), b in in_pairs],
-                [(at(i, parts[i].out_copies[k]), at(j, g.in_copies[b])) for (i, k), b in out_pairs],
-            )
+        junction = _junction(
+            iface,
+            [(at(i, parts[i].in_copies[k]), at(j, g.out_copies[b])) for (i, k), b in in_pairs],
+            [(at(i, parts[i].out_copies[k]), at(j, g.in_copies[b])) for (i, k), b in out_pairs],
         )
+        if any(crossings):
+            _check_across_wires(csans, junction, crossings)
+        junctions.append(junction)
         live_in.difference_update(a for a, _ in in_pairs)
         live_out.difference_update(a for a, _ in out_pairs)
         taken_in, taken_out = {b for _, b in out_pairs}, {b for _, b in in_pairs}
         live_in.update((j, k) for k in range(len(g.in_copies)) if k not in taken_in)
         live_out.update((j, k) for k in range(len(g.out_copies)) if k not in taken_out)
 
-    labeled = all(g.csan is not None for g in parts)
-    host, node_maps = glue_parts([g.dynamics if labeled else g.net for g in parts], junctions)
+    host, node_maps = glue_parts(
+        [g.dynamics if labeled else g.net for g in parts], junctions, _certified
+    )
 
     def placed(i: int, copy: Mapping[str, int]) -> dict[str, int]:
         return {c: node_maps[i][v] for c, v in copy.items()}
@@ -410,10 +456,28 @@ def csan_closure_failures(
 ) -> tuple[str, ...]:
     """Structural conditions keeping every glueing inside the family.
 
-    All interface copies must induce the same labeled subgraph; no edge
-    may leave a copy through its receiving half (input copies) or its
-    continuation stub (output copies). A gadget set passing these
-    checks glues freely without ever tripping the labeled-glue guards.
+    Every labeled gadget must be a valid Csan. All interface copies must
+    induce the same labeled subgraph as the first, with vertex tables
+    that agree with it where both are defined; no edge may leave a copy
+    through its receiving half (input copies) or its continuation stub
+    (output copies).
+
+    A compiler junction fuses whole copies, wire by wire, each an input
+    copy with an output copy, and these checks discharge the
+    labeled-glue guards (`glue.check_dowel_structure`) on it but for one
+    clause:
+    - in one of its two copies each name is a node of the receiving
+      half or the continuation stub, and that is the side on which the
+      guard asks it to touch only the dowel: its neighbours all lie in
+      its copy (`leaves_placement`);
+    - its degree there is the name's degree in the shared subgraph, the
+      least in any copy, so both of its tables agree with the first
+      copy's on every row they share (`differing_labels`);
+    - two names of one wire lie in one copy on each side, and both
+      copies' edges equal the first copy's (`differing_edges` on
+      same-wire pairs).
+    Only the edges between names of different wires stay open, so
+    `_glue` checks just those on certified gadgets.
     """
     names = interface.names
     csans = [g.csan for _, g in tagged]
@@ -422,6 +486,11 @@ def csan_closure_failures(
     for j, (tag, g) in enumerate(tagged):
         if g.csan is None:
             fails.append(f"{tag}: no labeled structure attached")
+            continue
+        try:
+            g.csan.validate()
+        except InvalidCsanError as exc:
+            fails.append(f"{tag}: {exc}")
             continue
         copies = [("input", k, c) for k, c in enumerate(g.in_copies)] + [
             ("output", k, c) for k, c in enumerate(g.out_copies)
@@ -433,7 +502,7 @@ def csan_closure_failures(
                 ref = (where, at)
                 continue
             ref_where, ref_at = ref
-            for a, b in differing_edges(csans, names, at, ref_at):
+            for a, b in differing_edges(csans, combinations(names, 2), at, ref_at):
                 fails.append(
                     f"{where}: induced labeled subgraph differs from"
                     f" {ref_where} on pair ({a!r}, {b!r})"
@@ -453,24 +522,37 @@ def csan_closure_failures(
     return tuple(fails)
 
 
-def _copy_trace_matches(
-    po: PseudoOrbit,
-    copy: Mapping[str, int],
-    wanted: Sequence[Mapping[str, int]],
-) -> int | None:
-    """First time step where the copy strays from the trace, None if none."""
-    for t, pattern in enumerate(wanted):
-        got = po.configs[t]
-        if any(got[copy[c]] != pattern[c] for c in pattern):
-            return t
-    return None
+def _trace_strays(
+    runs: Sequence[PseudoOrbit], copies: Sequence[Sequence[int]], wanted: Sequence[Sequence[list]]
+) -> list[list[int | None]]:
+    """strays[r][k]: the first time at which copies[k] leaves trace wanted[r][k] in runs[r].
+
+    None where the copy follows its trace. A copy is its nodes and a
+    trace its rows, both in interface order; traces are as long as the
+    runs. One transpose gives every node its states run after run, so a
+    copy's rows in all runs are compared with its traces joined, and
+    only a copy that differs is searched run by run.
+    """
+    if not runs:
+        return []
+    length = len(runs[0].configs)
+    lanes = list(zip(*chain.from_iterable(po.configs for po in runs)))
+    strays: list[list[int | None]] = [[None] * len(copies) for _ in runs]
+    for k, nodes in enumerate(copies):
+        got = list(zip(*(lanes[v] for v in nodes)))
+        if got == list(chain.from_iterable(per_run[k] for per_run in wanted)):
+            continue
+        for r, per_run in enumerate(wanted):
+            rows = zip(got[r * length : (r + 1) * length], per_run[k])
+            strays[r][k] = next((t for t, (a, b) in enumerate(rows) if a != b), None)
+    return strays
 
 
 def _run_failures(
     cell: str,
     po: PseudoOrbit,
     sub: PseudoOrbitReport,
-    copies: Sequence[tuple[str, Mapping[str, int], Sequence[Mapping[str, int]]]],
+    strays: Iterable[tuple[str, int | None]],
     ctx: Mapping[int, int],
     time: int,
 ) -> list[str]:
@@ -481,8 +563,7 @@ def _run_failures(
         failures.append(
             f"{cell}: not a valid exempted run (t={t}, node {v}, want {want}, got {got})"
         )
-    for which, copy, trace in copies:
-        t = _copy_trace_matches(po, copy, trace)
+    for which, t in strays:
         if t is not None:
             failures.append(f"{cell}: {which} strays from the standard trace at t={t}")
     for t in (0, time):
@@ -496,8 +577,9 @@ def verify_certificate(cert: CoherentCertificate) -> CertificateReport:
 
     A gate's cells are checked in order; the runs of the cells that pass
     the exempt, length, integer and shape checks are stepped together in
-    one batch, which does not check their shapes again, and each cell's
-    failures keep their place in the report.
+    one batch, which does not check their shapes again, their copies are
+    held to the standard traces in one pass (`_trace_strays`), and each
+    cell's failures keep their place in the report.
     """
     failures: list[str] = []
     checked = 0
@@ -592,7 +674,13 @@ def verify_certificate(cert: CoherentCertificate) -> CertificateReport:
             continue
         protected = exempt_nodes(gd)
         table = cert.pseudo_orbits.get(gate, {})
-        traces = cert.standard_traces
+        rows = {
+            pair: [tuple(p[c] for c in names) for p in cert.standard_traces[pair]]
+            for pair in product(range(nq), repeat=2)
+        }
+        copies = [[copy[c] for c in names] for copy in (*gd.in_copies, *gd.out_copies)]
+        whiches = [f"input copy {k}" for k in range(gate.n_in)]
+        whiches += [f"output copy {k}" for k in range(gate.n_out)]
         # Per cell in order: its failures, or its run waiting for the batch.
         cells: list = []
         for q_i in product(range(nq), repeat=gate.n_in):
@@ -624,20 +712,17 @@ def verify_certificate(cert: CoherentCertificate) -> CertificateReport:
                     except ArtifactError as exc:
                         cells.append([f"{cell}: {exc}"])
                         continue
-                    copies = [
-                        (f"input copy {k}", copy, traces[(q_i[k], q_ip[k])])
-                        for k, copy in enumerate(gd.in_copies)
-                    ] + [
-                        (f"output copy {k}", copy, traces[(q_o[k], q_op[k])])
-                        for k, copy in enumerate(gd.out_copies)
-                    ]
-                    cells.append((cell, po, copies))
-        runs = [c[1] for c in cells if isinstance(c, tuple)]
+                    wanted = [rows[pair] for pair in (*zip(q_i, q_ip), *zip(q_o, q_op))]
+                    cells.append((cell, po, wanted))
+        shaped = [c for c in cells if isinstance(c, tuple)]
+        runs = [po for _, po, _ in shaped]
         reports = iter(_check_shaped_runs(gd.net, runs))
+        strays = iter(_trace_strays(runs, copies, [wanted for *_, wanted in shaped]))
         for c in cells:
             if isinstance(c, tuple):
-                cell, po, copies = c
-                c = _run_failures(cell, po, next(reports), copies, ctx, cert.time)
+                cell, po, _ = c
+                at = zip(whiches, next(strays))
+                c = _run_failures(cell, po, next(reports), at, ctx, cert.time)
             failures.extend(c)
 
     mirrored = [g.csan is not None for g in cert.gadgets.values()]
@@ -693,11 +778,12 @@ def compile_gnetwork_detailed(gn: GNetwork, cert: CoherentCertificate) -> Compil
     gadgets in between, and `_glue` builds the host once, so node_maps,
     dowels, contexts and host equal the chained result.
 
-    Labeled steps run `check_dowel_structure`, through `glue_parts`,
-    across the wires of each step; within one copy the certificate's
-    `csan_closure_failures` has already passed them. Each source node
-    owns its fused interface copy as a block; all frozen context nodes
-    ride along in node 0's block.
+    The gadgets are certified (`cert.report` holds), so labeled steps
+    skip what `csan_closure_failures` has established: each junction
+    compares edge labels only between names on different wires, and
+    `glue.glued_csan` builds the host from the gadgets without
+    validating it again. Each source node owns its fused interface copy
+    as a block; all frozen context nodes ride along in node 0's block.
     """
     gn.validate()
     report = cert.report
@@ -735,7 +821,7 @@ def compile_gnetwork_detailed(gn: GNetwork, cert: CoherentCertificate) -> Compil
         for j in range(1, len(gn.gates))
     ]
     parts = [cert.gadgets[gate] for gate in gn.gates]
-    glued, node_maps = _glue(parts, wiring)
+    glued, node_maps = _glue(parts, wiring, _certified=True)
     host = glued.dynamics
     # The fused copy carrying v, numbered through the earlier of its two gates.
     dowels = []

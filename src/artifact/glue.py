@@ -16,6 +16,7 @@ agree on the dowel at every step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import docs
@@ -30,7 +31,7 @@ from .core import (
     step_batch,
     unpack_lanes,
 )
-from .csan import Csan, make_csan
+from .csan import Csan, InvalidCsanError
 
 Name = str
 
@@ -156,16 +157,20 @@ def _shared_alphabet(parts: Sequence[Network] | Sequence[Csan]) -> int:
 
 
 def glue_parts(
-    parts: Sequence[Network] | Sequence[Csan], junctions: Sequence[Junction]
+    parts: Sequence[Network] | Sequence[Csan],
+    junctions: Sequence[Junction],
+    _certified: bool = False,
 ) -> tuple[Network | Csan, list[dict[int, int]]]:
     """Glue any number of parts along junctions in one build; returns (host, node_maps).
 
     Glued node h runs the rule of owner[h] (see `glued_numbering`) with
-    its dependencies routed through node_maps. Labeled parts (all Csan)
-    must pass `check_dowel_structure` at every junction and give a Csan
-    host, whose edges are the union of every part's edges routed
-    through node_maps; edges fused from several parts must carry one
-    label. Tabulated parts give a Network.
+    its dependencies routed through node_maps. Tabulated parts give a
+    Network. Labeled parts (all Csan) give a Csan host from `glued_csan`:
+    every distinct part is validated and every junction must pass
+    `check_dowel_structure` first. Valid parts that pass the guards glue
+    into a valid host, so it is not validated again. _certified says the
+    caller has discharged both (the compiler, whose parts are gadgets of
+    a verified certificate, see `gadget._glue`).
     """
     q = _shared_alphabet(parts)
     node_maps, owner = glued_numbering([p.n for p in parts], junctions)
@@ -175,17 +180,39 @@ def glue_parts(
             rule = parts[j].rules[v]
             rules.append((tuple(node_maps[j][u] for u in rule.deps), rule.table))
         return make_network(q, rules), node_maps
-    for junction in junctions:
-        check_dowel_structure(parts, junction)
+    if not _certified:
+        for part in {id(p): p for p in parts}.values():
+            part.validate()
+        for junction in junctions:
+            check_dowel_structure(parts, junction)
+    return glued_csan(parts, node_maps, owner), node_maps
+
+
+def glued_csan(
+    parts: Sequence[Csan], node_maps: Sequence[Mapping[int, int]], owner: Sequence[tuple[int, int]]
+) -> Csan:
+    """The glued host of valid parts whose junctions passed the guards, built directly.
+
+    Its edges are the union of every part's edges routed through
+    node_maps, sorted once; edges fused from several parts must carry
+    one label. Node h keeps the table of owner[h], and every label and
+    table object stays shared with the parts. The guards make the host
+    valid: a fused node's neighbours on the side whose rule it does not
+    run lie in the dowel and match those on its own side, so each node
+    keeps its part's degree and its table covers it.
+    """
     edges: dict[tuple[int, int], tuple[int, ...]] = {}
     for c, route in zip(parts, node_maps):
         for (u, v), rho in zip(c.edges, c.edge_rho):
             a, b = route[u], route[v]
+            if a == b:
+                raise InvalidCsanError(f"self-loop at node {a} not allowed")
             key = (a, b) if a < b else (b, a)
             if edges.setdefault(key, rho) != rho:
                 raise InvalidGlueError(f"conflicting edge labels meet at glued edge {key}")
-    lam = [parts[j].lam[v] for j, v in owner]
-    return make_csan(q, len(owner), [(u, v, rho) for (u, v), rho in edges.items()], lam), node_maps
+    order = sorted(edges)
+    lam = tuple(parts[j].lam[v] for j, v in owner)
+    return Csan(parts[0].alphabet, tuple(order), tuple(map(edges.__getitem__, order)), lam)
 
 
 def glue_networks(f1: Network, f2: Network, d: Dowel) -> Network:
@@ -340,7 +367,7 @@ def glue_pseudo_orbits(
 
 
 def differing_edges(
-    parts: Sequence[Csan], names: Sequence[Name], at1: Placement, at2: Placement
+    parts: Sequence[Csan], pairs: Iterable[tuple[Name, Name]], at1: Placement, at2: Placement
 ) -> Iterator[tuple[Name, Name]]:
     """The name pairs whose edge label differs between the two placements."""
 
@@ -348,10 +375,9 @@ def differing_edges(
         (ja, u), (jb, v) = at[a], at[b]
         return parts[ja].edge_label(u, v) if ja == jb else None
 
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            if edge_of(at1, a, b) != edge_of(at2, a, b):
-                yield a, b
+    for a, b in pairs:
+        if edge_of(at1, a, b) != edge_of(at2, a, b):
+            yield a, b
 
 
 def differing_labels(
@@ -385,7 +411,7 @@ def check_dowel_structure(parts: Sequence[Csan], d: Junction) -> None:
     The first violation is reported by name.
     """
     names = d.c1 + d.c2
-    for a, b in differing_edges(parts, names, d.at1, d.at2):
+    for a, b in differing_edges(parts, combinations(names, 2), d.at1, d.at2):
         raise InvalidGlueError(f"induced dowel subgraphs differ on pair ({a!r}, {b!r})")
     for a in differing_labels(parts, names, d.at1, d.at2):
         raise InvalidGlueError(f"dowel vertex labels differ at {a!r}")
@@ -401,7 +427,8 @@ def csan_glue(c1: Csan, c2: Csan, d: Dowel) -> Csan:
     Requires: the dowel induces the same labeled subgraph in both
     inputs; in the first input, the second half's image touches only
     the dowel; symmetrically in the second input. Each violation is
-    reported by name.
+    reported by name. Both inputs are validated on entry, and the host
+    is built from them directly (`glued_csan`).
     """
     return glue_networks(c1, c2, d)
 

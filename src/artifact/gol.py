@@ -25,7 +25,7 @@ from functools import cache
 from itertools import product
 from typing import Iterable
 
-from .core import make_network, pack_lanes, step_batch, unpack_lanes
+from .core import InvalidConfigError, make_network, pack_lanes, step_batch, unpack_lanes
 from .csan import Csan, build_lifelike, make_csan
 from .gadget import (
     CoherentCertificate,
@@ -318,7 +318,7 @@ def wire_signal(bit: int, steps: int = 5, offset: int = 0) -> PseudoOrbit:
     leaves the wire at rest.
     """
     if bit not in (0, 1):
-        raise ValueError(f"signal value must be 0 or 1, got {bit!r}")
+        raise InvalidConfigError(f"signal value must be 0 or 1, got {bit!r}")
     configs = []
     for t in range(steps + 1):
         x = [0] * 24

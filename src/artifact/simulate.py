@@ -17,9 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import docs
 from .core import (
-    BYTE_TABLE,
     DEFAULT_MAX_STATES,
-    LANE_BYTES,
     LANE_LIMIT,
     ArtifactError,
     BudgetExceededError,
@@ -27,7 +25,7 @@ from .core import (
     byte_table,
     gather_lanes,
     pack_lanes,
-    step,
+    step,  # unused here; perfbench/test_perfbench.py reads artifact.simulate.step
     step_batch,
 )
 
@@ -41,7 +39,7 @@ VERIFY_CHUNK = 1024
 
 
 class InvalidEmbeddingError(ArtifactError, ValueError):
-    """Blocks do not partition the host or patterns are not injective."""
+    """Blocks do not partition the host, patterns are not injective, or the check is unknown."""
 
 
 @dataclass(frozen=True)
@@ -154,13 +152,13 @@ def verify_simulation(
 
     mode "exhaustive" sweeps all |Q|^n source configurations; mode
     "sample" draws `samples` configurations from a recorded RNG seed.
-    The host side runs VERIFY_CHUNK configurations at a time through
-    step_batch, in the host's lanes (bytes on a host alphabet of at most
-    256, whatever its tables), with T folded by each batch's cycle
-    (`_advance`); a failure names the first failing configuration in
-    sweep order, and `checked` counts up to and including it. Alphabets
-    past 2^32, whose states no lane holds, are refused with
-    InvalidEmbeddingError.
+    Both sides run VERIFY_CHUNK configurations at a time through
+    step_batch, each in its own lanes (bytes on an alphabet of at most
+    256, whatever the tables): the source one step, the host T steps
+    folded by each batch's cycle (`_advance`). A failure names the first
+    failing configuration in sweep order, and `checked` counts up to and
+    including it. Alphabets past 2^32, whose states no lane holds, and
+    an unknown mode are refused with InvalidEmbeddingError.
     """
     for role, net in (("source", source), ("host", host)):
         if net.alphabet > LANE_LIMIT:
@@ -179,12 +177,10 @@ def verify_simulation(
             for _ in range(samples)
         )
     else:
-        raise ValueError(f"unknown mode {mode!r}")
-    # Host states take the host's lanes: bytes on an alphabet of at most
-    # 256. Source states share them when they fit; past a byte they take
-    # 32-bit lanes, which only the itemgetter gather reads.
-    width = host.lane_bytes
-    src_width = width if source.alphabet <= BYTE_TABLE else LANE_BYTES
+        raise InvalidEmbeddingError(f"unknown mode {mode!r}")
+    # Each side's states take its own lanes; the pattern gathers read
+    # source lanes and write host lanes.
+    width, src_width = host.lane_bytes, source.lane_bytes
     bits = 8 * width
     # Host node u carries position k of source node v's block: cols[u] is
     # (v, the state written on u for each source state, its byte table).
@@ -201,7 +197,7 @@ def verify_simulation(
     while chunk := list(islice(configs, VERIFY_CHUNK)):
         b = len(chunk)
         xs = [pack_lanes(s, src_width) for s in zip(*chunk)]
-        ys = [pack_lanes(s, src_width) for s in zip(*(step(source, x) for x in chunk))]
+        ys = step_batch(source, xs, b)
         got = [gather_lanes(col, xs[v], b, width, tr, src_width) for v, col, tr in cols]
         got = _advance(host, got, b, emb.time)
         want = [gather_lanes(col, ys[v], b, width, tr, src_width) for v, col, tr in cols]

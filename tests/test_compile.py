@@ -23,18 +23,19 @@ from hypothesis import strategies as st
 
 from artifact import cli, csan, gadget, glue, gol
 from artifact.cli import run
-from artifact.csan import csan_to_json
+from artifact.csan import build_lifelike, csan_to_json
 from artifact.gadget import (
     InvalidGadgetError,
     certificate_to_json,
     compile_gnetwork_detailed,
     gadget_glue,
+    make_gadget,
 )
 from artifact.glue import PseudoOrbit, dowel_junction, glued_numbering, make_dowel
 from artifact.gnet import ID_1_1, NOR_2_2, GNetworkBuilder, gnetwork_to_json
 from artifact.simulate import BlockEmbedding, embedding_to_json
 
-from test_gadget import identity_gadget, nor_gadget, toy_certificate
+from test_gadget import IFACE, identity_gadget, nor_gadget, toy_certificate
 
 
 def nor_ring(k):
@@ -185,9 +186,20 @@ def pairwise_compile(gn, cert):
     return acc, emb, tuple(dowels[v] for v in range(gn.n)), tuple(contexts), tuple(node_maps)
 
 
+def assert_valid_as_made(host):
+    """host passes validation and equals, field by field, make_csan's build of it."""
+    host.validate()
+    edges = [(u, v, rho) for (u, v), rho in zip(host.edges, host.edge_rho)]
+    made = csan.make_csan(host.alphabet, host.n, edges, host.lam)
+    for field in dataclasses.fields(csan.Csan):
+        assert getattr(host, field.name) == getattr(made, field.name)
+
+
 def assert_same_as_pairwise(gn, cert):
     host, emb, dowels, contexts, node_maps = pairwise_compile(gn, cert)
     got = compile_gnetwork_detailed(gn, cert)
+    if got.csan is not None:
+        assert_valid_as_made(got.csan)
     assert got.csan == host.csan
     assert got.network == host.net
     assert got.embedding == emb
@@ -247,9 +259,11 @@ def test_toy_identity_rings_with_context_match_pairwise():
         assert got.network.n == 3 * k  # five nodes per gadget, two fused per wire
 
 
+# The labeled NOR case glues 84-node gadgets, so its rings stay within 12 gates.
 TOY_CASES = {
-    "NOR_2_2": (NOR_2_2, toy_nor_certificate, nor_ring),
-    "ID_1_1": (ID_1_1, toy_identity_certificate, identity_ring),
+    "NOR_2_2": (NOR_2_2, toy_nor_certificate, nor_ring, 40),
+    "ID_1_1": (ID_1_1, toy_identity_certificate, identity_ring, 40),
+    "NOR_2_2 labeled": (NOR_2_2, functools.cache(gol.build_certificate), nor_ring, 12),
 }
 
 
@@ -261,9 +275,146 @@ TOY_CASES = {
     seed=st.integers(0, 2**32 - 1),
 )
 def test_toy_ring_and_permutation_wirings_match_pairwise(case, wiring, k, seed):
-    gate, make_cert, ring = TOY_CASES[case]
+    """Labeled hosts also pass `validate` and equal make_csan's build of them."""
+    gate, make_cert, ring, most = TOY_CASES[case]
+    k = 2 + (k - 2) % (most - 1)
     gn = ring(k) if wiring == "ring" else random_wiring(k, random.Random(seed), gate)
     assert_same_as_pairwise(gn, make_cert())
+
+
+# ---------------------------------------------------------------------------
+# The certified junction guard against the full one
+#
+# On the gadgets of a verified certificate a compiler junction compares
+# edges only across its wires, and `csan_closure_failures` stands for the
+# rest of the full guard. Each mutant changes one gadget of a glue into
+# another valid lifelike network; wherever the full guard refuses the
+# glue, the certified path (the closure check, then the reduced guard)
+# must refuse it too.
+
+
+def step_wiring(gn):
+    """The (in_pairs, out_pairs) of each glue step, as the compiler builds them."""
+    produced_by, consumed_by = {}, {}
+    for j in range(len(gn.gates)):
+        for k, v in enumerate(gn.outputs[j]):
+            produced_by[v] = (j, k)
+        for k, v in enumerate(gn.inputs[j]):
+            consumed_by[v] = (j, k)
+    return [
+        (
+            sorted((consumed_by[v], k) for k, v in enumerate(gn.outputs[j]) if consumed_by[v][0] < j),
+            sorted((produced_by[v], k) for k, v in enumerate(gn.inputs[j]) if produced_by[v][0] < j),
+        )
+        for j in range(1, len(gn.gates))
+    ]
+
+
+def test_step_wiring_is_the_compilers(certificate, monkeypatch):
+    seen = []
+    original = gadget._glue
+    monkeypatch.setattr(
+        gadget, "_glue", lambda parts, wiring, **kw: seen.append(wiring) or original(parts, wiring, **kw)
+    )
+    gn = random_wiring(6, random.Random(3))
+    compile_gnetwork_detailed(gn, certificate)
+    assert seen == [step_wiring(gn)]
+
+
+LIFE = (gol.BIRTH, gol.SURVIVE)
+
+
+def labeled_toy_nor():
+    # One edge per copy; the kept halves (input ci, output co) meet at node 8.
+    edges = [(0, 1), (2, 3), (4, 5), (6, 7), (0, 8), (2, 8), (5, 8), (7, 8)]
+    return make_gadget(
+        IFACE,
+        build_lifelike(9, edges, *LIFE),
+        [{"ci": 0, "co": 1}, {"ci": 2, "co": 3}],
+        [{"ci": 4, "co": 5}, {"ci": 6, "co": 7}],
+    )
+
+
+def labeled_toy_identity():
+    edges = [(0, 1), (2, 3), (0, 4), (3, 4)]
+    return make_gadget(IFACE, build_lifelike(5, edges, *LIFE), [{"ci": 0, "co": 1}], [{"ci": 2, "co": 3}])
+
+
+MUTATIONS = ("cross", "mislabel", "drop", "swap", "lam")
+
+
+def mutant(g, kind, rng):
+    """g with one change to its labeled graph, again a valid lifelike Csan.
+
+    cross: a new edge between two copies; mislabel: an edge negated;
+    drop: an edge removed; swap: an edge moved to a new endpoint; lam: a
+    copy node given a table from another lifelike rule.
+    """
+    c = g.csan
+    edges = dict(zip(c.edges, c.edge_rho))
+    copies = [sorted(copy.values()) for copy in (*g.in_copies, *g.out_copies)]
+    if kind == "cross":
+        a, b = rng.sample(copies, 2)
+        edges[tuple(sorted((rng.choice(a), rng.choice(b))))] = rng.choice(((0, 1), (1, 0)))
+    elif kind == "mislabel":
+        edges[rng.choice(sorted(edges))] = (1, 0)
+    elif kind == "drop":
+        del edges[rng.choice(sorted(edges))]
+    elif kind == "swap":
+        u, v = rng.choice(sorted(edges))
+        rho = edges.pop((u, v))
+        w = rng.choice([w for w in range(c.n) if w not in (u, v) and (min(u, w), max(u, w)) not in edges])
+        edges[min(u, w), max(u, w)] = rho
+    lam = list(build_lifelike(c.n, edges, *LIFE).lam)
+    if kind == "lam":
+        v = rng.choice([v for copy in copies for v in copy])
+        lam[v] = build_lifelike(c.n, edges, (1,), (1,)).lam[v]
+    labeled = csan.make_csan(2, c.n, [(u, v, rho) for (u, v), rho in edges.items()], lam)
+    return make_gadget(g.interface, labeled, g.in_copies, g.out_copies)
+
+
+def refuses(parts, wiring, **kw):
+    try:
+        gadget._glue(parts, wiring, **kw)
+    except (glue.InvalidGlueError, csan.InvalidCsanError):
+        return True
+    return False
+
+
+LABELED_CASES = {
+    "NOR": (lambda: gol.build_certificate().gadgets[NOR_2_2], NOR_2_2, nor_ring),
+    "toy NOR": (labeled_toy_nor, NOR_2_2, nor_ring),
+    "toy ID": (labeled_toy_identity, ID_1_1, identity_ring),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LABELED_CASES))
+def test_the_certified_guard_refuses_every_mutant_the_full_guard_refuses(name):
+    make, gate, ring = LABELED_CASES[name]
+    base = make()
+    assert build_lifelike(base.n, base.csan.edges, *LIFE) == base.csan
+    assert gadget.csan_closure_failures(base.interface, [("g", base)]) == ()
+    rng = random.Random(2209)
+    seen = set()
+    for gn in (ring(2), ring(3), ring(5), random_wiring(3, rng, gate), random_wiring(5, rng, gate)):
+        wiring, k = step_wiring(gn), len(gn.gates)
+        for kind in MUTATIONS:
+            for _ in range(4):
+                parts = [base] * k
+                parts[rng.randrange(k)] = bad = mutant(base, kind, rng)
+                full = refuses(parts, wiring)
+                closure = bool(gadget.csan_closure_failures(base.interface, [("g", base), ("m", bad)]))
+                reduced = refuses(parts, wiring, _certified=True)
+                assert closure or reduced or not full, kind
+                if not closure:
+                    assert reduced == full, kind
+                if not (closure or reduced):
+                    host, _ = gadget._glue(parts, wiring, _certified=True)
+                    assert host.csan == gadget._glue(parts, wiring)[0].csan
+                    assert_valid_as_made(host.csan)
+                seen.add((full, closure, reduced))
+    # Some refusal rests on the reduced guard, some on the closure check alone.
+    assert (True, False, True) in seen and (True, True, False) in seen
 
 
 def test_cli_compile_writes_the_pairwise_host(tmp_path, certificate):
@@ -299,14 +450,25 @@ def counting(monkeypatch, name, modules):
 def test_compile_tabulates_and_builds_a_fixed_number_of_times(monkeypatch):
     modules = (csan, gadget, glue, gol)
     tabulated = counting(monkeypatch, "csan_to_network", modules)
-    built = counting(monkeypatch, "make_csan", modules)
     cert = gol.build_certificate()  # records its runs on the tabulated NOR gadget
     assert tabulated == [84]
     assert gadget.verify_certificate(cert).ok
+    assert cert.report.ok  # kept, so the compiles below only assemble
+    built = counting(monkeypatch, "glued_csan", modules)
+    made = counting(monkeypatch, "make_csan", modules)
+    rechecked = []
+    validate = csan.Csan.validate
+    monkeypatch.setattr(csan.Csan, "validate", lambda c: rechecked.append(c.n) or validate(c))
+    for mod in (gadget, glue):
+        labels = mod.differing_labels
+        monkeypatch.setattr(
+            mod, "differing_labels", lambda *a, _f=labels: rechecked.append(a) or _f(*a)
+        )
     for k in (2, 6):
         built.clear()
         host, _ = gol.compile_to_gol(nor_ring(k), cert)
         assert built == [host.n] == [66 * k]
+    assert made == [] and rechecked == []
     assert tabulated == [84]  # the NOR gadget, once for all three checks
 
 

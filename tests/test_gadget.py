@@ -17,7 +17,6 @@ from artifact.gadget import (
     CertificateReport,
     CoherentCertificate,
     InvalidGadgetError,
-    _copy_trace_matches,
     certificate_from_json,
     certificate_to_json,
     compile_gnetwork_detailed,
@@ -675,6 +674,15 @@ def test_certificate_json_roundtrip(tmp_path):
 
 # ---------------------------------------------------------------------------
 # The batched certificate check against the cell-by-cell one
+
+
+def _copy_trace_matches(po, copy, wanted):
+    """First time step where the copy strays from the trace, None if none."""
+    for t, pattern in enumerate(wanted):
+        got = po.configs[t]
+        if any(got[copy[c]] != pattern[c] for c in pattern):
+            return t
+    return None
 
 
 def reference_verify_certificate(cert: CoherentCertificate) -> CertificateReport:

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from artifact import gol
-from artifact.core import analyze_orbit, step, trace
+from artifact.core import InvalidConfigError, analyze_orbit, step, trace
 from artifact.csan import csan_in_family, csan_step, csan_to_json, csan_to_network, family_spec
 from artifact.gadget import (
     InvalidGadgetError,
@@ -91,6 +91,12 @@ def test_wire_signal_is_checked_not_assumed(wire):
     assert not check_pseudo_orbit(net, bad).ok
     with pytest.raises(ValueError):
         gol.wire_signal(2)
+
+
+@pytest.mark.parametrize("bit", [2, -1])
+def test_a_signal_value_past_a_bit_is_a_typed_refusal(bit):
+    with pytest.raises(InvalidConfigError, match=f"signal value must be 0 or 1, got {bit}"):
+        gol.wire_signal(bit)
 
 
 def test_clock_ticks_with_period_six(clock):

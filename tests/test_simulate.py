@@ -73,6 +73,13 @@ def test_verify_simulation_sample_mode_records_seed():
     assert rep2.seed is not None
 
 
+def test_an_unknown_mode_is_a_typed_refusal():
+    src = rotation(3)
+    host, emb = doubled_rotation_host(3)
+    with pytest.raises(InvalidEmbeddingError, match="unknown mode 'random'"):
+        verify_simulation(src, host, emb, mode="random")
+
+
 def reference_verify_simulation(source, host, emb, mode="exhaustive", samples=1000, seed=None):
     """verify_simulation one configuration at a time, with the scalar stepper."""
     emb.validate(source, host)
