@@ -16,7 +16,8 @@ Three steppers share that layout. `step` is the executable
 specification: a plain loop over the rules, which `iterate`, `trace`
 and every differential test use. `step_batch` steps many
 configurations at once in packed lanes, for exhaustive sweeps over
-wide hosts. `compile_step` generates, once per network, one expression
+wide hosts; a rule built from a binary CSAN it reads by its live count
+(below). `compile_step` generates, once per network, one expression
 per node, for the orbit walker's thousands of sequential steps on
 narrow networks. `iterate` stays on the specification because its
 callers step a few times, which would not repay a compilation, and
@@ -26,14 +27,20 @@ them) step with it.
 `step_batch` packs a batch of configurations into one int per node,
 one lane per configuration. The lane width belongs to the alphabet
 (`Network.lane_bytes`): one byte when it has at most 256 states, and
-32 bits past that. A table of at most 256 entries is read for all
-lanes with `bytes.translate` through the table padded to 256 bytes: a
-few C-level passes that make no per-lane Python objects. A larger
-table reads a 32-bit index. In byte lanes it is built for that node
-alone (`wide_index`): its deps are summed in groups whose codes fit a
-byte, and each group's code is widened once to 32-bit lanes and summed
-there. Such an index is read with `operator.itemgetter` over the
-unpacked lanes.
+32 bits past that. A rule that carries a `CountCode` (every rule
+`csan.csan_to_network` builds on a binary CSAN) is read through it
+whatever its table's size: its deps, weighted by the code, sum to the
+byte own * 64 + live count in every lane, and one `bytes.translate`
+through the code's 256-byte lut gives the next states. Any other table
+of at most 256 entries is read for all lanes with `bytes.translate`
+through the table padded to 256 bytes: a few C-level passes that make
+no per-lane Python objects. A larger table reads a 32-bit index. In
+byte lanes it is built for that node alone (`wide_index`): its deps
+are summed in groups whose codes fit a byte, and each group's code is
+widened once to 32-bit lanes and summed there. Such an index is read
+with `operator.itemgetter` over the unpacked lanes. Rules read from
+documents or rebuilt by `make_network` carry no code and take these
+table paths.
 """
 
 from __future__ import annotations
@@ -41,10 +48,10 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, product
-from operator import index, itemgetter
+from operator import index, itemgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import docs
@@ -94,12 +101,62 @@ class BudgetExceededError(ArtifactError):
     """
 
 
+# bytes.translate tables that add -1, +1 or 64 to every byte of a row code.
+_SHIFT = {d: bytes((i + d) % 256 for i in range(256)) for d in (-1, 1, 64)}
+
+
+@dataclass(frozen=True)
+class CountCode:
+    """A binary table as an affine byte code: table[i] = lut[base + sum_j weights[j]*a_j].
+
+    a_j is the state of dep j in row i. One weight is 64, at the node's
+    own dep (`own`); every other weight is -1, 0 or 1, and base plus
+    those terms stays in [0, 64). So the code is own state * 64 + live
+    count, as a binary CSAN node reads its neighbours through their
+    labels, and `step_batch` steps the rule in byte lanes with one
+    weighted sum of the packed deps and one translate through the
+    256-byte lut, whatever the table's size. `plain` says every weight
+    but the own one is +1 and the base is 0: the sum needs no product.
+    """
+
+    weights: tuple[int, ...]
+    base: int
+    lut: bytes
+    own: int = field(init=False)
+    plain: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        own = self.weights.index(64)
+        object.__setattr__(self, "own", own)
+        plain = self.base == 0 and all(w == 1 for j, w in enumerate(self.weights) if j != own)
+        object.__setattr__(self, "plain", plain)
+
+    def rows(self) -> bytes:
+        """The table, one byte per row, built by doubling from the base.
+
+        The rows with a_j = 1 are the rows so far with weights[j] added,
+        so bit j of a row index holds a_j.
+        """
+        rows = bytes([self.base])
+        for w in self.weights:
+            rows += rows.translate(_SHIFT[w]) if w else rows
+        return rows.translate(self.lut)
+
+
 @dataclass(frozen=True)
 class Rule:
-    """Local update rule of one node."""
+    """Local update rule of one node: its deps and its table over them.
+
+    code, when given, is the `CountCode` that table was built from,
+    with its weights in deps order; `step_batch` then steps the rule
+    through it. It is a cache of the table, not part of the rule: it
+    takes no part in equality, hashing, repr or documents, and builders
+    that copy a rule (`make_network` among them) drop it.
+    """
 
     deps: tuple[int, ...]
     table: tuple[int, ...]
+    code: CountCode | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -300,18 +357,32 @@ def wide_index(xs: Sequence[int], deps: Sequence[int], q: int, b: int, g: int) -
 def step_batch(net: Network, xs: Sequence[int], b: int) -> list[int]:
     """`step` on b >= 1 configurations at once, in lanes of net.lane_bytes.
 
-    xs[v] packs node v's state in each configuration. A table of at most
-    256 entries in byte lanes, or any table in 32-bit lanes, has its
-    index sum a_0 + a_1*q + ... formed in the network's lanes with a few
-    big-int operations, and no lane carries into the next. A larger
-    table in byte lanes reads a 32-bit index from `wide_index`.
-    `gather_lanes` then reads the table for every lane.
+    xs[v] packs node v's state in each configuration. A rule with a
+    `CountCode` sums its packed deps by their weights, adds the base to
+    every lane and translates through the code's lut: each lane's sum
+    ends in [0, 128), so the big-int sum is the packed byte codes even
+    where a negative weight makes a partial sum negative. Otherwise a
+    table of at most 256 entries in byte lanes, or any table in 32-bit
+    lanes, has its index sum a_0 + a_1*q + ... formed in the network's
+    lanes with a few big-int operations, and no lane carries into the
+    next. A larger table in byte lanes reads a 32-bit index from
+    `wide_index`. `gather_lanes` then reads the table for every lane.
     """
     q = net.alphabet
     width = net.lane_bytes
     g = byte_digits(q)
+    get = xs.__getitem__
+    ones = int.from_bytes(b"\1" * b, "little")
     out = []
     for rule, tr in zip(net.rules, net.byte_tables):
+        code = rule.code
+        if code is not None:
+            if code.plain:
+                idx = sum(map(get, rule.deps)) + 63 * xs[rule.deps[code.own]]
+            else:
+                idx = sum(map(mul, map(get, rule.deps), code.weights)) + code.base * ones
+            out.append(int.from_bytes(idx.to_bytes(b, "little").translate(code.lut), "little"))
+            continue
         if tr is None and width == 1:
             idx = wide_index(xs, rule.deps, q, b, g)
             out.append(gather_lanes(rule.table, idx, b, width, None, LANE_BYTES))

@@ -34,6 +34,7 @@ from . import docs
 from .circuit import Circuit, InvalidCircuitError, make_circuit
 from .core import (
     ArtifactError,
+    CountCode,
     InvalidConfigError,
     Network,
     Rule,
@@ -495,26 +496,17 @@ def csan_in_family(c: Csan, spec: FamilySpec) -> bool:
 # Conversion to plain networks and interaction graphs
 
 
-# bytes.translate tables that add -1, +1 or 64 to every byte of a row code.
-_SHIFT = {d: bytes((i + d) % 256 for i in range(256)) for d in (-1, 1, 64)}
-
-
-def _binary_rows(lam: LambdaTable, shifts: Sequence[int], base: int) -> bytes:
-    # Row codes (own state * 64 + live-neighbour count) are built by
-    # doubling from the base count: the rows with deps[i] = 1 are the rows
-    # so far with shifts[i] added (64 for the node itself, rho[1] - rho[0]
-    # for a neighbour), so bit i of a row index holds deps[i]. Counts
-    # stay in [0, deg], so a code fits in a byte while deg < 64, which
-    # the table budget guarantees.
-    rows = bytes([base])
-    for d in shifts:
-        rows += rows.translate(_SHIFT[d]) if d else rows
+def _binary_code(lam: LambdaTable, shifts: tuple[int, ...], base: int) -> CountCode:
+    # Row codes are own state * 64 + live-neighbour count: each dep adds
+    # its shift (64 for the node itself, rho[1] - rho[0] for a neighbour)
+    # to the base count. Counts stay in [0, deg], so a code fits in a
+    # byte while deg < 64, which the table budget guarantees.
     deg = len(shifts) - 1
     lut = bytearray(256)
     for s in range(2):
         for ones in range(deg + 1):
             lut[64 * s + ones] = lam[(s, (deg - ones, ones))]
-    return rows.translate(lut)
+    return CountCode(shifts, base, bytes(lut))
 
 
 def _general_rows(
@@ -543,13 +535,20 @@ def csan_to_network(c: Csan) -> Network:
     builds one table per distinct gadget node and neighbourhood, not one
     per host node. Every rule keeps its own deps.
 
+    For q = 2 the table is built from, and each rule records as its
+    `code`, the `CountCode` of its key: weights are the shifts, base is
+    the base count and lut maps own * 64 + live count to the lam entry.
+    Rules that share a table share its code, so `step_batch` steps every
+    node of a binary host by its count, in byte lanes, whatever its
+    degree.
+
     The tables are valid by construction from a validated CSAN (distinct
     sorted deps, q^|deps| rows, states from lam), so they are not
     validated again. A table past the budget is refused before it is built.
     """
     inc = c.incidence
     q = c.alphabet
-    tables: dict[tuple, tuple[int, ...]] = {}
+    tables: dict[tuple, tuple[tuple[int, ...], CountCode | None]] = {}
     rules = []
     for v in range(c.n):
         deps = tuple(sorted([v] + [u for u, _ in inc[v]]))
@@ -560,15 +559,15 @@ def csan_to_network(c: Csan) -> Network:
             key = (id(lam), shifts, sum(rho[0] for _, rho in inc[v]))
         else:
             key = (id(lam), deps.index(v), tuple(label[u] for u in deps if u != v))
-        table = tables.get(key)
-        if table is None:
+        made = tables.get(key)
+        if made is None:
             if q == 2:
                 table_size(2, len(deps))
-                table = tuple(_binary_rows(lam, key[1], key[2]))
+                code = _binary_code(lam, key[1], key[2])
+                made = tables[key] = (tuple(code.rows()), code)
             else:
-                table = _general_rows(lam, q, key[1], key[2])
-            tables[key] = table
-        rules.append(Rule(deps, table))
+                made = tables[key] = (_general_rows(lam, q, key[1], key[2]), None)
+        rules.append(Rule(deps, *made))
     return Network(q, tuple(rules))
 
 

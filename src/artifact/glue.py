@@ -74,7 +74,8 @@ class Dowel:
             vals = list(phi.values())
             docs.integers(InvalidGlueError, f"{tag} images", vals)
             if len(set(vals)) != len(vals):
-                raise InvalidGlueError(f"{tag} must be injective")
+                twice = next(v for v in vals if vals.count(v) > 1)
+                raise InvalidGlueError(f"{tag} must be injective: node {twice} is fused twice")
             if any(not 0 <= v < n for v in vals):
                 raise InvalidGlueError(f"{tag} image outside the network")
 
@@ -122,9 +123,10 @@ def glued_numbering(
     then c2), back to the first junction's; then each part's unfused
     nodes, part by part, ascending. For one dowel that is the dowel's
     names, then the first network's other nodes, then the second's. A
-    node fused by one junction may not be fused by another; glueing
-    along disjoint junctions is associative, so chained pairwise
-    glueing numbers its host the same way.
+    node fused by one junction may not be fused again, by it or another:
+    InvalidGlueError names the first such node. Glueing along disjoint
+    junctions is associative, so chained pairwise glueing numbers its
+    host the same way.
 
     Returns (node_maps, owner): node_maps[j] sends the nodes of part j
     to glued nodes, and owner[h] = (j, v) names the node whose rule
@@ -138,6 +140,9 @@ def glued_numbering(
             (junction.c2, junction.at2, junction.at1),
         ):
             for c in names:
+                for j, v in (kept[c], merged[c]):
+                    if (j, v) in host_of:
+                        raise InvalidGlueError(f"node {v} of part {j} is fused twice")
                 host_of[kept[c]] = host_of[merged[c]] = len(owner)
                 owner.append(kept[c])
     for j, n in enumerate(sizes):

@@ -633,6 +633,13 @@ def test_glue_refuses_a_dowel_image_that_is_not_an_integer(image, tmp_path, caps
     assert "expected integers for dowel images" in out_json(capsys)["error"]
 
 
+def test_glue_refuses_a_dowel_that_fuses_one_node_twice(tmp_path, capsys):
+    f = write_json(tmp_path, "f.json", network_to_json(make_network(2, [((0,), (0, 1))] * 2)))
+    dowel = dowel_to_json(make_dowel(["c0", "c1"], [], {"c0": 0, "c1": 0}, {"c0": 0, "c1": 1}))
+    assert run(["glue", f, f, write_json(tmp_path, "d.json", dowel)]) == 2
+    assert "phi1 must be injective: node 0 is fused twice" in out_json(capsys)["error"]
+
+
 def test_compile_emits_host_and_embedding(tmp_path, capsys):
     b = GNetworkBuilder(2)
     g0, o0 = b.new_gate(NOR_2_2)

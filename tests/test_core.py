@@ -581,7 +581,9 @@ def test_compile_step_on_a_wide_host_stays_small():
     assert stepper(x) == step(net, x)
 
 
-def test_step_batch_runs_a_nor_host_in_byte_lanes():
+def test_step_batch_runs_a_nor_host_in_byte_lanes(monkeypatch):
+    """A tabulated NOR host steps by its count codes and never builds a wide
+    index; stripped of its codes, the same host agrees through `wide_index`."""
     from artifact import csan, gol
     from test_compile import nor_ring
 
@@ -589,6 +591,16 @@ def test_step_batch_runs_a_nor_host_in_byte_lanes():
     net = csan.csan_to_network(host)
     assert net.lane_bytes == 1
     assert max(len(rule.table) for rule in net.rules) > core.BYTE_TABLE
+    assert all(rule.code is not None for rule in net.rules)
     rng = random.Random(3)
     configs = [tuple(rng.randrange(2) for _ in range(net.n)) for _ in range(1024)]
-    assert batch_step(net, configs) == [step(net, x) for x in configs]
+    want = [step(net, x) for x in configs]
+    wide_index = core.wide_index
+    with monkeypatch.context() as m:
+        m.setattr(core, "wide_index", lambda *a: pytest.fail("wide_index on a coded rule"))
+        assert batch_step(net, configs) == want
+    bare = core.Network(2, tuple(core.Rule(r.deps, r.table) for r in net.rules))
+    wide = []
+    monkeypatch.setattr(core, "wide_index", lambda *a: wide.append(1) or wide_index(*a))
+    assert batch_step(bare, configs) == want
+    assert len(wide) == sum(len(r.table) > core.BYTE_TABLE for r in net.rules)

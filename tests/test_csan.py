@@ -1,6 +1,7 @@
 """Labeled-graph networks: families, semantics, interaction graphs, codecs."""
 
 import json
+import random
 from itertools import combinations, product
 
 import pytest
@@ -10,7 +11,17 @@ from hypothesis import strategies as st
 from artifact import csan as csan_module
 from artifact import docs, gol
 from artifact.circuit import InvalidCircuitError, eval_circuit
-from artifact.core import InvalidConfigError, Network, Rule, index_config, make_network, step
+from artifact.core import (
+    MAX_TABLE,
+    InvalidConfigError,
+    Network,
+    Rule,
+    index_config,
+    make_network,
+    network_from_json,
+    network_to_json,
+    step,
+)
 from artifact.csan import (
     Csan,
     InvalidCsanError,
@@ -37,9 +48,11 @@ from artifact.csan import (
     multisets_with_total,
     rho_identity,
 )
+from artifact.glue import glue_networks, make_dowel
 
 import family_reference as ref_csan
 from conftest import xor_ring
+from test_core import batch_step
 
 # Shared 4-node instance: hub 0 joined to 1,2,3 and hub 3 joined to 1,2.
 HUB_EDGES = [(0, 1), (0, 2), (0, 3), (3, 2), (3, 1)]
@@ -470,6 +483,74 @@ def test_general_shared_tabulation_matches_reference(c):
 @pytest.mark.parametrize("c", INSTANCES, ids=range(len(INSTANCES)))
 def test_instances_tabulate_as_the_reference(c):
     assert_shared_tabulation(c)
+
+
+# ---------------------------------------------------------------------------
+# Count codes: binary tables stepped by their live count
+
+# The largest degree whose closed neighbourhood's table fits the budget.
+TOP_DEGREE = MAX_TABLE.bit_length() - 2
+
+
+@st.composite
+def hub_csans(draw, hub_degree):
+    """Binary CSANs whose node 0 has hub_degree neighbours and whose last node
+    is isolated. The hub reads four or more neighbours through all four
+    labels, and up to five of its neighbours are joined among themselves.
+
+    Every node draws its table from a pool of two dicts that cover every
+    multiset up to the largest degree, so nodes of different degrees share
+    one; validate asks for exact coverage, so the Csan is built directly.
+    """
+    n = hub_degree + 2
+    spokes = list(draw(st.permutations(BINARY_LABELS)))[:hub_degree]
+    spokes += [draw(st.sampled_from(BINARY_LABELS)) for _ in range(hub_degree - len(spokes))]
+    pairs = list(combinations(range(1, min(hub_degree, 5) + 1), 2))
+    picks = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    rim = [p for p, keep in zip(pairs, picks) if keep]
+    edges = [(0, u) for u in range(1, hub_degree + 1)] + rim
+    rhos = spokes + [draw(st.sampled_from(BINARY_LABELS)) for _ in rim]
+    bound = max(sum(v in e for e in edges) for v in range(n))
+    pool = [
+        {(s, m): draw(st.integers(0, 1)) for s in range(2) for m in multisets_up_to(2, bound)}
+        for _ in range(2)
+    ]
+    lam = tuple(pool[draw(st.integers(0, 1))] for _ in range(n))
+    return Csan(2, tuple(edges), tuple(rhos), lam)
+
+
+@pytest.mark.parametrize("hub_degree", [0, 1, 4, 9, TOP_DEGREE])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_count_codes_step_batch_as_step_and_csan_step(hub_degree, data):
+    c = data.draw(hub_csans(hub_degree))
+    b = data.draw(st.sampled_from((1, 7, 1024)))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    net = csan_to_network(c)
+    assert all(r.code is not None for r in net.rules)
+    assert all((r.code is s.code) == (r.table is s.table) for r in net.rules for s in net.rules)
+    assert net.rules[-1].code.weights == (64,)
+    if hub_degree >= 4:  # negated and const-1 spokes count from 1
+        assert net.rules[0].code.base > 0 and not net.rules[0].code.plain
+    configs = [tuple(rng.randrange(2) for _ in range(c.n)) for _ in range(b)]
+    want = [csan_step(c, x) for x in configs]
+    assert batch_step(net, configs) == [step(net, x) for x in configs] == want
+
+
+def test_count_codes_are_invisible():
+    c = gol.build_wire()
+    net = csan_to_network(c)
+    bare = Network(2, tuple(Rule(r.deps, r.table) for r in net.rules))
+    coded, plain = net.rules[0], bare.rules[0]
+    assert coded.code is not None and plain.code is None
+    assert coded == plain and hash(coded) == hash(plain) and repr(coded) == repr(plain)
+    assert net == bare and hash(net) == hash(bare) and repr(net) == repr(bare)
+    doc = network_to_json(reference_csan_to_network(c))
+    assert network_to_json(net) == network_to_json(bare) == doc
+    rebuilt = make_network(2, [(r.deps, r.table) for r in net.rules])
+    glued = glue_networks(net, net, make_dowel(["a"], [], {"a": 0}, {"a": 0}))
+    for copy in (rebuilt, glued, network_from_json(doc)):
+        assert all(r.code is None for r in copy.rules)
 
 
 def _path_tables(*bounds, out=lambda s, m: s):

@@ -22,6 +22,7 @@ from artifact.glue import (
     dowel_junction,
     dowel_to_json,
     glue_networks,
+    glue_parts,
     glue_pseudo_orbits,
     glued_numbering,
     make_dowel,
@@ -100,6 +101,22 @@ def test_numbering_order_of_chained_junctions():
     node_maps, owner = glued_numbering((2, 2, 2), [first, second])
     assert owner == [(2, 0), (0, 1), (0, 0), (2, 1)]
     assert node_maps == [{0: 2, 1: 1}, {0: 1, 1: 0}, {0: 0, 1: 3}]
+
+
+def test_a_node_fused_twice_is_refused():
+    # "a" and "b" both place a name on node 0 of part 0
+    first = Junction(("a",), (), {"a": (0, 0)}, {"a": (1, 0)})
+    second = Junction(("b",), (), {"b": (0, 0)}, {"b": (1, 1)})
+    net = rotation(2)
+    for junctions in ([first, second], [second, first]):
+        with pytest.raises(InvalidGlueError, match="node 0 of part 0 is fused twice"):
+            glued_numbering((2, 2), junctions)
+        with pytest.raises(InvalidGlueError, match="node 0 of part 0 is fused twice"):
+            glue_parts((net, net), junctions)
+    # one junction that places two names on node 1 of part 1
+    twice = Junction(("a", "b"), (), {"a": (0, 0), "b": (0, 1)}, {"a": (1, 1), "b": (1, 1)})
+    with pytest.raises(InvalidGlueError, match="node 1 of part 1 is fused twice"):
+        glued_numbering((2, 2), [twice])
 
 
 def test_one_sided_dowel_keeps_first_network():
