@@ -149,9 +149,9 @@ class Rule:
 
     code, when given, is the `CountCode` that table was built from,
     with its weights in deps order; `step_batch` then steps the rule
-    through it. It is a cache of the table, not part of the rule: it
-    takes no part in equality, hashing, repr or documents, and builders
-    that copy a rule (`make_network` among them) drop it.
+    through it. It says nothing the table does not: it takes no part in
+    equality, hashing, repr or documents, and builders that copy a rule
+    (`make_network` among them) drop it.
     """
 
     deps: tuple[int, ...]
