@@ -582,8 +582,9 @@ def test_compile_step_on_a_wide_host_stays_small():
 
 
 def test_step_batch_runs_a_nor_host_in_byte_lanes(monkeypatch):
-    """A tabulated NOR host steps by its count codes and never builds a wide
-    index; stripped of its codes, the same host agrees through `wide_index`."""
+    """A tabulated NOR host steps by its plain count codes and never builds a
+    wide index; with its codes forced through the weighted sum, or stripped of
+    them, the same host agrees, the latter through `wide_index`."""
     from artifact import csan, gol
     from test_compile import nor_ring
 
@@ -591,7 +592,7 @@ def test_step_batch_runs_a_nor_host_in_byte_lanes(monkeypatch):
     net = csan.csan_to_network(host)
     assert net.lane_bytes == 1
     assert max(len(rule.table) for rule in net.rules) > core.BYTE_TABLE
-    assert all(rule.code is not None for rule in net.rules)
+    assert all(rule.code is not None and rule.code.plain for rule in net.rules)
     rng = random.Random(3)
     configs = [tuple(rng.randrange(2) for _ in range(net.n)) for _ in range(1024)]
     want = [step(net, x) for x in configs]
@@ -599,6 +600,12 @@ def test_step_batch_runs_a_nor_host_in_byte_lanes(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(core, "wide_index", lambda *a: pytest.fail("wide_index on a coded rule"))
         assert batch_step(net, configs) == want
+        weighted = []
+        for r in net.rules:
+            code = dataclasses.replace(r.code)
+            object.__setattr__(code, "plain", False)
+            weighted.append(core.Rule(r.deps, r.table, code))
+        assert batch_step(core.Network(2, tuple(weighted)), configs) == want
     bare = core.Network(2, tuple(core.Rule(r.deps, r.table) for r in net.rules))
     wide = []
     monkeypatch.setattr(core, "wide_index", lambda *a: wide.append(1) or wide_index(*a))
