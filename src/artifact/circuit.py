@@ -23,7 +23,6 @@ from .gnet import (
     GNetworkBuilder,
     InvalidGNetworkError,
     OR_2_2,
-    gnetwork_to_network,
     mon_gate,
 )
 from .simulate import BlockEmbedding
@@ -245,7 +244,6 @@ def double_rail(c: Circuit) -> tuple[GNetwork, BlockEmbedding]:
         b.connect_port(gate_of[j]["neg"], 0, take(o, "neg"))
 
     gn = b.build()
-    host = gnetwork_to_network(gn)
     source = closed_network(c)
 
     buf_cells = [
@@ -272,7 +270,7 @@ def double_rail(c: Circuit) -> tuple[GNetwork, BlockEmbedding]:
         blocks.append(tuple(block))
         patterns.append(tuple(pats))
     emb = BlockEmbedding(depth + 1, tuple(blocks), tuple(patterns))
-    emb.validate(source, host)
+    emb.validate(source, gn)
     return gn, emb
 
 
@@ -362,8 +360,6 @@ def gmon_to_gmon2(gn: GNetwork) -> tuple[GNetwork, BlockEmbedding]:
             raise InvalidGNetworkError(f"node {v}: unconsumed signal cells")
 
     host_gn = b.build()
-    host = gnetwork_to_network(host_gn)
-    source = gnetwork_to_network(gn)
 
     pair_set: dict[int, set[int]] = {v: set(p) for v, p in pair_cells.items()}
     blocks = []
@@ -371,7 +367,7 @@ def gmon_to_gmon2(gn: GNetwork) -> tuple[GNetwork, BlockEmbedding]:
     folded = [u for own in internals for u in own
               if all(u not in s for s in pair_set.values())]
     first = True
-    for v in range(source.n):
+    for v in range(gn.n):
         block = list(pair_cells[v])
         extra = folded if first else []
         first = False
@@ -382,7 +378,7 @@ def gmon_to_gmon2(gn: GNetwork) -> tuple[GNetwork, BlockEmbedding]:
         blocks.append(tuple(block))
         patterns.append(tuple(pats))
     emb = BlockEmbedding(6, tuple(blocks), tuple(patterns))
-    emb.validate(source, host)
+    emb.validate(gn, host_gn)
     return host_gn, emb
 
 

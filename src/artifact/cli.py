@@ -124,7 +124,7 @@ def _emit(args, doc) -> None:
         print(json.dumps(doc, indent=2 if args.pretty else None))
 
 
-def _emit_dot(args, net: Network) -> None:
+def _emit_dot(args, net) -> None:
     if getattr(args, "dot", None):
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(to_dot(net))
@@ -181,7 +181,7 @@ def _cmd_glue(args):
     dowel = dowel_from_json(docs.read(args.dowel))
     if _kind(d1) == _kind(d2) == "csan":
         glued = csan_glue(csan_from_json(d1), csan_from_json(d2), dowel)
-        _emit_dot(args, csan_to_network(glued))
+        _emit_dot(args, glued)
         return csan_to_json(glued), 0
     net = glue_networks(_as_network(d1, args.first), _as_network(d2, args.second), dowel)
     _emit_dot(args, net)
@@ -225,8 +225,7 @@ def _cmd_compile(args):
     if args.certificate:
         cert = certificate_from_json(docs.read(args.certificate))
     compiled, emb = gol.compile_to_gol(gn, cert)
-    if args.dot:
-        _emit_dot(args, csan_to_network(compiled))
+    _emit_dot(args, compiled)
     return {"csan": csan_to_json(compiled), "embedding": embedding_to_json(emb)}, 0
 
 
@@ -244,9 +243,7 @@ def _cmd_gol(args):
     cert_rep = cert.report  # compile_to_gol reads the same report
     gn = _sample_nor_pair()
     compiled, emb = gol.compile_to_gol(gn, cert)
-    sim_rep = verify_simulation(
-        gnetwork_to_network(gn), csan_to_network(compiled), emb, mode="exhaustive"
-    )
+    sim_rep = verify_simulation(gnetwork_to_network(gn), compiled, emb, mode="exhaustive")
     doc = {
         "certificate": {
             "ok": cert_rep.ok,

@@ -12,17 +12,21 @@ refuses a table, or the tables one pass fills, of more than MAX_TABLE
 rows with BudgetExceededError before any row is made, and reads a
 row's index with `config_index`.
 
-Three steppers share that layout. `step` is the executable
-specification: a plain loop over the rules, which `iterate`, `trace`
-and every differential test use. `step_batch` steps many
-configurations at once in packed lanes, for exhaustive sweeps over
-wide hosts; a rule built from a binary CSAN it reads by its live count
-(below). `compile_step` generates, once per network, one expression
-per node, for the orbit walker's thousands of sequential steps on
-narrow networks. `iterate` stays on the specification because its
-callers step a few times, which would not repay a compilation, and
-because independent checks (the benchmark's reference answers among
-them) step with it.
+Three steppers share that layout. They, and every function here that
+reads a network, take a model with `n`, `alphabet`, `rules`,
+`byte_tables` and `lane_bytes`: a `Network`, or a `Tabulated` model
+such as a labeled network (`csan.Csan`), which reads the last three
+from its tabulation `network`, built once on first use. `step` is the
+executable specification: a plain loop over the rules, which
+`iterate`, `trace` and every differential test use. `step_batch` steps
+many configurations at once in packed lanes, for exhaustive sweeps
+over wide hosts; a rule built from a binary CSAN it reads by its live
+count (below). `compile_step` generates, once per network, one
+expression per node, for the orbit walker's thousands of sequential
+steps on narrow networks. `iterate` stays on the specification
+because its callers step a few times, which would not repay a
+compilation, and because independent checks (the benchmark's
+reference answers among them) step with it.
 
 `step_batch` packs a batch of configurations into one int per node,
 one lane per configuration. The lane width belongs to the alphabet
@@ -210,6 +214,16 @@ class Network:
                 raise InvalidNetworkError(f"node {v}: state {bad} out of range")
 
 
+class Tabulated:
+    """A model whose `rules`, `byte_tables` and `lane_bytes` are those of
+    `network`, its tabulation; a subclass provides `n`, `alphabet` and
+    `network`, built once and kept out of equality and documents."""
+
+    rules = property(lambda self: self.network.rules)
+    byte_tables = property(lambda self: self.network.byte_tables)
+    lane_bytes = property(lambda self: self.network.lane_bytes)
+
+
 def make_network(alphabet: int, rules: Iterable[tuple[Sequence[int], Sequence[int]]]) -> Network:
     """Build and validate a network from (deps, table) pairs."""
     net = Network(alphabet, tuple(Rule(tuple(d), tuple(t)) for d, t in rules))
@@ -233,7 +247,7 @@ def map_shared(fn: Callable, items: Sequence) -> list:
     return out
 
 
-def check_config(net: Network, x: Sequence[int]) -> tuple[int, ...]:
+def check_config(net: Network | Tabulated, x: Sequence[int]) -> tuple[int, ...]:
     """x as a tuple of int states, one per node; reads only net.n and net.alphabet."""
     x = tuple(x)
     if len(x) != net.n:
@@ -244,7 +258,7 @@ def check_config(net: Network, x: Sequence[int]) -> tuple[int, ...]:
     return x
 
 
-def step(net: Network, x: Sequence[int]) -> tuple[int, ...]:
+def step(net: Network | Tabulated, x: Sequence[int]) -> tuple[int, ...]:
     """One synchronous update of every node."""
     q = net.alphabet
     out = []
@@ -258,7 +272,7 @@ def step(net: Network, x: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def compile_step(net: Network) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+def compile_step(net: Network | Tabulated) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
     """`step` as generated code: node v is the expression t{v}[x[d_0] + x[d_1]*q + ...].
 
     Only node numbers, `index(d)` and q**j reach the source, so no text
@@ -354,7 +368,7 @@ def wide_index(xs: Sequence[int], deps: Sequence[int], q: int, b: int, g: int) -
     return idx
 
 
-def step_batch(net: Network, xs: Sequence[int], b: int) -> list[int]:
+def step_batch(net: Network | Tabulated, xs: Sequence[int], b: int) -> list[int]:
     """`step` on b >= 1 configurations at once, in lanes of net.lane_bytes.
 
     xs[v] packs node v's state in each configuration. A rule with a
@@ -396,7 +410,7 @@ def step_batch(net: Network, xs: Sequence[int], b: int) -> list[int]:
     return out
 
 
-def iterate(net: Network, x: Sequence[int], t: int) -> tuple[int, ...]:
+def iterate(net: Network | Tabulated, x: Sequence[int], t: int) -> tuple[int, ...]:
     """t-fold iteration of the global map."""
     y = tuple(x)
     for _ in range(t):
@@ -404,7 +418,7 @@ def iterate(net: Network, x: Sequence[int], t: int) -> tuple[int, ...]:
     return y
 
 
-def trace(net: Network, x: Sequence[int], t: int) -> list[tuple[int, ...]]:
+def trace(net: Network | Tabulated, x: Sequence[int], t: int) -> list[tuple[int, ...]]:
     """Orbit prefix [x, F(x), ..., F^t(x)] with t+1 entries."""
     out = [tuple(x)]
     for _ in range(t):
@@ -422,7 +436,7 @@ class OrbitAnalysis:
 
 
 def walk_orbit(
-    net: Network, x: Sequence[int], budget: int = DEFAULT_MAX_STATES
+    net: Network | Tabulated, x: Sequence[int], budget: int = DEFAULT_MAX_STATES
 ) -> tuple[list[tuple[int, ...]], int, int]:
     """Orbit of x up to its first repeat: (configs, transient, period).
 
@@ -454,7 +468,9 @@ def orbit_at(path: Sequence[tuple[int, ...]], tau: int, period: int, t: int) -> 
     return path[tau + (t - tau) % period]
 
 
-def analyze_orbit(net: Network, x: Sequence[int], budget: int = DEFAULT_MAX_STATES) -> OrbitAnalysis:
+def analyze_orbit(
+    net: Network | Tabulated, x: Sequence[int], budget: int = DEFAULT_MAX_STATES
+) -> OrbitAnalysis:
     """Transient, period and cycle of the orbit of x (see walk_orbit)."""
     path, tau, period = walk_orbit(net, check_config(net, x), budget)
     return OrbitAnalysis(tau, period, tuple(path[tau:]))
@@ -530,7 +546,7 @@ class OrbitGraph:
     succ: tuple[int, ...]
 
 
-def orbit_graph(net: Network, max_states: int = DEFAULT_MAX_STATES) -> OrbitGraph:
+def orbit_graph(net: Network | Tabulated, max_states: int = DEFAULT_MAX_STATES) -> OrbitGraph:
     """Exhaustive successor table; refuses to enumerate past max_states.
 
     States are stepped in chunks of q^c <= ORBIT_CHUNK that share their
@@ -580,7 +596,7 @@ class Attractor:
     basin_size: int
 
 
-def attractors(net: Network, max_states: int = DEFAULT_MAX_STATES) -> list[Attractor]:
+def attractors(net: Network | Tabulated, max_states: int = DEFAULT_MAX_STATES) -> list[Attractor]:
     """All limit cycles of the global map with basin sizes.
 
     Basins partition the full configuration space; their sizes sum
@@ -614,7 +630,7 @@ def attractors(net: Network, max_states: int = DEFAULT_MAX_STATES) -> list[Attra
     ]
 
 
-def interaction_graph(net: Network) -> set[tuple[int, int]]:
+def interaction_graph(net: Network | Tabulated) -> set[tuple[int, int]]:
     """Effective dependency edges (u, v): changing u can change F(x)_v.
 
     Computed from the tables, so declared-but-unused dependencies do
@@ -643,7 +659,7 @@ def interaction_graph(net: Network) -> set[tuple[int, int]]:
     return edges
 
 
-def network_to_json(net: Network) -> dict:
+def network_to_json(net: Network | Tabulated) -> dict:
     return docs.envelope(
         "network",
         alphabet=net.alphabet,
@@ -661,7 +677,7 @@ def network_from_json(data: dict) -> Network:
         return make_network(q, rules)
 
 
-def to_dot(net: Network, name: str = "F") -> str:
+def to_dot(net: Network | Tabulated, name: str = "F") -> str:
     """Communication graph in DOT: edge u -> v iff u is a declared dep of v."""
     lines = [f"digraph {name} {{"]
     for v in range(net.n):

@@ -38,6 +38,7 @@ from .core import (
     InvalidConfigError,
     Network,
     Rule,
+    Tabulated,
     check_config,
     make_network,
     map_shared,
@@ -119,15 +120,17 @@ def _rho_name(table: tuple[int, ...]) -> str | None:
 
 
 @dataclass
-class Csan:
+class Csan(Tabulated):
     """Undirected simple graph with a state map per edge, a table per node.
 
     lam[v] maps (own state, neighbor-multiset count vector) to the next
     state; it must cover every multiset of total size up to deg(v).
     Edge labels are stored once per edge and seen identically from both
-    endpoints. The incidence lists and the edge lookup are built once per
-    instance on first use and are not fields, so they take no part in
-    equality or serialization; the graph must not be edited afterwards.
+    endpoints. The incidence lists, the edge lookup and the tabulation
+    `network`, through which `core` steps, walks and writes a Csan as
+    it is, are built once per instance on first use and are not fields,
+    so they take no part in equality or serialization; the graph and
+    tables must not be edited afterwards. `csan_step` is the reference.
     """
 
     alphabet: int
@@ -151,6 +154,10 @@ class Csan:
     @cached_property
     def _labels(self) -> dict[tuple[int, int], tuple[int, ...]]:
         return dict(zip(self.edges, self.edge_rho))
+
+    @cached_property
+    def network(self) -> Network:
+        return csan_to_network(self)
 
     def degree(self, v: int) -> int:
         return len(self.incidence[v])

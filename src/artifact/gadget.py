@@ -3,13 +3,14 @@
 A gadget is a network carrying marked copies of a fixed interface, each
 copy flagged as an input or an output. Its dynamics is held once: the
 labeled network (Csan) when there is one, the tabulated Network
-otherwise; a labeled gadget's table is derived on first use, and gadget
-documents carry whichever of the two the gadget holds. Gluing an output
-copy of one gadget onto an input copy of another fuses the two copies
-node by node and yields a gadget again, so gate diagrams can be
-assembled by repeated glueing (`gadget_glue`). A coherence certificate
-pins down, for one gate catalog, the exempted runs and boundary traces
-that make every such assembly simulate the corresponding gate network.
+otherwise. Either is stepped and checked as it is, a Csan through the
+table it derives once, on first use, and gadget documents carry
+whichever of the two the gadget holds. Gluing an output copy of one
+gadget onto an input copy of another fuses the two copies node by node
+and yields a gadget again, so gate diagrams can be assembled by
+repeated glueing (`gadget_glue`). A coherence certificate pins down,
+for one gate catalog, the exempted runs and boundary traces that make
+every such assembly simulate the corresponding gate network.
 
 Both `gadget_glue` and `compile_gnetwork_detailed` glue through one
 routine, `_glue`, which takes the gadgets and, for each step, the wires
@@ -38,7 +39,7 @@ from .core import (
     network_from_json,
     network_to_json,
 )
-from .csan import Csan, InvalidCsanError, csan_from_json, csan_to_json, csan_to_network
+from .csan import Csan, InvalidCsanError, csan_from_json, csan_to_json
 from .glue import (
     InvalidGlueError,
     Junction,
@@ -54,7 +55,7 @@ from .glue import (
     pseudo_orbit_from_json,
     pseudo_orbit_to_json,
 )
-from .gnet import GNetwork, Gate, gate_from_json, gate_to_json, gnetwork_to_network
+from .gnet import GNetwork, Gate, gate_from_json, gate_to_json
 from .simulate import BlockEmbedding
 
 
@@ -93,23 +94,13 @@ def make_interface(inputs: Iterable[str], outputs: Iterable[str]) -> Interface:
     return iface
 
 
-def _labeled(dynamics: Csan | Network) -> Csan | None:
-    return dynamics if isinstance(dynamics, Csan) else None
-
-
-def _tabulated(dynamics: Csan | Network) -> Network:
-    return csan_to_network(dynamics) if isinstance(dynamics, Csan) else dynamics
-
-
 @dataclass
 class Gadget:
     """Dynamics plus injective interface copies with disjoint images.
 
     dynamics is a Csan for a labeled gadget and a Network otherwise;
-    in_copies[k] and out_copies[k] send every interface name to one of
-    its nodes. `net` is the dynamics tabulated, derived once on first
-    use; it is not a field, so it takes no part in equality, and the
-    dynamics must not be edited afterwards.
+    either is stepped as it is. in_copies[k] and out_copies[k] send
+    every interface name to one of its nodes.
     """
 
     interface: Interface
@@ -127,11 +118,7 @@ class Gadget:
 
     @property
     def csan(self) -> Csan | None:
-        return _labeled(self.dynamics)
-
-    @cached_property
-    def net(self) -> Network:
-        return _tabulated(self.dynamics)
+        return self.dynamics if isinstance(self.dynamics, Csan) else None
 
     def validate(self) -> None:
         self.interface.validate()
@@ -323,9 +310,7 @@ def _glue(
         live_in.update((j, k) for k in range(len(g.in_copies)) if k not in taken_in)
         live_out.update((j, k) for k in range(len(g.out_copies)) if k not in taken_out)
 
-    host, node_maps = glue_parts(
-        [g.dynamics if labeled else g.net for g in parts], junctions, _certified
-    )
+    host, node_maps = glue_parts([g.dynamics for g in parts], junctions, _certified)
 
     def placed(i: int, copy: Mapping[str, int]) -> dict[str, int]:
         return {c: node_maps[i][v] for c, v in copy.items()}
@@ -708,7 +693,7 @@ def verify_certificate(cert: CoherentCertificate) -> CertificateReport:
                         continue
                     docs.integers(InvalidGadgetError, f"{cell} run", *po.configs)
                     try:
-                        check_pseudo_orbit_shape(gd.net, po)
+                        check_pseudo_orbit_shape(gd.dynamics, po)
                     except ArtifactError as exc:
                         cells.append([f"{cell}: {exc}"])
                         continue
@@ -716,7 +701,7 @@ def verify_certificate(cert: CoherentCertificate) -> CertificateReport:
                     cells.append((cell, po, wanted))
         shaped = [c for c in cells if isinstance(c, tuple)]
         runs = [po for _, po, _ in shaped]
-        reports = iter(_check_shaped_runs(gd.net, runs))
+        reports = iter(_check_shaped_runs(gd.dynamics, runs))
         strays = iter(_trace_strays(runs, copies, [wanted for *_, wanted in shaped]))
         for c in cells:
             if isinstance(c, tuple):
@@ -747,11 +732,10 @@ class CompiledGadgets:
     """Assembly artifacts: the host and where everything landed.
 
     host is a Csan when the gadgets are labeled and a Network otherwise;
-    csan is the host when labeled, None otherwise, and network is the
-    host tabulated, derived once on first access.
-    dowels[v] locates the fused interface copy carrying source node v;
-    node_maps[j] sends gate j's gadget nodes to host nodes; contexts[j]
-    is that gadget's frozen surrounding, already in host numbering.
+    either is stepped and verified as it is. dowels[v] locates the fused
+    interface copy carrying source node v; node_maps[j] sends gate j's
+    gadget nodes to host nodes; contexts[j] is that gadget's frozen
+    surrounding, already in host numbering.
     """
 
     embedding: BlockEmbedding
@@ -759,14 +743,6 @@ class CompiledGadgets:
     dowels: tuple[dict[str, int], ...]
     contexts: tuple[dict[int, int], ...]
     node_maps: tuple[dict[int, int], ...]
-
-    @property
-    def csan(self) -> Csan | None:
-        return _labeled(self.host)
-
-    @cached_property
-    def network(self) -> Network:
-        return _tabulated(self.host)
 
 
 def compile_gnetwork_detailed(gn: GNetwork, cert: CoherentCertificate) -> CompiledGadgets:
@@ -800,7 +776,7 @@ def compile_gnetwork_detailed(gn: GNetwork, cert: CoherentCertificate) -> Compil
     if not gn.gates:
         host = make_network(cert.host_alphabet, [])
         emb = BlockEmbedding(cert.time, (), ())
-        emb.validate(make_network(gn.alphabet, []), host)
+        emb.validate(gn, host)
         return CompiledGadgets(emb, host, (), (), ())
 
     produced_by: dict[int, tuple[int, int]] = {}
@@ -852,7 +828,7 @@ def compile_gnetwork_detailed(gn: GNetwork, cert: CoherentCertificate) -> Compil
         blocks.append(tuple(block))
         patterns.append(tuple(rows))
     emb = BlockEmbedding(cert.time, tuple(blocks), tuple(patterns))
-    emb.validate(gnetwork_to_network(gn), host)
+    emb.validate(gn, host)
     return CompiledGadgets(emb, host, tuple(dowels), tuple(contexts), tuple(node_maps))
 
 
@@ -886,7 +862,7 @@ def gadget_from_json(data: dict) -> Gadget:
             dynamics: Csan | Network = csan_from_json(data["csan"])
             # Older documents also carry the table, which must match the labels.
             table = data.get("network")
-            if table is not None and network_from_json(table) != csan_to_network(dynamics):
+            if table is not None and network_from_json(table) != dynamics.network:
                 raise InvalidGadgetError("labeled twin disagrees with the network")
         else:
             dynamics = network_from_json(data["network"])

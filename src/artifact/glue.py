@@ -25,6 +25,7 @@ from .core import (
     ArtifactError,
     InvalidConfigError,
     Network,
+    Tabulated,
     make_network,
     pack_lanes,
     step,  # unused here; perfbench/test_perfbench.py reads artifact.glue.step
@@ -154,7 +155,7 @@ def glued_numbering(
     return node_maps, owner
 
 
-def _shared_alphabet(parts: Sequence[Network] | Sequence[Csan]) -> int:
+def _shared_alphabet(parts: Sequence[Network | Csan]) -> int:
     alphabets = {p.alphabet for p in parts}
     if len(alphabets) != 1:
         raise InvalidGlueError("glued networks must share an alphabet")
@@ -162,20 +163,21 @@ def _shared_alphabet(parts: Sequence[Network] | Sequence[Csan]) -> int:
 
 
 def glue_parts(
-    parts: Sequence[Network] | Sequence[Csan],
+    parts: Sequence[Network | Csan],
     junctions: Sequence[Junction],
     _certified: bool = False,
 ) -> tuple[Network | Csan, list[dict[int, int]]]:
     """Glue any number of parts along junctions in one build; returns (host, node_maps).
 
     Glued node h runs the rule of owner[h] (see `glued_numbering`) with
-    its dependencies routed through node_maps. Tabulated parts give a
-    Network. Labeled parts (all Csan) give a Csan host from `glued_csan`:
-    every distinct part is validated and every junction must pass
-    `check_dowel_structure` first. Valid parts that pass the guards glue
-    into a valid host, so it is not validated again. _certified says the
-    caller has discharged both (the compiler, whose parts are gadgets of
-    a verified certificate, see `gadget._glue`).
+    its dependencies routed through node_maps. Unless every part is a
+    Csan, the host is a Network made from the parts' rules. Labeled parts
+    give a Csan host from `glued_csan`: every distinct part is validated
+    and every junction must pass `check_dowel_structure` first. Valid
+    parts that pass the guards glue into a valid host, so it is not
+    validated again. _certified says the caller has discharged both (the
+    compiler, whose parts are gadgets of a verified certificate, see
+    `gadget._glue`).
     """
     q = _shared_alphabet(parts)
     node_maps, owner = glued_numbering([p.n for p in parts], junctions)
@@ -272,7 +274,7 @@ class PseudoOrbitReport:
         )
 
 
-def check_pseudo_orbit_shape(net: Network, p: PseudoOrbit) -> None:
+def check_pseudo_orbit_shape(net: Network | Tabulated, p: PseudoOrbit) -> None:
     """Raise InvalidConfigError unless p's configurations and exempt set fit net.
 
     States are checked against the alphabet once per distinct value.
@@ -289,7 +291,9 @@ def check_pseudo_orbit_shape(net: Network, p: PseudoOrbit) -> None:
         raise InvalidConfigError("pseudo-orbit states do not fit a 32-bit lane")
 
 
-def check_pseudo_orbits(net: Network, runs: Sequence[PseudoOrbit]) -> list[PseudoOrbitReport]:
+def check_pseudo_orbits(
+    net: Network | Tabulated, runs: Sequence[PseudoOrbit]
+) -> list[PseudoOrbitReport]:
     """`check_pseudo_orbit` on every run, all their time steps in one `step_batch`.
 
     Lane i steps the i-th (run, t) pair in run order. A node whose
@@ -302,7 +306,9 @@ def check_pseudo_orbits(net: Network, runs: Sequence[PseudoOrbit]) -> list[Pseud
     return _check_shaped_runs(net, runs)
 
 
-def _check_shaped_runs(net: Network, runs: Sequence[PseudoOrbit]) -> list[PseudoOrbitReport]:
+def _check_shaped_runs(
+    net: Network | Tabulated, runs: Sequence[PseudoOrbit]
+) -> list[PseudoOrbitReport]:
     """`check_pseudo_orbits` on runs that have passed `check_pseudo_orbit_shape`."""
     sources = [x for p in runs for x in p.configs[:-1]]
     found: list[list[tuple[int, int, int, int]]] = [[] for _ in runs]
@@ -322,7 +328,7 @@ def _check_shaped_runs(net: Network, runs: Sequence[PseudoOrbit]) -> list[Pseudo
     return [PseudoOrbitReport(not f, tuple(sorted(f))) for f in found]
 
 
-def check_pseudo_orbit(net: Network, p: PseudoOrbit) -> PseudoOrbitReport:
+def check_pseudo_orbit(net: Network | Tabulated, p: PseudoOrbit) -> PseudoOrbitReport:
     """Verify the step relation at every non-exempt node and time."""
     return check_pseudo_orbits(net, [p])[0]
 

@@ -25,7 +25,7 @@ from functools import cache
 from itertools import product
 from typing import Iterable
 
-from .core import InvalidConfigError, make_network, pack_lanes, step_batch, unpack_lanes
+from .core import InvalidConfigError, pack_lanes, step_batch, unpack_lanes
 from .csan import Csan, build_lifelike, make_csan
 from .gadget import (
     CoherentCertificate,
@@ -40,7 +40,7 @@ from .gadget import (
     make_interface,
 )
 from .glue import PseudoOrbit, make_pseudo_orbit
-from .gnet import NOR_2_2, GNetwork, gnetwork_to_network
+from .gnet import NOR_2_2, GNetwork
 from .simulate import BlockEmbedding
 
 BIRTH = (3,)
@@ -276,9 +276,9 @@ def build_certificate() -> CoherentCertificate:
             x[v] = s
         xs.append(x)
     runs = [[tuple(x)] for x in xs]
-    b, width = len(cells), gd.net.lane_bytes
+    b, width = len(cells), gd.dynamics.lane_bytes
     for t in range(1, SIGNAL_PERIOD + 1):
-        cols = step_batch(gd.net, [pack_lanes(col, width) for col in zip(*xs)], b)
+        cols = step_batch(gd.dynamics, [pack_lanes(col, width) for col in zip(*xs)], b)
         xs = [list(x) for x in zip(*(unpack_lanes(col, b, width) for col in cols))]
         for x, run, cell in zip(xs, runs, cells):
             for v, s in _driven(gd, traces, cell, t):
@@ -351,11 +351,11 @@ def compile_to_gol(
         if gate != NOR_2_2:
             raise InvalidGadgetError(f"gate {gate.name} is not the two-output NOR")
     if not gn.gates:
-        emb = BlockEmbedding(SIGNAL_PERIOD, (), ())
-        emb.validate(gnetwork_to_network(gn), make_network(2, []))
-        return make_csan(2, 0, [], []), emb
+        host, emb = make_csan(2, 0, [], []), BlockEmbedding(SIGNAL_PERIOD, (), ())
+        emb.validate(gn, host)
+        return host, emb
     cert = certificate if certificate is not None else _bundled_certificate()
     compiled = compile_gnetwork_detailed(gn, cert)
-    if compiled.csan is None:
+    if not isinstance(compiled.host, Csan):
         raise InvalidGadgetError("certificate gadgets carry no labeled structure")
-    return compiled.csan, compiled.embedding
+    return compiled.host, compiled.embedding

@@ -22,6 +22,7 @@ from .core import (
     DEFAULT_MAX_STATES,
     ArtifactError,
     Network,
+    Tabulated,
     check_config,
     config_index,
     global_map_network,
@@ -62,7 +63,7 @@ class PredInstance:
     eventual cycle instead of by stepping.
     """
 
-    net: Network
+    net: Network | Tabulated
     v: int
     x: tuple[int, ...]
     q: int
@@ -78,7 +79,7 @@ class PredChgInstance:
     definition and could never witness a change.
     """
 
-    net: Network
+    net: Network | Tabulated
     v: int
     x: tuple[int, ...]
     k: int
@@ -94,7 +95,7 @@ class ReachInstance:
 
 
 def make_pred_instance(
-    net: Network, v: int, x: Sequence[int], q: int, t: int, time_format: str = "unary"
+    net: Network | Tabulated, v: int, x: Sequence[int], q: int, t: int, time_format: str = "unary"
 ) -> PredInstance:
     x = check_config(net, x)
     if not 0 <= v < net.n:
@@ -110,7 +111,9 @@ def make_pred_instance(
     return PredInstance(net, v, x, q, t, time_format)
 
 
-def make_pred_chg_instance(net: Network, v: int, x: Sequence[int], k: int) -> PredChgInstance:
+def make_pred_chg_instance(
+    net: Network | Tabulated, v: int, x: Sequence[int], k: int
+) -> PredChgInstance:
     x = check_config(net, x)
     if not 0 <= v < net.n:
         raise InvalidInstanceError(f"node {v} out of range")
@@ -204,7 +207,7 @@ def reach(inst: ReachInstance, max_states: int = DEFAULT_MAX_STATES) -> bool:
 
 
 def reduce_pred_via_simulation(
-    host: Network, emb: BlockEmbedding, inst
+    host: Network | Tabulated, emb: BlockEmbedding, inst
 ) -> tuple[list, Callable[[Sequence[bool]], bool]]:
     """Rewrite a source-network question as oracle calls on a host.
 

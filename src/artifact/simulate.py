@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import islice, product
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from . import docs
 from .core import (
@@ -22,16 +22,13 @@ from .core import (
     ArtifactError,
     BudgetExceededError,
     Network,
+    Tabulated,
     byte_table,
     gather_lanes,
     pack_lanes,
     step,  # unused here; perfbench/test_perfbench.py reads artifact.simulate.step
     step_batch,
 )
-
-if TYPE_CHECKING:
-    from .csan import Csan
-
 
 # Host configurations per verify_simulation batch: 1 or 4 KB of lanes per
 # host node, by its lane width.
@@ -55,8 +52,8 @@ class BlockEmbedding:
     blocks: tuple[tuple[int, ...], ...]
     patterns: tuple[tuple[tuple[int, ...], ...], ...]
 
-    def validate(self, source: Network, host: Network | Csan) -> None:
-        """Check the blocks and patterns; reads only sizes and alphabets."""
+    def validate(self, source, host) -> None:
+        """Check the blocks and patterns; reads only `n` and `alphabet` of either side."""
         if self.time < 1:
             raise InvalidEmbeddingError("time constant must be >= 1")
         if len(self.blocks) != source.n or len(self.patterns) != source.n:
@@ -114,7 +111,7 @@ class VerificationReport:
         return f"{status} ({self.mode}, {self.checked} configurations checked{extra})"
 
 
-def _advance(host: Network, lanes: list[int], b: int, t: int) -> list[int]:
+def _advance(host: Network | Tabulated, lanes: list[int], b: int, t: int) -> list[int]:
     """G^t on a batch of b packed lanes, t folded by the batch's cycle.
 
     Brent's cycle detection (Brent 1980, BIT 20) keeps one saved batch;
@@ -141,8 +138,8 @@ def _advance(host: Network, lanes: list[int], b: int, t: int) -> list[int]:
 
 
 def verify_simulation(
-    source: Network,
-    host: Network,
+    source: Network | Tabulated,
+    host: Network | Tabulated,
     emb: BlockEmbedding,
     mode: str = "exhaustive",
     samples: int = 1000,

@@ -103,7 +103,7 @@ def pairwise_compile(gn, cert):
             consumed_by[v] = (j, k)
     iface = cert.interface
     acc = cert.gadgets[gn.gates[0]]
-    node_maps = [{v: v for v in range(acc.net.n)}]
+    node_maps = [{v: v for v in range(acc.n)}]
     in_tags = [(0, k) for k in range(gn.gates[0].n_in)]
     out_tags = [(0, k) for k in range(gn.gates[0].n_out)]
     dowels = {}
@@ -129,8 +129,8 @@ def pairwise_compile(gn, cert):
         if acc.csan is not None and new.csan is not None:
             assert glued.csan == glue.csan_glue(acc.csan, new.csan, d)
         else:
-            assert glued.net == glue.glue_networks(acc.net, new.net, d)
-        (m1, m2), _ = glued_numbering((acc.net.n, new.net.n), [dowel_junction(d)])
+            assert glued.dynamics == glue.glue_networks(acc.dynamics, new.dynamics, d)
+        (m1, m2), _ = glued_numbering((acc.n, new.n), [dowel_junction(d)])
         node_maps = [{o: m1[h] for o, h in m.items()} for m in node_maps]
         node_maps.append(m2)
         dowels = {v: {c: m1[h] for c, h in m.items()} for v, m in dowels.items()}
@@ -198,10 +198,9 @@ def assert_valid_as_made(host):
 def assert_same_as_pairwise(gn, cert):
     host, emb, dowels, contexts, node_maps = pairwise_compile(gn, cert)
     got = compile_gnetwork_detailed(gn, cert)
-    if got.csan is not None:
-        assert_valid_as_made(got.csan)
-    assert got.csan == host.csan
-    assert got.network == host.net
+    if isinstance(got.host, csan.Csan):
+        assert_valid_as_made(got.host)
+    assert got.host == host.dynamics
     assert got.embedding == emb
     assert got.dowels == dowels
     assert got.contexts == contexts
@@ -221,7 +220,7 @@ def certificate():
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 8, 12, 16])
 def test_nor_rings_match_pairwise(certificate, k):
     got = assert_same_as_pairwise(nor_ring(k), certificate)
-    assert got.csan.n == 66 * k
+    assert got.host.n == 66 * k
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -247,7 +246,7 @@ def test_toy_nor_wirings_match_pairwise():
     rng = random.Random(7)
     for k in range(2, 7):
         got = assert_same_as_pairwise(nor_ring(k), cert)
-        assert got.csan is None
+        assert not isinstance(got.host, csan.Csan)
         for _ in range(4):
             assert_same_as_pairwise(random_wiring(k, rng), cert)
 
@@ -256,7 +255,7 @@ def test_toy_identity_rings_with_context_match_pairwise():
     cert = toy_identity_certificate()
     for k in range(2, 6):
         got = assert_same_as_pairwise(identity_ring(k), cert)
-        assert got.network.n == 3 * k  # five nodes per gadget, two fused per wire
+        assert got.host.n == 3 * k  # five nodes per gadget, two fused per wire
 
 
 # The labeled NOR case glues 84-node gadgets, so its rings stay within 12 gates.
@@ -502,16 +501,15 @@ def test_host_tabulation_memory_does_not_grow_with_the_ring():
 
 def test_cli_compile_tabulates_the_host_only_for_dot(tmp_path, monkeypatch):
     gol._bundled_certificate.cache_clear()  # as in a fresh process
-    by_cli = counting(monkeypatch, "csan_to_network", (cli,))
-    elsewhere = counting(monkeypatch, "csan_to_network", (gadget, gol))
+    tabulated = counting(monkeypatch, "csan_to_network", (csan,))  # all go through Csan.network
     src = tmp_path / "ring.json"
     src.write_text(json.dumps(gnetwork_to_json(nor_ring(2))))
     out = tmp_path / "compiled.json"
     assert run(["compile", str(src), "-o", str(out)]) == 0
-    assert by_cli == [] and set(elsewhere) == {84}
+    assert tabulated == [84]  # the NOR gadget, and no host
     dot = tmp_path / "host.dot"
     assert run(["compile", str(src), "-o", str(out), "--dot", str(dot)]) == 0
-    assert by_cli == [132] and set(elsewhere) == {84}
+    assert tabulated == [84, 132]
     assert dot.read_text().startswith("digraph")
 
 

@@ -91,7 +91,7 @@ def drive_orbit(gd, gate, q_i, q_ip, q_o, context=None):
     and overwriting the externally driven boundary nodes from the traces."""
     traces = toy_traces()
     q_op = gate.apply(q_i)
-    x0 = [0] * gd.net.n
+    x0 = [0] * gd.dynamics.n
     for v, s in (context or {}).items():
         x0[v] = s
     for k, copy in enumerate(gd.in_copies):
@@ -103,7 +103,7 @@ def drive_orbit(gd, gate, q_i, q_ip, q_o, context=None):
     configs = [tuple(x0)]
     x = tuple(x0)
     for t in range(1, 2):
-        y = list(step(gd.net, x))
+        y = list(step(gd.dynamics, x))
         for k, copy in enumerate(gd.in_copies):
             for c in gd.interface.outputs:
                 y[copy[c]] = traces[(q_i[k], q_ip[k])][t][c]
@@ -192,14 +192,14 @@ def test_boundary_node_helpers():
 
 def test_disjoint_union_adds():
     u = gadget_glue(identity_gadget(), neg_gadget())
-    assert u.net.n == 8
+    assert u.dynamics.n == 8
     assert len(u.in_copies) == 2 and len(u.out_copies) == 2
     assert u.in_copies[0] == {"ci": 0, "co": 1}
     assert u.in_copies[1] == {"ci": 4, "co": 5}
     for x in product(range(2), repeat=8):
-        left = step(identity_gadget().net, x[:4])
-        right = step(neg_gadget().net, x[4:])
-        assert step(u.net, x) == left + right
+        left = step(identity_gadget().dynamics, x[:4])
+        right = step(neg_gadget().dynamics, x[4:])
+        assert step(u.dynamics, x) == left + right
 
 
 def test_single_junction_pair_glue_shape():
@@ -211,7 +211,7 @@ def test_single_junction_pair_glue_shape():
     f = stub(6, [{"ci": 0, "co": 1}], [{"ci": 2, "co": 3}, {"ci": 4, "co": 5}])
     g = stub(6, [{"ci": 0, "co": 1}, {"ci": 4, "co": 5}], [{"ci": 2, "co": 3}])
     h = gadget_glue(f, g, in_pairs=[(0, 0)], out_pairs=[(1, 1)])
-    assert h.net.n == 8
+    assert h.dynamics.n == 8
     assert h.in_copies == ({"ci": 6, "co": 7},)
     assert h.out_copies == ({"ci": 4, "co": 5},)
 
@@ -244,7 +244,7 @@ def test_glue_rejects_mismatches():
 def test_self_glue_closes():
     g = identity_gadget()
     closed = gadget_glue(g, g, in_pairs=[(0, 0)], out_pairs=[(0, 0)])
-    assert closed.net.n == 4
+    assert closed.dynamics.n == 4
     assert closed.in_copies == () and closed.out_copies == ()
 
 
@@ -367,7 +367,7 @@ def alphabet_3_gadget():
 
 def foreign_interface_gadget():
     iface = make_interface(["a"], ["b"])
-    return make_gadget(iface, identity_gadget().net, [{"a": 0, "b": 1}], [{"a": 2, "b": 3}])
+    return make_gadget(iface, identity_gadget().dynamics, [{"a": 0, "b": 1}], [{"a": 2, "b": 3}])
 
 
 # Each case edits one clause of the valid toy certificate: (edit, failure).
@@ -445,7 +445,7 @@ def test_compile_identity_loop_swaps():
     gn = two_gate_loop()
     cert = toy_certificate({ID_1_1: identity_gadget()})
     compiled = compile_gnetwork_detailed(gn, cert)
-    host, emb = compiled.network, compiled.embedding
+    host, emb = compiled.host, compiled.embedding
     assert host.n == 4 and emb.time == 1
     source = gnetwork_to_network(gn)
     report = verify_simulation(source, host, emb, mode="exhaustive")
@@ -467,7 +467,7 @@ def test_compile_three_gate_rotation():
     gn = b.build()
     cert = toy_certificate({ID_1_1: identity_gadget()})
     compiled = compile_gnetwork_detailed(gn, cert)
-    host, emb = compiled.network, compiled.embedding
+    host, emb = compiled.host, compiled.embedding
     assert host.n == 6
     report = verify_simulation(gnetwork_to_network(gn), host, emb, mode="exhaustive")
     assert report.ok, report.message()
@@ -484,7 +484,7 @@ def test_compile_with_disjoint_union_step():
     gn = b.build()
     cert = toy_certificate({ID_1_1: identity_gadget()})
     compiled = compile_gnetwork_detailed(gn, cert)
-    host, emb = compiled.network, compiled.embedding
+    host, emb = compiled.host, compiled.embedding
     assert host.n == 8
     report = verify_simulation(gnetwork_to_network(gn), host, emb, mode="exhaustive")
     assert report.ok, report.message()
@@ -499,7 +499,7 @@ def test_compile_nor_latch_and_stitching():
     gn = b.build()
     cert = toy_certificate({NOR_2_2: nor_gadget()})
     compiled = compile_gnetwork_detailed(gn, cert)
-    host, emb = compiled.network, compiled.embedding
+    host, emb = compiled.host, compiled.embedding
     source = gnetwork_to_network(gn)
     report = verify_simulation(source, host, emb, mode="exhaustive")
     assert report.ok, report.message()
@@ -524,7 +524,7 @@ def test_compile_empty_gate_network():
     gn = GNetwork(2, (), (), ())
     cert = toy_certificate({ID_1_1: identity_gadget()})
     compiled = compile_gnetwork_detailed(gn, cert)
-    host, emb = compiled.network, compiled.embedding
+    host, emb = compiled.host, compiled.embedding
     assert host.n == 0
     assert emb.blocks == ()
 
@@ -534,13 +534,13 @@ def test_compile_folds_context_nodes():
     gd = identity_gadget(extra_nodes=1)
     cert = toy_certificate({ID_1_1: gd}, contexts={ID_1_1: {4: 0}})
     compiled = compile_gnetwork_detailed(gn, cert)
-    assert compiled.network.n == 6
+    assert compiled.host.n == 6
     assert len(compiled.contexts) == 2
     ctx_nodes = sorted(h for m in compiled.contexts for h in m)
     assert len(ctx_nodes) == 2
     assert set(compiled.embedding.blocks[0]) >= set(ctx_nodes)
     report = verify_simulation(
-        gnetwork_to_network(gn), compiled.network, compiled.embedding, mode="exhaustive"
+        gnetwork_to_network(gn), compiled.host, compiled.embedding, mode="exhaustive"
     )
     assert report.ok, report.message()
 
@@ -583,21 +583,21 @@ def test_labeled_glue_keeps_family():
     b = lifelike_gadget([(0, 1), (2, 3)])
     h = gadget_glue(a, b, in_pairs=[(0, 0)])
     assert h.csan is not None
-    assert h.net.n == 6
+    assert h.dynamics.n == 6
     assert csan_in_family(h.csan, family_spec("lifelike"))
     assert h.in_copies == ({"ci": 4, "co": 5},)
     assert h.out_copies == ({"ci": 2, "co": 3},)
-    plain_a = make_gadget(IFACE, a.net, a.in_copies, a.out_copies)
-    plain_b = make_gadget(IFACE, b.net, b.in_copies, b.out_copies)
+    plain_a = make_gadget(IFACE, a.dynamics.network, a.in_copies, a.out_copies)
+    plain_b = make_gadget(IFACE, b.dynamics.network, b.in_copies, b.out_copies)
     plain = gadget_glue(plain_a, plain_b, in_pairs=[(0, 0)])
     for x in product(range(2), repeat=6):
-        assert step(h.net, x) == step(plain.net, x)
+        assert step(h.dynamics, x) == step(plain.dynamics, x)
 
 
 def test_labeled_closure_conditions():
     good = lifelike_gadget([(0, 1), (2, 3)])
     assert csan_closure_failures(IFACE, [("g", good)]) == ()
-    plain = make_gadget(IFACE, good.net, good.in_copies, good.out_copies)
+    plain = make_gadget(IFACE, good.dynamics.network, good.in_copies, good.out_copies)
     fails = csan_closure_failures(IFACE, [("g", plain)])
     assert any("no labeled structure" in f for f in fails)
     leaky = lifelike_gadget([(0, 1), (2, 3), (1, 2)])
@@ -623,12 +623,12 @@ def test_gadget_json_roundtrip(tmp_path):
     for g in (identity_gadget(), lifelike_gadget([(0, 1), (2, 3)])):
         doc = gadget_to_json(g)
         back = gadget_from_json(doc)
-        assert back.net == g.net
+        assert back.dynamics == g.dynamics
         assert back.in_copies == g.in_copies and back.out_copies == g.out_copies
         assert (back.csan is None) == (g.csan is None)
         path = tmp_path / "gadget.json"
         docs.write(gadget_to_json(g), path, pretty=True)
-        assert gadget_from_json(docs.read(path)).net == g.net
+        assert gadget_from_json(docs.read(path)).dynamics == g.dynamics
     with pytest.raises(InvalidGadgetError):
         gadget_from_json({"format": "nope"})
 
@@ -650,10 +650,11 @@ def test_gadget_documents_carry_the_dynamics_once():
 def test_tabulated_view_is_derived_once_and_not_compared():
     g = lifelike_gadget([(0, 1), (2, 3)])
     assert g.n == 4 and g.alphabet == 2 and g.csan is g.dynamics
-    assert g.net is g.net and g.net == csan_to_network(g.csan)
+    c = g.csan
+    assert c.network is c.network and c.network == csan_to_network(c)
     assert g == lifelike_gadget([(0, 1), (2, 3)])
     h = identity_gadget()
-    assert h.csan is None and h.net is h.dynamics
+    assert h.csan is None and not hasattr(h.dynamics, "network")  # a Network is its own table
 
 
 def test_certificate_json_roundtrip(tmp_path):
@@ -804,7 +805,7 @@ def reference_verify_certificate(cert: CoherentCertificate) -> CertificateReport
                         continue
                     docs.integers(InvalidGadgetError, f"{cell} run", *po.configs)
                     try:
-                        sub = check_pseudo_orbit(gd.net, po)
+                        sub = check_pseudo_orbit(gd.dynamics, po)
                     except ArtifactError as exc:
                         failures.append(f"{cell}: {exc}")
                         continue

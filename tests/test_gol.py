@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import random
+from itertools import product
+from math import gcd
 
 import pytest
 
@@ -25,7 +28,10 @@ from artifact.glue import (
     make_pseudo_orbit,
 )
 from artifact.gnet import ID_1_1, NOR_2_2, GNetworkBuilder, InvalidGNetworkError, gnetwork_to_network
+from artifact.problems import b_pred, make_pred_instance, reduce_pred_via_simulation
 from artifact.simulate import embed, verify_simulation
+
+from test_compile import nor_ring
 
 LIFELIKE = family_spec("lifelike")
 
@@ -120,7 +126,7 @@ def test_clock_ticks_with_period_six(clock):
 
 
 def test_nor_gadget_shape(nor):
-    assert nor.net.n == 84
+    assert nor.dynamics.n == 84
     assert nor.csan is not None and csan_in_family(nor.csan, LIFELIKE)
     assert nor.interface.inputs == gol.RELAY_NAMES
     assert nor.interface.outputs == gol.DRIVE_NAMES
@@ -208,7 +214,7 @@ def test_long_wire_glue_carries_signal(wire):
 
 def test_nor_chain_glue_stays_in_family(nor):
     chained = gadget_glue(nor, nor, out_pairs=[(0, 0)])
-    assert chained.net.n == 84 + 84 - 9
+    assert chained.dynamics.n == 84 + 84 - 9
     assert csan_in_family(chained.csan, LIFELIKE)
     assert len(chained.in_copies) == 3 and len(chained.out_copies) == 3
 
@@ -301,3 +307,50 @@ def test_built_kit_equals_the_former_data_files(wire, clock, certificate):
 def test_nor_gadget_holds_one_table_per_degree(nor):
     degrees = {nor.csan.degree(v) for v in range(nor.n)}
     assert len({id(t) for t in nor.csan.lam}) == len(degrees) == 9
+
+
+# ---------------------------------------------------------------------------
+# Consequences of the simulation, witnessed on the compiled host itself
+#
+# The host is passed as the Csan that `compile_to_gol` returns, never
+# tabulated by the caller. The embedding is injective and a source step
+# takes T host steps, so prediction carries over, a host period p folds to
+# the source period as p / gcd(p, T), and a host transient lies in
+# (T (tau - 1), T tau] for a source transient tau > 0, and is 0 for tau = 0.
+
+
+def compiled_ring(k):
+    gn = nor_ring(k)
+    host, emb = gol.compile_to_gol(gn)
+    return gnetwork_to_network(gn), host, emb
+
+
+@pytest.mark.parametrize("k, count", [(2, None), (3, 4)])
+def test_prediction_on_the_lifelike_host_agrees_with_the_source(k, count):
+    source, host, emb = compiled_ring(k)
+    xs = list(product(range(2), repeat=source.n))
+    if count is not None:
+        xs = random.Random(k).sample(xs, count)
+    asked = 0
+    for x in xs:
+        for v, q, t in product(range(source.n), range(2), range(3)):
+            inst = make_pred_instance(source, v, x, q, t, "binary")
+            calls, decode = reduce_pred_via_simulation(host, emb, inst)
+            assert all(call.net is host for call in calls)
+            assert decode([b_pred(call) for call in calls]) == b_pred(inst)
+            asked += 1
+    assert asked == len(xs) * source.n * 2 * 3  # 384 on the 2-gate ring, 144 on the 3-gate
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_host_orbits_fold_to_the_source_orbits(k):
+    source, host, emb = compiled_ring(k)
+    T = emb.time
+    for x in product(range(2), repeat=source.n):
+        want = analyze_orbit(source, x)
+        got = analyze_orbit(host, embed(emb, host.n, x))
+        assert got.period // gcd(got.period, T) == want.period
+        if want.transient == 0:
+            assert got.transient == 0
+        else:
+            assert T * (want.transient - 1) < got.transient <= T * want.transient

@@ -6,7 +6,9 @@ package (another module, or another statement of its own module),
 unless the package docstring lists it as public API. Dunder names such
 as `__version__` are exempt. A definition that only tests read belongs
 in tests/, and one that nothing reads should go. Likewise every name
-that a test module imports must be read in that module.
+that a test or package module imports must be read in that module; a
+package module may bind a name that only the benchmark's tests read
+through it.
 """
 
 import ast
@@ -104,6 +106,21 @@ def test_public_api_list_does_not_grow():
     assert len(public_api()) <= 35
 
 
+def _attribute_reads(file):
+    """(module, name) of every `module.name` that a benchmark file reads of
+    the package modules it imports."""
+    tree = ast.parse((PERFBENCH / file).read_text(encoding="utf-8"))
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "artifact"
+        for alias in node.names
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+            yield node.value.id, node.attr
+
+
 def _benchmark_sites():
     """(module, name) of every tracer target and of every `module.name`
     that the benchmark's generators and workloads read."""
@@ -112,16 +129,8 @@ def _benchmark_sites():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Target":
             yield node.args[1].value, node.args[2].value
     for file in ("gen.py", "workloads.py"):
-        tree = ast.parse((PERFBENCH / file).read_text(encoding="utf-8"))
-        modules = {
-            alias.asname or alias.name
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom) and node.module == "artifact"
-            for alias in node.names
-        }
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
-                yield f"artifact.{node.value.id}", node.attr
+        for module, name in _attribute_reads(file):
+            yield f"artifact.{module}", name
 
 
 def test_names_the_benchmark_reads_stay_bound():
@@ -156,4 +165,16 @@ def unread_imports(path: Path) -> list[str]:
 def test_every_test_import_is_read():
     tests = Path(__file__).resolve().parent
     unread = [entry for path in sorted(tests.glob("*.py")) for entry in unread_imports(path)]
+    assert not unread, f"imported and never read: {unread}"
+
+
+def test_every_package_import_is_read():
+    # `glue.step` and `simulate.step` are bound for the benchmark's tests alone.
+    read_there = set(_attribute_reads("test_perfbench.py"))
+    unread = [
+        entry
+        for path in sorted(PACKAGE.glob("*.py"))
+        for entry in unread_imports(path)
+        if (path.stem, entry.split()[-1]) not in read_there
+    ]
     assert not unread, f"imported and never read: {unread}"
