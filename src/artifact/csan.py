@@ -28,12 +28,15 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import docs
 from .circuit import Circuit, InvalidCircuitError, make_circuit
 from .core import (
+    MAX_TABLE,
     ArtifactError,
+    BudgetExceededError,
     CountCode,
     InvalidConfigError,
     Network,
@@ -81,6 +84,11 @@ def multisets_with_total(q: int, total: int) -> Iterator[tuple[int, ...]]:
 def multisets_up_to(q: int, bound: int) -> Iterator[tuple[int, ...]]:
     for total in range(bound + 1):
         yield from multisets_with_total(q, total)
+
+
+def _lam_rows(q: int, deg: int) -> int:
+    """Rows of a vertex table of degree deg: q own states times C(deg + q, q) multisets."""
+    return q * comb(deg + q, q) if q > 0 else 0
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +207,10 @@ class Csan(Tabulated):
             if (id(self.lam[v]), deg) in checked:
                 continue
             checked.add((id(self.lam[v]), deg))
-            if deg not in wants:
+            # Counted first, so that no wanted key is made for a table of another size.
+            if len(self.lam[v]) == _lam_rows(q, deg) and deg not in wants:
                 wants[deg] = {(s, m) for s in range(q) for m in multisets_up_to(q, deg)}
-            if self.lam[v].keys() != wants[deg]:
+            if self.lam[v].keys() != wants.get(deg):
                 raise InvalidCsanError(
                     f"node {v} table must cover exactly the multisets of size <= {deg}"
                 )
@@ -221,10 +230,18 @@ def make_csan(
     same dict share one copy, and a later change to the caller's dict
     does not reach the Csan. Documents and builders come through here;
     a glued host is built from its valid parts by `glue.glued_csan`,
-    which shares their tables and does not validate again.
+    which shares their tables and does not validate again. A catalog
+    name is expanded once, and its edges share that label. Nodes on an
+    alphabet past MAX_TABLE are refused with BudgetExceededError before
+    any label is expanded.
     """
+    if n and alphabet > MAX_TABLE:
+        raise BudgetExceededError(
+            f"an alphabet of {alphabet} states exceeds the budget of {MAX_TABLE}"
+        )
     norm = []
     rhos = []
+    named: dict[str, tuple[int, ...]] = {}
     for u, v, rho in edges:
         if u == v:
             raise InvalidCsanError(f"self-loop at node {u} not allowed")
@@ -233,7 +250,9 @@ def make_csan(
         if isinstance(rho, str):
             if rho not in RHO_CATALOG:
                 raise InvalidCsanError(f"unknown edge label name {rho!r}")
-            rhos.append(RHO_CATALOG[rho](alphabet))
+            if rho not in named:
+                named[rho] = RHO_CATALOG[rho](alphabet)
+            rhos.append(named[rho])
         else:
             rhos.append(tuple(rho))
     order = sorted(range(len(norm)), key=lambda i: norm[i])
@@ -371,13 +390,23 @@ def _family(name: str, q: int) -> Family:
 
 
 def _family_table(name: str, q: int, deg: int, params: Mapping) -> dict:
-    """Table of a degree-deg node running family `name` with `params`."""
+    """Table of a degree-deg node running family `name` with `params`.
+
+    A table whose rows would hold more than MAX_TABLE integers, q + 1
+    per row, is refused with BudgetExceededError before it is built.
+    """
     fam = _family(name, q)
     if params.keys() != set(fam.keys):
         raise InvalidCsanError(
             f"family {name!r} takes parameters {list(fam.keys)}, got {list(params)}"
         )
     rule = fam.rule(q, **params)
+    rows = _lam_rows(q, deg)
+    if rows * (q + 1) > MAX_TABLE:
+        raise BudgetExceededError(
+            f"a table of {rows} rows of {q + 1} integers (degree {deg}, {q} states)"
+            f" exceeds the budget of {MAX_TABLE}"
+        )
     return {(s, m): rule(s, m) for s in range(q) for m in multisets_up_to(q, deg)}
 
 

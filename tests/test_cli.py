@@ -715,6 +715,36 @@ def test_convert_past_the_table_budget_exits_three(tmp_path, capsys):
     _exits_three_at_once(["convert", write_json(tmp_path, "star.json", star)], capsys)
 
 
+# A CSAN document is sized from its alphabet and degrees before any vertex
+# table is built or compared. Unguarded, the first took 23 s and 3.1 GB, the
+# second (on 100 states) 11.5 s and 1.0 GB, and the third died of MemoryError.
+
+
+def csan_doc(alphabet, n, edges, vertex):
+    return {"format": "csan", "version": 1, "alphabet": alphabet, "n": n, "edges": edges,
+            "vertices": [{"lambda": vertex}] * n}
+
+
+def test_csan_table_of_another_size_exits_two_at_once(tmp_path, capsys):
+    one_row = csan_doc(20000, 1, [], [[0, [0, 0, 0], 0]])
+    start = time.perf_counter()
+    assert run(["convert", write_json(tmp_path, "one_row.json", one_row)]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert out_json(capsys) == {"error": "node 0 table must cover exactly the multisets of size <= 0"}
+
+
+@pytest.mark.parametrize("alphabet", [100, 200])
+def test_csan_shorthand_past_the_budget_exits_three(alphabet, tmp_path, capsys):
+    # The middle node's table would hold 100 * C(102, 2) rows of 101 integers.
+    path = csan_doc(alphabet, 3, [[0, 1, "id"], [1, 2, "id"]], {"family": "minmax", "polarity": "MAX"})
+    _exits_three_at_once(["convert", write_json(tmp_path, "path.json", path)], capsys)
+
+
+def test_csan_alphabet_past_the_budget_exits_three(tmp_path, capsys):
+    pair = csan_doc(2**40, 2, [[0, 1, "id"]], [[0, [1], 0]])
+    _exits_three_at_once(["convert", write_json(tmp_path, "pair.json", pair)], capsys)
+
+
 NO_NUMPY = """
 import sys
 from artifact import cli, core

@@ -606,6 +606,7 @@ def test_make_csan_copies_each_shared_table_once():
     deg1, deg2 = _path_tables(1, 2)
     c = make_csan(2, 4, path, [deg1, deg2, deg2, deg1])
     assert c.lam[0] is c.lam[3] and c.lam[1] is c.lam[2]
+    assert c.edge_rho[0] is c.edge_rho[2]  # a label name is expanded once
     assert c.lam[0] is not deg1 and c.lam[1] is not deg2
     apart = make_csan(2, 4, path, [dict(t) for t in (deg1, deg2, deg2, deg1)])
     assert len({id(t) for t in apart.lam}) == 4

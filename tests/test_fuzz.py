@@ -6,7 +6,8 @@ host and an embedding and steps the host in lanes; `verify-cert` reads
 a certificate and replays its recorded runs; `compile --certificate` compiles with
 one; `convert` and `analyze` read a gate network, and `convert` a CSAN
 whose vertices are family shorthands, and tabulate it; `glue` reads two
-networks or CSANs and a dowel. Whatever the
+networks or CSANs and a dowel; `convert` and `glue` read whole CSAN
+documents, alphabet and size included. Whatever the
 documents hold, the command must end in one of its exit codes (0 yes,
 1 no, 2 bad input, 3 budget exceeded) and never in an uncaught
 exception.
@@ -227,8 +228,8 @@ def test_mutated_gnetwork_gates_exit_with_a_document(data, command):
         assert run_to_document(argv) in (0, 1, 2, 3)
 
 
-# The wire with lifelike shorthands for vertices. Only they are mutated:
-# the alphabet and n stay, since a CSAN document has no size budget yet.
+# The wire with lifelike shorthands for vertices; only they are mutated
+# here. Whole documents are mutated below.
 WIRE = lifelike_shorthand(gol.build_wire())
 
 
@@ -291,7 +292,7 @@ def test_mutated_simulation_documents_exit_with_a_document(data, role, mode):
 
 # `glue` on two lifelike wires (the csan path) and on two plain networks,
 # each with its dowel. One of the three documents is mutated at a time; a
-# wire keeps its alphabet and n, as above.
+# wire keeps its alphabet and n here, and not in the whole-document test.
 GLUE = {
     "csan": {
         "first": csan_to_json(gol.build_wire()),
@@ -338,3 +339,56 @@ def test_mutated_glue_documents_exit_with_a_document(data, path, role):
     documents = GLUE[path]
     documents = {**documents, role: data.draw(mutated(documents[role], glue_sections(path, role)))}
     assert glue(documents) in (0, 2)
+
+
+# Whole CSAN documents: the alphabet, n, the edges and the vertices are all
+# mutated. A document is sized from its alphabet and degrees before any
+# table is built or compared, so a huge alphabet or table is refused (exit
+# 3) rather than built. The bases are the wire with explicit rows and a
+# min-max path on three states given by shorthands; each glues to itself.
+MINMAX_PATH = {
+    "format": "csan",
+    "version": 1,
+    "alphabet": 3,
+    "n": 3,
+    "edges": [[0, 1, "id"], [1, 2, "id"]],
+    "vertices": [{"lambda": {"family": "minmax", "polarity": p}} for p in ("MAX", "MIN", "MAX")],
+}
+CSANS = {
+    "wire": (csan_to_json(gol.build_wire()), dowel_to_json(wire_junction())),
+    "minmax": (MINMAX_PATH, dowel_to_json(make_dowel(["a"], ["b"], {"a": 1, "b": 2}, {"a": 0, "b": 1}))),
+}
+
+
+def csan_sections(draw):
+    return [("alphabet",), ("n",), ("edges",), ("vertices",)]
+
+
+def convert_to_document(doc) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "csan.json"
+        path.write_text(json.dumps(doc))
+        return run_to_document(["convert", str(path)])
+
+
+@pytest.mark.parametrize("base", sorted(CSANS))
+def test_unmutated_csan_documents_convert_and_glue(base):
+    doc, dowel = CSANS[base]
+    assert convert_to_document(doc) == 0
+    assert glue({"first": doc, "second": doc, "dowel": dowel}) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), base=st.sampled_from(sorted(CSANS)))
+def test_mutated_csan_documents_convert_to_a_document(data, base):
+    doc = data.draw(mutated(CSANS[base][0], csan_sections))
+    assert convert_to_document(doc) in (0, 2, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), base=st.sampled_from(sorted(CSANS)), role=st.sampled_from(("first", "second")))
+def test_mutated_csan_documents_glue_to_a_document(data, base, role):
+    doc, dowel = CSANS[base]
+    documents = {"first": doc, "second": doc, "dowel": dowel}
+    documents[role] = data.draw(mutated(doc, csan_sections))
+    assert glue(documents) in (0, 2, 3)
