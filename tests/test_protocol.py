@@ -6,6 +6,7 @@ this is invisible: c still equals an unstepped copy and writes the same
 document.
 """
 
+from dataclasses import replace
 from itertools import product
 
 from hypothesis import given, settings
@@ -22,15 +23,10 @@ from artifact.core import (
 )
 from artifact.csan import Csan, csan_step, csan_to_json, csan_to_network, interaction_graph_csan
 from artifact.glue import check_pseudo_orbits, make_pseudo_orbit
-from artifact.simulate import BlockEmbedding, verify_simulation
+from artifact.simulate import verify_simulation
 
 from test_csan import random_csans
-
-
-def identity_embedding(q, n, time=1):
-    """Node v alone in block v, state s written as itself."""
-    states = tuple((s,) for s in range(q))
-    return BlockEmbedding(time, tuple((v,) for v in range(n)), (states,) * n)
+from test_problems import identity_embedding
 
 
 @settings(max_examples=100, deadline=None)
@@ -56,7 +52,7 @@ def test_a_csan_answers_as_its_tabulation(c):
     ]
     assert check_pseudo_orbits(c, runs) == check_pseudo_orbits(net, runs)
     for time in (1, 2):  # F simulates itself at time 1; at time 2 it mostly fails
-        emb = identity_embedding(c.alphabet, c.n, time)
+        emb = replace(identity_embedding(net), time=time)
         want = verify_simulation(net, net, emb)
         assert verify_simulation(c, net, emb) == want
         assert verify_simulation(net, c, emb) == want
