@@ -25,7 +25,7 @@ from .gnet import (
     OR_2_2,
     mon_gate,
 )
-from .simulate import BlockEmbedding
+from .simulate import BlockEmbedding, block_embedding
 
 OPS = {"AND": 2, "OR": 2, "NOT": 1, "ID": 1}
 
@@ -244,34 +244,12 @@ def double_rail(c: Circuit) -> tuple[GNetwork, BlockEmbedding]:
         b.connect_port(gate_of[j]["neg"], 0, take(o, "neg"))
 
     gn = b.build()
-    source = closed_network(c)
-
-    buf_cells = [
-        (gn.outputs[gate_of[j]["pos"]], gn.outputs[gate_of[j]["neg"]])
-        for j in range(c.n_inputs)
-    ]
-    claimed = set()
-    for pos, neg in buf_cells:
-        claimed |= set(pos) | set(neg)
-    machinery = [u for u in range(gn.n) if u not in claimed]
-    blocks = []
-    patterns = []
-    for j in range(c.n_inputs):
-        pos, neg = buf_cells[j]
-        block = list(pos) + list(neg)
-        pats = []
-        for q in range(2):
-            pat = [q] * len(pos) + [1 - q] * len(neg)
-            if j == 0:
-                pat += [0] * len(machinery)
-            pats.append(tuple(pat))
-        if j == 0:
-            block += machinery
-        blocks.append(tuple(block))
-        patterns.append(tuple(pats))
-    emb = BlockEmbedding(depth + 1, tuple(blocks), tuple(patterns))
-    emb.validate(source, gn)
-    return gn, emb
+    inputs = range(c.n_inputs)
+    cells = [gn.outputs[gate_of[j]["pos"]] + gn.outputs[gate_of[j]["neg"]] for j in inputs]
+    patterns = [[(q,) * fanout[j] + (1 - q,) * fanout[j] for q in range(2)] for j in inputs]
+    claimed = {u for cell in cells for u in cell}
+    machinery = [(u, 0) for u in range(gn.n) if u not in claimed]
+    return gn, block_embedding(closed_network(c), gn, depth + 1, cells, patterns, machinery)
 
 
 def gmon_to_gmon2(gn: GNetwork) -> tuple[GNetwork, BlockEmbedding]:
@@ -360,26 +338,11 @@ def gmon_to_gmon2(gn: GNetwork) -> tuple[GNetwork, BlockEmbedding]:
             raise InvalidGNetworkError(f"node {v}: unconsumed signal cells")
 
     host_gn = b.build()
-
-    pair_set: dict[int, set[int]] = {v: set(p) for v, p in pair_cells.items()}
-    blocks = []
-    patterns = []
-    folded = [u for own in internals for u in own
-              if all(u not in s for s in pair_set.values())]
-    first = True
-    for v in range(gn.n):
-        block = list(pair_cells[v])
-        extra = folded if first else []
-        first = False
-        block += extra
-        pats = []
-        for q in range(2):
-            pats.append(tuple([q, q] + [0] * len(extra)))
-        blocks.append(tuple(block))
-        patterns.append(tuple(pats))
-    emb = BlockEmbedding(6, tuple(blocks), tuple(patterns))
-    emb.validate(gn, host_gn)
-    return host_gn, emb
+    paired = {u for cell in pair_cells.values() for u in cell}
+    folded = [(u, 0) for own in internals for u in own if u not in paired]
+    cells = [pair_cells[v] for v in range(gn.n)]
+    patterns = [[(q, q) for q in range(2)]] * gn.n
+    return host_gn, block_embedding(gn, host_gn, 6, cells, patterns, folded)
 
 
 @dataclass(frozen=True)

@@ -47,10 +47,10 @@ from .gadget import certificate_from_json, verify_certificate
 from .glue import csan_glue, dowel_from_json, glue_networks
 from .gnet import (
     NOR_2_2,
+    GNetwork,
     GNetworkBuilder,
     gnetwork_from_json,
     gnetwork_to_json,
-    gnetwork_to_network,
     gt_transient_network,
     prime_rotations,
 )
@@ -74,15 +74,17 @@ def _kind(doc):
     return doc.get("format") if isinstance(doc, dict) else None
 
 
-def _as_network(doc, path: str) -> Network:
-    """Densify any document that describes a network; `path` names it in errors."""
+def _as_network(doc, path: str) -> Network | GNetwork:
+    """The model of any document that describes a network; `path` names it in errors."""
     kind = _kind(doc)
     if kind == "network":
         return network_from_json(doc)
     if kind == "csan":
         return csan_to_network(csan_from_json(doc))
     if kind == "gnetwork":
-        return gnetwork_to_network(gnetwork_from_json(doc))
+        gn = gnetwork_from_json(doc)
+        gn.network  # tabulated now, so a gate network without tables fails as it loads
+        return gn
     if kind == "circuit":
         return closed_network(circuit_from_json(doc))
     if kind == "matrix":
@@ -91,11 +93,11 @@ def _as_network(doc, path: str) -> Network:
     raise ArtifactError(f"{path}: no network in a {kind!r} document")
 
 
-def _load_network(path: str) -> Network:
+def _load_network(path: str) -> Network | GNetwork:
     return _as_network(docs.read(path), path)
 
 
-def _parse_config(args, net: Network):
+def _parse_config(args, net: Network | GNetwork):
     if args.config is not None:
         raw = args.config
     elif args.config_file is not None:
@@ -243,7 +245,7 @@ def _cmd_gol(args):
     cert_rep = cert.report  # compile_to_gol reads the same report
     gn = _sample_nor_pair()
     compiled, emb = gol.compile_to_gol(gn, cert)
-    sim_rep = verify_simulation(gnetwork_to_network(gn), compiled, emb, mode="exhaustive")
+    sim_rep = verify_simulation(gn, compiled, emb, mode="exhaustive")
     doc = {
         "certificate": {
             "ok": cert_rep.ok,
@@ -308,13 +310,12 @@ def _cmd_construct(args):
         net = odometer(args.n)
         doc = {"kind": kind, "n": args.n, "net": network_to_json(net)}
     elif kind == "primes":
-        gn, marked = prime_rotations(args.n)
-        net = gnetwork_to_network(gn)
+        net, marked = prime_rotations(args.n)
         doc = {
             "kind": kind,
             "n": args.n,
             "net": network_to_json(net),
-            "gnetwork": gnetwork_to_json(gn),
+            "gnetwork": gnetwork_to_json(net),
             "marked": list(marked),
         }
     elif kind == "hcounter":
@@ -333,13 +334,12 @@ def _cmd_construct(args):
             "net": network_to_json(net),
         }
     else:  # gt-transient
-        gn, start = gt_transient_network(args.n)
-        net = gnetwork_to_network(gn)
+        net, start = gt_transient_network(args.n)
         doc = {
             "kind": kind,
             "n": args.n,
             "net": network_to_json(net),
-            "gnetwork": gnetwork_to_json(gn),
+            "gnetwork": gnetwork_to_json(net),
             "start": list(start),
         }
     _emit_dot(args, net)

@@ -56,7 +56,7 @@ from .glue import (
     pseudo_orbit_to_json,
 )
 from .gnet import GNetwork, Gate, gate_from_json, gate_to_json
-from .simulate import BlockEmbedding
+from .simulate import BlockEmbedding, block_embedding
 
 
 class InvalidGadgetError(ArtifactError, ValueError):
@@ -775,9 +775,7 @@ def compile_gnetwork_detailed(gn: GNetwork, cert: CoherentCertificate) -> Compil
             raise InvalidGadgetError(f"no gadget recorded for gate {gate.name}")
     if not gn.gates:
         host = make_network(cert.host_alphabet, [])
-        emb = BlockEmbedding(cert.time, (), ())
-        emb.validate(gn, host)
-        return CompiledGadgets(emb, host, (), (), ())
+        return CompiledGadgets(block_embedding(gn, host, cert.time, (), ()), host, (), (), ())
 
     produced_by: dict[int, tuple[int, int]] = {}
     consumed_by: dict[int, tuple[int, int]] = {}
@@ -810,25 +808,13 @@ def compile_gnetwork_detailed(gn: GNetwork, cert: CoherentCertificate) -> Compil
     for j, gate in enumerate(gn.gates):
         ctx = cert.context_configs[gate]
         contexts.append({node_maps[j][v]: s for v, s in ctx.items()})
-    extra = sorted((h, s) for m in contexts for h, s in m.items())
-    blocks: list[tuple[int, ...]] = []
-    patterns: list[tuple[tuple[int, ...], ...]] = []
-    for v in range(gn.n):
-        by_node = {h: c for c, h in dowels[v].items()}
-        block = sorted(by_node)
-        rows = []
-        for q in range(gn.alphabet):
-            s_q = cert.state_configs[q]
-            row = [s_q[by_node[h]] for h in block]
-            if v == 0:
-                row.extend(s for _, s in extra)
-            rows.append(tuple(row))
-        if v == 0:
-            block.extend(h for h, _ in extra)
-        blocks.append(tuple(block))
-        patterns.append(tuple(rows))
-    emb = BlockEmbedding(cert.time, tuple(blocks), tuple(patterns))
-    emb.validate(gn, host)
+    cells, patterns = [], []
+    for copy in dowels:
+        names = sorted(copy, key=copy.__getitem__)  # by host node
+        cells.append([copy[c] for c in names])
+        patterns.append([[cert.state_configs[q][c] for c in names] for q in range(gn.alphabet)])
+    frozen = sorted((h, s) for m in contexts for h, s in m.items())
+    emb = block_embedding(gn, host, cert.time, cells, patterns, frozen)
     return CompiledGadgets(emb, host, tuple(dowels), tuple(contexts), tuple(node_maps))
 
 

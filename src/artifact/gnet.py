@@ -11,12 +11,14 @@ applied to the nodes wired to its input ports.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 from . import docs
 from .core import (
     ArtifactError,
     Network,
+    Tabulated,
     config_index,
     make_network,
     table_rows,
@@ -99,12 +101,15 @@ GATE_SETS: dict[str, tuple[Gate, ...]] = {
 
 
 @dataclass(frozen=True)
-class GNetwork:
+class GNetwork(Tabulated):
     """Gate instances plus the two port bijections.
 
     inputs[j][k] is the node consumed by port k of gate j; outputs[j][k]
     the node produced by its k-th output. Both families partition the
-    node set.
+    node set. The tabulation `network`, through which `core` steps,
+    walks, verifies and writes a gate network as it is, is built once per
+    instance on first use and is not a field, so it takes no part in
+    equality, hashing or documents.
     """
 
     alphabet: int
@@ -115,6 +120,10 @@ class GNetwork:
     @property
     def n(self) -> int:
         return sum(g.n_out for g in self.gates)
+
+    @cached_property
+    def network(self) -> Network:
+        return gnetwork_to_network(self)
 
     def validate(self) -> None:
         n = self.n

@@ -41,7 +41,7 @@ from .gadget import (
 )
 from .glue import PseudoOrbit, make_pseudo_orbit
 from .gnet import NOR_2_2, GNetwork
-from .simulate import BlockEmbedding
+from .simulate import BlockEmbedding, block_embedding
 
 BIRTH = (3,)
 SURVIVE = (2, 3)
@@ -351,9 +351,8 @@ def compile_to_gol(
         if gate != NOR_2_2:
             raise InvalidGadgetError(f"gate {gate.name} is not the two-output NOR")
     if not gn.gates:
-        host, emb = make_csan(2, 0, [], []), BlockEmbedding(SIGNAL_PERIOD, (), ())
-        emb.validate(gn, host)
-        return host, emb
+        host = make_csan(2, 0, [], [])
+        return host, block_embedding(gn, host, SIGNAL_PERIOD, (), ())
     cert = certificate if certificate is not None else _bundled_certificate()
     compiled = compile_gnetwork_detailed(gn, cert)
     if not isinstance(compiled.host, Csan):

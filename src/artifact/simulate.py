@@ -83,6 +83,26 @@ class BlockEmbedding:
             raise InvalidEmbeddingError("blocks do not cover the host network")
 
 
+def block_embedding(source, host, time: int, cells, patterns, rest=()) -> BlockEmbedding:
+    """The embedding in which source node v writes state q on cells[v] as patterns[v][q].
+
+    Node 0 also owns every (host node, state) pair of rest, in the order
+    given, each held at its state in all of node 0's patterns: the host
+    nodes that encode no source node. The embedding is validated against
+    source and host, of which only `n` and `alphabet` are read, before it
+    is returned.
+    """
+    nodes, states = tuple(u for u, _ in rest), tuple(s for _, s in rest)
+    blocks = tuple(tuple(block) + (nodes if v == 0 else ()) for v, block in enumerate(cells))
+    pats = tuple(
+        tuple(tuple(pat) + (states if v == 0 else ()) for pat in pats)
+        for v, pats in enumerate(patterns)
+    )
+    emb = BlockEmbedding(time, blocks, pats)
+    emb.validate(source, host)
+    return emb
+
+
 def embed(emb: BlockEmbedding, host_n: int, x: Sequence[int]) -> tuple[int, ...]:
     """Host configuration encoding the source configuration x."""
     out = [0] * host_n
