@@ -14,19 +14,21 @@ row's index with `config_index`.
 
 Three steppers share that layout. They, and every function here that
 reads a network, take a model with `n`, `alphabet`, `rules`,
-`byte_tables` and `lane_bytes`: a `Network`, or a `Tabulated` model
-such as a labeled network (`csan.Csan`), which reads the last three
-from its tabulation `network`, built once on first use. `step` is the
+`byte_tables`, `lane_bytes` and `stepper`: a `Network`, or a
+`Tabulated` model such as a labeled network (`csan.Csan`) or a gate
+network (`gnet.GNetwork`), which reads the last four from its
+tabulation `network`, built once on first use. `step` is the
 executable specification: a plain loop over the rules, which
 `iterate`, `trace` and every differential test use. `step_batch` steps
 many configurations at once in packed lanes, for exhaustive sweeps
 over wide hosts; a rule built from a binary CSAN it reads by its live
-count (below). `compile_step` generates, once per network, one
-expression per node, for the orbit walker's thousands of sequential
-steps on narrow networks. `iterate` stays on the specification
-because its callers step a few times, which would not repay a
-compilation, and because independent checks (the benchmark's
-reference answers among them) step with it.
+count (below). `compile_step` generates one expression per node, for
+the orbit walker's thousands of sequential steps on narrow networks;
+each network compiles it once, on first use, as its `stepper`, so a
+model walked many times pays for one compilation. `iterate` stays on
+the specification because its callers step a few times, which would
+not repay a compilation, and because independent checks (the
+benchmark's reference answers among them) step with it.
 
 `step_batch` packs a batch of configurations into one int per node,
 one lane per configuration. The lane width belongs to the alphabet
@@ -186,6 +188,18 @@ class Network:
         )
 
     @cached_property
+    def stepper(self) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+        """`compile_step(self)`, built on first use for the orbit walker.
+
+        Not a field, and left out of pickles and copies: the generated
+        code does not pickle, and a copy compiles its own when walked.
+        """
+        return compile_step(self)
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "stepper"}
+
+    @cached_property
     def lane_bytes(self) -> int:
         """Bytes per lane of `step_batch`: 1 on an alphabet of at most 256, else 4.
 
@@ -215,13 +229,15 @@ class Network:
 
 
 class Tabulated:
-    """A model whose `rules`, `byte_tables` and `lane_bytes` are those of
-    `network`, its tabulation; a subclass provides `n`, `alphabet` and
-    `network`, built once and kept out of equality and documents."""
+    """A model whose `rules`, `byte_tables`, `lane_bytes` and `stepper` are
+    those of `network`, its tabulation; a subclass provides `n`,
+    `alphabet` and `network`, built once and kept out of equality and
+    documents."""
 
     rules = property(lambda self: self.network.rules)
     byte_tables = property(lambda self: self.network.byte_tables)
     lane_bytes = property(lambda self: self.network.lane_bytes)
+    stepper = property(lambda self: self.network.stepper)
 
 
 def make_network(alphabet: int, rules: Iterable[tuple[Sequence[int], Sequence[int]]]) -> Network:
@@ -440,14 +456,14 @@ def walk_orbit(
 ) -> tuple[list[tuple[int, ...]], int, int]:
     """Orbit of x up to its first repeat: (configs, transient, period).
 
-    Steps with `compile_step(net)`, whose compilation a walk of thousands
-    of steps repays many times; tests hold it to `step`, the
-    specification. `seen` maps each configuration to its time and keeps
+    Steps with `net.stepper`, compiled once per model, whose compilation
+    a walk of thousands of steps repays many times; tests hold it to
+    `step`, the specification. `seen` maps each configuration to its time and keeps
     insertion order, so it is also the path. Raises
     BudgetExceededError once `budget` configurations have been visited
     without closing the cycle.
     """
-    f = compile_step(net)
+    f = net.stepper
     seen: dict[tuple[int, ...], int] = {}
     cur = tuple(x)
     i = 0
