@@ -508,6 +508,14 @@ def table_size(q: int, k: int, tables: int = 1) -> int:
     return q**k
 
 
+def check_entries(entries: int, what: str) -> None:
+    """Refuse, with BudgetExceededError, a network whose tables would hold
+    more than MAX_TABLE entries in all; a builder counts them before it
+    builds anything."""
+    if entries > MAX_TABLE:
+        raise BudgetExceededError(f"{what} would hold more than {MAX_TABLE} table entries")
+
+
 def table_rows(q: int, k: int, tables: int = 1) -> Iterator[tuple[int, ...]]:
     """The values of k deps over {0..q-1}, one tuple per table row, in table order.
 

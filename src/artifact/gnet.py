@@ -12,13 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from itertools import count, takewhile
+from typing import Callable, Iterator, Sequence
 
 from . import docs
 from .core import (
     ArtifactError,
     Network,
     Tabulated,
+    check_entries,
     config_index,
     make_network,
     table_rows,
@@ -272,15 +274,34 @@ def gnetwork_from_json(data: dict) -> GNetwork:
         return gn
 
 
-def _primes_below(n: int) -> list[int]:
-    sieve = bytearray([1]) * n if n > 0 else bytearray()
-    out = []
-    for p in range(2, n):
-        if sieve[p]:
-            out.append(p)
-            for m in range(p * p, n, p):
-                sieve[m] = 0
-    return out
+def _primes() -> Iterator[int]:
+    """2, 3, 5, ...: each number that no smaller prime up to its root divides."""
+    found: list[int] = []
+    for m in count(2):
+        if all(m % p for p in takewhile(lambda p: p * p <= m, found)):
+            found.append(m)
+            yield m
+
+
+def _entries(g: Gate) -> int:
+    """Table entries of one instance of g: n_out tables of alphabet^n_in rows."""
+    return g.n_out * len(g.table)
+
+
+def _ring_primes(n: int, ring_entries: Callable[[int], int], what: str) -> tuple[list[int], int]:
+    """The primes below n, and the table entries of one ring per prime.
+
+    The primes come one at a time and the count is checked after each
+    ring, so whatever n is, a network past MAX_TABLE entries is refused
+    with BudgetExceededError after at most the budget's worth of primes,
+    before any gate is built.
+    """
+    primes, entries = [], 0
+    for p in takewhile(lambda p: p < n, _primes()):
+        entries += ring_entries(p)
+        check_entries(entries, what)
+        primes.append(p)
+    return primes, entries
 
 
 def prime_rotations(n: int) -> tuple[GNetwork, tuple[int, ...]]:
@@ -289,9 +310,10 @@ def prime_rotations(n: int) -> tuple[GNetwork, tuple[int, ...]]:
     The marked configuration has a single 1 per ring; its period is the
     product of the ring lengths.
     """
+    primes, _ = _ring_primes(n, lambda p: p * _entries(ID_1_1), f"prime rotations below {n}")
     b = GNetworkBuilder(2)
     ring_starts: list[tuple[int, int]] = []  # (first node, length)
-    for p in _primes_below(n):
+    for p in primes:
         gate_ids = []
         node_ids = []
         for _ in range(p):
@@ -308,6 +330,15 @@ def prime_rotations(n: int) -> tuple[GNetwork, tuple[int, ...]]:
     return gn, tuple(config)
 
 
+def _tree_entries(leaves: int) -> tuple[int, int]:
+    """(table entries, depth) of `gt_transient_network`'s AND tree over that many taps."""
+    if leaves == 1:
+        return _entries(FRZ_ID), 1
+    half = (leaves + 1) // 2
+    (left, ld), (right, rd) = _tree_entries(half), _tree_entries(leaves - half)
+    return left + right + abs(ld - rd) * _entries(FRZ_ID) + _entries(FRZ_AND), max(ld, rd) + 1
+
+
 def gt_transient_network(n: int) -> tuple[GNetwork, tuple[int, ...]]:
     """Freezing network whose transient exceeds the product of primes < n.
 
@@ -317,9 +348,14 @@ def gt_transient_network(n: int) -> tuple[GNetwork, tuple[int, ...]]:
     then holds a 2 forever, so the orbit's transient is at least the
     product while the network size only grows like the sum.
     """
-    primes = _primes_below(n)
+    what = f"the freezing network on primes below {n}"
+    primes, entries = _ring_primes(
+        n, lambda p: _entries(FRZ_FORK) + (p - 1) * _entries(FRZ_ID), what
+    )
     if not primes:
         raise InvalidGNetworkError("need n >= 3 for at least one prime ring")
+    latch = sum(map(_entries, (FRZ_FORK, FRZ_HOT_AND, FRZ_HOLD, FRZ_ID)))
+    check_entries(entries + _tree_entries(len(primes))[0] + latch, what)
     b = GNetworkBuilder(3)
     marked: list[int] = []
     taps: list[int] = []

@@ -27,6 +27,7 @@ from .core import (
     config_index,
     global_map_network,
     iterate,
+    check_entries,
     make_network,
     network_from_json,
     network_to_json,
@@ -527,6 +528,7 @@ def h_counter_network(n: int) -> Network:
     """
     if n < 1:
         raise InvalidInstanceError("need at least one node")
+    table_size(8, n, tables=n)  # before 1 << n, which alone would not fit for a huge n
     size = 1 << n
 
     def next_config(cfg: tuple[int, ...]) -> list[int]:
@@ -662,6 +664,9 @@ def odometer(n: int) -> Network:
     """
     if n < 1:
         raise InvalidInstanceError("need at least one node")
+    # One node reads itself; otherwise the two ends read 2 deps and the
+    # n - 2 inner nodes 3, and a document writes the shared table per node.
+    check_entries(10 if n == 1 else 2 * 10**2 + (n - 2) * 10**3, f"odometer({n})")
     if n == 1:
         table = [_odometer_local(1, 0, None, s, None) for (s,) in table_rows(10, 1)]
         return make_network(10, [((0,), table)])
