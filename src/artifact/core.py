@@ -513,7 +513,7 @@ def check_entries(entries: int, what: str) -> None:
     more than MAX_TABLE entries in all; a builder counts them before it
     builds anything."""
     if entries > MAX_TABLE:
-        raise BudgetExceededError(f"{what} would hold more than {MAX_TABLE} table entries")
+        raise BudgetExceededError(f"{what} exceeds the budget of {MAX_TABLE} table entries")
 
 
 def table_rows(q: int, k: int, tables: int = 1) -> Iterator[tuple[int, ...]]:
