@@ -26,10 +26,10 @@ from .core import (
     Network,
     analyze_orbit,
     check_config,
-    iterate,
     network_from_json,
     network_to_json,
     orbit_at,
+    step,
     to_dot,
     trace,
     walk_orbit,
@@ -68,7 +68,7 @@ from .problems import (
     sat_pred_network,
     u_pred,
 )
-from .simulate import embedding_from_json, embedding_to_json, verify_simulation
+from .simulate import _advance, embedding_from_json, embedding_to_json, verify_simulation
 
 def _kind(doc):
     return doc.get("format") if isinstance(doc, dict) else None
@@ -153,7 +153,8 @@ def _cmd_simulate(args):
     if args.trace:
         rows = trace(net, x, args.t)
         return {"t": args.t, "config": list(rows[-1]), "trace": [list(r) for r in rows]}, 0
-    return {"t": args.t, "config": list(iterate(net, x, args.t))}, 0
+    # Within the budget the time folds as soon as Brent's search meets the cycle.
+    return {"t": args.t, "config": list(_advance(functools.partial(step, net), x, args.t))}, 0
 
 
 def _cmd_analyze(args):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import islice, product
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import docs
 from .core import (
@@ -131,30 +131,31 @@ class VerificationReport:
         return f"{status} ({self.mode}, {self.checked} configurations checked{extra})"
 
 
-def _advance(host: Network | Tabulated, lanes: list[int], b: int, t: int) -> list[int]:
-    """G^t on a batch of b packed lanes, t folded by the batch's cycle.
+def _advance(f: Callable, x, t: int):
+    """f^t(x), t folded by the cycle of x under f: G^t on a batch of lanes
+    for `verify_simulation`, F^t on a configuration for `simulate`.
 
-    Brent's cycle detection (Brent 1980, BIT 20) keeps one saved batch;
+    Brent's cycle detection (Brent 1980, BIT 20) keeps one saved value;
     the first repeat, lam steps after it was saved, leaves t mod lam
     steps to go. BudgetExceededError if DEFAULT_MAX_STATES steps pass
-    without a repeat and t is larger.
+    without a repeat and t is larger, which only an embedding's time can be.
     """
-    saved, power, lam = lanes, 1, 0
+    saved, power, lam = x, 1, 0
     for done in range(1, t + 1):
         if done > DEFAULT_MAX_STATES:
             raise BudgetExceededError(
                 f"embedding time {t} exceeds the budget of {DEFAULT_MAX_STATES}"
                 " host steps, and the batch has not cycled within it"
             )
-        lanes = step_batch(host, lanes, b)
+        x = f(x)
         lam += 1
-        if lanes == saved:
+        if x == saved:
             for _ in range((t - done) % lam):
-                lanes = step_batch(host, lanes, b)
-            return lanes
+                x = f(x)
+            return x
         if lam == power:
-            saved, power, lam = lanes, 2 * power, 0
-    return lanes
+            saved, power, lam = x, 2 * power, 0
+    return x
 
 
 def verify_simulation(
@@ -216,7 +217,7 @@ def verify_simulation(
         xs = [pack_lanes(s, src_width) for s in zip(*chunk)]
         ys = step_batch(source, xs, b)
         got = [gather_lanes(col, xs[v], b, width, tr, src_width) for v, col, tr in cols]
-        got = _advance(host, got, b, emb.time)
+        got = _advance(lambda lanes: step_batch(host, lanes, b), got, emb.time)
         want = [gather_lanes(col, ys[v], b, width, tr, src_width) for v, col, tr in cols]
         diff = 0
         for w, g in zip(want, got):

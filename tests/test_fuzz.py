@@ -7,12 +7,16 @@ a certificate and replays its recorded runs; `compile --certificate` compiles wi
 one; `convert` and `analyze` read a gate network, and `convert` a CSAN
 whose vertices are family shorthands, and tabulate it; `glue` reads two
 networks or CSANs and a dowel; `convert` and `glue` read whole CSAN
-documents, alphabet and size included. Whatever the
+documents, alphabet and size included; `simulate` reads a network or
+gate network document, a configuration and a time; `construct` reads a
+size or a DIMACS file. Whatever the
 documents hold, the command must end in one of its exit codes (0 yes,
 1 no, 2 bad input, 3 budget exceeded) and never in an uncaught
 exception.
 """
 
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -392,3 +396,93 @@ def test_mutated_csan_documents_glue_to_a_document(data, base, role):
     documents = {"first": doc, "second": doc, "dowel": dowel}
     documents[role] = data.draw(mutated(doc, csan_sections))
     assert glue(documents) in (0, 2, 3)
+
+
+def report_of(argv) -> tuple[int, dict]:
+    """The exit code and the JSON report of `run(argv)` on stdout; a usage
+    error is reported there too."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = run(argv)
+    report = json.loads(out.getvalue())
+    assert isinstance(report, dict)
+    return code, report
+
+
+# `simulate` on odometer(3) and on the NOR pair, each with a start. The time
+# is any int, a huge one included, or an odd value: within the state budget
+# it folds as soon as the orbit's cycle is met, past it once a walk closes it.
+SIMULATE = {
+    "network": (network_to_json(NET), list(START)),
+    "gnetwork": (NOR_PAIR, [0, 1, 1, 0]),
+}
+TIMES = st.one_of(st.integers(-3, 2**64), ODD_VALUES)
+
+
+@pytest.mark.parametrize("base", sorted(SIMULATE))
+def test_unmutated_simulate_documents_answer(base, tmp_path):
+    doc, x = SIMULATE[base]
+    net = write_json(tmp_path, doc)
+    assert report_of(["simulate", net, f"--config={json.dumps(x)}", "-t", str(2**64)])[0] == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    base=st.sampled_from(sorted(SIMULATE)),
+    what=st.sampled_from(("document", "config", "time")),
+    t=TIMES,
+)
+def test_mutated_simulate_arguments_exit_with_a_report(data, base, what, t):
+    doc, x = SIMULATE[base]
+    if what == "document":
+        doc = data.draw(mutated(doc))
+    elif what == "config":
+        x = data.draw(mutated(x))
+    with tempfile.TemporaryDirectory() as tmp:
+        net = write_json(Path(tmp), doc)
+        argv = ["simulate", net, f"--config={json.dumps(x)}", f"-t={json.dumps(t)}"]
+        assert report_of(argv)[0] in (0, 1, 2, 3)
+
+
+# `construct` at sizes up to 5, which build at once, and at sizes past every
+# kind's table budget (the largest first refused size is primes' 5,858),
+# which are refused before anything is built, up to 2^64; and at odd values.
+# The sizes in between build and write networks of up to 2^22 entries,
+# seconds each, which is not what this test is about.
+SIZES = st.one_of(st.integers(-3, 5), st.integers(6000, 2**64), ODD_VALUES)
+CNF = "p cnf 3 2\n1 -2 0\n2 3 0\n"
+
+
+@st.composite
+def mutated_cnf(draw):
+    """CNF with one to three tokens replaced by a size or dropped."""
+    tokens = CNF.split(" ")
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(tokens) - 1))
+        tokens[i] = draw(st.one_of(SIZES.map(json.dumps), st.just("")))
+    return " ".join(tokens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(("odometer", "primes", "hcounter", "gt-transient")), n=SIZES)
+def test_construct_of_any_size_exits_with_a_report(kind, n):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.json"
+        code, report = report_of(["construct", kind, f"--n={json.dumps(n)}", "--dot", str(out)])
+        assert code in (0, 2, 3)
+        assert ("error" in report) == (code != 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=mutated_cnf())
+def test_construct_sat_pred_of_a_mutated_cnf_exits_with_a_report(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cnf = Path(tmp) / "f.cnf"
+        cnf.write_text(text)
+        assert report_of(["construct", "sat-pred", "--cnf", str(cnf)])[0] in (0, 2, 3)
+
+
+def write_json(directory: Path, doc) -> str:
+    path = directory / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)

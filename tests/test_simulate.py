@@ -1,5 +1,6 @@
 """Block embeddings and simulation verification."""
 
+import functools
 import itertools
 import random
 import re
@@ -350,6 +351,14 @@ def test_a_huge_time_folds_into_the_cycle():
     assert verify_simulation(rotation(3), rotation(3), emb).ok
     emb = BlockEmbedding(2**65, emb.blocks, emb.patterns)
     assert not verify_simulation(rotation(3), rotation(3), emb).ok
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_networks(), st.integers(0, 300), st.data())
+def test_advance_on_a_configuration_matches_iterate(net, t, data):
+    # `simulate` advances one configuration this way, folded by its orbit.
+    x = data.draw(st.tuples(*[st.integers(0, net.alphabet - 1)] * net.n))
+    assert simulate._advance(functools.partial(step, net), x, t) == iterate(net, x, t)
 
 
 def test_a_batch_that_does_not_cycle_within_the_budget_is_refused(monkeypatch):
