@@ -17,11 +17,20 @@ from artifact.core import make_network, network_to_json
 from artifact.csan import build_threshold, csan_to_json
 from artifact.gadget import certificate_to_json
 from artifact.glue import dowel_to_json, glue_networks, make_dowel
-from artifact.gnet import ID_1_1, NOR_2_2, GNetworkBuilder, gnetwork_to_json
+from artifact.gnet import (
+    ID_1_1,
+    NOR_2_2,
+    GNetworkBuilder,
+    gnetwork_to_json,
+    gt_transient_network,
+    prime_rotations,
+)
 from artifact.problems import (
+    h_counter_network,
     instance_to_json,
     make_pred_instance,
     make_reach_instance,
+    odometer,
 )
 from artifact.simulate import BlockEmbedding, embedding_to_json
 
@@ -85,6 +94,14 @@ def test_simulate_folds_a_huge_time_into_the_cycle(tmp_path, rot3_file, capsys):
     assert out_json(capsys) == {"t": 10**30, "config": [0]}
     assert run(["simulate", rot3_file, "--config", "[1,0,0]", "-t", str(10**30 + 1)]) == 0
     assert out_json(capsys) == {"t": 10**30 + 1, "config": [0, 0, 1]}  # 10**30 + 1 = 2 mod 3
+
+
+def test_simulate_within_the_budget_folds_into_the_cycle(rot3_file, capsys):
+    # 2^22 steps of the specification took about 5 s on odometer(3).
+    start = time.perf_counter()
+    assert run(["simulate", rot3_file, "--config", "[1,0,0]", "-t", str(core.DEFAULT_MAX_STATES)]) == 0
+    assert time.perf_counter() - start < 1
+    assert out_json(capsys) == {"t": 2**22, "config": [0, 1, 0]}  # 2^22 = 1 mod 3
 
 
 def test_simulate_past_the_budget_agrees_with_stepping(tmp_path, capsys, monkeypatch):
@@ -704,6 +721,44 @@ def _exits_three_at_once(argv, capsys):
 def test_construct_past_the_table_budget_exits_three(capsys):
     _exits_three_at_once(["construct", "hcounter", "--n", "8"], capsys)  # 8^8 rows
     _exits_three_at_once(["construct", "hcounter", "--n", "7"], capsys)  # 7 tables of 8^7
+
+
+@pytest.mark.parametrize("kind", ["odometer", "primes", "hcounter", "gt-transient"])
+def test_construct_of_a_huge_size_exits_three_before_building(kind, capsys):
+    # Each died of MemoryError (exit 1) in a 3 GB address space before
+    # the size was counted from --n.
+    _exits_three_at_once(["construct", kind, "--n", str(10**12)], capsys)
+
+
+@pytest.mark.parametrize(
+    "build, sizes",
+    [
+        (odometer, (1, 2, 3, 6)),
+        (h_counter_network, (1, 2, 3)),
+        (lambda n: prime_rotations(n)[0], (3, 8, 20)),
+        (lambda n: gt_transient_network(n)[0], (3, 4, 8, 20)),
+    ],
+)
+def test_construct_builders_count_their_entries_from_n(build, sizes, monkeypatch):
+    # With the budget at the entries the network holds it is built, and one
+    # entry below it is refused: the count from n is exact.
+    for n in sizes:
+        entries = sum(len(rule.table) for rule in build(n).rules)
+        monkeypatch.setattr(core, "MAX_TABLE", entries)
+        build(n)
+        monkeypatch.setattr(core, "MAX_TABLE", entries - 1)
+        with pytest.raises(core.BudgetExceededError, match="exceeds the budget"):
+            build(n)
+        monkeypatch.undo()
+
+
+def test_construct_refuses_from_the_first_size_past_the_budget(capsys):
+    # The first n whose network passes 2^22 entries: odometer holds
+    # 200 + 1000 (n - 2); primes 2 per ring node, and 5857 is prime;
+    # gt-transient 3 (p + 1) per ring of p plus the tree and the latch,
+    # and 4729 is prime.
+    for kind, n in (("odometer", 4197), ("primes", 5858), ("gt-transient", 4730)):
+        _exits_three_at_once(["construct", kind, "--n", str(n)], capsys)
 
 
 def test_convert_past_the_table_budget_exits_three(tmp_path, capsys):
