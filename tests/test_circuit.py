@@ -1,5 +1,7 @@
 """Circuit evaluation, synchronization and the gate-network compilers."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -23,10 +25,11 @@ from artifact.core import analyze_orbit, index_config, iterate, trace
 from artifact.gnet import (
     AND_2_1,
     GNetworkBuilder,
+    gnetwork_to_json,
     gnetwork_to_network,
     mon_gate,
 )
-from artifact.simulate import embed, verify_simulation
+from artifact.simulate import embed, embedding_to_json, verify_simulation
 
 
 def random_closed_circuit(n_inputs: int, depth: int, seed: int) -> Circuit:
@@ -261,6 +264,62 @@ def test_gmon_to_gmon2_and_block_values():
         for q, pat in enumerate(pats):
             assert pat[:2] == (q, q)
             assert all(v == 0 for v in pat[2:])
+
+
+# sha256 of json.dumps(doc, sort_keys=True) of each compiler's host and
+# embedding documents, taken before the compilers built their embeddings
+# through simulate.block_embedding: a changed digest means a block, a
+# pattern or the order of the nodes that ride in node 0's block moved.
+# Per seeded circuit (inputs, depth, seed): double_rail's embedding and
+# host, then gmon_to_gmon2's embedding and host on that host.
+COMPILED_DIGESTS = {
+    (2, 2, 11): (
+        "a9ad4bd5b690cfa2f9d1e0a7cc8cb82d505f59e364e282f8dedbad4004fc4e26",
+        "a83183acb3e3c00dbc4ba223cdf7926de11364ce8fd727815567f7e6420439ce",
+        "648a00b5c579cb168400e50ed84647c899b35269657ebe12c6c726649f4b815b",
+        "0ac78b2e9668255c9b12f709e2a4197ef76fec6225a13e35e8ba90332ab095ab",
+    ),
+    (3, 2, 5): (
+        "7f467d17a9728e6bfddc61ec47d92b047c9bd1f914c704c20c60d1de443f21f1",
+        "a7af706c25519d0766b122a19f31f382e567c9c50d152453a8f017e41eeab02b",
+        "4ce1432603378f11536b4547e9030521bd2822ac1bf620fcf054f37c1a75717e",
+        "93b17805017d9a4d50a1af2d6de4f4b8c29a9e1ae5a93c959958b525606b9562",
+    ),
+    (3, 3, 7): (
+        "fc2bf23238cbf3bf0766339e528aaed399866ffebb249ec0fc60772f6c7b4e25",
+        "7f213ac2ceb0d804edaab7c88e1f8a9409d52aef6f8bd9e52b0fa7c14e772c39",
+        "cc36af60185da2ec8b60f646453824cbbedff963268a51426bda7f33f4cc9d57",
+        "bd89ec71fdbef89420ae53c18b58207016f89638c124d2993e52786379eb4add",
+    ),
+    (4, 3, 2): (
+        "84439a3cd6e4435dedc6fe4f1bef45ff27942de402ba51804dfbed91aa3445db",
+        "24dc94be3128f9c02f13c820ca729751aff30253494a726244e04ef20b78f636",
+        "4c0da37bdadf264cb8918fb850f20976d4c0990bf9d50977d3d2cd4e8ab8b3fc",
+        "44466072f17ae8c4fff332ede8459880fa8c6c05c1f3789d24931d9bd024cc1c",
+    ),
+}
+
+
+def digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(COMPILED_DIGESTS))
+def test_compiled_embeddings_are_pinned(case):
+    gn, emb = double_rail(random_closed_circuit(*case))
+    gn2, emb2 = gmon_to_gmon2(gn)
+    docs = (embedding_to_json(emb), gnetwork_to_json(gn), embedding_to_json(emb2), gnetwork_to_json(gn2))
+    assert tuple(map(digest, docs)) == COMPILED_DIGESTS[case]
+
+
+def test_gmon_to_gmon2_on_every_monotone_arity_is_pinned():
+    gn2, emb = gmon_to_gmon2(gmon_loop_and_fork())
+    assert digest(embedding_to_json(emb)) == (
+        "375aae3cdf196ca28b84d62f3eb829ccae703da6f6943ddc869f05a4f12a7d07"
+    )
+    assert digest(gnetwork_to_json(gn2)) == (
+        "7777dc082b1ce6a535933db3075e097401259e09d3a4c1f4879bd63179bd7c52"
+    )
 
 
 def test_nor_realizers_exhaustive():
