@@ -178,3 +178,63 @@ def test_every_package_import_is_read():
         if (path.stem, entry.split()[-1]) not in read_there
     ]
     assert not unread, f"imported and never read: {unread}"
+
+
+def call_sites(callee) -> set[tuple[str, str]]:
+    """(module, qualified name of the enclosing definition) of every call in
+    the package that `callee(call)` accepts; module level is ""."""
+    sites = set()
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call) and callee(node):
+            sites.add((module, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
+    return sites
+
+
+def _named(*names):
+    return lambda call: _referenced_name(call.func) in names
+
+
+def test_only_simulate_builds_embeddings():
+    built = call_sites(_named("BlockEmbedding"))
+    assert built and {module for module, _ in built} == {"simulate"}, built
+
+
+def test_models_tabulate_and_compile_themselves():
+    # A model's `network` and a network's `stepper` are the only callers,
+    # with the CLI's reading of a CSAN document as a network.
+    allowed = {
+        ("gnet", "GNetwork.network"),
+        ("csan", "Csan.network"),
+        ("core", "Network.stepper"),
+        ("cli", "_as_network"),
+    }
+    sites = call_sites(_named("gnetwork_to_network", "csan_to_network", "compile_step"))
+    assert sites <= allowed, sites - allowed
+
+
+def _validates_an_embedding(call) -> bool:
+    # Only an embedding's and a dowel's validate take arguments; a dowel's
+    # takes the two sizes `f1.n, f2.n`.
+    return (
+        _referenced_name(call.func) == "validate"
+        and isinstance(call.func, ast.Attribute)
+        and bool(call.args)
+        and not all(isinstance(a, ast.Attribute) and a.attr == "n" for a in call.args)
+    )
+
+
+def test_embeddings_are_validated_where_they_are_built_or_given():
+    sites = call_sites(_validates_an_embedding)
+    outside = {
+        site for site in sites
+        if site[0] != "simulate" and site != ("problems", "reduce_pred_via_simulation")
+    }
+    assert ("simulate", "block_embedding") in sites and not outside, outside
