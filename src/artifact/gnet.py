@@ -6,6 +6,12 @@ consumed by exactly one gate input, and no gate consumes one of its own
 outputs. The global map updates every gate simultaneously: the node
 sitting on output slot k of gate j takes the k-th result of gate j
 applied to the nodes wired to its input ports.
+
+A `GNetwork` is a `core.Tabulated` model: every entry point that takes a
+network (the steppers, the orbit walker, exhaustive sweeps,
+`verify_simulation` on either side, DOT and network documents) takes it
+as it is, through its tabulation `gnetwork_to_network`, built once per
+instance.
 """
 
 from __future__ import annotations

@@ -6,6 +6,12 @@ fixed pattern, injective per block. The embedding of an F-configuration
 is the union of its block patterns, and correctness means
 
     embed(F(x)) = G^T(embed(x))   for every configuration x.
+
+Every compiler stage (`circuit.double_rail`, `circuit.gmon_to_gmon2`,
+`gadget.compile_gnetwork_detailed`, `gol.compile_to_gol`) builds its
+embedding with `block_embedding`, which puts the host nodes that encode
+no source node in node 0's block and validates the result: an
+embedding a stage builds is checked here and nowhere else.
 """
 
 from __future__ import annotations

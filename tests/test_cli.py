@@ -99,7 +99,8 @@ def test_simulate_folds_a_huge_time_into_the_cycle(tmp_path, rot3_file, capsys):
 def test_simulate_within_the_budget_folds_into_the_cycle(rot3_file, capsys):
     # 2^22 steps of the specification took about 5 s on odometer(3).
     start = time.perf_counter()
-    assert run(["simulate", rot3_file, "--config", "[1,0,0]", "-t", str(core.DEFAULT_MAX_STATES)]) == 0
+    t = str(core.DEFAULT_MAX_STATES)
+    assert run(["simulate", rot3_file, "--config", "[1,0,0]", "-t", t]) == 0
     assert time.perf_counter() - start < 1
     assert out_json(capsys) == {"t": 2**22, "config": [0, 1, 0]}  # 2^22 = 1 mod 3
 

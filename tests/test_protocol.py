@@ -93,13 +93,15 @@ def random_gnetworks(draw):
     assume(2 * max(arities) <= n)  # a gate of k ports needs k nodes of other gates
     b = GNetworkBuilder(q)
     for j, k in enumerate(arities):
-        rows = st.tuples(*[st.integers(0, q - 1)] * k)
-        b.new_gate(Gate(f"G{j}", q, k, k, tuple(draw(st.lists(rows, min_size=q**k, max_size=q**k)))))
+        rows = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * k), min_size=q**k, max_size=q**k))
+        b.new_gate(Gate(f"G{j}", q, k, k, tuple(rows)))
     gate = [j for j, k in enumerate(arities) for _ in range(k)]  # of each port, and each node
     wiring = list(draw(st.permutations(range(n))))
     for i in range(n):
         if gate[wiring[i]] == gate[i]:
-            i2 = next(i2 for i2 in range(n) if gate[i] != gate[wiring[i2]] and gate[wiring[i]] != gate[i2])
+            i2 = next(
+                i2 for i2 in range(n) if gate[i] != gate[wiring[i2]] and gate[wiring[i]] != gate[i2]
+            )
             wiring[i], wiring[i2] = wiring[i2], wiring[i]
     for j, k in enumerate(arities):
         b.connect(j, wiring[sum(arities[:j]) : sum(arities[: j + 1])])
