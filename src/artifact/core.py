@@ -458,8 +458,8 @@ def walk_orbit(
 
     Steps with `net.stepper`, compiled once per model, whose compilation
     a walk of thousands of steps repays many times; tests hold it to
-    `step`, the specification. `seen` maps each configuration to its time and keeps
-    insertion order, so it is also the path. Raises
+    `step`, the specification. `seen` maps each configuration to its
+    time and keeps insertion order, so it is also the path. Raises
     BudgetExceededError once `budget` configurations have been visited
     without closing the cycle.
     """

@@ -24,10 +24,10 @@ from .core import (
     Network,
     Tabulated,
     check_config,
+    check_entries,
     config_index,
     global_map_network,
     iterate,
-    check_entries,
     make_network,
     network_from_json,
     network_to_json,

@@ -408,6 +408,12 @@ def report_of(argv) -> tuple[int, dict]:
     return code, report
 
 
+def write_json(directory: Path, doc) -> str:
+    path = directory / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 # `simulate` on odometer(3) and on the NOR pair, each with a start. The time
 # is any int, a huge one included, or an odd value: within the state budget
 # it folds as soon as the orbit's cycle is met, past it once a walk closes it.
@@ -456,19 +462,20 @@ CNF = "p cnf 3 2\n1 -2 0\n2 3 0\n"
 @st.composite
 def mutated_cnf(draw):
     """CNF with one to three tokens replaced by a size or dropped."""
-    tokens = CNF.split(" ")
+    lines = [line.split(" ") for line in CNF.splitlines()]
     for _ in range(draw(st.integers(1, 3))):
+        tokens = draw(st.sampled_from(lines))
         i = draw(st.integers(0, len(tokens) - 1))
         tokens[i] = draw(st.one_of(SIZES.map(json.dumps), st.just("")))
-    return " ".join(tokens)
+    return "\n".join(" ".join(tokens) for tokens in lines)
 
 
 @settings(max_examples=150, deadline=None)
 @given(kind=st.sampled_from(("odometer", "primes", "hcounter", "gt-transient")), n=SIZES)
 def test_construct_of_any_size_exits_with_a_report(kind, n):
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "out.json"
-        code, report = report_of(["construct", kind, f"--n={json.dumps(n)}", "--dot", str(out)])
+        dot = Path(tmp) / "net.dot"
+        code, report = report_of(["construct", kind, f"--n={json.dumps(n)}", "--dot", str(dot)])
         assert code in (0, 2, 3)
         assert ("error" in report) == (code != 0)
 
@@ -481,8 +488,3 @@ def test_construct_sat_pred_of_a_mutated_cnf_exits_with_a_report(text):
         cnf.write_text(text)
         assert report_of(["construct", "sat-pred", "--cnf", str(cnf)])[0] in (0, 2, 3)
 
-
-def write_json(directory: Path, doc) -> str:
-    path = directory / "doc.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
