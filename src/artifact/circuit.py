@@ -395,5 +395,7 @@ def circuit_from_json(data: dict) -> Circuit:
             tuple((g["op"], tuple(g["args"])) for g in data["gates"]),
             tuple(data["outputs"]),
         )
+        args = [a for _, a in c.gates]
+        docs.integers(InvalidCircuitError, "circuit node ids", [c.n_inputs], c.outputs, *args)
         c.validate()
         return c

@@ -82,9 +82,7 @@ def _as_network(doc, path: str) -> Network | GNetwork:
     if kind == "csan":
         return csan_to_network(csan_from_json(doc))
     if kind == "gnetwork":
-        gn = gnetwork_from_json(doc)
-        gn.network  # tabulated now, so a gate network without tables fails as it loads
-        return gn
+        return gnetwork_from_json(doc)
     if kind == "circuit":
         return closed_network(circuit_from_json(doc))
     if kind == "matrix":
@@ -123,7 +121,7 @@ def _emit(args, doc) -> None:
     if args.output:
         docs.write(doc, args.output, pretty=args.pretty)
     else:
-        print(json.dumps(doc, indent=2 if args.pretty else None))
+        sys.stdout.write(docs.dumps(doc, args.pretty))
 
 
 def _emit_dot(args, net) -> None:
@@ -134,6 +132,22 @@ def _emit_dot(args, net) -> None:
 
 # ---------------------------------------------------------------------------
 # Subcommand handlers: each returns (report, exit_code)
+
+
+def _simulation_doc(rep) -> dict:
+    """A simulation's `VerificationReport`: ok, mode, checked and failures,
+    then seed and counterexample when set."""
+    doc = {"ok": rep.ok, "mode": rep.mode, "checked": rep.checked, "failures": list(rep.failures)}
+    if rep.seed is not None:
+        doc["seed"] = rep.seed
+    if rep.counterexample is not None:
+        doc["counterexample"] = list(rep.counterexample)
+    return doc
+
+
+def _certificate_doc(rep) -> dict:
+    """A `CertificateReport`: ok, checked and failures."""
+    return {"ok": rep.ok, "checked": rep.checked, "failures": list(rep.failures)}
 
 
 def _cmd_simulate(args):
@@ -199,17 +213,7 @@ def _cmd_verify_sim(args):
     rep = verify_simulation(
         source, host, emb, mode=args.mode, samples=args.samples, seed=args.seed
     )
-    doc = {
-        "ok": rep.ok,
-        "mode": rep.mode,
-        "checked": rep.checked,
-        "failures": list(rep.failures),
-    }
-    if rep.seed is not None:
-        doc["seed"] = rep.seed
-    if rep.counterexample is not None:
-        doc["counterexample"] = list(rep.counterexample)
-    return doc, 0 if rep.ok else 1
+    return _simulation_doc(rep), 0 if rep.ok else 1
 
 
 def _cmd_verify_cert(args):
@@ -218,8 +222,7 @@ def _cmd_verify_cert(args):
     else:
         cert = gol.build_certificate()
     rep = verify_certificate(cert)
-    doc = {"ok": rep.ok, "checked": rep.checked, "failures": list(rep.failures)}
-    return doc, 0 if rep.ok else 1
+    return _certificate_doc(rep), 0 if rep.ok else 1
 
 
 def _cmd_compile(args):
@@ -248,17 +251,8 @@ def _cmd_gol(args):
     compiled, emb = gol.compile_to_gol(gn, cert)
     sim_rep = verify_simulation(gn, compiled, emb, mode="exhaustive")
     doc = {
-        "certificate": {
-            "ok": cert_rep.ok,
-            "checked": cert_rep.checked,
-            "failures": list(cert_rep.failures),
-        },
-        "simulation": {
-            "ok": sim_rep.ok,
-            "mode": sim_rep.mode,
-            "checked": sim_rep.checked,
-            "failures": list(sim_rep.failures),
-        },
+        "certificate": _certificate_doc(cert_rep),
+        "simulation": _simulation_doc(sim_rep),
         "host_nodes": compiled.n,
         "time": emb.time,
     }

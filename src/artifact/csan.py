@@ -24,6 +24,7 @@ parameters must be ints (not bools or floats). Keys per family:
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -532,79 +533,73 @@ def csan_in_family(c: Csan, spec: FamilySpec) -> bool:
 # Conversion to plain networks and interaction graphs
 
 
-def _binary_code(lam: LambdaTable, shifts: tuple[int, ...], base: int) -> CountCode:
-    # Row codes are own state * 64 + live-neighbour count: each dep adds
-    # its shift (64 for the node itself, rho[1] - rho[0] for a neighbour)
-    # to the base count. Counts stay in [0, deg], so a code fits in a
-    # byte while deg < 64, which the table budget guarantees.
-    deg = len(shifts) - 1
-    lut = bytearray(256)
-    for s in range(2):
-        for ones in range(deg + 1):
-            lut[64 * s + ones] = lam[(s, (deg - ones, ones))]
-    return CountCode(shifts, base, bytes(lut))
+def _node_table(
+    lam: LambdaTable, q: int, own: int, labels: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, ...], CountCode | None]:
+    """The table, and for q = 2 the `CountCode` it is built from, of a node
+    with table lam at position own among its deps, reading labels in order.
 
-
-def _general_rows(
-    lam: LambdaTable, q: int, own: int, rhos: Sequence[tuple[int, ...]]
-) -> tuple[int, ...]:
-    # deps[own] is the node itself; rhos label the other deps in order.
+    A binary row's code is own state * 64 + live-neighbour count: each dep
+    adds its shift (64 at own, rho[1] - rho[0] elsewhere) to the base count
+    sum rho[0]. A code fits a byte while deg < 64, which the budget ensures.
+    """
+    deg = len(labels)
+    if q == 2:
+        table_size(2, deg + 1)
+        shifts = [rho[1] - rho[0] for rho in labels]
+        shifts.insert(own, 64)
+        lut = bytearray(256)
+        for s in range(2):
+            for ones in range(deg + 1):
+                lut[64 * s + ones] = lam[(s, (deg - ones, ones))]
+        code = CountCode(tuple(shifts), sum(rho[0] for rho in labels), bytes(lut))
+        return tuple(code.rows()), code
     table = []
-    for combo in table_rows(q, len(rhos) + 1):
+    for combo in table_rows(q, deg + 1):
         counts = [0] * q
-        for a, rho in zip(combo[:own] + combo[own + 1 :], rhos):
+        for a, rho in zip(combo[:own] + combo[own + 1 :], labels):
             counts[rho[a]] += 1
         table.append(lam[(combo[own], tuple(counts))])
-    return tuple(table)
+    return tuple(table), None
 
 
 def csan_to_network(c: Csan) -> Network:
     """Tabulate every node over its closed neighborhood; same global map.
 
-    A node's table depends only on its lam table and on what its sorted
-    deps see, so nodes with equal inputs share one table object. The key
-    is the identity of the node's lam table plus, for q = 2, the row
-    shift of each dep (64 for the node itself, rho[1] - rho[0] for a
-    neighbour) and the base count sum rho[0], and for general q, the
-    node's position among its deps and each neighbour's label in dep
-    order. A glued host, whose nodes are copies of a few gadget nodes,
-    builds one table per distinct gadget node and neighbourhood, not one
-    per host node. Every rule keeps its own deps.
+    A node's table depends only on its key: the identity of its lam
+    table, its position among its sorted deps, and its neighbours' labels
+    in dep order, all read in one pass over its sorted incidence. Each
+    distinct key's table is built once, by `_node_table`, and nodes with
+    equal keys share it. A glued host, whose nodes are copies of a few
+    gadget nodes, builds one table per distinct gadget node and
+    neighbourhood, not one per host node (12 on every NOR ring). Every
+    rule keeps its own deps.
 
-    For q = 2 the table is built from, and each rule records as its
-    `code`, the `CountCode` of its key: weights are the shifts, base is
-    the base count and lut maps own * 64 + live count to the lam entry.
-    Rules that share a table share its code, so `step_batch` steps every
-    node of a binary host by its count, in byte lanes, whatever its
-    degree.
+    For q = 2 each rule records as its `code` the `CountCode` its table
+    was built from; rules that share a table share its code, so
+    `step_batch` steps every node of a binary host by its count, in byte
+    lanes, whatever its degree.
 
     The tables are valid by construction from a validated CSAN (distinct
     sorted deps, q^|deps| rows, states from lam), so they are not
     validated again. A table past the budget is refused before it is built.
     """
     inc = c.incidence
-    q = c.alphabet
     tables: dict[tuple, tuple[tuple[int, ...], CountCode | None]] = {}
     rules = []
     for v in range(c.n):
-        deps = tuple(sorted([v] + [u for u, _ in inc[v]]))
-        label = dict(inc[v])
-        lam = c.lam[v]
-        if q == 2:
-            shifts = tuple(64 if u == v else label[u][1] - label[u][0] for u in deps)
-            key = (id(lam), shifts, sum(rho[0] for _, rho in inc[v]))
-        else:
-            key = (id(lam), deps.index(v), tuple(label[u] for u in deps if u != v))
+        deps, labels = [], []
+        for u, rho in sorted(inc[v]):
+            deps.append(u)
+            labels.append(rho)
+        own = bisect(deps, v)
+        deps.insert(own, v)
+        key = (id(c.lam[v]), own, tuple(labels))
         made = tables.get(key)
         if made is None:
-            if q == 2:
-                table_size(2, len(deps))
-                code = _binary_code(lam, key[1], key[2])
-                made = tables[key] = (tuple(code.rows()), code)
-            else:
-                made = tables[key] = (_general_rows(lam, q, key[1], key[2]), None)
-        rules.append(Rule(deps, *made))
-    return Network(q, tuple(rules))
+            made = tables[key] = _node_table(c.lam[v], c.alphabet, own, key[2])
+        rules.append(Rule(tuple(deps), *made))
+    return Network(c.alphabet, tuple(rules))
 
 
 def _achievable_counts(

@@ -53,7 +53,12 @@ def read(path):
         return json.load(fh)
 
 
+def dumps(doc, pretty: bool = False) -> str:
+    """A document's text and a newline, compact or indented by 2. One `json.dumps`
+    call: unlike `json.dump`, it takes the C encoder for a compact document."""
+    return json.dumps(doc, indent=2 if pretty else None) + "\n"
+
+
 def write(doc, path, pretty: bool = False) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2 if pretty else None)
-        fh.write("\n")
+        fh.write(dumps(doc, pretty))

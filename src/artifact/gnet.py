@@ -135,6 +135,8 @@ class GNetwork(Tabulated):
 
     def validate(self) -> None:
         n = self.n
+        if self.alphabet < 1:
+            raise InvalidGNetworkError("alphabet size must be >= 1")
         if not (len(self.gates) == len(self.inputs) == len(self.outputs)):
             raise InvalidGNetworkError("gates, inputs and outputs must align")
         consumed: list[int] = []

@@ -129,6 +129,18 @@ def test_pretty_indents(rot3_file, capsys):
     assert text.startswith("{\n  ")
 
 
+@pytest.mark.parametrize("pretty", [[], ["--pretty"]], ids=["compact", "pretty"])
+def test_stdout_and_the_output_file_hold_the_same_bytes(pretty, tmp_path, capsys):
+    threshold = build_threshold(3, [(0, 1), (1, 2)], [1, 1, 2])
+    csan = write_json(tmp_path, "csan.json", csan_to_json(threshold))
+    assert run(["convert", csan, *pretty]) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "out.json"
+    assert run(["convert", csan, *pretty, "-o", str(out)]) == 0
+    assert out.read_bytes() == printed.encode() and printed.endswith("}\n")
+    assert printed.startswith("{\n  ") == bool(pretty)
+
+
 def test_oracle_answers_set_exit_code(tmp_path, rot3_file, capsys):
     net = rotation(3)
     yes = write_json(
@@ -368,6 +380,10 @@ MALFORMED = {
         ["convert", DOC, "--to", "circuit"],
         lambda: {"format": "circuit", "n_inputs": "2", "gates": [], "outputs": [0, 1]},
     ),
+    "circuit inputs float": (
+        ["convert", DOC],
+        lambda: {"format": "circuit", "n_inputs": 2.0, "gates": [], "outputs": [0, 1]},
+    ),
     "gnetwork alphabet string": (["convert", DOC], lambda: nor_pair_doc(alphabet="2")),
     "matrix rows scalar": (
         ["convert", DOC], lambda: {"format": "matrix", "kind": "gf2", "rows": 5}
@@ -463,6 +479,31 @@ def test_malformed_embeddings_exit_two(changes, tmp_path, rot3_file, capsys):
     emb = write_json(tmp_path, "emb.json", rot3_embedding(**changes))
     assert run(["verify-sim", rot3_file, rot3_file, emb]) == 2
     assert "expected integers" in out_json(capsys)["error"]
+
+
+# A gate network on no states is refused as it is read, by every subcommand
+# that reads one.
+NO_STATES = {"format": "gnetwork", "version": 1, "alphabet": 0, "gates": []}
+
+
+@pytest.mark.parametrize(
+    "command", ["compile", "simulate", "analyze", "convert", "glue", "verify-sim"]
+)
+def test_a_gate_network_on_no_states_exits_two(command, tmp_path, capsys):
+    gn = write_json(tmp_path, "gnet.json", NO_STATES)
+    dowel_doc = dowel_to_json(make_dowel(["a"], [], {"a": 0}, {"a": 0}))
+    dowel = write_json(tmp_path, "dowel.json", dowel_doc)
+    emb = write_json(tmp_path, "emb.json", rot3_embedding())
+    operands = {
+        "compile": [gn],
+        "simulate": [gn, "--config", "[]", "-t", "1"],
+        "analyze": [gn, "--config", "[]"],
+        "convert": [gn],
+        "glue": [gn, gn, dowel],
+        "verify-sim": [gn, gn, emb],
+    }
+    assert run([command, *operands[command]]) == 2
+    assert out_json(capsys) == {"error": "alphabet size must be >= 1"}
 
 
 def test_gol_demo_reports_both_passes(capsys):

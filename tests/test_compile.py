@@ -473,8 +473,8 @@ def test_compile_tabulates_and_builds_a_fixed_number_of_times(monkeypatch):
 
 def test_host_tabulation_builds_as_many_tables_for_every_ring(monkeypatch):
     built = []
-    original = csan._binary_code
-    monkeypatch.setattr(csan, "_binary_code", lambda *args: built.append(1) or original(*args))
+    original = csan._node_table
+    monkeypatch.setattr(csan, "_node_table", lambda *args: built.append(1) or original(*args))
     cert = gol.build_certificate()
     counts = []
     for k in (4, 6, 12):

@@ -449,14 +449,10 @@ def shared_csans(draw, alphabets):
 
 
 def sharing_key(c, v):
-    """What node v's table depends on: its lam table's identity, and for
-    q = 2 each sorted dep's row shift plus the base count, for general q
-    the node's place among its deps plus its neighbours' labels."""
+    """What node v's table depends on: its lam table's identity, its place
+    among its sorted deps and its neighbours' labels in dep order."""
     deps = sorted([v] + [u for u, _ in c.incidence[v]])
     label = dict(c.incidence[v])
-    if c.alphabet == 2:
-        shifts = tuple(64 if u == v else label[u][1] - label[u][0] for u in deps)
-        return (id(c.lam[v]), shifts, sum(label[u][0] for u in label))
     return (id(c.lam[v]), deps.index(v), tuple(label[u] for u in deps if u != v))
 
 

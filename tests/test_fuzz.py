@@ -4,8 +4,10 @@
 instance document and walk an orbit; `verify-sim` reads a source, a
 host and an embedding and steps the host in lanes; `verify-cert` reads
 a certificate and replays its recorded runs; `compile --certificate` compiles with
-one; `convert` and `analyze` read a gate network, and `convert` a CSAN
-whose vertices are family shorthands, and tabulate it; `glue` reads two
+one; `convert` and `analyze` read a gate network, `compile` and
+`convert` whole gate-network documents, and `convert` a CSAN
+whose vertices are family shorthands, and tabulate it; `convert`,
+`convert --to circuit` and `analyze` read a circuit; `glue` reads two
 networks or CSANs and a dowel; `convert` and `glue` read whole CSAN
 documents, alphabet and size included; `simulate` reads a network or
 gate network document, a configuration and a time; `construct` reads a
@@ -26,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifact import gol
+from artifact.circuit import circuit_to_json, make_circuit
 from artifact.cli import run
 from artifact.core import network_to_json
 from artifact.csan import csan_to_json
@@ -230,6 +233,54 @@ def test_mutated_gnetwork_gates_exit_with_a_document(data, command):
         src.write_text(json.dumps(doc))
         argv = [command, str(src)] + (["--config", "[0, 1, 1, 0]"] if command == "analyze" else [])
         assert run_to_document(argv) in (0, 1, 2, 3)
+
+
+# Whole gate-network documents: the alphabet, the gate list and each
+# gate's ports as well as its fields. An alphabet below 1 is refused as
+# the document is read, by `compile` as by `convert`.
+def gnetwork_sections(draw):
+    gate = draw(st.integers(0, 1))
+    return [(), ("alphabet",), ("gates",), ("gates", gate, "inputs"), ("gates", gate, "outputs")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), command=st.sampled_from(("compile", "convert")))
+def test_mutated_gnetwork_documents_exit_with_a_document(data, command):
+    doc = data.draw(mutated(NOR_PAIR, gnetwork_sections))
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "gnet.json"
+        src.write_text(json.dumps(doc))
+        assert run_to_document([command, str(src)]) in (0, 1, 2, 3)
+
+
+# A closed circuit of two inputs: node 2 is NOT x0, node 3 is x0 AND x1.
+# `convert` and `analyze` read it as its closed network, and `convert --to
+# circuit` writes it back.
+CIRCUIT = circuit_to_json(make_circuit(2, [("NOT", (0,)), ("AND", (0, 1))], (2, 3)))
+CIRCUIT_COMMANDS = {
+    "convert": ["convert"],
+    "convert --to circuit": ["convert", "--to", "circuit"],
+    "analyze": ["analyze", "--config", "[0, 1]"],
+}
+
+
+def run_on_circuit(command, doc) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "circuit.json"
+        src.write_text(json.dumps(doc))
+        name, *options = CIRCUIT_COMMANDS[command]
+        return run_to_document([name, str(src), *options])
+
+
+@pytest.mark.parametrize("command", sorted(CIRCUIT_COMMANDS))
+def test_unmutated_circuit_document_answers(command):
+    assert run_on_circuit(command, CIRCUIT) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), command=st.sampled_from(sorted(CIRCUIT_COMMANDS)))
+def test_mutated_circuit_documents_exit_with_a_document(data, command):
+    assert run_on_circuit(command, data.draw(mutated(CIRCUIT))) in (0, 1, 2, 3)
 
 
 # The wire with lifelike shorthands for vertices; only they are mutated
