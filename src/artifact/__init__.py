@@ -9,7 +9,7 @@ only users, the tests and the benchmark call:
     csan: build_interval build_minmax build_reaction_diffusion
     csan: build_rule90_ring build_threshold csan_in_family csan_step
     csan: decode_config encode_config family_spec interaction_graph_csan
-    gadget: certificate_to_json gadget_glue
+    gadget: certificate_to_json
     glue: check_pseudo_orbit dowel_to_json glue_pseudo_orbits
     gol: build_clock build_wire clock_initial nor_center_nodes wire_signal
     problems: gated_product_network instance_to_json pred_to_reach

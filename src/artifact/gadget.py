@@ -1,4 +1,4 @@
-"""Networks with glueing interfaces, their wiring calculus, and the compiler.
+"""Networks with glueing interfaces, coherence certificates, and the compiler.
 
 A gadget is a network carrying marked copies of a fixed interface, each
 copy flagged as an input or an output. Its dynamics is held once: the
@@ -6,21 +6,19 @@ labeled network (Csan) when there is one, the tabulated Network
 otherwise. Either is stepped and checked as it is, a Csan through the
 table it derives once, on first use, and gadget documents carry
 whichever of the two the gadget holds. Gluing an output copy of one
-gadget onto an input copy of another fuses the two copies node by node
-and yields a gadget again, so gate diagrams can be assembled by
-repeated glueing (`gadget_glue`). A coherence certificate pins down,
-for one gate catalog, the exempted runs and boundary traces that make
-every such assembly simulate the corresponding gate network.
+gadget onto an input copy of another fuses the two copies node by node.
+A coherence certificate pins down, for one gate catalog, the exempted
+runs and boundary traces that make every such assembly simulate the
+corresponding gate network.
 
-Both `gadget_glue` and `compile_gnetwork_detailed` glue through one
-routine, `_glue`, which takes the gadgets and, for each step, the wires
-joining the next gadget to those before it. A step only checks its
-wires and builds its junction on (gadget, node) identities; then
-`glue.glue_parts` numbers the host and builds it once, so the compiler
-costs time linear in the gates. `gadget_glue` runs the full labeled-glue
-guards at its junction. The compiler's gadgets are certified: the
-certificate's `csan_closure_failures` discharges every guard inside an
-interface copy, so each junction only compares edges across its wires.
+`compile_gnetwork_detailed` is the one place that glues gadgets. It
+fuses each gate with the gates before it along every wire between them,
+builds each step's junction on (gate, node) identities, and numbers and
+builds the host once, so it costs time linear in the gates. Its gadgets
+are certified: the certificate's `csan_closure_failures` discharges
+every labeled-glue guard inside an interface copy, so each junction
+only compares edges across its wires. Networks glued outside a
+certificate go through `glue.glue_parts`, which runs the full guards.
 """
 
 from __future__ import annotations
@@ -43,14 +41,15 @@ from .csan import Csan, InvalidCsanError, csan_from_json, csan_to_json
 from .glue import (
     InvalidGlueError,
     Junction,
-    Placement,
     PseudoOrbit,
     PseudoOrbitReport,
     _check_shaped_runs,
     check_pseudo_orbit_shape,
     differing_edges,
     differing_labels,
-    glue_parts,
+    glued_csan,
+    glued_network,
+    glued_numbering,
     leaves_placement,
     pseudo_orbit_from_json,
     pseudo_orbit_to_json,
@@ -189,33 +188,8 @@ def exempt_nodes(g: Gadget) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 # Gadget glueing
 #
-# Until the host is numbered, a copy of a glued part is named by
-# (part, copy index) and a node by (part, node). A step's wires pair a
-# copy of an earlier part with a copy index of the part glued on.
-Wires = Sequence[tuple[tuple[int, int], int]]
-
-
-def _junction(
-    iface: Interface,
-    in_pairs: Sequence[tuple[Placement, Placement]],
-    out_pairs: Sequence[tuple[Placement, Placement]],
-) -> Junction:
-    # Junction fusing each (input copy, output copy) of in_pairs and each
-    # (output copy, input copy) of out_pairs, the first copy of a pair on
-    # the first side: the receiving half keeps the consumer's rules, the
-    # emitting half the producer's.
-    c1: list[str] = []
-    c2: list[str] = []
-    at1: dict[str, tuple[int, int]] = {}
-    at2: dict[str, tuple[int, int]] = {}
-    for tag, pairs, half in (("a", in_pairs, iface.inputs), ("b", out_pairs, iface.outputs)):
-        for j, (first, second) in enumerate(pairs):
-            for c in iface.names:
-                name = f"{tag}{j}:{c}"
-                (c1 if c in half else c2).append(name)
-                at1[name] = first[c]
-                at2[name] = second[c]
-    return Junction(tuple(c1), tuple(c2), at1, at2)
+# Until the host is numbered, a node of a glued gadget is named by
+# (gate, node).
 
 
 def _copy_crossings(g: Gadget) -> dict[int, list[int]]:
@@ -249,102 +223,6 @@ def _check_across_wires(
     pairs = [p for p in combinations(d.c1 + d.c2, 2) if frozenset(p) in joined]
     for a, b in differing_edges(parts, pairs, d.at1, d.at2):
         raise InvalidGlueError(f"induced dowel subgraphs differ on pair ({a!r}, {b!r})")
-
-
-def _check_pairs(pairs: Wires, live: set[tuple[int, int]], n_second: int, what: str) -> None:
-    firsts = [a for a, _ in pairs]
-    seconds = [b for _, b in pairs]
-    if len(set(firsts)) != len(firsts) or len(set(seconds)) != len(seconds):
-        raise InvalidGadgetError(f"reused {what} index in the wiring")
-    if any(a not in live for a in firsts) or any(not 0 <= b < n_second for b in seconds):
-        raise InvalidGadgetError(f"{what} wiring index out of range")
-
-
-def _glue(
-    parts: Sequence[Gadget], wiring: Sequence[tuple[Wires, Wires]], _certified: bool = False
-) -> tuple[Gadget, list[dict[int, int]]]:
-    """Glue parts[j] onto the glue of parts[:j] for j = 1, 2, ... in one build.
-
-    wiring[j - 1] = (in_pairs, out_pairs) wires step j: ((i, k), k') in
-    in_pairs fuses input copy k of part i < j with output copy k' of
-    part j, and out_pairs fuses output copies of earlier parts with
-    input copies of part j likewise. A step checks its pairs against the
-    copies still unfused and builds its junction on (part, node)
-    identities; `glue_parts` glues along all the junctions, labeled when
-    every part is, and runs the full labeled-glue guards. Returns the
-    glued gadget, whose copies are the unfused ones in (part, copy)
-    order, and node_maps, where node_maps[j] sends the nodes of part j
-    to host nodes.
-
-    _certified says the parts are gadgets of a certificate whose report
-    holds. Then labeled parts are valid, and a step compares edge labels
-    only between names on different wires (`_check_across_wires`);
-    `csan_closure_failures` shows why that is the whole guard.
-    """
-    iface = parts[0].interface
-    labeled = all(g.csan is not None for g in parts)
-    csans = [g.csan for g in parts]
-    crossings = map_shared(_copy_crossings, parts) if _certified and labeled else []
-
-    def at(i: int, copy: Mapping[str, int]) -> dict[str, tuple[int, int]]:
-        return {c: (i, v) for c, v in copy.items()}
-
-    live_in = {(0, k) for k in range(len(parts[0].in_copies))}
-    live_out = {(0, k) for k in range(len(parts[0].out_copies))}
-    junctions = []
-    for j, (in_pairs, out_pairs) in enumerate(wiring, 1):
-        g = parts[j]
-        _check_pairs(in_pairs, live_in, len(g.out_copies), "input/output")
-        _check_pairs(out_pairs, live_out, len(g.in_copies), "output/input")
-        junction = _junction(
-            iface,
-            [(at(i, parts[i].in_copies[k]), at(j, g.out_copies[b])) for (i, k), b in in_pairs],
-            [(at(i, parts[i].out_copies[k]), at(j, g.in_copies[b])) for (i, k), b in out_pairs],
-        )
-        if any(crossings):
-            _check_across_wires(csans, junction, crossings)
-        junctions.append(junction)
-        live_in.difference_update(a for a, _ in in_pairs)
-        live_out.difference_update(a for a, _ in out_pairs)
-        taken_in, taken_out = {b for _, b in out_pairs}, {b for _, b in in_pairs}
-        live_in.update((j, k) for k in range(len(g.in_copies)) if k not in taken_in)
-        live_out.update((j, k) for k in range(len(g.out_copies)) if k not in taken_out)
-
-    host, node_maps = glue_parts([g.dynamics for g in parts], junctions, _certified)
-
-    def placed(i: int, copy: Mapping[str, int]) -> dict[str, int]:
-        return {c: node_maps[i][v] for c, v in copy.items()}
-
-    ins = tuple(placed(i, parts[i].in_copies[k]) for i, k in sorted(live_in))
-    outs = tuple(placed(i, parts[i].out_copies[k]) for i, k in sorted(live_out))
-    return Gadget(iface, host, ins, outs), node_maps
-
-
-def gadget_glue(
-    first: Gadget,
-    second: Gadget,
-    in_pairs: Sequence[tuple[int, int]] = (),
-    out_pairs: Sequence[tuple[int, int]] = (),
-) -> Gadget:
-    """Glue two gadgets along the wired interface copies.
-
-    in_pairs lists (input copy of first, output copy of second) pairs,
-    out_pairs the (output copy of first, input copy of second) ones.
-    Surviving copies keep their relative order, first gadget first.
-    Empty wiring degenerates to the disjoint union. `first` and `second`
-    may be one gadget: nodes are named by (part, node) until the host is
-    numbered, and neither part is changed.
-    """
-    first.validate()
-    second.validate()
-    if first.interface != second.interface:
-        raise InvalidGadgetError("glued gadgets must share an interface")
-    if first.alphabet != second.alphabet:
-        raise InvalidGadgetError("glued gadgets must share an alphabet")
-    step = ([((0, a), b) for a, b in in_pairs], [((0, a), b) for a, b in out_pairs])
-    gadget, _ = _glue((first, second), [step])
-    gadget.validate()
-    return gadget
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +339,8 @@ def csan_closure_failures(
     - two names of one wire lie in one copy on each side, and both
       copies' edges equal the first copy's (`differing_edges` on
       same-wire pairs).
-    Only the edges between names of different wires stay open, so
-    `_glue` checks just those on certified gadgets.
+    Only the edges between names of different wires stay open, so the
+    compiler checks just those (`_check_across_wires`).
     """
     names = interface.names
     csans = [g.csan for _, g in tagged]
@@ -746,20 +624,22 @@ class CompiledGadgets:
 
 
 def compile_gnetwork_detailed(gn: GNetwork, cert: CoherentCertificate) -> CompiledGadgets:
-    """Assemble one gadget per gate with one glue pass; build the host once.
+    """Assemble one gadget per gate along the wires and build the host once.
 
-    The gates are walked in order, and gate j is glued onto the glue of
-    gates 0..j-1 along every wire between them; wireless steps are
-    disjoint unions. This is the chained `gadget_glue` without the
-    gadgets in between, and `_glue` builds the host once, so node_maps,
-    dowels, contexts and host equal the chained result.
+    The gates are walked in order, and step j fuses gate j with the
+    gates before it along every wire between them, each wire an input
+    copy fused with an output copy; a step with no such wire adds its
+    gadget as a disjoint part. A step only builds its junction on (gate,
+    node) identities: `glue.glued_numbering` numbers the host once, and
+    `glue.glued_csan` (labeled gadgets) or `glue.glued_network` builds
+    it, so the compiler costs time linear in the gates.
 
-    The gadgets are certified (`cert.report` holds), so labeled steps
-    skip what `csan_closure_failures` has established: each junction
-    compares edge labels only between names on different wires, and
-    `glue.glued_csan` builds the host from the gadgets without
-    validating it again. Each source node owns its fused interface copy
-    as a block; all frozen context nodes ride along in node 0's block.
+    The gadgets are certified (`cert.report` holds), so a labeled step
+    skips what `csan_closure_failures` has established: its junction
+    compares edge labels only between names on different wires
+    (`_check_across_wires`), and the host is not validated again. Each
+    source node owns its fused interface copy as a block; all frozen
+    context nodes ride along in node 0's block.
     """
     gn.validate()
     report = cert.report
@@ -785,23 +665,48 @@ def compile_gnetwork_detailed(gn: GNetwork, cert: CoherentCertificate) -> Compil
         for k, v in enumerate(gn.inputs[j]):
             consumed_by[v] = (j, k)
 
-    # Step j fuses the wires between gate j and the gates before it, in
-    # (gate, copy) order of the earlier copies.
-    wiring = [
-        (
-            sorted((consumed_by[v], k) for k, v in enumerate(gn.outputs[j]) if consumed_by[v][0] < j),
-            sorted((produced_by[v], k) for k, v in enumerate(gn.inputs[j]) if produced_by[v][0] < j),
-        )
-        for j in range(1, len(gn.gates))
-    ]
+    iface = cert.interface
     parts = [cert.gadgets[gate] for gate in gn.gates]
-    glued, node_maps = _glue(parts, wiring, _certified=True)
-    host = glued.dynamics
+    ins = [g.in_copies for g in parts]
+    outs = [g.out_copies for g in parts]
+    csans = [g.csan for g in parts]
+    crossings = map_shared(_copy_crossings, parts) if csans[0] is not None else []
+    junctions = []
+    for j in range(1, len(parts)):
+        # Wire names "a": an earlier input copy on an output copy of gate
+        # j; "b": an earlier output copy on an input copy. Each kind comes
+        # in (gate, copy) order of the earlier copy. The receiving half
+        # keeps the consumer's rules, the emitting half the producer's.
+        c1: list[str] = []
+        c2: list[str] = []
+        at1: dict[str, tuple[int, int]] = {}
+        at2: dict[str, tuple[int, int]] = {}
+        for tag, half, earlier, ports, copies, own in (
+            ("a", iface.inputs, consumed_by, gn.outputs[j], ins, outs[j]),
+            ("b", iface.outputs, produced_by, gn.inputs[j], outs, ins[j]),
+        ):
+            wires = sorted((earlier[v], k) for k, v in enumerate(ports) if earlier[v][0] < j)
+            for w, ((i, k), b) in enumerate(wires):
+                first, second = copies[i][k], own[b]
+                for c in iface.names:
+                    name = f"{tag}{w}:{c}"
+                    (c1 if c in half else c2).append(name)
+                    at1[name], at2[name] = (i, first[c]), (j, second[c])
+        junction = Junction(tuple(c1), tuple(c2), at1, at2)
+        if any(crossings):
+            _check_across_wires(csans, junction, crossings)
+        junctions.append(junction)
+
+    node_maps, owner = glued_numbering([g.n for g in parts], junctions)
+    if csans[0] is not None:
+        host: Csan | Network = glued_csan(csans, node_maps, owner)
+    else:
+        host = glued_network([g.dynamics for g in parts], node_maps, owner)
     # The fused copy carrying v, numbered through the earlier of its two gates.
     dowels = []
     for v in range(gn.n):
         (pj, pk), (cj, ck) = produced_by[v], consumed_by[v]
-        j, copy = (pj, parts[pj].out_copies[pk]) if pj < cj else (cj, parts[cj].in_copies[ck])
+        j, copy = (pj, outs[pj][pk]) if pj < cj else (cj, ins[cj][ck])
         dowels.append({c: node_maps[j][u] for c, u in copy.items()})
 
     contexts: list[dict[int, int]] = []
@@ -852,6 +757,8 @@ def gadget_from_json(data: dict) -> Gadget:
                 raise InvalidGadgetError("labeled twin disagrees with the network")
         else:
             dynamics = network_from_json(data["network"])
+        copies = [*data["in_copies"], *data["out_copies"]]
+        docs.integers(InvalidGadgetError, "interface copy nodes", *(c.values() for c in copies))
         return make_gadget(iface, dynamics, data["in_copies"], data["out_copies"])
 
 

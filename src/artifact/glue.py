@@ -155,44 +155,47 @@ def glued_numbering(
     return node_maps, owner
 
 
-def _shared_alphabet(parts: Sequence[Network | Csan]) -> int:
-    alphabets = {p.alphabet for p in parts}
-    if len(alphabets) != 1:
+def _check_shared_alphabet(parts: Sequence[Network | Csan]) -> None:
+    if len({p.alphabet for p in parts}) != 1:
         raise InvalidGlueError("glued networks must share an alphabet")
-    return alphabets.pop()
 
 
 def glue_parts(
-    parts: Sequence[Network | Csan],
-    junctions: Sequence[Junction],
-    _certified: bool = False,
+    parts: Sequence[Network | Csan], junctions: Sequence[Junction]
 ) -> tuple[Network | Csan, list[dict[int, int]]]:
     """Glue any number of parts along junctions in one build; returns (host, node_maps).
 
     Glued node h runs the rule of owner[h] (see `glued_numbering`) with
     its dependencies routed through node_maps. Unless every part is a
-    Csan, the host is a Network made from the parts' rules. Labeled parts
-    give a Csan host from `glued_csan`: every distinct part is validated
-    and every junction must pass `check_dowel_structure` first. Valid
-    parts that pass the guards glue into a valid host, so it is not
-    validated again. _certified says the caller has discharged both (the
-    compiler, whose parts are gadgets of a verified certificate, see
-    `gadget._glue`).
+    Csan, the host is `glued_network`'s. Labeled parts give a Csan host
+    from `glued_csan`: every distinct part is validated and every
+    junction must pass `check_dowel_structure` first, so valid parts
+    that pass the guards glue into a valid host, which is not validated
+    again. The gadget compiler, whose certificate discharges these
+    checks, builds its host from the two builders directly.
     """
-    q = _shared_alphabet(parts)
+    _check_shared_alphabet(parts)
     node_maps, owner = glued_numbering([p.n for p in parts], junctions)
     if not all(isinstance(p, Csan) for p in parts):
-        rules = []
-        for j, v in owner:
-            rule = parts[j].rules[v]
-            rules.append((tuple(node_maps[j][u] for u in rule.deps), rule.table))
-        return make_network(q, rules), node_maps
-    if not _certified:
-        for part in {id(p): p for p in parts}.values():
-            part.validate()
-        for junction in junctions:
-            check_dowel_structure(parts, junction)
+        return glued_network(parts, node_maps, owner), node_maps
+    for part in {id(p): p for p in parts}.values():
+        part.validate()
+    for junction in junctions:
+        check_dowel_structure(parts, junction)
     return glued_csan(parts, node_maps, owner), node_maps
+
+
+def glued_network(
+    parts: Sequence[Network | Tabulated],
+    node_maps: Sequence[Mapping[int, int]],
+    owner: Sequence[tuple[int, int]],
+) -> Network:
+    """The glued host as a Network: node h runs owner[h]'s rule, its deps routed."""
+    rules = []
+    for j, v in owner:
+        rule = parts[j].rules[v]
+        rules.append((tuple(node_maps[j][u] for u in rule.deps), rule.table))
+    return make_network(parts[0].alphabet, rules)
 
 
 def glued_csan(
@@ -227,7 +230,7 @@ def glue_networks(f1: Network, f2: Network, d: Dowel) -> Network:
 
     Two Csans glue as in `csan_glue`.
     """
-    _shared_alphabet((f1, f2))
+    _check_shared_alphabet((f1, f2))
     d.validate(f1.n, f2.n)
     return glue_parts((f1, f2), [dowel_junction(d)])[0]
 

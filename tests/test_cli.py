@@ -334,13 +334,32 @@ def explicit_csan(first_out):
     }
 
 
-# case -> (arguments with DOC where the document's path goes, document).
-# Each of these documents once escaped its parser or checker as a built-in
-# exception, was judged with exit code 0 or 1 on a non-integer state, or
-# (the shorthands) was converted with exit code 0 although the family
-# refuses its parameters or its alphabet.
+def copy_node(value, command):
+    """A certificate case whose gadget's first input copy puts "drive0" at `value`."""
+
+    def build():
+        doc = bundled_certificate()
+        doc["gates"][0]["gadget"]["in_copies"][0]["drive0"] = value
+        return doc
+
+    args = ["verify-cert", DOC] if command == "verify-cert" else ["compile", PAIR, "--certificate", DOC]
+    return args, build
+
+
+# case -> (arguments with DOC where the document's path goes and PAIR
+# where a gate network's, document). Each of these documents once escaped
+# its parser or checker as a built-in exception, was judged with exit code
+# 0 or 1 on a non-integer state or node, or (the shorthands) was converted
+# with exit code 0 although the family refuses its parameters or its
+# alphabet.
 DOC = object()
+PAIR = object()
 MALFORMED = {
+    **{
+        f"{command} certificate copy node {kind}": copy_node(value, command)
+        for command in ("verify-cert", "compile")
+        for kind, value in (("float", 0.0), ("bool", True))
+    },
     "certificate context key": (
         ["verify-cert", DOC], lambda: certificate_with_context({"x": 0})
     ),
@@ -424,8 +443,11 @@ MALFORMED = {
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_documents_exit_two(case, tmp_path, capsys):
     args, build = MALFORMED[case]
-    path = write_json(tmp_path, "doc.json", build())
-    assert run([path if a is DOC else a for a in args]) == 2
+    paths = {
+        DOC: write_json(tmp_path, "doc.json", build()),
+        PAIR: write_json(tmp_path, "pair.json", nor_pair_doc()),
+    }
+    assert run([paths.get(a, a) for a in args]) == 2
     assert out_json(capsys)["error"]
 
 

@@ -1,14 +1,19 @@
 """The one-pass gadget compiler against chained pairwise glueing.
 
 The oracle below glues gate j onto the accumulated gadget of gates
-0..j-1 with the public `gadget_glue`, and recomputes the numbering of
-every step here from the test's own junction dowel. `gadget_glue` shares
-its glue routine with the compiler, so every chained step is also held
-to `glue.csan_glue` or `glue.glue_networks` on that dowel, which glue
-two networks on their own. Both must produce the same host, embedding,
-dowels, contexts and node maps. The oracle numbers each step through
-`glue.glued_numbering`, as the compiler does, so test_glued_hosts.py
-pins compiled documents by digest as well.
+0..j-1 with `glue.csan_glue` or `glue.glue_networks`, which glue two
+networks along one dowel and run the full labeled-glue guards, on the
+test's own junction dowel; it keeps the copies left unfused itself and
+numbers every step from that dowel. It shares no glue routine with the
+compiler, which builds its host once from certified gadgets. Both must
+produce the same host, embedding, dowels, contexts and node maps. The
+oracle numbers each step through `glue.glued_numbering`, as the compiler
+numbers its host, so test_glued_hosts.py pins compiled documents by
+digest as well.
+
+The compiler's junctions are pinned against the test's own, and a
+soundness test holds its certified guard to `glue.glue_parts`' full
+guard on those junctions.
 """
 
 import dataclasses
@@ -25,17 +30,18 @@ from artifact import cli, csan, gadget, glue, gol
 from artifact.cli import run
 from artifact.csan import build_lifelike, csan_to_json
 from artifact.gadget import (
+    CertificateReport,
     InvalidGadgetError,
     certificate_to_json,
     compile_gnetwork_detailed,
-    gadget_glue,
+    make_certificate,
     make_gadget,
 )
-from artifact.glue import PseudoOrbit, dowel_junction, glued_numbering, make_dowel
+from artifact.glue import Junction, PseudoOrbit, dowel_junction, glued_numbering
 from artifact.gnet import ID_1_1, NOR_2_2, GNetworkBuilder, gnetwork_to_json
 from artifact.simulate import BlockEmbedding, embedding_to_json
 
-from test_gadget import IFACE, identity_gadget, nor_gadget, toy_certificate
+from test_gadget import IFACE, identity_gadget, junction_dowel, nor_gadget, toy_certificate
 
 
 def nor_ring(k):
@@ -75,24 +81,6 @@ def identity_ring(k):
 # The pairwise oracle
 
 
-def junction_dowel(first, second, in_pairs, out_pairs):
-    iface = first.interface
-    c1, c2, phi1, phi2 = [], [], {}, {}
-    for j, (ia, ob) in enumerate(in_pairs):
-        for c in iface.names:
-            name = f"a{j}:{c}"
-            (c1 if c in iface.inputs else c2).append(name)
-            phi1[name] = first.in_copies[ia][c]
-            phi2[name] = second.out_copies[ob][c]
-    for j, (oa, ib) in enumerate(out_pairs):
-        for c in iface.names:
-            name = f"b{j}:{c}"
-            (c1 if c in iface.outputs else c2).append(name)
-            phi1[name] = first.out_copies[oa][c]
-            phi2[name] = second.in_copies[ib][c]
-    return make_dowel(c1, c2, phi1, phi2)
-
-
 def pairwise_compile(gn, cert):
     """(host gadget, embedding, dowels, contexts, node_maps) by chained glueing."""
     produced_by, consumed_by = {}, {}
@@ -124,12 +112,11 @@ def pairwise_compile(gn, cert):
             if cj == j:
                 out_pairs.append((idx, ck))
                 b_wires.append(v)
-        glued = gadget_glue(acc, new, in_pairs, out_pairs)
         d = junction_dowel(acc, new, in_pairs, out_pairs)
         if acc.csan is not None and new.csan is not None:
-            assert glued.csan == glue.csan_glue(acc.csan, new.csan, d)
+            dynamics = glue.csan_glue(acc.csan, new.csan, d)
         else:
-            assert glued.dynamics == glue.glue_networks(acc.dynamics, new.dynamics, d)
+            dynamics = glue.glue_networks(acc.dynamics, new.dynamics, d)
         (m1, m2), _ = glued_numbering((acc.n, new.n), [dowel_junction(d)])
         node_maps = [{o: m1[h] for o, h in m.items()} for m in node_maps]
         node_maps.append(m2)
@@ -142,20 +129,20 @@ def pairwise_compile(gn, cert):
         used_out_second = {ob for _, ob in in_pairs}
         used_out_first = {oa for oa, _ in out_pairs}
         used_in_second = {ib for _, ib in out_pairs}
-        for kind, used_first, used_second in (
-            ("in_copies", used_in_first, used_in_second),
-            ("out_copies", used_out_first, used_out_second),
-        ):
-            kept = [
+        # The copies left unfused, first gadget first, in copy order.
+        kept = {
+            kind: [
                 {c: index[u] for c, u in copy.items()}
-                for part, index, used in (
-                    (acc, m1, used_first),
-                    (new, m2, used_second),
-                )
+                for part, index, used in ((acc, m1, used_first), (new, m2, used_second))
                 for k, copy in enumerate(getattr(part, kind))
                 if k not in used
             ]
-            assert getattr(glued, kind) == tuple(kept)
+            for kind, used_first, used_second in (
+                ("in_copies", used_in_first, used_in_second),
+                ("out_copies", used_out_first, used_out_second),
+            )
+        }
+        glued = make_gadget(iface, dynamics, kept["in_copies"], kept["out_copies"])
         in_tags = [t for k, t in enumerate(in_tags) if k not in used_in_first] + [
             (j, k) for k in range(gate.n_in) if k not in used_in_second
         ]
@@ -287,9 +274,9 @@ def test_toy_ring_and_permutation_wirings_match_pairwise(case, wiring, k, seed):
 # On the gadgets of a verified certificate a compiler junction compares
 # edges only across its wires, and `csan_closure_failures` stands for the
 # rest of the full guard. Each mutant changes one gadget of a glue into
-# another valid lifelike network; wherever the full guard refuses the
-# glue, the certified path (the closure check, then the reduced guard)
-# must refuse it too.
+# another valid lifelike network; wherever the full guard (`glue_parts` on
+# the compiler's junctions) refuses the glue, the certified path (the
+# closure check, then the compiler) must refuse it too.
 
 
 def step_wiring(gn):
@@ -309,15 +296,41 @@ def step_wiring(gn):
     ]
 
 
-def test_step_wiring_is_the_compilers(certificate, monkeypatch):
+def step_junctions(gn, parts):
+    """The junction of each glue step, on (gate, node) places; parts[j] is gate j's gadget.
+
+    Step j's names are "a{w}:{c}" for the w-th earlier input copy wired
+    to an output copy of gate j, then "b{w}:{c}" for the earlier output
+    copies wired to its input copies, as in `junction_dowel`.
+    """
+    iface = parts[0].interface
+    junctions = []
+    for j, (in_pairs, out_pairs) in enumerate(step_wiring(gn), 1):
+        c1, c2, at1, at2 = [], [], {}, {}
+        for tag, pairs, half, first, second in (
+            ("a", in_pairs, iface.inputs, "in_copies", "out_copies"),
+            ("b", out_pairs, iface.outputs, "out_copies", "in_copies"),
+        ):
+            for w, ((i, k), b) in enumerate(pairs):
+                for c in iface.names:
+                    name = f"{tag}{w}:{c}"
+                    (c1 if c in half else c2).append(name)
+                    at1[name] = (i, getattr(parts[i], first)[k][c])
+                    at2[name] = (j, getattr(parts[j], second)[b][c])
+        junctions.append(Junction(tuple(c1), tuple(c2), at1, at2))
+    return junctions
+
+
+def test_step_junctions_are_the_compilers(certificate, monkeypatch):
     seen = []
-    original = gadget._glue
+    numbering = gadget.glued_numbering
     monkeypatch.setattr(
-        gadget, "_glue", lambda parts, wiring, **kw: seen.append(wiring) or original(parts, wiring, **kw)
+        gadget, "glued_numbering", lambda sizes, js: seen.append(js) or numbering(sizes, js)
     )
-    gn = random_wiring(6, random.Random(3))
-    compile_gnetwork_detailed(gn, certificate)
-    assert seen == [step_wiring(gn)]
+    for gn in (random_wiring(6, random.Random(3)), nor_ring(4)):
+        seen.clear()
+        compile_gnetwork_detailed(gn, certificate)
+        assert seen == [step_junctions(gn, [certificate.gadgets[g] for g in gn.gates])]
 
 
 LIFE = (gol.BIRTH, gol.SURVIVE)
@@ -372,12 +385,29 @@ def mutant(g, kind, rng):
     return make_gadget(g.interface, labeled, g.in_copies, g.out_copies)
 
 
-def refuses(parts, wiring, **kw):
+def refuses(glue_them):
     try:
-        gadget._glue(parts, wiring, **kw)
+        glue_them()
     except (glue.InvalidGlueError, csan.InvalidCsanError):
         return True
     return False
+
+
+def compiled_from(parts, gn):
+    """`compile_gnetwork_detailed` of gn, gate j given gadget parts[j], its
+    certificate taken as verified.
+
+    Each gate is renamed by its position, so one part may differ from
+    the others; the certificate holds uniform state patterns, all-0
+    contexts and no runs, and its report is set rather than computed.
+    """
+    iface = parts[0].interface
+    gates = tuple(dataclasses.replace(g, name=f"{g.name}@{j}") for j, g in enumerate(gn.gates))
+    states = [{c: q for c in iface.names} for q in range(gn.alphabet)]
+    contexts = {g: dict.fromkeys(gadget.context_nodes(p), 0) for g, p in zip(gates, parts)}
+    cert = make_certificate(iface, dict(zip(gates, parts)), states, contexts, 1, {}, {})
+    cert.report = CertificateReport(True, 0)
+    return compile_gnetwork_detailed(dataclasses.replace(gn, gates=gates), cert)
 
 
 LABELED_CASES = {
@@ -396,21 +426,23 @@ def test_the_certified_guard_refuses_every_mutant_the_full_guard_refuses(name):
     rng = random.Random(2209)
     seen = set()
     for gn in (ring(2), ring(3), ring(5), random_wiring(3, rng, gate), random_wiring(5, rng, gate)):
-        wiring, k = step_wiring(gn), len(gn.gates)
+        k = len(gn.gates)
         for kind in MUTATIONS:
             for _ in range(4):
                 parts = [base] * k
                 parts[rng.randrange(k)] = bad = mutant(base, kind, rng)
-                full = refuses(parts, wiring)
+                csans, junctions = [g.csan for g in parts], step_junctions(gn, parts)
+                full = refuses(lambda: glue.glue_parts(csans, junctions))
                 closure = bool(gadget.csan_closure_failures(base.interface, [("g", base), ("m", bad)]))
-                reduced = refuses(parts, wiring, _certified=True)
+                reduced = refuses(lambda: compiled_from(parts, gn))
                 assert closure or reduced or not full, kind
                 if not closure:
                     assert reduced == full, kind
                 if not (closure or reduced):
-                    host, _ = gadget._glue(parts, wiring, _certified=True)
-                    assert host.csan == gadget._glue(parts, wiring)[0].csan
-                    assert_valid_as_made(host.csan)
+                    got = compiled_from(parts, gn)
+                    host, node_maps = glue.glue_parts(csans, junctions)
+                    assert got.host == host and list(got.node_maps) == node_maps
+                    assert_valid_as_made(got.host)
                 seen.add((full, closure, reduced))
     # Some refusal rests on the reduced guard, some on the closure check alone.
     assert (True, False, True) in seen and (True, True, False) in seen

@@ -1,20 +1,19 @@
 """Fuzz `cli.run` over mutated documents.
 
-`analyze` and `oracle b-pred|pred-chg|reach` read a network or an
-instance document and walk an orbit; `verify-sim` reads a source, a
-host and an embedding and steps the host in lanes; `verify-cert` reads
-a certificate and replays its recorded runs; `compile --certificate` compiles with
-one; `convert` and `analyze` read a gate network, `compile` and
-`convert` whole gate-network documents, and `convert` a CSAN
-whose vertices are family shorthands, and tabulate it; `convert`,
-`convert --to circuit` and `analyze` read a circuit; `glue` reads two
-networks or CSANs and a dowel; `convert` and `glue` read whole CSAN
-documents, alphabet and size included; `simulate` reads a network or
-gate network document, a configuration and a time; `construct` reads a
-size or a DIMACS file. Whatever the
-documents hold, the command must end in one of its exit codes (0 yes,
-1 no, 2 bad input, 3 budget exceeded) and never in an uncaught
-exception.
+`analyze` and `oracle u-pred|b-pred|pred-chg|reach` read a network or an
+instance document and walk an orbit; `verify-sim` reads a source, a host
+and an embedding and steps the host in lanes; `verify-cert` reads a
+certificate, its gadget included, and replays its recorded runs;
+`compile --certificate` compiles with one; `convert` and `analyze` read
+a gate network, `compile` and `convert` whole gate-network documents,
+and `convert` a CSAN whose vertices are family shorthands, and tabulate
+it; `convert`, `convert --to circuit` and `analyze` read a circuit;
+`glue` reads two networks or CSANs and a dowel; `convert` and `glue`
+read whole CSAN documents, alphabet and size included; `simulate` reads
+a network or gate network document, a configuration and a time;
+`construct` reads a size or a DIMACS file. Whatever the documents hold,
+the command must end in one of its exit codes (0 yes, 1 no, 2 bad input,
+3 budget exceeded) and never in an uncaught exception.
 """
 
 import contextlib
@@ -53,6 +52,7 @@ NET = odometer(3)  # from START: transient 18, period 12, inside the budget of 6
 START = (5, 5, 5)
 BASE = {
     "analyze": {"net": network_to_json(NET), "x": list(START)},
+    "u-pred": instance_to_json(make_pred_instance(NET, 1, START, 1, 1000, "unary")),
     "b-pred": instance_to_json(make_pred_instance(NET, 1, START, 1, 2**40, "binary")),
     "pred-chg": instance_to_json(make_pred_chg_instance(NET, 2, START, 3)),
     "reach": instance_to_json(make_reach_instance(NET, START, (0, 1, 2))),
@@ -147,38 +147,7 @@ def test_mutated_documents_exit_with_a_code(command, data):
 
 
 CERT = certificate_to_json(gol.build_certificate())
-
-
-def certificate_sections(draw):
-    """A recorded run, the gate's context, the state patterns, a trace."""
-    runs = len(CERT["gates"][0]["pseudo_orbits"])
-    traces = len(CERT["standard_traces"])
-    return [
-        ("gates", 0, "pseudo_orbits", draw(st.integers(0, runs - 1))),
-        ("gates", 0, "context"),
-        ("state_configs",),
-        ("standard_traces", draw(st.integers(0, traces - 1))),
-    ]
-
-
-def test_unmutated_certificate_verifies(tmp_path):
-    doc_file = tmp_path / "cert.json"
-    doc_file.write_text(json.dumps(CERT))
-    assert run(["verify-cert", str(doc_file), "-o", str(tmp_path / "out.json")]) == 0
-
-
-@settings(max_examples=50, deadline=None)
-@given(data=st.data())
-def test_mutated_certificates_exit_with_a_code(data):
-    doc = data.draw(mutated(CERT, certificate_sections))
-    with tempfile.TemporaryDirectory() as tmp:
-        doc_file = Path(tmp) / "cert.json"
-        doc_file.write_text(json.dumps(doc))
-        assert run(["verify-cert", str(doc_file), "-o", str(Path(tmp) / "out.json")]) in (0, 1, 2, 3)
-
-
-# Gate entries: the gate of the certificate, and every gate of a gnetwork.
-# The codec refuses a wrong type, row count or row length with exit code 2.
+NOR_PAIR = gnetwork_to_json(cross_pair())
 
 
 def run_to_document(argv) -> int:
@@ -190,7 +159,47 @@ def run_to_document(argv) -> int:
         return code
 
 
-NOR_PAIR = gnetwork_to_json(cross_pair())
+def run_with_certificate(command, doc) -> int:
+    """`verify-cert` of the certificate doc, or `compile` of NOR_PAIR with it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cert = Path(tmp) / "cert.json"
+        cert.write_text(json.dumps(doc))
+        if command == "verify-cert":
+            return run_to_document(["verify-cert", str(cert)])
+        pair = Path(tmp) / "pair.json"
+        pair.write_text(json.dumps(NOR_PAIR))
+        return run_to_document(["compile", str(pair), "--certificate", str(cert)])
+
+
+def certificate_sections(draw):
+    """A recorded run, the gate's context, the state patterns, a trace, and
+    the gadget's interface, copies and labeled network."""
+    runs = len(CERT["gates"][0]["pseudo_orbits"])
+    traces = len(CERT["standard_traces"])
+    return [
+        ("gates", 0, "pseudo_orbits", draw(st.integers(0, runs - 1))),
+        ("gates", 0, "context"),
+        ("state_configs",),
+        ("standard_traces", draw(st.integers(0, traces - 1))),
+        *(("gates", 0, "gadget", part) for part in ("interface", "in_copies", "out_copies", "csan")),
+    ]
+
+
+def test_unmutated_certificate_verifies(tmp_path):
+    doc_file = tmp_path / "cert.json"
+    doc_file.write_text(json.dumps(CERT))
+    assert run(["verify-cert", str(doc_file), "-o", str(tmp_path / "out.json")]) == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), command=st.sampled_from(("verify-cert", "compile")))
+def test_mutated_certificates_exit_with_a_code(data, command):
+    doc = data.draw(mutated(CERT, certificate_sections))
+    assert run_with_certificate(command, doc) in (0, 1, 2, 3)
+
+
+# Gate entries: the gate of the certificate, and every gate of a gnetwork.
+# The codec refuses a wrong type, row count or row length with exit code 2.
 GATE_FIELDS = ("name", "n_in", "n_out", "table")
 
 
@@ -208,16 +217,7 @@ def test_unmutated_gate_documents_answer(tmp_path):
 @given(data=st.data(), command=st.sampled_from(("verify-cert", "compile")))
 def test_mutated_certificate_gates_exit_with_a_document(data, command):
     doc = data.draw(mutated(CERT, lambda draw: [("gates", 0, "gate")]))
-    with tempfile.TemporaryDirectory() as tmp:
-        cert = Path(tmp) / "cert.json"
-        cert.write_text(json.dumps(doc))
-        if command == "verify-cert":
-            argv = ["verify-cert", str(cert)]
-        else:
-            pair = Path(tmp) / "pair.json"
-            pair.write_text(json.dumps(NOR_PAIR))
-            argv = ["compile", str(pair), "--certificate", str(cert)]
-        assert run_to_document(argv) in (0, 1, 2, 3)
+    assert run_with_certificate(command, doc) in (0, 1, 2, 3)
 
 
 def gate_fields(draw):

@@ -1,4 +1,4 @@
-"""Interface copies, gadget glueing, certificates, and the gate compiler."""
+"""Interface copies, glueing gadgets along their copies, certificates, and the gate compiler."""
 
 import dataclasses
 import functools
@@ -24,7 +24,6 @@ from artifact.gadget import (
     csan_closure_failures,
     exempt_nodes,
     gadget_from_json,
-    gadget_glue,
     gadget_to_json,
     interface_nodes,
     make_certificate,
@@ -32,7 +31,16 @@ from artifact.gadget import (
     make_interface,
     verify_certificate,
 )
-from artifact.glue import PseudoOrbit, make_pseudo_orbit
+from artifact.glue import (
+    InvalidGlueError,
+    PseudoOrbit,
+    csan_glue,
+    dowel_junction,
+    glue_networks,
+    glued_numbering,
+    make_dowel,
+    make_pseudo_orbit,
+)
 from artifact.gnet import (
     FRZ_ID,
     ID_1_1,
@@ -84,6 +92,36 @@ def nor_gadget():
         [{"ci": 0, "co": 1}, {"ci": 2, "co": 3}],
         [{"ci": 4, "co": 5}, {"ci": 6, "co": 7}],
     )
+
+
+def junction_dowel(first, second, in_pairs=(), out_pairs=()):
+    """The dowel fusing wired copies of two gadgets, named as the compiler names them.
+
+    (ia, ob) in in_pairs fuses input copy ia of first with output copy
+    ob of second, and (oa, ib) in out_pairs output copy oa of first with
+    input copy ib of second. The receiving half keeps the consumer's
+    rules, the emitting half the producer's.
+    """
+    iface = first.interface
+    c1, c2, phi1, phi2 = [], [], {}, {}
+    for j, (ia, ob) in enumerate(in_pairs):
+        for c in iface.names:
+            name = f"a{j}:{c}"
+            (c1 if c in iface.inputs else c2).append(name)
+            phi1[name] = first.in_copies[ia][c]
+            phi2[name] = second.out_copies[ob][c]
+    for j, (oa, ib) in enumerate(out_pairs):
+        for c in iface.names:
+            name = f"b{j}:{c}"
+            (c1 if c in iface.outputs else c2).append(name)
+            phi1[name] = first.out_copies[oa][c]
+            phi2[name] = second.in_copies[ib][c]
+    return make_dowel(c1, c2, phi1, phi2)
+
+
+def placed(copy, node_map):
+    """An interface copy carried to the glued host."""
+    return {c: node_map[v] for c, v in copy.items()}
 
 
 def drive_orbit(gd, gate, q_i, q_ip, q_o, context=None):
@@ -173,11 +211,13 @@ def test_gadget_validation_errors():
     ids=["nor", "identity"],
 )
 def test_glue_onto_itself_equals_glue_onto_a_deep_copy(make, in_pairs, out_pairs):
+    # Nodes are named by (part, node) until the host is numbered.
     g = make()
     before = deepcopy(g)
-    itself = gadget_glue(g, g, in_pairs, out_pairs)
+    d = junction_dowel(g, g, in_pairs, out_pairs)
+    itself = glue_networks(g.dynamics, g.dynamics, d)
     assert g == before
-    assert itself == gadget_glue(g, deepcopy(g), in_pairs, out_pairs)
+    assert itself == glue_networks(g.dynamics, deepcopy(g.dynamics), d)
 
 
 def test_boundary_node_helpers():
@@ -191,15 +231,17 @@ def test_boundary_node_helpers():
 
 
 def test_disjoint_union_adds():
-    u = gadget_glue(identity_gadget(), neg_gadget())
-    assert u.dynamics.n == 8
-    assert len(u.in_copies) == 2 and len(u.out_copies) == 2
-    assert u.in_copies[0] == {"ci": 0, "co": 1}
-    assert u.in_copies[1] == {"ci": 4, "co": 5}
+    f, g = identity_gadget(), neg_gadget()
+    none = make_dowel([], [], {}, {})
+    u = glue_networks(f.dynamics, g.dynamics, none)
+    assert u.n == 8
+    (m1, m2), _ = glued_numbering((4, 4), [dowel_junction(none)])
+    assert placed(f.in_copies[0], m1) == {"ci": 0, "co": 1}
+    assert placed(g.in_copies[0], m2) == {"ci": 4, "co": 5}
     for x in product(range(2), repeat=8):
-        left = step(identity_gadget().dynamics, x[:4])
-        right = step(neg_gadget().dynamics, x[4:])
-        assert step(u.dynamics, x) == left + right
+        left = step(f.dynamics, x[:4])
+        right = step(g.dynamics, x[4:])
+        assert step(u, x) == left + right
 
 
 def test_single_junction_pair_glue_shape():
@@ -210,10 +252,13 @@ def test_single_junction_pair_glue_shape():
 
     f = stub(6, [{"ci": 0, "co": 1}], [{"ci": 2, "co": 3}, {"ci": 4, "co": 5}])
     g = stub(6, [{"ci": 0, "co": 1}, {"ci": 4, "co": 5}], [{"ci": 2, "co": 3}])
-    h = gadget_glue(f, g, in_pairs=[(0, 0)], out_pairs=[(1, 1)])
-    assert h.dynamics.n == 8
-    assert h.in_copies == ({"ci": 6, "co": 7},)
-    assert h.out_copies == ({"ci": 4, "co": 5},)
+    d = junction_dowel(f, g, in_pairs=[(0, 0)], out_pairs=[(1, 1)])
+    h = glue_networks(f.dynamics, g.dynamics, d)
+    assert h.n == 8
+    # The copies left unfused: the first input copy of g, the first output copy of f.
+    (m1, m2), _ = glued_numbering((6, 6), [dowel_junction(d)])
+    assert placed(g.in_copies[0], m2) == {"ci": 6, "co": 7}
+    assert placed(f.out_copies[0], m1) == {"ci": 4, "co": 5}
 
 
 def test_glue_rejects_mismatches():
@@ -224,28 +269,32 @@ def test_glue_rejects_mismatches():
         [{"x": 0, "y": 1}],
         [],
     )
-    with pytest.raises(InvalidGadgetError):
-        gadget_glue(g, other, in_pairs=[(0, 0)])
+    cert = toy_certificate({ID_1_1: g})
+    mixed = dataclasses.replace(cert, gadgets={ID_1_1: other})
+    with pytest.raises(InvalidGadgetError, match="interface differs from the certificate's"):
+        compile_gnetwork_detailed(two_gate_loop(), mixed)
     ternary = make_gadget(
         IFACE,
         make_network(3, [((), (0,))] * 4),
         [{"ci": 0, "co": 1}],
         [{"ci": 2, "co": 3}],
     )
-    with pytest.raises(InvalidGadgetError):
-        gadget_glue(g, ternary, in_pairs=[(0, 0)])
+    d = junction_dowel(g, ternary, in_pairs=[(0, 0)])
+    with pytest.raises(InvalidGlueError, match="share an alphabet"):
+        glue_networks(g.dynamics, ternary.dynamics, d)
     nor = nor_gadget()
-    with pytest.raises(InvalidGadgetError):
-        gadget_glue(nor, nor_gadget(), in_pairs=[(0, 0), (1, 0)])
-    with pytest.raises(InvalidGadgetError):
-        gadget_glue(g, identity_gadget(), in_pairs=[(0, 7)])
+    twice = junction_dowel(nor, nor, in_pairs=[(0, 0), (1, 0)])
+    with pytest.raises(InvalidGlueError, match="fused twice"):
+        glue_networks(nor.dynamics, nor.dynamics, twice)
 
 
 def test_self_glue_closes():
     g = identity_gadget()
-    closed = gadget_glue(g, g, in_pairs=[(0, 0)], out_pairs=[(0, 0)])
-    assert closed.dynamics.n == 4
-    assert closed.in_copies == () and closed.out_copies == ()
+    d = junction_dowel(g, g, in_pairs=[(0, 0)], out_pairs=[(0, 0)])
+    assert glue_networks(g.dynamics, g.dynamics, d).n == 4
+    # Both wires fuse, so no copy is left open.
+    (m1, m2), _ = glued_numbering((4, 4), [dowel_junction(d)])
+    assert set(m1.values()) == set(m2.values()) == set(range(4))
 
 
 # ---------------------------------------------------------------------------
@@ -581,17 +630,16 @@ def lifelike_gadget(edges):
 def test_labeled_glue_keeps_family():
     a = lifelike_gadget([(0, 1), (2, 3)])
     b = lifelike_gadget([(0, 1), (2, 3)])
-    h = gadget_glue(a, b, in_pairs=[(0, 0)])
-    assert h.csan is not None
-    assert h.dynamics.n == 6
-    assert csan_in_family(h.csan, family_spec("lifelike"))
-    assert h.in_copies == ({"ci": 4, "co": 5},)
-    assert h.out_copies == ({"ci": 2, "co": 3},)
-    plain_a = make_gadget(IFACE, a.dynamics.network, a.in_copies, a.out_copies)
-    plain_b = make_gadget(IFACE, b.dynamics.network, b.in_copies, b.out_copies)
-    plain = gadget_glue(plain_a, plain_b, in_pairs=[(0, 0)])
+    d = junction_dowel(a, b, in_pairs=[(0, 0)])
+    h = csan_glue(a.csan, b.csan, d)
+    assert h.n == 6
+    assert csan_in_family(h, family_spec("lifelike"))
+    (m1, m2), _ = glued_numbering((4, 4), [dowel_junction(d)])
+    assert placed(b.in_copies[0], m2) == {"ci": 4, "co": 5}
+    assert placed(a.out_copies[0], m1) == {"ci": 2, "co": 3}
+    plain = glue_networks(a.dynamics.network, b.dynamics.network, d)
     for x in product(range(2), repeat=6):
-        assert step(h.dynamics, x) == step(plain.dynamics, x)
+        assert step(h, x) == step(plain, x)
 
 
 def test_labeled_closure_conditions():
@@ -611,8 +659,9 @@ def test_labeled_closure_conditions():
 
 def test_labeled_glue_condition_violation_raises():
     leaky = lifelike_gadget([(0, 1), (2, 3), (1, 2)])
-    with pytest.raises(Exception):
-        gadget_glue(leaky, lifelike_gadget([(0, 1), (2, 3), (1, 2)]), in_pairs=[(0, 0)])
+    d = junction_dowel(leaky, leaky, in_pairs=[(0, 0)])
+    with pytest.raises(InvalidGlueError, match="must touch only the dowel"):
+        csan_glue(leaky.csan, lifelike_gadget([(0, 1), (2, 3), (1, 2)]).csan, d)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from artifact.gadget import (
     InvalidGadgetError,
     certificate_to_json,
     exempt_nodes,
-    gadget_glue,
     verify_certificate,
 )
 from artifact.glue import (
@@ -32,6 +31,7 @@ from artifact.problems import b_pred, make_pred_instance, reduce_pred_via_simula
 from artifact.simulate import embed, verify_simulation
 
 from test_compile import nor_ring
+from test_gadget import junction_dowel
 
 LIFELIKE = family_spec("lifelike")
 
@@ -184,7 +184,7 @@ def test_certificate_boundary_data(certificate):
 # Glueing wires and gadgets
 
 
-def junction_dowel():
+def wire_dowel():
     names_d = ("jd0", "jd1", "jd2", "jda")
     names_r = ("jr0", "jr1", "jr2", "jra")
     phi1 = {"jd0": 12, "jd1": 13, "jd2": 14, "jda": 22, "jr0": 15, "jr1": 16, "jr2": 17, "jra": 23}
@@ -193,7 +193,7 @@ def junction_dowel():
 
 
 def test_long_wire_glue_carries_signal(wire):
-    d = junction_dowel()
+    d = wire_dowel()
     long_wire = csan_glue(wire, wire, d)
     assert long_wire.n == 40
     assert csan_in_family(long_wire, LIFELIKE)
@@ -213,10 +213,9 @@ def test_long_wire_glue_carries_signal(wire):
 
 
 def test_nor_chain_glue_stays_in_family(nor):
-    chained = gadget_glue(nor, nor, out_pairs=[(0, 0)])
-    assert chained.dynamics.n == 84 + 84 - 9
-    assert csan_in_family(chained.csan, LIFELIKE)
-    assert len(chained.in_copies) == 3 and len(chained.out_copies) == 3
+    chained = csan_glue(nor.csan, nor.csan, junction_dowel(nor, nor, out_pairs=[(0, 0)]))
+    assert chained.n == 84 + 84 - 9
+    assert csan_in_family(chained, LIFELIKE)
 
 
 # ---------------------------------------------------------------------------
