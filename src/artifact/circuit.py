@@ -1,11 +1,13 @@
-"""Boolean circuits and circuit-to-gate-network compilers.
+"""Boolean circuits, the circuit of a network, and gate-network compilers.
 
 Circuits here are DAGs over AND/OR/NOT/ID with fanin at most 2. A
 circuit is synchronous when every input-to-output path has the same
 length; closing such a circuit (feeding outputs back as next inputs)
 yields a finite dynamical system that the compilers in this module
 re-express over restricted gate catalogs, with a block embedding as the
-correctness witness.
+correctness witness. `circuit_encode` goes the other way: it writes a
+network's global map as a circuit on configurations encoded node by
+node in `bits_per_node(q)` bits (`encode_config`, `decode_config`).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import docs
-from .core import ArtifactError, Network, make_network, table_rows
+from .core import ArtifactError, InvalidConfigError, Network, make_network, table_rows
 from .gnet import (
     AND_2_1,
     AND_2_2,
@@ -170,6 +172,108 @@ def closed_network(c: Circuit) -> Network:
             table.append(eval_circuit(c, full)[j])
         rules.append((deps, tuple(table)))
     return make_network(2, rules)
+
+
+def bits_per_node(q: int) -> int:
+    """Bits in the fixed binary node encoding: ceil(log2 q), 0 when q = 1."""
+    return (q - 1).bit_length()
+
+
+def encode_config(x: Sequence[int], q: int) -> tuple[int, ...]:
+    """Node-major bit string, low bit of each node first."""
+    k = bits_per_node(q)
+    bits = []
+    for s in x:
+        if not 0 <= s < q:
+            raise InvalidConfigError(f"state {s} outside alphabet of size {q}")
+        bits.extend((s >> j) & 1 for j in range(k))
+    return tuple(bits)
+
+
+def decode_config(bits: Sequence[int], q: int, n: int) -> tuple[int, ...]:
+    k = bits_per_node(q)
+    if len(bits) != n * k:
+        raise InvalidConfigError(f"need {n * k} bits for {n} nodes")
+    out = []
+    for i in range(n):
+        s = sum(bits[i * k + j] << j for j in range(k))
+        if s >= q:
+            raise InvalidConfigError(f"bit group {i} decodes outside the alphabet")
+        out.append(s)
+    return tuple(out)
+
+
+class _CircuitSketch:
+    """Accumulates gates with memoized negations and constants."""
+
+    def __init__(self, n_inputs: int):
+        self.n_inputs = n_inputs
+        self.gates: list[tuple[str, tuple[int, ...]]] = []
+        self._nots: dict[int, int] = {}
+        self._consts: dict[int, int] = {}
+
+    def add(self, op: str, *args: int) -> int:
+        self.gates.append((op, args))
+        return self.n_inputs + len(self.gates) - 1
+
+    def invert(self, src: int) -> int:
+        if src not in self._nots:
+            self._nots[src] = self.add("NOT", src)
+        return self._nots[src]
+
+    def constant(self, value: int) -> int:
+        if value not in self._consts:
+            self._consts[value] = self.add("OR" if value else "AND", 0, self.invert(0))
+        return self._consts[value]
+
+    def fold(self, op: str, ids: Sequence[int], empty: int) -> int:
+        if not ids:
+            return self.constant(empty)
+        acc = ids[0]
+        for nxt in ids[1:]:
+            acc = self.add(op, acc, nxt)
+        return acc
+
+
+def circuit_encode(net: Network) -> Circuit:
+    """Boolean circuit computing the global map on binary-encoded configs.
+
+    Each node contributes bits_per_node(q) input and output bits; on
+    every encoded configuration the circuit's output is the encoding of
+    step(net, x). Bit patterns that decode outside the alphabet are
+    unconstrained.
+    """
+    q = net.alphabet
+    k = bits_per_node(q)
+    if k == 0:
+        raise InvalidCircuitError("alphabet of size 1 has an empty encoding")
+    sk = _CircuitSketch(net.n * k)
+    recognizers: dict[tuple[int, int], int] = {}
+
+    def recognize(node: int, value: int) -> int:
+        if (node, value) not in recognizers:
+            lits = []
+            for j in range(k):
+                bit = node * k + j
+                lits.append(bit if (value >> j) & 1 else sk.invert(bit))
+            recognizers[(node, value)] = sk.fold("AND", lits, 1)
+        return recognizers[(node, value)]
+
+    outputs = []
+    for rule in net.rules:
+        bit_minterms: list[list[int]] = [[] for _ in range(k)]
+        for combo, out in zip(table_rows(q, len(rule.deps)), rule.table):
+            needed = [b for b in range(k) if (out >> b) & 1]
+            if not needed:
+                continue
+            term = sk.fold(
+                "AND", [recognize(u, a) for u, a in zip(rule.deps, combo)], 1
+            )
+            for b in needed:
+                bit_minterms[b].append(term)
+        for b in range(k):
+            outputs.append(sk.fold("OR", bit_minterms[b], 0))
+    return make_circuit(sk.n_inputs, sk.gates, outputs)
 
 
 def double_rail(c: Circuit) -> tuple[GNetwork, BlockEmbedding]:

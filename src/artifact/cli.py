@@ -39,10 +39,9 @@ from .csan import (
     csan_from_json,
     csan_to_json,
     csan_to_network,
-    circuit_encode,
     matrix_to_network,
 )
-from .circuit import circuit_from_json, circuit_to_json, closed_network
+from .circuit import circuit_encode, circuit_from_json, circuit_to_json, closed_network
 from .gadget import certificate_from_json, verify_certificate
 from .glue import csan_glue, dowel_from_json, glue_networks
 from .gnet import (
@@ -68,7 +67,7 @@ from .problems import (
     sat_pred_network,
     u_pred,
 )
-from .simulate import _advance, embedding_from_json, embedding_to_json, verify_simulation
+from .simulate import advance, embedding_from_json, embedding_to_json, verify_simulation
 
 def _kind(doc):
     return doc.get("format") if isinstance(doc, dict) else None
@@ -168,7 +167,7 @@ def _cmd_simulate(args):
         rows = trace(net, x, args.t)
         return {"t": args.t, "config": list(rows[-1]), "trace": [list(r) for r in rows]}, 0
     # Within the budget the time folds as soon as Brent's search meets the cycle.
-    return {"t": args.t, "config": list(_advance(functools.partial(step, net), x, args.t))}, 0
+    return {"t": args.t, "config": list(advance(functools.partial(step, net), x, args.t))}, 0
 
 
 def _cmd_analyze(args):

@@ -492,20 +492,26 @@ def analyze_orbit(
     return OrbitAnalysis(tau, period, tuple(path[tau:]))
 
 
+def capped_power(q: int, k: int, cap: int) -> int:
+    """q**k when it is at most cap, else a power of q past cap; q**k is not
+    built past the cap, since q >= 2 to the cap's bit length exceeds it."""
+    return q ** min(k, cap.bit_length())
+
+
 def table_size(q: int, k: int, tables: int = 1) -> int:
     """q**k, the rows of a table on k deps.
 
     A builder that fills `tables` such tables in one pass says so, and
     BudgetExceededError is raised when together they pass MAX_TABLE rows.
     """
-    # q >= 2 and k past the budget's bit length exceed it without computing q**k.
-    if q > 1 and k >= MAX_TABLE.bit_length() or q**k > MAX_TABLE:
+    rows = capped_power(q, k, MAX_TABLE)
+    if rows > MAX_TABLE:
         raise BudgetExceededError(f"a table of {q}^{k} rows exceeds the budget of {MAX_TABLE}")
-    if tables * q**k > MAX_TABLE:
+    if tables * rows > MAX_TABLE:
         raise BudgetExceededError(
             f"a pass of {tables} tables of {q}^{k} rows exceeds the budget of {MAX_TABLE}"
         )
-    return q**k
+    return rows
 
 
 def check_entries(entries: int, what: str) -> None:
@@ -663,22 +669,16 @@ def interaction_graph(net: Network | Tabulated) -> set[tuple[int, int]]:
     q = net.alphabet
     edges = set()
     for v, rule in enumerate(net.rules):
+        table = rule.table
         for j, u in enumerate(rule.deps):
+            # Row i + a * q^j is row i with dep j in state a instead of 0.
             stride = q**j
-            block = stride * q
-            eff = False
-            for base in range(0, len(rule.table), block):
-                for off in range(stride):
-                    first = rule.table[base + off]
-                    for a in range(1, q):
-                        if rule.table[base + off + a * stride] != first:
-                            eff = True
-                            break
-                    if eff:
-                        break
-                if eff:
-                    break
-            if eff:
+            if any(
+                table[i] != table[i + a * stride]
+                for b in range(0, len(table), stride * q)
+                for i in range(b, b + stride)
+                for a in range(1, q)
+            ):
                 edges.add((u, v))
     return edges
 

@@ -3,9 +3,10 @@
 A node reads its own state plus the multiset of its neighbors' states,
 each neighbor state first passed through the map labeling the
 connecting edge. Vertex tables are total over every multiset of size
-up to the node's degree, so the global map is defined everywhere.
-Also interaction-graph extraction and conversions to plain networks,
-matrices and Boolean circuits.
+up to the node's degree, so the global map is defined everywhere. A
+Csan is a `core.Tabulated` model: `core` steps it, walks it and reads
+its interaction graph through the plain network it tabulates once.
+Also the network of a matrix-represented map.
 
 The rule families are written once, in the registry `FAMILIES`: the
 `build_*` builders, `csan_in_family` and the JSON shorthand
@@ -33,13 +34,11 @@ from math import comb
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import docs
-from .circuit import Circuit, InvalidCircuitError, make_circuit
 from .core import (
     MAX_TABLE,
     ArtifactError,
     BudgetExceededError,
     CountCode,
-    InvalidConfigError,
     Network,
     Rule,
     Tabulated,
@@ -530,7 +529,7 @@ def csan_in_family(c: Csan, spec: FamilySpec) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Conversion to plain networks and interaction graphs
+# Conversion to plain networks
 
 
 def _node_table(
@@ -602,63 +601,6 @@ def csan_to_network(c: Csan) -> Network:
     return Network(c.alphabet, tuple(rules))
 
 
-def _achievable_counts(
-    q: int, contributors: Sequence[tuple[int, tuple[int, ...]]]
-) -> set[tuple[int, ...]]:
-    """All multiset count vectors the given labeled neighbors can produce."""
-    acc = {(0,) * q}
-    for _, rho in contributors:
-        images = set(rho)
-        nxt = set()
-        for m in acc:
-            for a in images:
-                grown = list(m)
-                grown[a] += 1
-                nxt.add(tuple(grown))
-        acc = nxt
-    return acc
-
-
-def interaction_graph_csan(c: Csan) -> set[tuple[int, int]]:
-    """Effective dependency edges (u, v) from the labeled structure.
-
-    Works per neighborhood on achievable multisets, so it stays
-    polynomial in the number of nodes for a fixed alphabet instead of
-    sweeping global configurations.
-    """
-    q = c.alphabet
-    inc = c.incidence
-    edges: set[tuple[int, int]] = set()
-    for v in range(c.n):
-        lam = c.lam[v]
-        full = _achievable_counts(q, inc[v])
-        if any(len({lam[(s, m)] for s in range(q)}) > 1 for m in full):
-            edges.add((v, v))
-        for i, (u, rho_u) in enumerate(inc[v]):
-            images = sorted(set(rho_u))
-            if len(images) < 2:
-                continue
-            others = inc[v][:i] + inc[v][i + 1 :]
-            found = False
-            for m in _achievable_counts(q, others):
-                for s in range(q):
-                    outs = set()
-                    for a in images:
-                        grown = list(m)
-                        grown[a] += 1
-                        outs.add(lam[(s, tuple(grown))])
-                        if len(outs) > 1:
-                            break
-                    if len(outs) > 1:
-                        found = True
-                        break
-                if found:
-                    break
-            if found:
-                edges.add((u, v))
-    return edges
-
-
 # ---------------------------------------------------------------------------
 # Matrix represented maps
 
@@ -686,115 +628,6 @@ def matrix_to_network(kind: str, matrix: Sequence[Sequence[int]]) -> Network:
         deps = tuple(j for j in range(n) if rows[i][j])
         rules.append((deps, [int(combine(bits)) for bits in table_rows(2, len(deps))]))
     return make_network(2, rules)
-
-
-# ---------------------------------------------------------------------------
-# Circuit encoding of a network's global map
-
-
-def bits_per_node(q: int) -> int:
-    """Bits in the fixed binary node encoding: ceil(log2 q), 0 when q = 1."""
-    return (q - 1).bit_length()
-
-
-def encode_config(x: Sequence[int], q: int) -> tuple[int, ...]:
-    """Node-major bit string, low bit of each node first."""
-    k = bits_per_node(q)
-    bits = []
-    for s in x:
-        if not 0 <= s < q:
-            raise InvalidConfigError(f"state {s} outside alphabet of size {q}")
-        bits.extend((s >> j) & 1 for j in range(k))
-    return tuple(bits)
-
-
-def decode_config(bits: Sequence[int], q: int, n: int) -> tuple[int, ...]:
-    k = bits_per_node(q)
-    if len(bits) != n * k:
-        raise InvalidConfigError(f"need {n * k} bits for {n} nodes")
-    out = []
-    for i in range(n):
-        s = sum(bits[i * k + j] << j for j in range(k))
-        if s >= q:
-            raise InvalidConfigError(f"bit group {i} decodes outside the alphabet")
-        out.append(s)
-    return tuple(out)
-
-
-class _CircuitSketch:
-    """Accumulates gates with memoized negations and constants."""
-
-    def __init__(self, n_inputs: int):
-        self.n_inputs = n_inputs
-        self.gates: list[tuple[str, tuple[int, ...]]] = []
-        self._nots: dict[int, int] = {}
-        self._consts: dict[int, int] = {}
-
-    def add(self, op: str, *args: int) -> int:
-        self.gates.append((op, args))
-        return self.n_inputs + len(self.gates) - 1
-
-    def invert(self, src: int) -> int:
-        if src not in self._nots:
-            self._nots[src] = self.add("NOT", src)
-        return self._nots[src]
-
-    def constant(self, value: int) -> int:
-        if value not in self._consts:
-            neg = self.invert(0)
-            op = "OR" if value else "AND"
-            self._consts[value] = self.add(op, 0, neg)
-        return self._consts[value]
-
-    def fold(self, op: str, ids: Sequence[int], empty: int) -> int:
-        if not ids:
-            return self.constant(empty)
-        acc = ids[0]
-        for nxt in ids[1:]:
-            acc = self.add(op, acc, nxt)
-        return acc
-
-
-def circuit_encode(net: Network) -> Circuit:
-    """Boolean circuit computing the global map on binary-encoded configs.
-
-    Each node contributes bits_per_node(q) input and output bits; on
-    every encoded configuration the circuit's output is the encoding of
-    step(net, x). Bit patterns that decode outside the alphabet are
-    unconstrained.
-    """
-    q = net.alphabet
-    k = bits_per_node(q)
-    if k == 0:
-        raise InvalidCircuitError("alphabet of size 1 has an empty encoding")
-    sk = _CircuitSketch(net.n * k)
-    recognizers: dict[tuple[int, int], int] = {}
-
-    def recognize(node: int, value: int) -> int:
-        if (node, value) not in recognizers:
-            lits = []
-            for j in range(k):
-                bit = node * k + j
-                lits.append(bit if (value >> j) & 1 else sk.invert(bit))
-            recognizers[(node, value)] = sk.fold("AND", lits, 1)
-        return recognizers[(node, value)]
-
-    outputs = []
-    for rule in net.rules:
-        d = len(rule.deps)
-        bit_minterms: list[list[int]] = [[] for _ in range(k)]
-        for combo, out in zip(table_rows(q, d), rule.table):
-            needed = [b for b in range(k) if (out >> b) & 1]
-            if not needed:
-                continue
-            term = sk.fold(
-                "AND", [recognize(u, a) for u, a in zip(rule.deps, combo)], 1
-            )
-            for b in needed:
-                bit_minterms[b].append(term)
-        for b in range(k):
-            outputs.append(sk.fold("OR", bit_minterms[b], 0))
-    return make_circuit(sk.n_inputs, sk.gates, outputs)
 
 
 # ---------------------------------------------------------------------------

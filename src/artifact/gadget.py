@@ -30,8 +30,11 @@ from typing import Iterable, Mapping, Sequence
 
 from . import docs
 from .core import (
+    MAX_TABLE,
     ArtifactError,
     Network,
+    capped_power,
+    check_entries,
     make_network,
     map_shared,
     network_from_json,
@@ -43,8 +46,8 @@ from .glue import (
     Junction,
     PseudoOrbit,
     PseudoOrbitReport,
-    _check_shaped_runs,
     check_pseudo_orbit_shape,
+    check_shaped_runs,
     differing_edges,
     differing_labels,
     glued_csan,
@@ -442,7 +445,10 @@ def verify_certificate(cert: CoherentCertificate) -> CertificateReport:
     the exempt, length, integer and shape checks are stepped together in
     one batch, which does not check their shapes again, their copies are
     held to the standard traces in one pass (`_trace_strays`), and each
-    cell's failures keep their place in the report.
+    cell's failures keep their place in the report. A gate has q^(2·n_in
+    + n_out) cells on q encoded states; a certificate of more than
+    MAX_TABLE cells in all is refused with BudgetExceededError before the
+    first gate past the budget has a cell made.
     """
     failures: list[str] = []
     checked = 0
@@ -535,6 +541,10 @@ def verify_certificate(cert: CoherentCertificate) -> CertificateReport:
             continue
         if not (states_ok and traces_ok):
             continue
+        # The gate's cells and those `checked` before it are counted before any is made.
+        k = 2 * gate.n_in + gate.n_out
+        count = capped_power(nq, k, MAX_TABLE)
+        check_entries(checked + count, f"a certificate with {prefix}'s {nq}^{k} cells")
         protected = exempt_nodes(gd)
         table = cert.pseudo_orbits.get(gate, {})
         rows = {
@@ -579,7 +589,7 @@ def verify_certificate(cert: CoherentCertificate) -> CertificateReport:
                     cells.append((cell, po, wanted))
         shaped = [c for c in cells if isinstance(c, tuple)]
         runs = [po for _, po, _ in shaped]
-        reports = iter(_check_shaped_runs(gd.dynamics, runs))
+        reports = iter(check_shaped_runs(gd.dynamics, runs))
         strays = iter(_trace_strays(runs, copies, [wanted for *_, wanted in shaped]))
         for c in cells:
             if isinstance(c, tuple):

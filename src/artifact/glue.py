@@ -306,10 +306,10 @@ def check_pseudo_orbits(
     """
     for p in runs:
         check_pseudo_orbit_shape(net, p)
-    return _check_shaped_runs(net, runs)
+    return check_shaped_runs(net, runs)
 
 
-def _check_shaped_runs(
+def check_shaped_runs(
     net: Network | Tabulated, runs: Sequence[PseudoOrbit]
 ) -> list[PseudoOrbitReport]:
     """`check_pseudo_orbits` on runs that have passed `check_pseudo_orbit_shape`."""

@@ -30,6 +30,7 @@ from .core import (
     Network,
     Tabulated,
     byte_table,
+    capped_power,
     gather_lanes,
     pack_lanes,
     step,  # unused here; perfbench/test_perfbench.py reads artifact.simulate.step
@@ -39,6 +40,9 @@ from .core import (
 # Host configurations per verify_simulation batch: 1 or 4 KB of lanes per
 # host node, by its lane width.
 VERIFY_CHUNK = 1024
+# Source configurations one verify_simulation checks, swept or sampled;
+# a budget of its own, apart from the host steps `advance` may take.
+MAX_CONFIGS = DEFAULT_MAX_STATES
 
 
 class InvalidEmbeddingError(ArtifactError, ValueError):
@@ -137,7 +141,7 @@ class VerificationReport:
         return f"{status} ({self.mode}, {self.checked} configurations checked{extra})"
 
 
-def _advance(f: Callable, x, t: int):
+def advance(f: Callable, x, t: int):
     """f^t(x), t folded by the cycle of x under f: G^t on a batch of lanes
     for `verify_simulation`, F^t on a configuration for `simulate`.
 
@@ -176,10 +180,12 @@ def verify_simulation(
 
     mode "exhaustive" sweeps all |Q|^n source configurations; mode
     "sample" draws `samples` configurations from a recorded RNG seed.
+    Either count past MAX_CONFIGS is refused with BudgetExceededError
+    before any step.
     Both sides run VERIFY_CHUNK configurations at a time through
     step_batch, each in its own lanes (bytes on an alphabet of at most
     256, whatever the tables): the source one step, the host T steps
-    folded by each batch's cycle (`_advance`). A failure names the first
+    folded by each batch's cycle (`advance`). A failure names the first
     failing configuration in sweep order, and `checked` counts up to and
     including it. Alphabets past 2^32, whose states no lane holds, and
     an unknown mode are refused with InvalidEmbeddingError.
@@ -190,18 +196,20 @@ def verify_simulation(
                 f"{role} alphabet of {net.alphabet} does not fit a 32-bit lane"
             )
     emb.validate(source, host)
+    q, n = source.alphabet, source.n
     if mode == "exhaustive":
-        configs = product(range(source.alphabet), repeat=source.n)
+        count, what = capped_power(q, n, MAX_CONFIGS), f"{q}^{n} source configurations"
+        configs = product(range(q), repeat=n)
         used_seed = None
     elif mode == "sample":
+        count, what = samples, f"{samples} samples"
         used_seed = seed if seed is not None else random.SystemRandom().getrandbits(64)
         rng = random.Random(used_seed)
-        configs = (
-            tuple(rng.randrange(source.alphabet) for _ in range(source.n))
-            for _ in range(samples)
-        )
+        configs = (tuple(rng.randrange(q) for _ in range(n)) for _ in range(samples))
     else:
         raise InvalidEmbeddingError(f"unknown mode {mode!r}")
+    if count > MAX_CONFIGS:
+        raise BudgetExceededError(f"a check of {what} exceeds the budget of {MAX_CONFIGS}")
     # Each side's states take its own lanes; the pattern gathers read
     # source lanes and write host lanes.
     width, src_width = host.lane_bytes, source.lane_bytes
@@ -223,7 +231,7 @@ def verify_simulation(
         xs = [pack_lanes(s, src_width) for s in zip(*chunk)]
         ys = step_batch(source, xs, b)
         got = [gather_lanes(col, xs[v], b, width, tr, src_width) for v, col, tr in cols]
-        got = _advance(lambda lanes: step_batch(host, lanes, b), got, emb.time)
+        got = advance(lambda lanes: step_batch(host, lanes, b), got, emb.time)
         want = [gather_lanes(col, ys[v], b, width, tr, src_width) for v, col, tr in cols]
         diff = 0
         for w, g in zip(want, got):

@@ -35,6 +35,7 @@ from artifact.problems import (
 from artifact.simulate import BlockEmbedding, embedding_to_json
 
 from conftest import rotation
+from test_gadget import wide_identity_certificate
 
 
 def out_json(capsys):
@@ -625,10 +626,10 @@ def test_verify_sim_exits_three_when_a_batch_does_not_cycle_within_the_budget(
 
 
 def test_verify_sim_reaches_a_verdict_on_a_ten_gate_ring(tmp_path, capsys):
-    # 2^20 source configurations at T = 6 are 6.3M host configurations.
-    # verify-sim has no budget on them, and the analyze/oracle budget
-    # does not reach it. The embedding claims T = 12, so the first
-    # configuration fails and the check stops after one chunk.
+    # 2^20 source configurations at T = 6 are 6.3M host configurations,
+    # within verify-sim's budget of 2^22 source configurations. The
+    # embedding claims T = 12, so the first configuration fails and the
+    # check stops after one chunk.
     b = GNetworkBuilder(2)
     gates = [b.new_gate(NOR_2_2) for _ in range(10)]
     for (g, _), (_, outs) in zip(gates, gates[-1:] + gates[:-1]):
@@ -643,6 +644,22 @@ def test_verify_sim_reaches_a_verdict_on_a_ten_gate_ring(tmp_path, capsys):
     assert run(["verify-sim", ring, host, emb]) == 1
     report = out_json(capsys)
     assert not report["ok"] and report["checked"] == 1
+
+
+def test_verify_sim_past_the_configuration_budget_exits_three(tmp_path, capsys):
+    # 2^26 configurations swept, or 10^8 drawn, are refused before any step.
+    ident = make_network(2, [((v,), (0, 1)) for v in range(26)])
+    net = write_json(tmp_path, "ident.json", network_to_json(ident))
+    emb = write_json(tmp_path, "emb.json", identity_embedding_doc(ident))
+    _exits_three_at_once(["verify-sim", net, net, emb], capsys)
+    _exits_three_at_once(["verify-sim", net, net, emb, "--mode", "sample", "--samples", "100000000"], capsys)
+
+
+def test_certificates_past_the_cell_budget_exit_three(tmp_path, capsys):
+    cert = write_json(tmp_path, "cert.json", certificate_to_json(wide_identity_certificate(8)))
+    _exits_three_at_once(["verify-cert", cert], capsys)
+    ring = write_json(tmp_path, "ring.json", nor_pair_doc())
+    _exits_three_at_once(["compile", ring, "--certificate", cert], capsys)
 
 
 @pytest.mark.parametrize("alphabet", [1000, 2000])

@@ -10,13 +10,21 @@ from hypothesis import strategies as st
 
 from artifact import csan as csan_module
 from artifact import docs, gol
-from artifact.circuit import InvalidCircuitError, eval_circuit
+from artifact.circuit import (
+    InvalidCircuitError,
+    bits_per_node,
+    circuit_encode,
+    decode_config,
+    encode_config,
+    eval_circuit,
+)
 from artifact.core import (
     MAX_TABLE,
     InvalidConfigError,
     Network,
     Rule,
     index_config,
+    interaction_graph,
     make_network,
     network_from_json,
     network_to_json,
@@ -25,23 +33,18 @@ from artifact.core import (
 from artifact.csan import (
     Csan,
     InvalidCsanError,
-    bits_per_node,
     build_interval,
     build_lifelike,
     build_minmax,
     build_reaction_diffusion,
     build_rule90_ring,
     build_threshold,
-    circuit_encode,
     csan_from_json,
     csan_in_family,
     csan_step,
     csan_to_json,
     csan_to_network,
-    decode_config,
-    encode_config,
     family_spec,
-    interaction_graph_csan,
     make_csan,
     matrix_to_network,
     multisets_up_to,
@@ -265,7 +268,7 @@ def test_interaction_rule90():
     for v in range(4):
         want.add(((v + 1) % 4, v))
         want.add(((v - 1) % 4, v))
-    got = interaction_graph_csan(ring)
+    got = interaction_graph(ring)
     assert got == want
     assert all(u != v for u, v in got)
     assert interaction_graph_bruteforce(csan_to_network(ring)) == want
@@ -274,7 +277,7 @@ def test_interaction_rule90():
 def test_interaction_constant_rule_is_empty():
     lam_deg1 = {(s, m): 0 for s in range(2) for m in multisets_up_to(2, 1)}
     c = make_csan(2, 2, [(0, 1, "id")], [lam_deg1, lam_deg1])
-    assert interaction_graph_csan(c) == set()
+    assert interaction_graph(c) == set()
     assert interaction_graph_bruteforce(csan_to_network(c)) == set()
 
 
@@ -291,14 +294,14 @@ def test_interaction_ignores_constant_edge_label():
         [(0, 3, (0, 0)), (1, 3, "id"), (2, 3, "id")],
         [lam_leaf, lam_leaf, lam_leaf, lam_and],
     )
-    got = interaction_graph_csan(c)
+    got = interaction_graph(c)
     assert got == {(1, 3), (2, 3)}
     assert interaction_graph_bruteforce(csan_to_network(c)) == got
 
 
 def test_interaction_self_dependency():
     gol = build_lifelike(3, [(0, 1), (1, 2)], {3}, {2, 3})
-    got = interaction_graph_csan(gol)
+    got = interaction_graph(gol)
     # Birth and survival counts differ, so own state matters somewhere.
     assert (1, 1) in got
     assert got == interaction_graph_bruteforce(csan_to_network(gol))
@@ -335,9 +338,7 @@ def random_csans(draw, alphabets=(2, 3), max_n=4):
 @settings(max_examples=40, deadline=None)
 @given(random_csans())
 def test_interaction_graph_matches_bruteforce(c):
-    assert interaction_graph_csan(c) == interaction_graph_bruteforce(
-        csan_to_network(c)
-    )
+    assert interaction_graph(c) == interaction_graph_bruteforce(csan_to_network(c))
 
 
 @settings(max_examples=60, deadline=None)

@@ -6,12 +6,16 @@ from pathlib import Path
 import pytest
 
 from artifact import docs, gol
-from artifact.circuit import InvalidCircuitError, circuit_from_json, circuit_to_json
+from artifact.circuit import (
+    InvalidCircuitError,
+    circuit_encode,
+    circuit_from_json,
+    circuit_to_json,
+)
 from artifact.core import InvalidNetworkError, network_from_json, network_to_json
 from artifact.csan import (
     InvalidCsanError,
     build_rule90_ring,
-    circuit_encode,
     csan_from_json,
     csan_to_json,
 )

@@ -10,8 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact import docs, gol
-from artifact.core import ArtifactError, make_network, network_to_json, step, trace
+from artifact import core, docs, gol
+from artifact.core import (
+    ArtifactError,
+    BudgetExceededError,
+    make_network,
+    network_to_json,
+    step,
+    trace,
+)
 from artifact.csan import build_lifelike, csan_in_family, csan_to_network, family_spec
 from artifact.gadget import (
     CertificateReport,
@@ -314,6 +321,35 @@ def test_nor_certificate_passes():
     report = verify_certificate(cert)
     assert report.ok, report.message()
     assert report.checked == 64
+
+
+def wide_identity_certificate(k):
+    """One k-input, k-output identity gate on a gadget of k input and k
+    output copies of IFACE and no other node, with no run recorded: its
+    2^(3k) cells all go missing."""
+    gate = make_gate(f"ID_{k}_{k}", 2, k, k, lambda *a: a)
+    net = make_network(2, [((), (0,))] * (4 * k))
+    copies = [{"ci": 2 * i, "co": 2 * i + 1} for i in range(2 * k)]
+    gd = make_gadget(IFACE, net, copies[:k], copies[k:])
+    return make_certificate(IFACE, {gate: gd}, STATES, {}, 1, toy_traces(), {gate: {}})
+
+
+def test_a_gate_of_more_cells_than_the_budget_is_refused_before_any_is_made():
+    # 2^24 cells, each of which would be made and reported as missing.
+    with pytest.raises(BudgetExceededError, match="gate ID_8_8's 2\\^24 cells exceeds the budget"):
+        verify_certificate(wide_identity_certificate(8))
+
+
+@pytest.mark.parametrize("budget, refused", [(71, True), (72, False)])
+def test_the_cell_budget_holds_every_gate_together(budget, refused, monkeypatch):
+    # 64 NOR cells, then 8 identity cells: the second gate meets the budget.
+    cert = toy_certificate({NOR_2_2: nor_gadget(), ID_1_1: identity_gadget()})
+    monkeypatch.setattr(core, "MAX_TABLE", budget)
+    if refused:
+        with pytest.raises(BudgetExceededError, match="gate ID_1_1's 2\\^3 cells"):
+            verify_certificate(cert)
+    else:
+        assert verify_certificate(cert).checked == 72
 
 
 def test_certificate_missing_cell_fails():

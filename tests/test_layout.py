@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from artifact.circuit import (
+    circuit_encode,
     circuit_to_json,
     closed_network,
     double_rail,
@@ -30,6 +31,7 @@ from artifact.cli import run
 from artifact.core import (
     MAX_TABLE,
     BudgetExceededError,
+    capped_power,
     config_index,
     make_network,
     network_to_json,
@@ -39,7 +41,6 @@ from artifact.core import (
 from artifact.csan import (
     build_minmax,
     build_reaction_diffusion,
-    circuit_encode,
     csan_to_network,
     matrix_to_network,
 )
@@ -80,6 +81,15 @@ def test_table_rows_refuse_a_pass_past_the_budget_when_called():
     table_rows(2, 20, tables=4)  # exactly MAX_TABLE rows in all
     with pytest.raises(BudgetExceededError, match="a pass of 5 tables of 2\\^20 rows"):
         table_rows(2, 20, tables=5)
+
+
+@pytest.mark.parametrize("cap", [1, 8, 100, MAX_TABLE])
+def test_capped_power_is_exact_to_its_cap_and_past_it_beyond(cap):
+    for q in range(5):
+        for k in range(3 * cap.bit_length()):
+            got = capped_power(q, k, cap)
+            assert (got == q**k) if q**k <= cap else (got > cap)
+    assert capped_power(2, 10**18, cap) > cap  # 2^(10^18) is never built
 
 
 # Builders whose every table fits the budget but whose pass does not.

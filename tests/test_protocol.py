@@ -29,7 +29,7 @@ from artifact.core import (
     to_dot,
     walk_orbit,
 )
-from artifact.csan import Csan, csan_step, csan_to_json, csan_to_network, interaction_graph_csan
+from artifact.csan import Csan, csan_step, csan_to_json, csan_to_network
 from artifact.glue import check_pseudo_orbits, make_pseudo_orbit
 from artifact.gnet import (
     Gate,
@@ -76,7 +76,7 @@ def test_a_csan_answers_as_its_tabulation(c):
         assert verify_simulation(net, c, emb) == want
     assert to_dot(c) == to_dot(net)
     assert network_to_json(c) == network_to_json(net)
-    assert interaction_graph(c) == interaction_graph(net) == interaction_graph_csan(c)
+    assert interaction_graph(c) == interaction_graph(c.network) == interaction_graph(net)
     assert c == unstepped and csan_to_json(c) == doc and c.network is c.network
 
 
@@ -130,6 +130,7 @@ def assert_answers_as_tabulation(gn, configs, exhaustive=True):
         assert verify_simulation(net, gn, emb, mode=mode, samples=50, seed=3) == want
     assert to_dot(gn) == to_dot(net)
     assert network_to_json(gn) == network_to_json(net)
+    assert interaction_graph(gn) == interaction_graph(gn.network) == interaction_graph(net)
     assert gn == unstepped and hash(gn) == hash(unstepped)
     assert gnetwork_to_json(gn) == doc and gn.network is gn.network
 

@@ -8,12 +8,17 @@ as `__version__` are exempt. A definition that only tests read belongs
 in tests/, and one that nothing reads should go. Likewise every name
 that a test or package module imports must be read in that module; a
 package module may bind a name that only the benchmark's tests read
-through it. The package's total source lines may not grow either.
+through it. The package's total source lines may not grow either, and
+each module imports only the package modules pinned for it, and no
+underscore name of another.
 """
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import artifact
@@ -101,16 +106,16 @@ def test_public_api_list_names_existing_definitions():
 
 
 def test_public_api_list_does_not_grow():
-    # 34 names once the conjunctive compiler, the gadget copier and the
-    # pairwise gadget glue left the package; listing another one takes an
-    # edit here.
-    assert len(public_api()) <= 34
+    # 33 names once the conjunctive compiler, the gadget copier, the
+    # pairwise gadget glue and the labeled interaction graph left the
+    # package; listing another one takes an edit here.
+    assert len(public_api()) <= 33
 
 
-# The package's source lines once the pairwise gadget glue left it. A
-# change that adds a capability raises this bound in its own diff and
+# The package's source lines once the labeled interaction graph left it.
+# A change that adds a capability raises this bound in its own diff and
 # says why; any other change keeps under it.
-SOURCE_LINES = 5535
+SOURCE_LINES = 5490
 
 
 def test_the_package_does_not_grow():
@@ -250,3 +255,64 @@ def test_embeddings_are_validated_where_they_are_built_or_given():
         if site[0] != "simulate" and site != ("problems", "reduce_pred_via_simulation")
     }
     assert ("simulate", "block_embedding") in sites and not outside, outside
+
+
+# The package modules each module imports. An edge added here is a
+# layering decision: `csan` reads no circuits, so glueing loads no
+# circuit, gate network or simulation.
+IMPORTS = {
+    "__init__": set(),
+    "circuit": {"core", "docs", "gnet", "simulate"},
+    "cli": {"circuit", "core", "csan", "docs", "gadget", "glue", "gnet", "gol", "problems", "simulate"},
+    "core": {"docs"},
+    "csan": {"core", "docs"},
+    "docs": set(),
+    "gadget": {"core", "csan", "docs", "glue", "gnet", "simulate"},
+    "glue": {"core", "csan", "docs"},
+    "gnet": {"core", "docs"},
+    "gol": {"core", "csan", "gadget", "glue", "gnet", "simulate"},
+    "problems": {"core", "docs", "simulate"},
+    "simulate": {"core", "docs"},
+}
+
+
+def package_imports(path: Path) -> tuple[set[str], list[str]]:
+    """The package modules a module imports, and the `module.name` of every
+    underscore name it imports from one, read from its relative imports."""
+    modules, private = set(), []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("artifact") for a in node.names), path.name
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 1 or not (node.module or "").startswith("artifact"), path.name
+            if node.level and node.module:
+                modules.add(node.module)
+                private += [f"{node.module}.{a.name}" for a in node.names if a.name[0] == "_"]
+            elif node.level:
+                modules |= {a.name for a in node.names}
+    return modules, private
+
+
+def test_each_module_imports_its_pinned_modules():
+    got = {path.stem: package_imports(path)[0] for path in sorted(PACKAGE.glob("*.py"))}
+    assert got == IMPORTS
+
+
+def test_no_module_imports_another_modules_underscore_name():
+    private = [name for path in sorted(PACKAGE.glob("*.py")) for name in package_imports(path)[1]]
+    assert not private, f"underscore names imported from another module: {private}"
+
+
+def test_glueing_loads_no_circuit_gate_network_or_simulation():
+    code = "import sys, artifact.glue; print(sorted(m for m in sys.modules if 'artifact' in m))"
+    path = [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = ["artifact", "artifact.core", "artifact.csan", "artifact.docs", "artifact.glue"]
+    assert done.stdout.strip() == repr(loaded)

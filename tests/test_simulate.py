@@ -358,7 +358,7 @@ def test_a_huge_time_folds_into_the_cycle():
 def test_advance_on_a_configuration_matches_iterate(net, t, data):
     # `simulate` advances one configuration this way, folded by its orbit.
     x = data.draw(st.tuples(*[st.integers(0, net.alphabet - 1)] * net.n))
-    assert simulate._advance(functools.partial(step, net), x, t) == iterate(net, x, t)
+    assert simulate.advance(functools.partial(step, net), x, t) == iterate(net, x, t)
 
 
 def test_a_batch_that_does_not_cycle_within_the_budget_is_refused(monkeypatch):
@@ -378,6 +378,23 @@ def test_a_batch_that_does_not_cycle_within_the_budget_is_refused(monkeypatch):
         verify_simulation(net, net, huge)
     monkeypatch.setattr(simulate, "DEFAULT_MAX_STATES", 15)
     assert verify_simulation(net, net, huge).ok
+
+
+def test_source_configurations_past_their_budget_are_refused_before_any_step(monkeypatch):
+    # The budget stands apart from the host steps: at 8, the 3-rotation's
+    # 8 configurations are checked, the 4-rotation's 16 refused, and so
+    # are 9 samples.
+    monkeypatch.setattr(simulate, "MAX_CONFIGS", 8)
+
+    def check(n, **kw):
+        blocks, patterns = tuple((v,) for v in range(n)), (((0,), (1,)),) * n
+        return verify_simulation(rotation(n), rotation(n), BlockEmbedding(1, blocks, patterns), **kw)
+
+    assert check(3).checked == 8 and check(4, mode="sample", samples=8, seed=1).checked == 8
+    with pytest.raises(BudgetExceededError, match="a check of 2\\^4 source configurations"):
+        check(4)
+    with pytest.raises(BudgetExceededError, match="a check of 9 samples exceeds the budget of 8"):
+        check(3, mode="sample", samples=9)
 
 
 def test_embedding_json_roundtrip():
