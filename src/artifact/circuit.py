@@ -13,6 +13,7 @@ node in `bits_per_node(q)` bits (`encode_config`, `decode_config`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 from . import docs
@@ -248,16 +249,11 @@ def circuit_encode(net: Network) -> Circuit:
     if k == 0:
         raise InvalidCircuitError("alphabet of size 1 has an empty encoding")
     sk = _CircuitSketch(net.n * k)
-    recognizers: dict[tuple[int, int], int] = {}
 
+    @cache
     def recognize(node: int, value: int) -> int:
-        if (node, value) not in recognizers:
-            lits = []
-            for j in range(k):
-                bit = node * k + j
-                lits.append(bit if (value >> j) & 1 else sk.invert(bit))
-            recognizers[(node, value)] = sk.fold("AND", lits, 1)
-        return recognizers[(node, value)]
+        bits = [(node * k + j, (value >> j) & 1) for j in range(k)]
+        return sk.fold("AND", [b if on else sk.invert(b) for b, on in bits], 1)
 
     outputs = []
     for rule in net.rules:
@@ -266,9 +262,7 @@ def circuit_encode(net: Network) -> Circuit:
             needed = [b for b in range(k) if (out >> b) & 1]
             if not needed:
                 continue
-            term = sk.fold(
-                "AND", [recognize(u, a) for u, a in zip(rule.deps, combo)], 1
-            )
+            term = sk.fold("AND", [recognize(u, a) for u, a in zip(rule.deps, combo)], 1)
             for b in needed:
                 bit_minterms[b].append(term)
         for b in range(k):

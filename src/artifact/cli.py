@@ -24,15 +24,14 @@ from .core import (
     ArtifactError,
     BudgetExceededError,
     Network,
+    OrbitWalk,
     analyze_orbit,
     check_config,
     network_from_json,
     network_to_json,
-    orbit_at,
     step,
     to_dot,
     trace,
-    walk_orbit,
 )
 from .csan import (
     InvalidCsanError,
@@ -161,8 +160,7 @@ def _cmd_simulate(args):
             raise BudgetExceededError(
                 f"a trace of {args.t} steps exceeds the budget of {DEFAULT_MAX_STATES} states"
             )
-        path, tau, period = walk_orbit(net, x, DEFAULT_MAX_STATES)
-        return {"t": args.t, "config": list(orbit_at(path, tau, period, args.t))}, 0
+        return {"t": args.t, "config": list(OrbitWalk(net, x, DEFAULT_MAX_STATES).at(args.t))}, 0
     if args.trace:
         rows = trace(net, x, args.t)
         return {"t": args.t, "config": list(rows[-1]), "trace": [list(r) for r in rows]}, 0

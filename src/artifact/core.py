@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, product
@@ -451,37 +451,51 @@ class OrbitAnalysis:
     cycle: tuple[tuple[int, ...], ...]
 
 
+class OrbitWalk:
+    """The orbit of x up to its first repeat, walked lazily.
+
+    Iterating yields x, F(x), F^2(x), ... and steps with `net.stepper`
+    only when the next configuration is asked for, so a reader that
+    stops at time h has stepped h times. `seen` maps each configuration
+    met to its time, in order: it is also the path. The first repeat
+    ends the iteration and sets `transient` and `period`. Time i is
+    yielded only while i < budget; reaching time `budget` unclosed
+    raises BudgetExceededError.
+    """
+
+    def __init__(self, net: Network | Tabulated, x: Sequence[int], budget: int = DEFAULT_MAX_STATES):
+        self.net, self.x, self.budget = net, tuple(x), budget
+        self.seen: dict[tuple[int, ...], int] = {}
+        self.transient = self.period = 0
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        f, seen, cur, i = self.net.stepper, self.seen, self.x, 0
+        while (tau := seen.setdefault(cur, i)) == i:
+            if i >= self.budget:
+                raise BudgetExceededError(
+                    f"orbit of length > {self.budget} (budget exceeded, no cycle found)"
+                )
+            yield cur
+            i += 1
+            cur = f(cur)
+        self.transient, self.period = tau, i - tau
+
+    def at(self, t: int) -> tuple[int, ...]:
+        """F^t(x): the walk stops at time t, or t past a closed walk folds into the cycle."""
+        for i, c in enumerate(self):
+            if i == t:
+                return c
+        path, tau = list(self.seen), self.transient
+        return path[tau + (t - tau) % self.period]
+
+
 def walk_orbit(
     net: Network | Tabulated, x: Sequence[int], budget: int = DEFAULT_MAX_STATES
 ) -> tuple[list[tuple[int, ...]], int, int]:
-    """Orbit of x up to its first repeat: (configs, transient, period).
-
-    Steps with `net.stepper`, compiled once per model, whose compilation
-    a walk of thousands of steps repays many times; tests hold it to
-    `step`, the specification. `seen` maps each configuration to its
-    time and keeps insertion order, so it is also the path. Raises
-    BudgetExceededError once `budget` configurations have been visited
-    without closing the cycle.
-    """
-    f = net.stepper
-    seen: dict[tuple[int, ...], int] = {}
-    cur = tuple(x)
-    i = 0
-    while (tau := seen.setdefault(cur, i)) == i:
-        if i >= budget:
-            raise BudgetExceededError(
-                f"orbit of length > {budget} (budget exceeded, no cycle found)"
-            )
-        i += 1
-        cur = f(cur)
-    return list(seen), tau, i - tau
-
-
-def orbit_at(path: Sequence[tuple[int, ...]], tau: int, period: int, t: int) -> tuple[int, ...]:
-    """F^t(x) from walk_orbit's (path, tau, period); t past the path folds into the cycle."""
-    if t < len(path):
-        return path[t]
-    return path[tau + (t - tau) % period]
+    """Orbit of x up to its first repeat, (configs, transient, period): an `OrbitWalk` run out."""
+    walk = OrbitWalk(net, x, budget)
+    deque(walk, 0)
+    return list(walk.seen), walk.transient, walk.period
 
 
 def analyze_orbit(
@@ -590,9 +604,7 @@ def orbit_graph(net: Network | Tabulated, max_states: int = DEFAULT_MAX_STATES) 
     q, n = net.alphabet, net.n
     n_conf = q**n
     if n_conf > max_states:
-        raise BudgetExceededError(
-            f"{n_conf} configurations exceed the cap of {max_states}"
-        )
+        raise BudgetExceededError(f"{n_conf} configurations exceed the cap of {max_states}")
     if n_conf >= LANE_LIMIT:
         raise BudgetExceededError(f"{n_conf} configurations do not fit a 32-bit lane")
     c = 0

@@ -302,6 +302,11 @@ def make_certificate(
     )
 
 
+# Failures a certificate report lists before one line counts the rest, and
+# what stands for a missing cell past them, counted but never formatted.
+MAX_FAILURES, _UNLISTED = 100, ["(not listed)"]
+
+
 @dataclass(frozen=True)
 class CertificateReport:
     ok: bool
@@ -448,7 +453,9 @@ def verify_certificate(cert: CoherentCertificate) -> CertificateReport:
     cell's failures keep their place in the report. A gate has q^(2·n_in
     + n_out) cells on q encoded states; a certificate of more than
     MAX_TABLE cells in all is refused with BudgetExceededError before the
-    first gate past the budget has a cell made.
+    first gate past the budget has a cell made. The report lists the first
+    MAX_FAILURES failures in order and then one line that counts the rest;
+    a missing cell certain to fall past them is counted, not formatted.
     """
     failures: list[str] = []
     checked = 0
@@ -554,23 +561,28 @@ def verify_certificate(cert: CoherentCertificate) -> CertificateReport:
         copies = [[copy[c] for c in names] for copy in (*gd.in_copies, *gd.out_copies)]
         whiches = [f"input copy {k}" for k in range(gate.n_in)]
         whiches += [f"output copy {k}" for k in range(gate.n_out)]
-        # Per cell in order: its failures, or its run waiting for the batch.
+        # Per cell in order: its failures, or its run waiting for the batch;
+        # `sure` counts failures certain to come before the next cell.
         cells: list = []
+        sure = len(failures)
         for q_i in product(range(nq), repeat=gate.n_in):
             q_op = gate.apply(q_i)
             for q_ip in product(range(nq), repeat=gate.n_in):
                 for q_o in product(range(nq), repeat=gate.n_out):
                     checked += 1
-                    cell = f"{prefix} cell {q_i}->{q_ip}|{q_o}"
                     po = table.get((q_i, q_ip, q_o))
                     if po is None:
+                        sure += 1
                         cells.append(
                             [
                                 f"{prefix}: missing pseudo-orbit for inputs"
                                 f" {q_i}->{q_ip} outputs {q_o}"
                             ]
+                            if sure <= MAX_FAILURES
+                            else _UNLISTED
                         )
                         continue
+                    cell = f"{prefix} cell {q_i}->{q_ip}|{q_o}"
                     if po.exempt != protected:
                         cells.append(
                             [f"{cell}: exempt set differs from the protected interface nodes"]
@@ -608,7 +620,10 @@ def verify_certificate(cert: CoherentCertificate) -> CertificateReport:
                     iface, [(f"gate {g.name}", gd) for g, gd in cert.gadgets.items()]
                 )
             )
-    return CertificateReport(not failures, checked, tuple(failures))
+    listed = tuple(failures[:MAX_FAILURES])
+    if len(failures) > MAX_FAILURES:
+        listed += (f"failures past the first {MAX_FAILURES}: {len(failures) - MAX_FAILURES}",)
+    return CertificateReport(not failures, checked, listed)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 Desk-scale solvers for four questions about a finite network: whether a
 node holds a given state at a given time (time written in unary or in
 binary), whether a node ever changes on a fixed sampling grid, and
-whether a target configuration is reachable. On top of the solvers sit
+whether a target configuration is reachable. The last three walk one
+`core.OrbitWalk` and stop at their first witness: a witness at time i
+counts while i < the state budget, and a walk that reaches the budget
+without its answer raises BudgetExceededError. On top of the solvers sit
 instance rewritings: prediction questions can be carried across a block
 simulation, folded into reachability questions, and back. The module
 also builds the counter networks that pull these questions apart in
@@ -15,6 +18,8 @@ exponentially long cycles, funnels, and many fixed points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
+from math import gcd
 from typing import Callable, Sequence
 
 from . import docs
@@ -22,6 +27,7 @@ from .core import (
     DEFAULT_MAX_STATES,
     ArtifactError,
     Network,
+    OrbitWalk,
     Tabulated,
     check_config,
     check_entries,
@@ -31,11 +37,9 @@ from .core import (
     make_network,
     network_from_json,
     network_to_json,
-    orbit_at,
     step,
     table_rows,
     table_size,
-    walk_orbit,
 )
 from .simulate import BlockEmbedding, embed
 
@@ -171,36 +175,33 @@ def u_pred(inst: PredInstance) -> bool:
 def b_pred(inst: PredInstance, max_states: int = DEFAULT_MAX_STATES) -> bool:
     """Answer through the orbit's eventual cycle.
 
-    The orbit is walked once up to its first repeat, giving the
-    transient tau and period p; any time beyond the walk folds back to
-    tau + (t - tau) % p, so t may exceed the orbit length by any
-    amount at no extra cost.
+    The walk stops at time t, or at the first repeat before it; a time
+    past the walk folds into the cycle (`OrbitWalk.at`), so t may exceed
+    the orbit length by any amount at no extra cost.
     """
-    path, tau, p = walk_orbit(inst.net, inst.x, max_states)
-    return orbit_at(path, tau, p, inst.t)[inst.v] == inst.q
+    return OrbitWalk(inst.net, inst.x, max_states).at(inst.t)[inst.v] == inst.q
 
 
 def pred_chg(inst: PredChgInstance, max_states: int = DEFAULT_MAX_STATES) -> bool:
     """Decide whether the k-step sampling grid ever shows a change.
 
-    Checking t = 1 .. ceil(tau/k) + p is exact: the first ceil(tau/k)
-    grid points cover every multiple of k inside the transient, and
-    past the transient the folded position tau + (kt - tau) % p is
-    periodic in t with period at most p, so p further samples visit
-    every grid position that can ever recur.
+    The walk stops at the first grid time kt where node v differs from
+    x_v. If it closes unchanged, the grid times past it show exactly the
+    cycle's times that are multiples of g = gcd(k, p): kt folds to
+    tau + (kt - tau) % p, a multiple of g since g divides k and p, and
+    as t grows kt % p takes every multiple of g.
     """
-    path, tau, p = walk_orbit(inst.net, inst.x, max_states)
-    horizon = -(-tau // inst.k) + p
-    ref = inst.x[inst.v]
-    return any(
-        orbit_at(path, tau, p, inst.k * t)[inst.v] != ref for t in range(1, horizon + 1)
-    )
+    walk = OrbitWalk(inst.net, inst.x, max_states)
+    v, k, ref = inst.v, inst.k, inst.x[inst.v]
+    if any(c[v] != ref for i, c in enumerate(walk) if i % k == 0):
+        return True
+    g = gcd(k, walk.period)
+    return any(c[v] != ref for c in list(walk.seen)[-(-walk.transient // g) * g :: g])
 
 
 def reach(inst: ReachInstance, max_states: int = DEFAULT_MAX_STATES) -> bool:
-    """Walk the orbit of x once; y is reachable iff it shows up."""
-    path, _, _ = walk_orbit(inst.net, inst.x, max_states)
-    return inst.y in path
+    """Walk the orbit of x until y shows up; after a full walk, y is unreachable."""
+    return inst.y in OrbitWalk(inst.net, inst.x, max_states)
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +231,8 @@ def reduce_pred_via_simulation(
     y = embed(emb, host.n, inst.x)
 
     if isinstance(inst, PredChgInstance):
-        calls = [
-            make_pred_chg_instance(host, u, y, inst.k * emb.time) for u in emb.blocks[inst.v]
-        ]
-
-        def decode_chg(answers: Sequence[bool]) -> bool:
-            return any(answers)
-
-        return calls, decode_chg
+        calls = [make_pred_chg_instance(host, u, y, inst.k * emb.time) for u in emb.blocks[inst.v]]
+        return calls, any
 
     if not isinstance(inst, PredInstance):
         raise TypeError("expected a PredInstance or PredChgInstance")
@@ -349,7 +344,7 @@ def reach_to_pred(inst: ReachInstance) -> PredInstance:
     run_of = [s // (qn * qn) for s in range(a_size)]
     tgt_of = [(s // qn) % qn for s in range(a_size)]
     dig_of = [s % qn for s in range(a_size)]
-    fcache: dict[tuple[int, ...], tuple[int, ...]] = {}
+    fstep = cache(partial(step, src))
 
     def next_config(cfg: tuple[int, ...]) -> list[int]:
         running = tuple(run_of[s] for s in cfg[:n])
@@ -360,10 +355,7 @@ def reach_to_pred(inst: ReachInstance) -> PredInstance:
             count = count * qn + dig_of[s]
         if count == 0:
             return [*(enc(target[u], target[u], 0) for u in range(n)), marker]
-        nxt = fcache.get(running)
-        if nxt is None:
-            nxt = step(src, running)
-            fcache[running] = nxt
+        nxt = fstep(running)
         down = count - 1
         return [*(enc(nxt[u], target[u], (down // qn**u) % qn) for u in range(n)), marker]
 
@@ -443,8 +435,7 @@ def parse_dimacs(text: str) -> tuple[int, tuple[tuple[int, ...], ...]]:
         raise CnfParseError("unterminated clause")
     if expected is not None and len(clauses) != expected:
         raise CnfParseError(f"expected {expected} clauses, found {len(clauses)}")
-    n_vars, cl = _check_clauses(clauses, n_vars)
-    return n_vars, cl
+    return _check_clauses(clauses, n_vars)
 
 
 def sat_pred_network(clauses, n_vars: int | None = None) -> Network:
@@ -583,24 +574,13 @@ def gated_product_network(f: Network) -> tuple[Network, tuple[int, ...]]:
     table_size(qf * 8, n, tables=n)  # checked before the beacon is built
     beacon = h_counter_network(n)
     anchor = (4,) * n
-    hcache: dict[tuple[int, ...], tuple[int, ...]] = {}
-    fcache: dict[tuple[int, ...], tuple[int, ...]] = {}
+    hstep, fstep = cache(partial(step, beacon)), cache(partial(step, f))
 
     def next_config(cfg: tuple[int, ...]) -> list[int]:
         fpart = tuple(s // 8 for s in cfg)
         hpart = tuple(s % 8 for s in cfg)
-        nh = hcache.get(hpart)
-        if nh is None:
-            nh = step(beacon, hpart)
-            hcache[hpart] = nh
-        if hpart == anchor:
-            nf = fcache.get(fpart)
-            if nf is None:
-                nf = step(f, fpart)
-                fcache[fpart] = nf
-        else:
-            nf = fpart
-        return [a * 8 + b for a, b in zip(nf, nh)]
+        nf = fstep(fpart) if hpart == anchor else fpart
+        return [a * 8 + b for a, b in zip(nf, hstep(hpart))]
 
     return global_map_network(qf * 8, n, next_config), anchor
 

@@ -178,6 +178,19 @@ def test_oracle_budget_exit_code(tmp_path, capsys):
     assert "error" in out_json(capsys)
 
 
+def test_oracle_reach_answers_once_the_target_shows(tmp_path, capsys):
+    # rotation(8) from one mark: y (the mark at node 3) shows at time 3 of
+    # an orbit of 8. A budget past the hit time answers, where a full walk
+    # would pass it; a budget at the hit time still runs out.
+    x = (1, 0, 0, 0, 0, 0, 0, 0)
+    inst = make_reach_instance(rotation(8), x, x[-3:] + x[:-3])
+    path = write_json(tmp_path, "r.json", instance_to_json(inst))
+    assert run(["oracle", "reach", path, "--max-states", "5"]) == 0
+    assert out_json(capsys)["answer"] is True
+    assert run(["oracle", "reach", path, "--max-states", "3"]) == 3
+    assert "budget" in out_json(capsys)["error"]
+
+
 @pytest.mark.parametrize("max_states", ["0", "-5"])
 @pytest.mark.parametrize("command", ["analyze", "oracle"])
 def test_max_states_below_one_is_refused(command, max_states, tmp_path, rot3_file, capsys):

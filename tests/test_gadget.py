@@ -3,14 +3,14 @@
 import dataclasses
 import functools
 from copy import deepcopy
-from itertools import product
+from itertools import islice, product
 from typing import Mapping
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from artifact import core, docs, gol
+from artifact import core, docs, gadget, gol
 from artifact.core import (
     ArtifactError,
     BudgetExceededError,
@@ -350,6 +350,30 @@ def test_the_cell_budget_holds_every_gate_together(budget, refused, monkeypatch)
             verify_certificate(cert)
     else:
         assert verify_certificate(cert).checked == 72
+
+
+def test_a_long_report_lists_the_first_failures_and_counts_the_rest():
+    report = verify_certificate(wide_identity_certificate(6))
+    assert not report.ok and report.checked == 2**18
+    # Cells in check order: inputs, next inputs, then outputs varying fastest.
+    cells = islice(product(product((0, 1), repeat=6), repeat=3), 100)
+    listed = [
+        f"gate ID_6_6: missing pseudo-orbit for inputs {a}->{b} outputs {c}" for a, b, c in cells
+    ]
+    assert report.failures == (*listed, f"failures past the first 100: {2**18 - 100}")
+
+
+@pytest.mark.parametrize("cap", [63, 64, 65])
+def test_a_report_within_the_cap_is_the_full_one(cap, monkeypatch):
+    cert = wide_identity_certificate(2)  # 2^6 = 64 missing cells
+    full = reference_verify_certificate(cert)
+    monkeypatch.setattr(gadget, "MAX_FAILURES", cap)
+    report = verify_certificate(cert)
+    if cap >= 64:
+        assert report == full
+    else:
+        assert report.failures == (*full.failures[:63], "failures past the first 63: 1")
+    assert (report.ok, report.checked) == (False, 64)
 
 
 def test_certificate_missing_cell_fails():
@@ -771,6 +795,18 @@ def _copy_trace_matches(po, copy, wanted):
     return None
 
 
+def bounded(report: CertificateReport) -> CertificateReport:
+    """A full report as `verify_certificate` gives it: the first
+    MAX_FAILURES failures, then a line that counts the rest."""
+    more = len(report.failures) - gadget.MAX_FAILURES
+    if more <= 0:
+        return report
+    head = report.failures[: gadget.MAX_FAILURES]
+    return dataclasses.replace(
+        report, failures=(*head, f"failures past the first {gadget.MAX_FAILURES}: {more}")
+    )
+
+
 def reference_verify_certificate(cert: CoherentCertificate) -> CertificateReport:
     """The cell-by-cell check that `verify_certificate` replaced, kept as its oracle."""
     failures: list[str] = []
@@ -1015,4 +1051,9 @@ def test_verify_certificate_checks_each_run_shape_once(monkeypatch):
 @given(data=st.data())
 def test_mutated_certificates_match_reference(name, data):
     cert = mutated_certificate(data, certificate(name))
-    assert verify_certificate(cert) == reference_verify_certificate(cert)
+    assert verify_certificate(cert) == bounded(reference_verify_certificate(cert))
+    # Caps that the mutations pass, so that failures go unlisted.
+    with pytest.MonkeyPatch.context() as mp:
+        for cap in (1, 2, 3):
+            mp.setattr(gadget, "MAX_FAILURES", cap)
+            assert verify_certificate(cert) == bounded(reference_verify_certificate(cert))

@@ -249,6 +249,153 @@ def test_budget_exceeded_surfaces():
 
 
 # ---------------------------------------------------------------------------
+# Early exits: each oracle stops at its first witness
+
+
+def full_walk(net, x, budget):
+    """The orbit of x to its first repeat by `step`: (path, transient, period).
+
+    Raises BudgetExceededError when `budget` configurations pass without
+    a repeat, as every walk did before the oracles stopped early.
+    """
+    path, seen, cur = [], {}, tuple(x)
+    while cur not in seen:
+        if len(path) >= budget:
+            raise BudgetExceededError(f"orbit of length > {budget}")
+        seen[cur] = len(path)
+        path.append(cur)
+        cur = step(net, cur)
+    return path, seen[cur], len(path) - seen[cur]
+
+
+def folded(path, tau, period, t):
+    return path[t] if t < len(path) else path[tau + (t - tau) % period]
+
+
+def full_b_pred(inst, budget):
+    return folded(*full_walk(inst.net, inst.x, budget), inst.t)[inst.v] == inst.q
+
+
+def full_pred_chg(inst, budget):
+    path, tau, p = full_walk(inst.net, inst.x, budget)
+    ref = inst.x[inst.v]
+    horizon = -(-tau // inst.k) + p
+    return any(folded(path, tau, p, inst.k * t)[inst.v] != ref for t in range(1, horizon + 1))
+
+
+def full_reach(inst, budget):
+    return inst.y in full_walk(inst.net, inst.x, budget)[0]
+
+
+def outcome(oracle, inst, budget):
+    try:
+        return oracle(inst, budget)
+    except BudgetExceededError:
+        return "budget"
+
+
+def first_change(path, v, k):
+    """The first grid time kt inside the walk at which node v differs from time 0."""
+    return next((t for t in range(k, len(path), k) if path[t][v] != path[0][v]), None)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_early_exits_agree_with_full_walks(data):
+    q = data.draw(st.sampled_from((2, 3, 5)), label="alphabet")
+    n = data.draw(st.integers(1, 4), label="nodes")
+    rng = random.Random(data.draw(st.integers(0, 10**6), label="net_seed"))
+    net = random_network(rng, n, q)
+    x = tuple(data.draw(st.integers(0, q - 1), label=f"x{v}") for v in range(n))
+    path, _, _ = full_walk(net, x, q**n)  # an orbit holds at most q^n configurations
+    if data.draw(st.booleans(), label="y on the orbit"):
+        y = path[data.draw(st.integers(0, len(path) - 1), label="hit time")]
+    else:
+        y = next((c for c in product(range(q), repeat=n) if c not in path), path[-1])
+    v = data.draw(st.integers(0, n - 1), label="v")
+    k = data.draw(st.integers(1, 5), label="k")
+    t = data.draw(
+        st.one_of(st.integers(0, len(path) - 1), st.integers(len(path), 10**12)), label="t"
+    )
+    target = data.draw(st.integers(0, q - 1), label="q")
+    budget = data.draw(st.integers(1, len(path) + 2), label="budget")
+    # Each oracle, its full-walk definition, and the time of its witness
+    # inside the walk (None when only the walk's end answers).
+    cases = [
+        (b_pred, full_b_pred, make_pred_instance(net, v, x, target, t, "binary"),
+         t if t < len(path) else None),
+        (pred_chg, full_pred_chg, make_pred_chg_instance(net, v, x, k), first_change(path, v, k)),
+        (reach, full_reach, make_reach_instance(net, x, y), path.index(y) if y in path else None),
+    ]
+    for oracle, full, inst, hit in cases:
+        want = outcome(full, inst, budget)
+        if want == "budget" and hit is not None and hit < budget:
+            want = full(inst, q**n)  # answered now: the witness comes within the budget
+        assert outcome(oracle, inst, budget) == want, oracle.__name__
+
+
+def test_the_budget_bounds_the_witness_time():
+    net = rotation(6)
+    x = (1, 0, 0, 0, 0, 0)  # period 6, the 1 at node t at time t
+    three = (0, 0, 0, 1, 0, 0)
+    off = (1, 1, 0, 0, 0, 0)
+    # A witness at time budget - 1 answers; one at time budget raises.
+    # reach: y at time 3; pred_chg: node 2 changes at grid time 2;
+    # b_pred: node 4 read at time 4.
+    witnessed = [
+        (reach, make_reach_instance(net, x, three), 3),
+        (pred_chg, make_pred_chg_instance(net, 2, x, 2), 2),
+        (b_pred, make_pred_instance(net, 4, x, 1, 4, "binary"), 4),
+    ]
+    for oracle, inst, hit in witnessed:
+        assert oracle(inst, max_states=hit + 1)
+        with pytest.raises(BudgetExceededError):
+            oracle(inst, max_states=hit)
+    # An orbit of 6 configurations closes exactly at a budget of 6, and
+    # answers there after its full walk; a budget of 5 raises.
+    closing = [
+        (reach, make_reach_instance(net, x, off), False),
+        (pred_chg, make_pred_chg_instance(net, 0, x, 6), False),
+        (b_pred, make_pred_instance(net, 1, x, 1, 6 * 10**9 + 1, "binary"), True),
+    ]
+    for oracle, inst, answer in closing:
+        assert oracle(inst, max_states=6) is answer
+        with pytest.raises(BudgetExceededError):
+            oracle(inst, max_states=5)
+
+
+def counted_steps(net):
+    """Record every call of the network's stepper, which every walk steps with."""
+    calls = []
+    inner = net.stepper
+
+    def stepper(x):
+        calls.append(x)
+        return inner(x)
+
+    vars(net)["stepper"] = stepper
+    return calls
+
+
+def test_oracles_step_only_to_their_witness():
+    x = (1,) + (0,) * 11  # rotation(12): the 1 sits at node t at time t, period 12
+    cases = [
+        (reach, make_reach_instance, (x, x[-5:] + x[:-5]), 5),
+        (reach, make_reach_instance, (x, (1,) * 12), 12),  # unreachable: the whole orbit
+        (pred_chg, make_pred_chg_instance, (6, x, 1), 6),
+        (pred_chg, make_pred_chg_instance, (8, x, 4), 8),
+        (pred_chg, make_pred_chg_instance, (8, x, 3), 12),  # never sampled at 8: the orbit
+        (b_pred, make_pred_instance, (7, x, 1, 7, "binary"), 7),
+        (b_pred, make_pred_instance, (7, x, 1, 10**15 + 7, "binary"), 12),
+    ]
+    for oracle, make, args, steps in cases:
+        net = rotation(12)
+        calls = counted_steps(net)
+        oracle(make(net, *args))
+        assert len(calls) == steps, (oracle.__name__, args)
+
+
+# ---------------------------------------------------------------------------
 # Carrying prediction across a block simulation
 
 
